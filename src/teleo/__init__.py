@@ -26,7 +26,7 @@ from teleo.model import (
     enumerate_worlds,
     uniform_independent,
 )
-from teleo.dsep import d_separated, kernel_backend
+from teleo.dsep import d_separated
 from teleo.teleology import (
     Comparison,
     FinalModel,
@@ -71,7 +71,6 @@ __all__ = [
     "uniform_independent",
     "conditional_distribution",
     "d_separated",
-    "kernel_backend",
     "InterventionSpec",
     "MStarModel",
     "do_surgery",

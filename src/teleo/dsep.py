@@ -2,80 +2,71 @@
 
 The blocking rules are the standard ones: chains and forks are blocked by
 conditioning on the middle node, colliders are open only when the collider
-or one of its descendants is conditioned on.  The query itself runs in a
-small reachability kernel over an integer-indexed copy of the graph.
-
-Two interchangeable kernels exist: a Cython extension (``teleo._dsep_c``)
-and a pure-Python twin (``teleo._dsep_py``).  The compiled one is picked at
-import time when present; set ``TELEO_PURE_PYTHON=1`` to force the fallback.
+or one of its descendants is conditioned on.  Every query runs through one
+pure-Python kernel, the "Reachable" algorithm of Koller & Friedman
+(Probabilistic Graphical Models, Algorithm 3.1): mark the conditioning set
+and its ancestors, then walk (node, direction) states outward from x along
+active trails.  The per-node parent and child lists are cached per DAG.
 """
 
 from __future__ import annotations
 
-import os
-from array import array
 from functools import lru_cache
 
 from teleo.errors import UnknownVariableError
 from teleo.model import CausalDag, IndependenceStatement
 
-if os.environ.get("TELEO_PURE_PYTHON") == "1":
-    from teleo import _dsep_py as _kernel
-else:
-    try:
-        from teleo import _dsep_c as _kernel  # type: ignore[attr-defined]
-    except ImportError:
-        from teleo import _dsep_py as _kernel
-
-__all__ = ["d_separated", "kernel_backend"]
-
-
-def kernel_backend() -> str:
-    """Name of the reachability kernel in use: 'compiled' or 'pure'."""
-    return "compiled" if _kernel.__name__.endswith("_dsep_c") else "pure"
+__all__ = ["d_separated"]
 
 
 @lru_cache(maxsize=512)
-def _indexed(dag: CausalDag):
-    """CSR parent/children encoding of a DAG, cached per graph."""
-    index = {n: i for i, n in enumerate(dag.nodes)}
-    n = len(dag.nodes)
-    parents: list[list[int]] = [[] for _ in range(n)]
-    children: list[list[int]] = [[] for _ in range(n)]
+def _adjacency(dag: CausalDag) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """Parent and child lists of every node, cached per graph."""
+    parents: dict[str, list[str]] = {n: [] for n in dag.nodes}
+    children: dict[str, list[str]] = {n: [] for n in dag.nodes}
     for p, c in dag.edges:
-        parents[index[c]].append(index[p])
-        children[index[p]].append(index[c])
-
-    def csr(adj: list[list[int]]) -> tuple[array, array]:
-        indptr = array("i", [0])
-        idx = array("i")
-        for row in adj:
-            idx.extend(row)
-            indptr.append(len(idx))
-        return indptr, idx
-
-    par_indptr, par_idx = csr(parents)
-    ch_indptr, ch_idx = csr(children)
-    return index, par_indptr, par_idx, ch_indptr, ch_idx
+        parents[c].append(p)
+        children[p].append(c)
+    return parents, children
 
 
 def d_separated(dag: CausalDag, stmt: IndependenceStatement) -> bool:
     """True iff every trail between the two variables is blocked given Z."""
-    index, par_indptr, par_idx, ch_indptr, ch_idx = _indexed(dag)
+    parents, children = _adjacency(dag)
     for name in (stmt.x, stmt.y, *stmt.given):
-        if name not in index:
+        if name not in parents:
             raise UnknownVariableError(f"unknown variable {name!r}")
-    in_z = bytearray(len(dag.nodes))
-    for name in stmt.given:
-        in_z[index[name]] = 1
-    reachable = _kernel.active_trail_reachable(
-        len(dag.nodes),
-        par_indptr,
-        par_idx,
-        ch_indptr,
-        ch_idx,
-        index[stmt.x],
-        index[stmt.y],
-        in_z,
-    )
-    return not reachable
+    z = stmt.given
+
+    # phase 1: nodes in Z or with a descendant in Z; a collider there is open
+    opens_collider = set(z)
+    stack = list(z)
+    while stack:
+        for p in parents[stack.pop()]:
+            if p not in opens_collider:
+                opens_collider.add(p)
+                stack.append(p)
+
+    # phase 2: walk (node, up) states from x, where up records that the node
+    # was entered from a child and down that it was entered from a parent
+    start = (stmt.x, True)
+    seen = {start}
+    todo = [start]
+    while todo:
+        v, up = todo.pop()
+        if v == stmt.y:
+            return False
+        if up:
+            if v in z:
+                continue  # chain or fork through an observed node is blocked
+            steps = [(p, True) for p in parents[v]]
+            steps += [(c, False) for c in children[v]]
+        else:
+            steps = [] if v in z else [(c, False) for c in children[v]]
+            if v in opens_collider:
+                steps += [(p, True) for p in parents[v]]
+        for state in steps:
+            if state not in seen:
+                seen.add(state)
+                todo.append(state)
+    return True

@@ -4,8 +4,10 @@ A dataset is a bag of fully observed rows with positive counts.  A
 hypothesis is compatible on support when every observed row lies inside its
 compatible-world set; dependence checks compare the independence pattern the
 hypothesis predicts with the one the empirical frequencies show.  Both sides
-are exact: frequencies factorize or they do not, by integer arithmetic.
-There is no statistical testing here, deliberately.
+run through the one exact kernel, ``model.factorization``: the compatible
+worlds with weight 1 each, the dataset rows with their observed counts.
+Frequencies factorize or they do not, by integer arithmetic.  There is no
+statistical testing here, deliberately.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from teleo.errors import BindingError, ComparisonError, DatasetError, TeleoError
-from teleo.model import IndependenceStatement, Scm, World, uniform_independent
+from teleo.model import IndependenceStatement, Scm, World, factorization
 from teleo.teleology import FinalModel, compatible_worlds
 
 __all__ = [
@@ -63,9 +65,6 @@ class Dataset:
     def worlds(self) -> tuple[World, ...]:
         """Distinct observed rows as worlds."""
         return tuple(World(self.columns, values) for values, _ in self.rows)
-
-    def counts(self) -> dict[World, int]:
-        return {World(self.columns, values): count for values, count in self.rows}
 
 
 def load_dataset(text: str, scm: Scm) -> Dataset:
@@ -188,36 +187,6 @@ def check_support(f: FinalModel, d: Dataset) -> IdentificationVerdict:
     )
 
 
-def _empirical_independent(
-    d: Dataset, stmt: IndependenceStatement
-) -> tuple[bool, tuple[tuple[int, ...], ...]]:
-    """Exact factorization verdict on empirical frequencies, per stratum.
-
-    Returns the verdict and the strata observed in the data (sorted key
-    tuples), so callers can report expected strata that went unobserved.
-    """
-    keys = tuple(sorted(stmt.given))
-    strata: dict[tuple[int, ...], dict[World, int]] = {}
-    for world, count in d.counts().items():
-        k = tuple(world[v] for v in keys)
-        strata.setdefault(k, {})[world] = count
-    for cell_counts in strata.values():
-        n = sum(cell_counts.values())
-        joint: dict[tuple[int, int], int] = {}
-        mx: dict[int, int] = {}
-        my: dict[int, int] = {}
-        for world, count in cell_counts.items():
-            a, b = world[stmt.x], world[stmt.y]
-            joint[(a, b)] = joint.get((a, b), 0) + count
-            mx[a] = mx.get(a, 0) + count
-            my[b] = my.get(b, 0) + count
-        for a in mx:
-            for b in my:
-                if n * joint.get((a, b), 0) != mx[a] * my[b]:
-                    return False, tuple(sorted(strata))
-    return True, tuple(sorted(strata))
-
-
 def check_dependence(
     f: FinalModel, d: Dataset, stmt: IndependenceStatement
 ) -> DependenceCheck:
@@ -230,11 +199,11 @@ def check_dependence(
     """
     _bind(f, d)
     table = compatible_worlds(f)
-    expected = uniform_independent(table, stmt)
-    observed, observed_strata = _empirical_independent(d, stmt)
-    keys = tuple(sorted(stmt.given))
-    expected_strata = {tuple(w[v] for v in keys) for w in table}
-    skipped = tuple(sorted(expected_strata - set(observed_strata)))
+    expected, expected_strata = factorization(
+        table.columns, [(values, 1) for values in table.rows()], stmt
+    )
+    observed, observed_strata = factorization(d.columns, d.rows, stmt)
+    skipped = tuple(sorted(set(expected_strata) - set(observed_strata)))
     return DependenceCheck(stmt, expected, observed, skipped)
 
 

@@ -7,9 +7,11 @@ consistent with the model is finite and enumerable: one world per combination
 of exogenous values.
 
 World tables carry a uniform weighting over their members.  All probability
-comparisons are exact: independence is decided by integer cross
-multiplication of counts, distributions are returned as Fractions.  There is
-no tolerance anywhere in this module.
+comparisons are exact.  Independence is decided by one count-weighted
+kernel, ``factorization``, which cross-multiplies integer counts in every
+conditioning stratum: world tables pass each world with weight 1, datasets
+pass their observed counts.  Distributions are returned as Fractions.  There
+is no tolerance anywhere in this module.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from teleo.errors import (
     EmptyTableError,
@@ -33,7 +35,10 @@ __all__ = [
     "World",
     "WorldTable",
     "IndependenceStatement",
+    "statement_grid",
+    "propagate",
     "enumerate_worlds",
+    "factorization",
     "uniform_independent",
     "conditional_distribution",
     "verify_mechanism_consistency",
@@ -379,6 +384,31 @@ class IndependenceStatement:
         return base
 
 
+def statement_grid(names: Sequence[str]) -> Iterator[IndependenceStatement]:
+    """Every pair of variables in declaration order, first unconditioned and
+    then given each other single variable."""
+    for x, y in itertools.combinations(names, 2):
+        yield IndependenceStatement(x, y)
+        for w in names:
+            if w not in (x, y):
+                yield IndependenceStatement(x, y, frozenset({w}))
+
+
+def propagate(
+    scm: Scm, order: Sequence[str], assignment: dict[str, int]
+) -> dict[str, int]:
+    """Complete ``assignment`` with every endogenous value, in place.
+
+    ``assignment`` sets every exogenous variable.  Mechanisms are evaluated
+    along ``order``, the DAG's topological order, which the caller computes
+    once and reuses for every assignment.
+    """
+    for node in order:
+        if node not in assignment:
+            assignment[node] = scm.mechanisms[node].evaluate(assignment)
+    return assignment
+
+
 def enumerate_worlds(scm: Scm) -> WorldTable:
     """All worlds consistent with the model.
 
@@ -392,43 +422,53 @@ def enumerate_worlds(scm: Scm) -> WorldTable:
     names = scm.names
     worlds = []
     for combo in itertools.product(*exo_domains):
-        assignment = dict(zip(exogenous, combo))
-        for node in order:
-            if node in assignment:
-                continue
-            assignment[node] = scm.mechanisms[node].evaluate(assignment)
+        assignment = propagate(scm, order, dict(zip(exogenous, combo)))
         worlds.append(World(names, tuple(assignment[n] for n in names)))
     return WorldTable(names, tuple(worlds))
 
 
-def _strata(table: WorldTable, given: frozenset[str]) -> dict[tuple[int, ...], list[World]]:
-    keys = tuple(sorted(given))
-    out: dict[tuple[int, ...], list[World]] = {}
-    for w in table:
-        out.setdefault(tuple(w[k] for k in keys), []).append(w)
-    return out
+def factorization(
+    columns: Sequence[str],
+    rows: Iterable[tuple[tuple[int, ...], int]],
+    stmt: IndependenceStatement,
+) -> tuple[bool, tuple[tuple[int, ...], ...]]:
+    """Exact factorization of x and y in every stratum of the conditioning set.
 
-
-def _factorizes(worlds: list[World], x: str, y: str) -> bool:
-    """Exact independence of x and y under uniform weight on ``worlds``.
-
-    Uses integer cross multiplication: the joint factorizes iff
-    n * count(x=a, y=b) == count(x=a) * count(y=b) for every cell.
+    ``rows`` are ``(values, weight)`` pairs, values aligned with ``columns``.
+    In a stratum of total weight n the joint factorizes iff
+    n * joint(a, b) == weight(x=a) * weight(y=b) for every cell.  Returns the
+    verdict and the sorted keys (conditioning values in sorted variable-name
+    order) of the strata present in the rows.
     """
-    n = len(worlds)
-    joint: dict[tuple[int, int], int] = {}
-    mx: dict[int, int] = {}
-    my: dict[int, int] = {}
-    for w in worlds:
-        a, b = w[x], w[y]
-        joint[(a, b)] = joint.get((a, b), 0) + 1
-        mx[a] = mx.get(a, 0) + 1
-        my[b] = my.get(b, 0) + 1
-    for a in mx:
-        for b in my:
-            if n * joint.get((a, b), 0) != mx[a] * my[b]:
-                return False
-    return True
+    index = {name: i for i, name in enumerate(columns)}
+    for name in (stmt.x, stmt.y, *stmt.given):
+        if name not in index:
+            raise UnknownVariableError(f"unknown variable {name!r}")
+    ix, iy = index[stmt.x], index[stmt.y]
+    keys = [index[name] for name in sorted(stmt.given)]
+    strata: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
+    for values, weight in rows:
+        joint = strata.setdefault(tuple([values[k] for k in keys]), {})
+        cell = (values[ix], values[iy])
+        joint[cell] = joint.get(cell, 0) + weight
+    if not strata:
+        raise EmptyTableError("independence query on an empty world table")
+    independent = True
+    for joint in strata.values():
+        n = sum(joint.values())
+        mx: dict[int, int] = {}
+        my: dict[int, int] = {}
+        for (a, b), count in joint.items():
+            mx[a] = mx.get(a, 0) + count
+            my[b] = my.get(b, 0) + count
+        if any(
+            n * joint.get((a, b), 0) != ca * cb
+            for a, ca in mx.items()
+            for b, cb in my.items()
+        ):
+            independent = False
+            break
+    return independent, tuple(sorted(strata))
 
 
 def uniform_independent(table: WorldTable, stmt: IndependenceStatement) -> bool:
@@ -438,15 +478,8 @@ def uniform_independent(table: WorldTable, stmt: IndependenceStatement) -> bool:
     distribution of the two tested variables factorizes into its marginals.
     Decided with integer arithmetic; there is no tolerance.
     """
-    if not len(table):
-        raise EmptyTableError("independence query on an empty world table")
-    for name in (stmt.x, stmt.y, *stmt.given):
-        if name not in table.columns:
-            raise UnknownVariableError(f"unknown variable {name!r}")
-    for worlds in _strata(table, stmt.given).values():
-        if not _factorizes(worlds, stmt.x, stmt.y):
-            return False
-    return True
+    rows = [(values, 1) for values in table.rows()]
+    return factorization(table.columns, rows, stmt)[0]
 
 
 def conditional_distribution(

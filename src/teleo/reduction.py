@@ -34,6 +34,8 @@ from teleo.model import (
     World,
     WorldTable,
     enumerate_worlds,
+    propagate,
+    statement_grid,
 )
 from teleo.teleology import FinalModel, compatible_worlds
 
@@ -73,14 +75,6 @@ class ReductionModel:
         """Base variable names, with goal variables read from their
         post-action copies."""
         return self.source.mstar.model.names
-
-
-def _propagate(scm: Scm, exogenous_values: dict[str, int]) -> dict[str, int]:
-    assignment = dict(exogenous_values)
-    for node in scm.dag.topological_order():
-        if node not in assignment:
-            assignment[node] = scm.mechanisms[node].evaluate(assignment)
-    return assignment
 
 
 def build_reduction(f: FinalModel, rest_level: int | None = None) -> ReductionModel:
@@ -124,16 +118,17 @@ def build_reduction(f: FinalModel, rest_level: int | None = None) -> ReductionMo
     # survey every exogenous context once: pre-state of the goal variables,
     # whether the goal already holds at rest, and which action levels meet it
     names = surgered.names
+    order = surgered.dag.topological_order()
     ctx_domains = [surgered.domain(n) for n in context]
     surveys: list[tuple[dict[str, int], tuple[int, ...], bool, list[int]]] = []
     for combo in itertools.product(*ctx_domains):
         ctx = dict(zip(context, combo))
-        at_rest = _propagate(surgered, {**ctx, action: rest})
+        at_rest = propagate(surgered, order, {**ctx, action: rest})
         pre_values = tuple(at_rest[g] for g in goal_vars)
         met_at_rest = f.goal.holds(World(names, tuple(at_rest[n] for n in names)))
         achieving = []
         for level in action_domain:
-            outcome = _propagate(surgered, {**ctx, action: level})
+            outcome = propagate(surgered, order, {**ctx, action: level})
             if f.goal.holds(World(names, tuple(outcome[n] for n in names))):
                 achieving.append(level)
         surveys.append((ctx, pre_values, met_at_rest, achieving))
@@ -168,7 +163,7 @@ def build_reduction(f: FinalModel, rest_level: int | None = None) -> ReductionMo
             exo = dict(defaults)
             exo.update({p: v for p, v in zip(parents, combo) if p != action})
             exo[action] = combo[parents.index(action)] if action in parents else fixed_action
-            table[combo] = _propagate(surgered, exo)[read]
+            table[combo] = propagate(surgered, order, exo)[read]
         return table
 
     # pre-action copies of the goal variables
@@ -397,16 +392,12 @@ def compare_structures(f: FinalModel, r: ReductionModel) -> StructuralComparison
     def ordered(edges: set[tuple[str, str]]) -> tuple[tuple[str, str], ...]:
         return tuple(sorted(edges))
 
-    names = f.mstar.model.names
     disagreements = []
-    for x, y in itertools.combinations(names, 2):
-        givens = [frozenset()] + [frozenset({w}) for w in names if w not in (x, y)]
-        for given in givens:
-            stmt = IndependenceStatement(x, y, given)
-            sep_f = d_separated(f.final_dag, stmt)
-            sep_r = d_separated(projected_dag, stmt)
-            if sep_f != sep_r:
-                disagreements.append((stmt, sep_f, sep_r))
+    for stmt in statement_grid(f.mstar.model.names):
+        sep_f = d_separated(f.final_dag, stmt)
+        sep_r = d_separated(projected_dag, stmt)
+        if sep_f != sep_r:
+            disagreements.append((stmt, sep_f, sep_r))
 
     shared = r.shared_columns
     red_projected_worlds = reduction_worlds(r).project(

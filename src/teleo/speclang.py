@@ -141,7 +141,9 @@ class _Cursor:
         end = start
         if end < len(self.text) and self.text[end] == "-":
             end += 1
-        while end < len(self.text) and self.text[end].isdigit():
+        # ASCII digits only: str.isdigit() also admits characters such as
+        # '²' that int() rejects
+        while end < len(self.text) and self.text[end] in "0123456789":
             end += 1
         if end == start or self.text[start:end] == "-":
             self.error("expected an integer")

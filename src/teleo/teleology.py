@@ -34,6 +34,7 @@ from teleo.model import (
     Scm,
     World,
     WorldTable,
+    statement_grid,
     uniform_independent,
 )
 
@@ -235,21 +236,14 @@ def implied_dependencies(f: FinalModel) -> list[ImpliedDependence]:
     """Verdicts for every variable pair, unconditional and one-variable
     conditioning, on the final DAG and on the compatible worlds."""
     table = compatible_worlds(f)
-    names = f.mstar.model.names
-    out: list[ImpliedDependence] = []
-    for x, y in itertools.combinations(names, 2):
-        givens: list[frozenset[str]] = [frozenset()]
-        givens += [frozenset({w}) for w in names if w not in (x, y)]
-        for given in givens:
-            stmt = IndependenceStatement(x, y, given)
-            out.append(
-                ImpliedDependence(
-                    stmt,
-                    graph_separated=d_separated(f.final_dag, stmt),
-                    dist_independent=uniform_independent(table, stmt),
-                )
-            )
-    return out
+    return [
+        ImpliedDependence(
+            stmt,
+            graph_separated=d_separated(f.final_dag, stmt),
+            dist_independent=uniform_independent(table, stmt),
+        )
+        for stmt in statement_grid(f.mstar.model.names)
+    ]
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,16 @@
 
 The d-separation oracle here is deliberately naive and independent of the
 library's reachability kernel: it enumerates every simple trail and applies
-the chain/fork/collider blocking rules trail by trail.
+the chain/fork/collider blocking rules trail by trail.  The factorization
+oracle likewise shares nothing with the library's count cross-multiplication:
+it forms the conditional probabilities as Fractions and compares them.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 from teleo.model import (
     CausalDag,
@@ -74,6 +77,35 @@ def dsep_oracle(dag: CausalDag, stmt: IndependenceStatement) -> bool:
     return not any(active(t) for t in trails)
 
 
+def factorization_oracle(
+    columns: tuple[str, ...],
+    rows,
+    stmt: IndependenceStatement,
+) -> tuple[bool, set[tuple[int, ...]]]:
+    """Whether P(x, y | z) == P(x | z) * P(y | z) in every stratum z of the
+    weighted ``(values, weight)`` rows, and the set of strata present."""
+    ix, iy = columns.index(stmt.x), columns.index(stmt.y)
+    keys = [columns.index(g) for g in sorted(stmt.given)]
+    strata: dict[tuple[int, ...], list] = {}
+    for values, weight in rows:
+        strata.setdefault(tuple(values[k] for k in keys), []).append((values, weight))
+
+    def prob(members, keep) -> Fraction:
+        total = sum(w for _, w in members)
+        return Fraction(sum(w for v, w in members if keep(v)), total)
+
+    independent = True
+    for members in strata.values():
+        for a in {v[ix] for v, _ in members}:
+            for b in {v[iy] for v, _ in members}:
+                joint = prob(members, lambda v: v[ix] == a and v[iy] == b)
+                px = prob(members, lambda v: v[ix] == a)
+                py = prob(members, lambda v: v[iy] == b)
+                if joint != px * py:
+                    independent = False
+    return independent, set(strata)
+
+
 def all_statements(dag: CausalDag, max_given: int | None = None):
     """Every (x, y, Z) query over the DAG's nodes."""
     nodes = dag.nodes
@@ -102,11 +134,13 @@ def random_scm(
     max_vars: int = 5,
     max_levels: int = 3,
     edge_prob: float = 0.5,
+    min_levels: int = 2,
 ) -> Scm:
     n = rng.randint(2, max_vars)
     dag = random_dag(rng, n, edge_prob)
     variables = tuple(
-        Variable(name, tuple(range(rng.randint(2, max_levels)))) for name in dag.nodes
+        Variable(name, tuple(range(rng.randint(min_levels, max_levels))))
+        for name in dag.nodes
     )
     domains = {v.name: v.domain for v in variables}
     mechanisms = {}
@@ -192,6 +226,7 @@ def chain_scm() -> Scm:
 
 __all__ = [
     "dsep_oracle",
+    "factorization_oracle",
     "all_statements",
     "random_dag",
     "random_scm",

@@ -169,6 +169,16 @@ class TestErrorHandling:
         assert result.exit_code == 1
         assert "line 2" in result.output
 
+    def test_non_ascii_digit_is_an_error_not_a_crash(self, runner, tmp_path):
+        spec = tmp_path / "superscript.tele"
+        spec.write_text("var W in 0..\u00b2\n", encoding="utf-8")
+        result = invoke(runner, "worlds", str(spec))
+        assert result.exit_code == 1
+        # the runner records an escaped exception instead of printing it
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error: line 1")
+        assert "Traceback" not in result.output
+
     def test_unknown_final_name(self, runner):
         result = invoke(runner, "finalize", SPEC, "--final", "nope")
         assert result.exit_code == 1

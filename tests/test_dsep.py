@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from teleo.dsep import d_separated, kernel_backend
+from teleo.dsep import d_separated
 from teleo.errors import UnknownVariableError
 from teleo.model import CausalDag, IndependenceStatement
 
@@ -60,45 +60,3 @@ class TestOracleAgreement:
             for s in all_statements(g):
                 assert d_separated(g, s) == dsep_oracle(g, s), (g.edges, s)
 
-
-class TestKernelBackends:
-    def test_a_kernel_is_selected(self):
-        assert kernel_backend() in ("compiled", "pure")
-
-    def test_backends_agree(self):
-        try:
-            from teleo import _dsep_c
-        except ImportError:
-            pytest.skip("compiled kernel not built")
-        from array import array
-
-        from teleo import _dsep_py
-
-        rng = random.Random(7)
-        for _ in range(40):
-            g = random_dag(rng, rng.randint(2, 6), rng.random())
-            index = {n: i for i, n in enumerate(g.nodes)}
-            n = len(g.nodes)
-            parents = [[] for _ in range(n)]
-            children = [[] for _ in range(n)]
-            for p, c in g.edges:
-                parents[index[c]].append(index[p])
-                children[index[p]].append(index[c])
-
-            def csr(adj):
-                indptr, idx = array("i", [0]), array("i")
-                for row in adj:
-                    idx.extend(row)
-                    indptr.append(len(idx))
-                return indptr, idx
-
-            pi, px = csr(parents)
-            ci, cx = csr(children)
-            for s in all_statements(g, max_given=2):
-                in_z = bytearray(n)
-                for name in s.given:
-                    in_z[index[name]] = 1
-                args = (n, pi, px, ci, cx, index[s.x], index[s.y], in_z)
-                assert _dsep_c.active_trail_reachable(
-                    *args
-                ) == _dsep_py.active_trail_reachable(*args)

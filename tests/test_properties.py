@@ -17,6 +17,8 @@ from teleo.intervention import do_surgery, enumerate_worlds_star
 from teleo.model import (
     IndependenceStatement,
     enumerate_worlds,
+    factorization,
+    statement_grid,
     uniform_independent,
     verify_mechanism_consistency,
 )
@@ -42,6 +44,7 @@ from teleo.teleology import build_final_model
 from support import (
     all_statements,
     dsep_oracle,
+    factorization_oracle,
     random_dag,
     random_final,
     random_goal,
@@ -72,6 +75,68 @@ def test_dsep_is_sound_for_deterministic_worlds(seed):
     for stmt in all_statements(scm.dag, max_given=2):
         if d_separated(scm.dag, stmt):
             assert uniform_independent(table, stmt)
+
+
+@MODERATE
+@given(seeds)
+def test_factorization_matches_the_fraction_oracle_on_world_tables(seed):
+    rng = random.Random(seed)
+    scm = random_scm(rng, min_levels=3, max_levels=3)
+    full = enumerate_worlds(scm)
+    part = full.filter(lambda w: rng.random() < 0.4)
+    for table in (full, part) if len(part) else (full,):
+        rows = [(values, 1) for values in table.rows()]
+        for stmt in statement_grid(table.columns):
+            independent, strata = factorization_oracle(table.columns, rows, stmt)
+            assert factorization(table.columns, rows, stmt) == (
+                independent,
+                tuple(sorted(strata)),
+            )
+            assert uniform_independent(table, stmt) == independent
+
+
+@MODERATE
+@given(seeds)
+def test_factorization_matches_the_fraction_oracle_on_weighted_rows(seed):
+    rng = random.Random(seed)
+    columns = tuple("ABCD"[: rng.randint(2, 4)])
+    domains = [range(rng.randint(2, 3)) for _ in columns]
+    bag = [
+        (tuple(rng.choice(d) for d in domains), rng.randint(1, 5))
+        for _ in range(rng.randint(1, 12))
+    ]
+    for rows in (Dataset(columns, tuple(bag)).rows, Dataset(columns, (bag[0],)).rows):
+        for stmt in statement_grid(columns):
+            independent, strata = factorization_oracle(columns, rows, stmt)
+            assert factorization(columns, rows, stmt) == (
+                independent,
+                tuple(sorted(strata)),
+            )
+            if len(rows) == 1:
+                assert independent
+
+
+@MODERATE
+@given(seeds)
+def test_check_dependence_matches_the_fraction_oracle(seed):
+    rng = random.Random(seed)
+    scm = random_scm(rng, min_levels=3, max_levels=3)
+    f = random_final(rng, scm)
+    if f is None:
+        return
+    table = compatible_worlds(f)
+    if not len(table):
+        return
+    worlds = [(values, 1) for values in table.rows()]
+    observed = rng.sample(table.rows(), rng.randint(1, len(table)))
+    data = Dataset(scm.names, tuple((v, rng.randint(1, 4)) for v in observed))
+    for stmt in statement_grid(scm.names):
+        check = check_dependence(f, data, stmt)
+        expected, expected_strata = factorization_oracle(scm.names, worlds, stmt)
+        seen, seen_strata = factorization_oracle(scm.names, data.rows, stmt)
+        assert check.expected_independent == expected
+        assert check.observed_independent == seen
+        assert check.skipped_strata == tuple(sorted(expected_strata - seen_strata))
 
 
 @MODERATE

@@ -179,6 +179,13 @@ class TestDiagnostics:
         e = err("var W in 3..3\n")
         assert "two increasing levels" in str(e)
 
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
+    def test_non_ascii_digit_is_a_syntax_error(self, digit):
+        # str.isdigit() holds for both; int() rejects the first and reads
+        # the second as 3, so only ASCII digits count as integers
+        e = err(f"var W in 0..{digit}\n")
+        assert e.line == 1 and "expected an integer" in str(e)
+
 
 class TestRoundTrip:
     CORPUS = [ROOM, MINI, MINI.replace("table(X)", "table")]
