@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from teleo.errors import BindingError, ComparisonError, DatasetError, TeleoError
 from teleo.model import IndependenceStatement, Scm, World, factorization
+from teleo.speclang import INTEGER
 from teleo.teleology import FinalModel, compatible_worlds
 
 __all__ = [
@@ -71,7 +72,8 @@ def load_dataset(text: str, scm: Scm) -> Dataset:
     """Parse the CSV dialect and bind it to a model.
 
     Header names the variables, in any order, optionally ending with a
-    literal ``count`` column; body rows are integer levels; ``#`` starts a
+    literal ``count`` column; body rows are integer levels (an optional
+    ``-`` and ASCII digits, as in the spec language); ``#`` starts a
     comment.  Duplicate rows are aggregated.  Every value must lie in the
     declared domain and the columns must cover the model exactly.
     """
@@ -108,10 +110,9 @@ def load_dataset(text: str, scm: Scm) -> Dataset:
             raise DatasetError(
                 f"expected {expected} fields, found {len(fields)}", lineno
             )
-        try:
-            numbers = [int(f) for f in fields]
-        except ValueError:
-            raise DatasetError(f"non-integer field in {line!r}", lineno) from None
+        if not all(INTEGER.fullmatch(f) for f in fields):
+            raise DatasetError(f"non-integer field in {line!r}", lineno)
+        numbers = [int(f) for f in fields]
         count = numbers.pop() if has_count else 1
         if count < 1:
             raise DatasetError(f"count must be positive, found {count}", lineno)

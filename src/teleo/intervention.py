@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from teleo.errors import UnknownVariableError
 from teleo.model import CausalDag, Scm, WorldTable, enumerate_worlds
@@ -37,6 +38,11 @@ class MStarModel:
 
     ``model`` is the surgered Scm: same nodes and variables as the base,
     inbound edges of the target removed, target mechanism dropped.
+
+    ``worlds`` is the surgered model's world table, computed on first use
+    and shared by every later reader of this object.  That is sound because
+    the object is frozen and ``Scm`` copies its mechanisms at construction;
+    callers must not mutate ``Scm.mechanisms`` in place.
     """
 
     base: Scm
@@ -50,6 +56,10 @@ class MStarModel:
     @property
     def surgered_dag(self) -> CausalDag:
         return self.model.dag
+
+    @cached_property
+    def worlds(self) -> WorldTable:
+        return enumerate_worlds(self.model)
 
 
 def do_surgery(scm: Scm, spec: InterventionSpec | str) -> MStarModel:
@@ -73,9 +83,10 @@ def enumerate_worlds_star(m: MStarModel) -> WorldTable:
 
     The freed target ranges over its whole domain alongside the base
     exogenous variables; fixing the target to one value is a query-time
-    restriction, not part of the table.
+    restriction, not part of the table.  The table is computed once per
+    ``MStarModel`` and the same object is returned on every call.
     """
-    return enumerate_worlds(m.model)
+    return m.worlds
 
 
 def interventional_distribution(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from teleo.dsep import d_separated
 from teleo.errors import (
@@ -56,7 +57,13 @@ INTENTION_NAME = "I"
 
 @dataclass(frozen=True)
 class ReductionModel:
-    """An ordinary causal model standing in for a final model."""
+    """An ordinary causal model standing in for a final model.
+
+    ``worlds`` is the world table of ``scm``, computed on first use and
+    shared by every later reader of this object.  That is sound because the
+    object is frozen and ``Scm`` copies its mechanisms at construction;
+    callers must not mutate ``Scm.mechanisms`` in place.
+    """
 
     source: FinalModel
     scm: Scm
@@ -75,6 +82,10 @@ class ReductionModel:
         """Base variable names, with goal variables read from their
         post-action copies."""
         return self.source.mstar.model.names
+
+    @cached_property
+    def worlds(self) -> WorldTable:
+        return enumerate_worlds(self.scm)
 
 
 def build_reduction(f: FinalModel, rest_level: int | None = None) -> ReductionModel:
@@ -246,7 +257,9 @@ def build_reduction(f: FinalModel, rest_level: int | None = None) -> ReductionMo
 
 
 def reduction_worlds(r: ReductionModel) -> WorldTable:
-    return enumerate_worlds(r.scm)
+    """Worlds of the reduction's causal model, computed once per
+    ``ReductionModel``; the same object is returned on every call."""
+    return r.worlds
 
 
 def splice_out(scm: Scm, name: str) -> Scm:

@@ -20,6 +20,7 @@ document that parses always compiles into a well-formed model.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 
 from teleo.errors import ModelStructureError, SpecSyntaxError
@@ -38,6 +39,11 @@ __all__ = [
     "compile_document",
     "load_model",
 ]
+
+# An integer literal: an optional '-', then ASCII digits only.  int() alone
+# would also take '+1', '0_1' and non-ASCII digits such as '١', and
+# str.isdigit() admits characters such as '²' that int() rejects.
+INTEGER = re.compile(r"-?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -137,18 +143,11 @@ class _Cursor:
 
     def integer(self) -> int:
         self._skip_ws()
-        start = self.pos
-        end = start
-        if end < len(self.text) and self.text[end] == "-":
-            end += 1
-        # ASCII digits only: str.isdigit() also admits characters such as
-        # '²' that int() rejects
-        while end < len(self.text) and self.text[end] in "0123456789":
-            end += 1
-        if end == start or self.text[start:end] == "-":
+        found = INTEGER.match(self.text, self.pos)
+        if found is None:
             self.error("expected an integer")
-        self.pos = end
-        return int(self.text[start:end])
+        self.pos = found.end()
+        return int(found.group())
 
     def comparison_op(self) -> str:
         for op in ("<=", ">=", "!=", "=", "<", ">"):

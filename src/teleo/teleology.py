@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from teleo.dsep import d_separated
@@ -130,7 +131,14 @@ def goal(variable: str, op: str, level: int) -> GoalPredicate:
 
 @dataclass(frozen=True)
 class FinalModel:
-    """A surgered model plus intended effects and a goal over them."""
+    """A surgered model plus intended effects and a goal over them.
+
+    ``worlds`` holds the compatible worlds (see ``compatible_worlds``),
+    computed on first use and shared by every later reader of this object.
+    That is sound because the object is frozen and ``Scm`` copies its
+    mechanisms at construction; callers must not mutate ``Scm.mechanisms``
+    in place.
+    """
 
     mstar: MStarModel
     intended_effects: tuple[str, ...]
@@ -145,6 +153,10 @@ class FinalModel:
     @property
     def label(self) -> str:
         return self.name if self.name is not None else str(self.goal)
+
+    @cached_property
+    def worlds(self) -> WorldTable:
+        return enumerate_worlds_star(self.mstar).filter(self.goal.holds)
 
 
 def _reverse_toward_action(
@@ -213,9 +225,10 @@ def compatible_worlds(f: FinalModel) -> WorldTable:
 
     Always a subset of the intervention's world table; an empty result means
     the goal is unreachable under this action, which is a verdict for the
-    caller to report, not an error.
+    caller to report, not an error.  The table is computed once per
+    ``FinalModel`` and the same object is returned on every call.
     """
-    return enumerate_worlds_star(f.mstar).filter(f.goal.holds)
+    return f.worlds
 
 
 @dataclass(frozen=True)
@@ -306,13 +319,13 @@ def enumerate_goal_hypotheses(
     if max_effects < 1:
         raise TeleologyError("max_effects must be at least 1")
     descendants = m.base.dag.descendants(m.target)
-    star = enumerate_worlds_star(m)
     subsets: list[tuple[str, ...]] = []
     for size in range(1, min(max_effects, len(descendants)) + 1):
         subsets.extend(itertools.combinations(descendants, size))
     required = sum(len(m.base.domain(v)) for s in subsets for v in s)
     if required > cap:
         raise EnumerationBudgetError(required, cap)
+    star = enumerate_worlds_star(m)
     out: list[GoalHypothesis] = []
     for effects in subsets:
         for var in effects:

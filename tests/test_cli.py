@@ -179,6 +179,15 @@ class TestErrorHandling:
         assert result.output.startswith("error: line 1")
         assert "Traceback" not in result.output
 
+    def test_non_ascii_digit_in_dataset_is_an_error_not_a_crash(self, runner, tmp_path):
+        data = tmp_path / "obs.csv"
+        data.write_text("W,H,T,B\n\u0661,0,1,0\n", encoding="utf-8")
+        result = invoke(runner, "identify", SPEC, str(data))
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error: line 2: non-integer")
+        assert "Traceback" not in result.output
+
     def test_unknown_final_name(self, runner):
         result = invoke(runner, "finalize", SPEC, "--final", "nope")
         assert result.exit_code == 1

@@ -87,6 +87,25 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="non-integer"):
             load_dataset("W,H,T,B\n0,one,0,0\n", scm)
 
+    @pytest.mark.parametrize(
+        "row",
+        ["\u0661,0,1,0", "0_1,0,1,0", "+1,0,1,0", "-,0,1,0", "1.0,0,1,0"],
+        ids=["arabic-indic-digit", "underscore", "plus-sign", "lone-minus", "decimal"],
+    )
+    def test_values_are_plain_ascii_integers(self, scm, row):
+        with pytest.raises(DatasetError, match="line 2: non-integer") as exc:
+            load_dataset(f"W,H,T,B\n{row}\n", scm)
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize(
+        "count",
+        ["+5", "\u0665", "1_0", "5\u00b2"],
+        ids=["plus-sign", "arabic-indic-digit", "underscore", "superscript"],
+    )
+    def test_counts_are_plain_ascii_integers(self, scm, count):
+        with pytest.raises(DatasetError, match="line 3: non-integer"):
+            load_dataset(f"W,H,T,B,count\n1,0,1,0,1\n0,1,1,1,{count}\n", scm)
+
     def test_non_positive_count(self, scm):
         with pytest.raises(DatasetError, match="positive"):
             load_dataset("W,H,T,B,count\n0,0,0,0,0\n", scm)

@@ -188,6 +188,20 @@ def test_compatible_worlds_subset_law(seed):
 
 @MODERATE
 @given(seeds)
+def test_cached_compatible_worlds_match_a_fresh_enumeration(seed):
+    rng = random.Random(seed)
+    f = random_final(rng, random_scm(rng))
+    if f is None:
+        return
+    fresh = enumerate_worlds(f.mstar.model).filter(f.goal.holds)
+    copied_before_use = copy.deepcopy(f)
+    assert compatible_worlds(f) == fresh
+    assert compatible_worlds(copied_before_use) == fresh
+    assert compatible_worlds(copy.deepcopy(f)) == fresh
+
+
+@MODERATE
+@given(seeds)
 def test_conjunction_monotonicity(seed):
     rng = random.Random(seed)
     scm = random_scm(rng)

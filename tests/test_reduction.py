@@ -35,6 +35,11 @@ def warm_reduction(warm):
 
 
 class TestBuildReduction:
+    def test_world_table_is_computed_once_per_reduction(self, warm_reduction):
+        table = reduction_worlds(warm_reduction)
+        assert table is reduction_worlds(warm_reduction)
+        assert table == enumerate_worlds(warm_reduction.scm)
+
     def test_room_model_unrolls_to_two_worlds(self, warm_reduction):
         table = reduction_worlds(warm_reduction)
         assert table.columns == ("W", "T0", "I", "H", "T1", "B")

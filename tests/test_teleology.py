@@ -1,15 +1,19 @@
 import copy
+from pathlib import Path
 
 import pytest
 
+import teleo.intervention
 from teleo.errors import (
     ComparisonError,
     EnumerationBudgetError,
     GoalError,
     TeleologyError,
 )
+from teleo.identification import load_dataset, rank_hypotheses
 from teleo.intervention import do_surgery, enumerate_worlds_star
 from teleo.model import CausalDag, Mechanism, Scm, Variable
+from teleo.speclang import load_model
 from teleo.teleology import (
     Comparison,
     GoalPredicate,
@@ -22,6 +26,8 @@ from teleo.teleology import (
 )
 
 from support import chain_scm, m1_scm, value_sets
+
+SPEC = Path(__file__).resolve().parents[1] / "models" / "heating.tele"
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +160,33 @@ class TestCompatibleWorlds:
         assert len(compatible_worlds(f)) == 0
 
 
+class TestWorldTablesAreShared:
+    def test_each_table_is_computed_once_per_object(self, finals):
+        f = finals["warm"]
+        assert compatible_worlds(f) is compatible_worlds(f)
+        assert enumerate_worlds_star(f.mstar) is enumerate_worlds_star(f.mstar)
+
+    def test_ranking_enumerates_once_per_surgered_model(self, monkeypatch):
+        calls = []
+        original = teleo.intervention.enumerate_worlds
+
+        def counting(scm):
+            calls.append(scm)
+            return original(scm)
+
+        monkeypatch.setattr(teleo.intervention, "enumerate_worlds", counting)
+        compiled = load_model(SPEC.read_text())
+        m = compiled.mstar
+        candidates = [
+            build_final_model(m, h.effects, h.goal, name=h.label)
+            for h in enumerate_goal_hypotheses(m, max_effects=2)
+        ]
+        data = load_dataset("W,H,T,B\n1,0,1,0\n0,1,1,1\n", compiled.scm)
+        ranking = rank_hypotheses(candidates, data)
+        assert len(ranking) == len(candidates) > 1
+        assert len(calls) == 1 and calls[0] is m.model
+
+
 class TestImpliedDependencies:
     def lookup(self, reports, x, y, given=frozenset()):
         for r in reports:
@@ -265,10 +298,13 @@ class TestHypothesisEnumeration:
         hyps = enumerate_goal_hypotheses(m, max_effects=1)
         assert "Z=2" not in [h.label for h in hyps]
 
-    def test_budget_cap(self, room_star):
+    def test_budget_cap(self):
+        m = do_surgery(m1_scm(), "H")
         with pytest.raises(EnumerationBudgetError) as exc:
-            enumerate_goal_hypotheses(room_star, max_effects=2, cap=3)
+            enumerate_goal_hypotheses(m, max_effects=2, cap=3)
         assert exc.value.required > 3
+        # the cap is checked before the surgered world table is built
+        assert "worlds" not in m.__dict__
 
     def test_candidates_come_with_their_worlds(self, room_star):
         hyps = enumerate_goal_hypotheses(room_star, max_effects=2)
