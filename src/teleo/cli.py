@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 import click
 
@@ -73,23 +74,34 @@ def _load_spec(path: str) -> CompiledSpec:
     return load_model(_read(path, "model spec"))
 
 
-def _emit(ctx, command: str, result: dict, human: str, diagnostics=()):
+def _emit(
+    ctx,
+    command: str,
+    result: Callable[[], dict],
+    human: Callable[[], str],
+    diagnostics=(),
+):
+    """Print the JSON document or the human text; only that one is built."""
     diagnostics = list(diagnostics)
     if ctx.obj["json"]:
-        doc = {"command": command, "result": result, "diagnostics": diagnostics}
+        doc = {"command": command, "result": result(), "diagnostics": diagnostics}
         click.echo(json.dumps(doc, indent=2, sort_keys=True))
     else:
         for note in diagnostics:
             click.echo(note, err=True)
-        click.echo(human, nl=False)
+        click.echo(human(), nl=False)
 
 
 def _table_result(table: WorldTable) -> dict:
     return {
         "columns": list(table.columns),
-        "worlds": [list(w.values) for w in table],
-        "assignments": [w.as_dict() for w in table],
+        "worlds": [list(values) for values in table.rows],
+        "assignments": [dict(zip(table.columns, values)) for values in table.rows],
     }
+
+
+def _table_text(table: WorldTable) -> str:
+    return render_table(table.columns, table.rows)
 
 
 def _stmt_fields(stmt) -> dict:
@@ -103,7 +115,7 @@ def worlds(ctx, spec: str):
     """Print every world consistent with the model."""
     compiled = _load_spec(spec)
     table = enumerate_worlds(compiled.scm)
-    _emit(ctx, "worlds", _table_result(table), render_table(table.columns, table.rows()))
+    _emit(ctx, "worlds", lambda: _table_result(table), lambda: _table_text(table))
 
 
 @cli.command()
@@ -118,8 +130,12 @@ def intervene(ctx, spec: str, target: str | None):
         raise click.ClickException("no intervention: pass --do or declare one")
     m = do_surgery(compiled.scm, target)
     table = enumerate_worlds_star(m)
-    result = {"target": target, **_table_result(table)}
-    _emit(ctx, "intervene", result, render_table(table.columns, table.rows()))
+    _emit(
+        ctx,
+        "intervene",
+        lambda: {"target": target, **_table_result(table)},
+        lambda: _table_text(table),
+    )
 
 
 def _require_final(compiled: CompiledSpec, name: str):
@@ -139,58 +155,53 @@ def finalize(ctx, spec: str, name: str):
     compiled = _load_spec(spec)
     f = _require_final(compiled, name)
     table = compatible_worlds(f)
-    head = (
-        f"final {f.label}: do({f.action}) listens to "
-        f"{{{', '.join(f.intended_effects)}}}; goal {f.goal}\n"
-    )
-    if not len(table):
-        human = head + f"goal unreachable: no possible world satisfies {f.goal}\n"
-        result = {
+    reports = implied_dependencies(f) if len(table) else []
+
+    def result() -> dict:
+        return {
             "name": f.label,
             "action": f.action,
             "effects": list(f.intended_effects),
             "goal": str(f.goal),
-            "goal_reachable": False,
+            "goal_reachable": bool(len(table)),
             **_table_result(table),
-            "dependence": [],
-            "separation": [],
+            "dependence": [
+                {**_stmt_fields(r.statement), "independent": r.dist_independent}
+                for r in reports
+            ],
+            "separation": [
+                {**_stmt_fields(r.statement), "separated": r.graph_separated}
+                for r in reports
+            ],
         }
-        _emit(ctx, "finalize", result, human)
-        return
-    reports = implied_dependencies(f)
-    dep_lines = ["expected dependence under the hypothesis (uniform over compatible worlds):"]
-    sep_lines = ["separation in the final dag:"]
-    for r in sorted(reports, key=lambda r: len(r.statement.given)):
-        verdict = "independent" if r.dist_independent else "dependent"
-        dep_lines.append(f"  {r.statement}: {verdict} (expected)")
-        graph = "separated" if r.graph_separated else "connected"
-        sep_lines.append(f"  {r.statement}: {graph}")
-    human = (
-        head
-        + "compatible worlds:\n"
-        + render_table(table.columns, table.rows())
-        + "\n"
-        + "\n".join(dep_lines)
-        + "\n\n"
-        + "\n".join(sep_lines)
-        + "\n"
-    )
-    result = {
-        "name": f.label,
-        "action": f.action,
-        "effects": list(f.intended_effects),
-        "goal": str(f.goal),
-        "goal_reachable": True,
-        **_table_result(table),
-        "dependence": [
-            {**_stmt_fields(r.statement), "independent": r.dist_independent}
-            for r in reports
-        ],
-        "separation": [
-            {**_stmt_fields(r.statement), "separated": r.graph_separated}
-            for r in reports
-        ],
-    }
+
+    def human() -> str:
+        head = (
+            f"final {f.label}: do({f.action}) listens to "
+            f"{{{', '.join(f.intended_effects)}}}; goal {f.goal}\n"
+        )
+        if not len(table):
+            return head + f"goal unreachable: no possible world satisfies {f.goal}\n"
+        dep_lines = [
+            "expected dependence under the hypothesis (uniform over compatible worlds):"
+        ]
+        sep_lines = ["separation in the final dag:"]
+        for r in sorted(reports, key=lambda r: len(r.statement.given)):
+            verdict = "independent" if r.dist_independent else "dependent"
+            dep_lines.append(f"  {r.statement}: {verdict} (expected)")
+            graph = "separated" if r.graph_separated else "connected"
+            sep_lines.append(f"  {r.statement}: {graph}")
+        return (
+            head
+            + "compatible worlds:\n"
+            + _table_text(table)
+            + "\n"
+            + "\n".join(dep_lines)
+            + "\n\n"
+            + "\n".join(sep_lines)
+            + "\n"
+        )
+
     _emit(ctx, "finalize", result, human)
 
 
@@ -206,7 +217,13 @@ def distinguish(ctx, spec: str, names: tuple[str, ...]):
     f1, f2 = (_require_final(compiled, n) for n in names)
     verdict = distinguishable(f1, f2)
     columns = f1.mstar.model.names
-    if verdict.distinguishable:
+
+    def human() -> str:
+        if not verdict.distinguishable:
+            return (
+                f"{f1.label} vs {f2.label}: not distinguishable "
+                "(identical compatible worlds)\n"
+            )
         lines = [f"{f1.label} vs {f2.label}: distinguishable"]
         for label, worlds in (
             (f1.label, verdict.only_first),
@@ -219,20 +236,18 @@ def distinguish(ctx, spec: str, names: tuple[str, ...]):
                 )
             else:
                 lines.append("(none)")
-        human = "\n".join(lines) + "\n"
-    else:
-        human = (
-            f"{f1.label} vs {f2.label}: not distinguishable "
-            "(identical compatible worlds)\n"
-        )
-    result = {
-        "first": f1.label,
-        "second": f2.label,
-        "distinguishable": verdict.distinguishable,
-        "columns": list(columns),
-        "only_first": [list(w.values) for w in verdict.only_first],
-        "only_second": [list(w.values) for w in verdict.only_second],
-    }
+        return "\n".join(lines) + "\n"
+
+    def result() -> dict:
+        return {
+            "first": f1.label,
+            "second": f2.label,
+            "distinguishable": verdict.distinguishable,
+            "columns": list(columns),
+            "only_first": [list(w.values) for w in verdict.only_first],
+            "only_second": [list(w.values) for w in verdict.only_second],
+        }
+
     _emit(ctx, "distinguish", result, human)
 
 
@@ -274,64 +289,73 @@ def identify(ctx, spec: str, data: str, enumerate_all: bool, max_effects: int):
             )
     ranking = rank_hypotheses(candidates, dataset)
     summary = summarize_ranking(ranking)
-    lines = [f"{dataset.total} observations, {len(dataset.rows)} distinct rows"]
-    for entry in ranking:
-        v = entry.verdict
-        parts = [
-            f"rank {entry.rank}: {v.hypothesis.label}",
-            f"[class {entry.equivalence_class}]",
-        ]
-        if v.support_compatible:
-            parts.append(f"support ok, compatible worlds {v.compatible_world_count},")
-            disagreements = [c for c in v.dependence_checks if not c.agree]
-            if disagreements:
+
+    def human() -> str:
+        lines = [f"{dataset.total} observations, {len(dataset.rows)} distinct rows"]
+        for entry in ranking:
+            v = entry.verdict
+            parts = [
+                f"rank {entry.rank}: {v.hypothesis.label}",
+                f"[class {entry.equivalence_class}]",
+            ]
+            if v.support_compatible:
                 parts.append(
-                    f"dependence checks disagree ({len(disagreements)} of "
-                    f"{len(v.dependence_checks)})"
+                    f"support ok, compatible worlds {v.compatible_world_count},"
                 )
+                disagreements = [c for c in v.dependence_checks if not c.agree]
+                if disagreements:
+                    parts.append(
+                        f"dependence checks disagree ({len(disagreements)} of "
+                        f"{len(v.dependence_checks)})"
+                    )
+                else:
+                    parts.append("dependence checks agree")
             else:
-                parts.append("dependence checks agree")
+                n = len(v.violating_rows)
+                rows = "row" if n == 1 else "rows"
+                parts.append(f"support violated ({n} distinct observed {rows} outside)")
+            lines.append(" ".join(parts))
+        if summary.winner is not None:
+            lines.append(f"winner: {summary.winner}")
+        elif summary.exit_code == 2:
+            lines.append("no compatible hypothesis")
         else:
-            n = len(v.violating_rows)
-            rows = "row" if n == 1 else "rows"
-            parts.append(f"support violated ({n} distinct observed {rows} outside)")
-        lines.append(" ".join(parts))
-    if summary.winner is not None:
-        lines.append(f"winner: {summary.winner}")
-    elif summary.exit_code == 2:
-        lines.append("no compatible hypothesis")
-    else:
-        lines.append(f"tied: {', '.join(summary.tied)}")
-    human = "\n".join(lines) + "\n"
-    result = {
-        "observations": dataset.total,
-        "columns": list(dataset.columns),
-        "ranking": [
-            {
-                "rank": e.rank,
-                "name": e.verdict.hypothesis.label,
-                "equivalence_class": e.equivalence_class,
-                "support_compatible": e.verdict.support_compatible,
-                "compatible_world_count": e.verdict.compatible_world_count,
-                "violating_rows": [list(w.values) for w in e.verdict.violating_rows],
-                "dependence_checks": [
-                    {
-                        **_stmt_fields(c.statement),
-                        "expected_independent": c.expected_independent,
-                        "observed_independent": c.observed_independent,
-                        "agree": c.agree,
-                        "skipped_strata": [list(s) for s in c.skipped_strata],
-                    }
-                    for c in e.verdict.dependence_checks
-                ],
-                "compatible": e.verdict.compatible,
-            }
-            for e in ranking
-        ],
-        "winner": summary.winner,
-        "tied": list(summary.tied),
-        "exit_code": summary.exit_code,
-    }
+            lines.append(f"tied: {', '.join(summary.tied)}")
+        return "\n".join(lines) + "\n"
+
+    def result() -> dict:
+        return {
+            "observations": dataset.total,
+            "columns": list(dataset.columns),
+            "ranking": [
+                {
+                    "rank": e.rank,
+                    "name": e.verdict.hypothesis.label,
+                    "equivalence_class": e.equivalence_class,
+                    "support_compatible": e.verdict.support_compatible,
+                    "compatible_world_count": e.verdict.compatible_world_count,
+                    "violating_rows": [
+                        list(w.values) for w in e.verdict.violating_rows
+                    ],
+                    "dependence_checks": [
+                        {
+                            **_stmt_fields(c.statement),
+                            "expected_independent": c.expected_independent,
+                            "observed_independent": c.observed_independent,
+                            "agree": c.agree,
+                            "skipped_strata": [list(s) for s in c.skipped_strata],
+                        }
+                        for c in e.verdict.dependence_checks
+                    ],
+                    "compatible": e.verdict.compatible,
+                }
+                for e in ranking
+            ],
+            "winner": summary.winner,
+            "tied": list(summary.tied),
+            "exit_code": summary.exit_code,
+        }
+
     _emit(ctx, "identify", result, human, diagnostics)
     ctx.exit(summary.exit_code)
 
@@ -351,68 +375,73 @@ def reduce(ctx, spec: str, name: str, rest_level: int | None):
     r = build_reduction(f, rest_level)
     table = reduction_worlds(r)
     cmp = compare_structures(f, r)
-    shared = ", ".join(r.shared_columns)
-    relation = {
-        "equal": "equal to the compatible worlds",
-        "subset": "a subset of the compatible worlds",
-        "diverges": "NOT contained in the compatible worlds",
-    }[cmp.world_relation]
 
-    def fmt_edges(edges):
-        return ", ".join(f"{p} -> {c}" for p, c in edges) or "(none)"
+    def human() -> str:
+        shared = ", ".join(r.shared_columns)
+        relation = {
+            "equal": "equal to the compatible worlds",
+            "subset": "a subset of the compatible worlds",
+            "diverges": "NOT contained in the compatible worlds",
+        }[cmp.world_relation]
 
-    lines = [
-        f"causal reduction of final {f.label} (action {r.action}, rest {r.rest}):",
-        render_table(table.columns, table.rows()).rstrip("\n"),
-        "",
-        f"projection onto ({shared}): {relation} of {f.label}",
-        "structural comparison:",
-        f"  action {r.action} listens to: "
-        f"{', '.join(cmp.action_listens_final) or '(nothing)'} (final model) vs "
-        f"{', '.join(cmp.action_listens_reduction) or '(nothing)'} (reduction)",
-        f"  edges only in final dag: {fmt_edges(cmp.only_final)}",
-        f"  edges only in reduction: {fmt_edges(cmp.only_reduction)}",
-        f"  shared edges: {fmt_edges(cmp.shared_edges)}",
-    ]
-    if cmp.dsep_disagreements:
-        lines.append("  separation disagreements (final vs reduction):")
-        for stmt, sep_f, sep_r in cmp.dsep_disagreements:
-            a = "separated" if sep_f else "connected"
-            b = "separated" if sep_r else "connected"
-            lines.append(f"    {stmt}: {a} vs {b}")
-    else:
-        lines.append("  separation disagreements: none")
-    human = "\n".join(lines) + "\n"
-    result = {
-        "name": f.label,
-        "action": r.action,
-        "rest": r.rest,
-        **_table_result(table),
-        "projection": {
-            "columns": list(r.shared_columns),
-            "relation": cmp.world_relation,
-            "worlds_only_reduction": [
-                list(w.values) for w in cmp.worlds_only_reduction
-            ],
-            "worlds_only_final": [list(w.values) for w in cmp.worlds_only_final],
-        },
-        "structure": {
-            "action_listens_final": list(cmp.action_listens_final),
-            "action_listens_reduction": list(cmp.action_listens_reduction),
-            "edges_only_final": [list(e) for e in cmp.only_final],
-            "edges_only_reduction": [list(e) for e in cmp.only_reduction],
-            "edges_shared": [list(e) for e in cmp.shared_edges],
-            "action_wiring_differs": cmp.action_wiring_differs,
-            "dsep_disagreements": [
-                {
-                    **_stmt_fields(stmt),
-                    "final_separated": sep_f,
-                    "reduction_separated": sep_r,
-                }
-                for stmt, sep_f, sep_r in cmp.dsep_disagreements
-            ],
-        },
-    }
+        def fmt_edges(edges):
+            return ", ".join(f"{p} -> {c}" for p, c in edges) or "(none)"
+
+        lines = [
+            f"causal reduction of final {f.label} (action {r.action}, rest {r.rest}):",
+            _table_text(table).rstrip("\n"),
+            "",
+            f"projection onto ({shared}): {relation} of {f.label}",
+            "structural comparison:",
+            f"  action {r.action} listens to: "
+            f"{', '.join(cmp.action_listens_final) or '(nothing)'} (final model) vs "
+            f"{', '.join(cmp.action_listens_reduction) or '(nothing)'} (reduction)",
+            f"  edges only in final dag: {fmt_edges(cmp.only_final)}",
+            f"  edges only in reduction: {fmt_edges(cmp.only_reduction)}",
+            f"  shared edges: {fmt_edges(cmp.shared_edges)}",
+        ]
+        if cmp.dsep_disagreements:
+            lines.append("  separation disagreements (final vs reduction):")
+            for stmt, sep_f, sep_r in cmp.dsep_disagreements:
+                a = "separated" if sep_f else "connected"
+                b = "separated" if sep_r else "connected"
+                lines.append(f"    {stmt}: {a} vs {b}")
+        else:
+            lines.append("  separation disagreements: none")
+        return "\n".join(lines) + "\n"
+
+    def result() -> dict:
+        return {
+            "name": f.label,
+            "action": r.action,
+            "rest": r.rest,
+            **_table_result(table),
+            "projection": {
+                "columns": list(r.shared_columns),
+                "relation": cmp.world_relation,
+                "worlds_only_reduction": [
+                    list(w.values) for w in cmp.worlds_only_reduction
+                ],
+                "worlds_only_final": [list(w.values) for w in cmp.worlds_only_final],
+            },
+            "structure": {
+                "action_listens_final": list(cmp.action_listens_final),
+                "action_listens_reduction": list(cmp.action_listens_reduction),
+                "edges_only_final": [list(e) for e in cmp.only_final],
+                "edges_only_reduction": [list(e) for e in cmp.only_reduction],
+                "edges_shared": [list(e) for e in cmp.shared_edges],
+                "action_wiring_differs": cmp.action_wiring_differs,
+                "dsep_disagreements": [
+                    {
+                        **_stmt_fields(stmt),
+                        "final_separated": sep_f,
+                        "reduction_separated": sep_r,
+                    }
+                    for stmt, sep_f, sep_r in cmp.dsep_disagreements
+                ],
+            },
+        }
+
     _emit(ctx, "reduce", result, human)
 
 

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Mapping
 
 from teleo.errors import BindingError, ComparisonError, DatasetError, TeleoError
-from teleo.model import IndependenceStatement, Scm, World, factorization
+from teleo.model import IndependenceStatement, Scm, World, WorldTable, factorization
 from teleo.speclang import INTEGER
 from teleo.teleology import FinalModel, compatible_worlds
 
@@ -63,9 +65,19 @@ class Dataset:
     def total(self) -> int:
         return sum(c for _, c in self.rows)
 
-    def worlds(self) -> tuple[World, ...]:
-        """Distinct observed rows as worlds."""
-        return tuple(World(self.columns, values) for values, _ in self.rows)
+    @cached_property
+    def support(self) -> WorldTable:
+        """The distinct observed rows as a world table, aligned with ``rows``."""
+        return WorldTable(self.columns, (values for values, _ in self.rows))
+
+    @cached_property
+    def counts(self) -> tuple[int, ...]:
+        """The count of each row, aligned with ``rows``."""
+        return tuple(count for _, count in self.rows)
+
+    def cells(self, stmt: IndependenceStatement) -> Mapping[tuple[int, ...], int]:
+        """Observed count of every ``(*stratum, x, y)`` cell of ``stmt``."""
+        return self.support.cells(stmt, self.counts)
 
 
 def load_dataset(text: str, scm: Scm) -> Dataset:
@@ -177,8 +189,10 @@ def check_support(f: FinalModel, d: Dataset) -> IdentificationVerdict:
     compatible-world set are violations."""
     _bind(f, d)
     table = compatible_worlds(f)
-    allowed = table.world_set
-    violating = tuple(w for w in d.worlds() if w not in allowed)
+    allowed = set(table.rows)
+    violating = tuple(
+        World(d.columns, values) for values in d.support.rows if values not in allowed
+    )
     return IdentificationVerdict(
         hypothesis=f,
         support_compatible=not violating,
@@ -199,11 +213,8 @@ def check_dependence(
     skipped on the observed side and reported.
     """
     _bind(f, d)
-    table = compatible_worlds(f)
-    expected, expected_strata = factorization(
-        table.columns, [(values, 1) for values in table.rows()], stmt
-    )
-    observed, observed_strata = factorization(d.columns, d.rows, stmt)
+    expected, expected_strata = factorization(compatible_worlds(f).cells(stmt))
+    observed, observed_strata = factorization(d.cells(stmt))
     skipped = tuple(sorted(set(expected_strata) - set(observed_strata)))
     return DependenceCheck(stmt, expected, observed, skipped)
 
@@ -262,10 +273,11 @@ def rank_hypotheses(
             decl_index[id(v.hypothesis)],
         ),
     )
-    class_ids: dict[frozenset[World], int] = {}
+    class_ids: dict[tuple[tuple[int, ...], ...], int] = {}
     out: list[RankedHypothesis] = []
     for rank, verdict in enumerate(ordered, start=1):
-        key = compatible_worlds(verdict.hypothesis).world_set
+        # rows are sorted and distinct, so equal tuples mean equal sets
+        key = compatible_worlds(verdict.hypothesis).rows
         cls = class_ids.setdefault(key, len(class_ids) + 1)
         out.append(RankedHypothesis(rank, verdict, cls))
     return out

@@ -9,12 +9,17 @@ derived model from the base.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from typing import TYPE_CHECKING
 
 from teleo.errors import UnknownVariableError
 from teleo.model import CausalDag, Scm, WorldTable, enumerate_worlds
+
+if TYPE_CHECKING:
+    from teleo.teleology import GoalPredicate
 
 __all__ = [
     "InterventionSpec",
@@ -40,7 +45,8 @@ class MStarModel:
     inbound edges of the target removed, target mechanism dropped.
 
     ``worlds`` is the surgered model's world table, computed on first use
-    and shared by every later reader of this object.  That is sound because
+    and shared by every later reader of this object, and ``worlds_meeting``
+    keeps one filtered table per goal the same way.  That is sound because
     the object is frozen and ``Scm`` copies its mechanisms at construction;
     callers must not mutate ``Scm.mechanisms`` in place.
     """
@@ -60,6 +66,22 @@ class MStarModel:
     @cached_property
     def worlds(self) -> WorldTable:
         return enumerate_worlds(self.model)
+
+    @cached_property
+    def _worlds_by_goal(self) -> dict[GoalPredicate, WorldTable]:
+        return {}
+
+    def worlds_meeting(self, goal: GoalPredicate) -> WorldTable:
+        """The surgered worlds in which ``goal`` holds.
+
+        Filtered once per distinct goal; every later call with an equal goal
+        returns the same table object.
+        """
+        table = self._worlds_by_goal.get(goal)
+        if table is None:
+            table = self.worlds.filter(goal.level_tests)
+            self._worlds_by_goal[goal] = table
+        return table
 
 
 def do_surgery(scm: Scm, spec: InterventionSpec | str) -> MStarModel:
@@ -104,5 +126,7 @@ def interventional_distribution(
             f"value {target_value} outside domain {domain} of {m.target}"
         )
     m.model.variable(query)  # raises on unknown query variable
-    table = enumerate_worlds_star(m).filter(lambda w: w[m.target] == target_value)
+    table = enumerate_worlds_star(m).filter(
+        {m.target: partial(operator.eq, target_value)}
+    )
     return table.distribution(query)

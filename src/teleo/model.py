@@ -6,19 +6,29 @@ Exogenous variables range freely over their domains, so the set of worlds
 consistent with the model is finite and enumerable: one world per combination
 of exogenous values.
 
+World tables are columnar: a table stores its worlds as sorted, distinct
+integer value tuples and builds each variable's column once, on first use.
+Enumeration fills every endogenous column in one pass per mechanism, goal
+filters test the goal variables' columns, and independence queries count
+column cells.  ``World`` is a view over one row, made only for callers that
+iterate a table.
+
 World tables carry a uniform weighting over their members.  All probability
 comparisons are exact.  Independence is decided by one count-weighted
 kernel, ``factorization``, which cross-multiplies integer counts in every
-conditioning stratum: world tables pass each world with weight 1, datasets
-pass their observed counts.  Distributions are returned as Fractions.  There
-is no tolerance anywhere in this module.
+conditioning stratum of a cell table: world tables count each world once,
+datasets add their observed counts.  Distributions are returned as
+Fractions.  There is no tolerance anywhere in this module.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from teleo.errors import (
@@ -36,6 +46,7 @@ __all__ = [
     "WorldTable",
     "IndependenceStatement",
     "statement_grid",
+    "row_mask",
     "propagate",
     "enumerate_worlds",
     "factorization",
@@ -312,52 +323,103 @@ class World:
 class WorldTable:
     """An ordered, deduplicated set of worlds under uniform weighting.
 
-    Worlds are stored sorted lexicographically by their value tuples in
-    column (declaration) order, which makes every printed table reproducible.
+    ``rows`` holds one value tuple per world, aligned with ``columns`` and
+    sorted lexicographically, which makes every printed table reproducible.
+    The kernels read whole columns (``column``), each built once on first
+    use and cached.  ``World`` objects are views, made only when a caller
+    iterates the table.
     """
 
     columns: tuple[str, ...]
-    worlds: tuple[World, ...]
+    rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(self.columns))
-        for w in self.worlds:
-            if w.names != self.columns:
+        columns = tuple(self.columns)
+        if len(set(columns)) != len(columns):
+            raise ModelStructureError(f"table columns {columns} repeat a variable")
+        rows = set(map(tuple, self.rows))
+        for values in rows:
+            if len(values) != len(columns):
                 raise ModelStructureError(
-                    f"world over {w.names} does not match table columns {self.columns}"
+                    f"row {values} does not match table columns {columns}"
                 )
-        ordered = tuple(sorted(set(self.worlds), key=lambda w: w.values))
-        object.__setattr__(self, "worlds", ordered)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "rows", tuple(sorted(rows)))
 
     def __len__(self) -> int:
-        return len(self.worlds)
+        return len(self.rows)
 
     def __iter__(self) -> Iterator[World]:
-        return iter(self.worlds)
+        return (World(self.columns, values) for values in self.rows)
 
     @property
     def world_set(self) -> frozenset[World]:
-        return frozenset(self.worlds)
+        return frozenset(self)
 
-    def rows(self) -> list[tuple[int, ...]]:
-        return [w.values for w in self.worlds]
+    @cached_property
+    def _column_cache(self) -> dict[str, tuple[int, ...]]:
+        return {}
 
-    def filter(self, keep: Callable[[World], bool]) -> "WorldTable":
-        return WorldTable(self.columns, tuple(w for w in self.worlds if keep(w)))
+    def column(self, name: str) -> tuple[int, ...]:
+        """The values of one variable, aligned with ``rows``; built on first
+        use and cached."""
+        values = self._column_cache.get(name)
+        if values is None:
+            if name not in self.columns:
+                raise UnknownVariableError(f"unknown variable {name!r}")
+            at = operator.itemgetter(self.columns.index(name))
+            values = self._column_cache[name] = tuple(map(at, self.rows))
+        return values
+
+    def filter(self, keep: Mapping[str, Callable[[int], bool]]) -> "WorldTable":
+        """The worlds whose level of each named variable passes its test."""
+        if not keep:
+            return self
+        mask = row_mask({name: self.column(name) for name in keep}, keep)
+        return WorldTable(self.columns, itertools.compress(self.rows, mask))
 
     def project(self, columns: Iterable[str]) -> "WorldTable":
         columns = tuple(columns)
-        return WorldTable(columns, tuple(w.project(columns) for w in self.worlds))
+        if not columns:
+            return WorldTable(columns, [()] if self.rows else [])
+        return WorldTable(columns, zip(*map(self.column, columns)))
 
     def distribution(self, query: str) -> dict[int, Fraction]:
         """Marginal distribution of one variable, exact Fractions."""
-        if not self.worlds:
+        if not self.rows:
             raise EmptyTableError("distribution over an empty world table")
-        counts: dict[int, int] = {}
-        for w in self.worlds:
-            counts[w[query]] = counts.get(w[query], 0) + 1
-        n = len(self.worlds)
+        counts = Counter(self.column(query))
+        n = len(self.rows)
         return {level: Fraction(c, n) for level, c in sorted(counts.items())}
+
+    def cells(
+        self, stmt: "IndependenceStatement", weights: Iterable[int] | None = None
+    ) -> Mapping[tuple[int, ...], int]:
+        """Total weight of every ``(*stratum, x, y)`` cell of ``stmt`` (see
+        ``factorization``): 1 per world, or the row-aligned ``weights``."""
+        keys = zip(*map(self.column, stmt.cell_names))
+        if weights is None:
+            return Counter(keys)
+        cells: dict[tuple[int, ...], int] = {}
+        for key, weight in zip(keys, weights):
+            cells[key] = cells.get(key, 0) + weight
+        return cells
+
+
+def row_mask(
+    columns: Mapping[str, Sequence[int]], keep: Mapping[str, Callable[[int], bool]]
+) -> list[bool]:
+    """Which rows of the aligned ``columns`` pass every test in ``keep``.
+
+    ``keep`` names at least one column.  Each test runs once per distinct
+    level of its column, not once per row.
+    """
+    passing = []
+    for name, test in keep.items():
+        column = columns[name]
+        levels = {level for level in set(column) if test(level)}
+        passing.append(map(levels.__contains__, column))
+    return list(map(all, zip(*passing)))
 
 
 @dataclass(frozen=True)
@@ -377,6 +439,12 @@ class IndependenceStatement:
                 "conditioning set must not contain the tested variables"
             )
 
+    @property
+    def cell_names(self) -> tuple[str, ...]:
+        """The variables that key one cell: the conditioning set in sorted
+        order, then x, then y."""
+        return (*sorted(self.given), self.x, self.y)
+
     def __str__(self) -> str:
         base = f"{self.x} and {self.y}"
         if self.given:
@@ -395,18 +463,22 @@ def statement_grid(names: Sequence[str]) -> Iterator[IndependenceStatement]:
 
 
 def propagate(
-    scm: Scm, order: Sequence[str], assignment: dict[str, int]
-) -> dict[str, int]:
-    """Complete ``assignment`` with every endogenous value, in place.
+    scm: Scm, order: Sequence[str], columns: dict[str, Sequence[int]]
+) -> dict[str, Sequence[int]]:
+    """Complete ``columns`` with every endogenous column, in place.
 
-    ``assignment`` sets every exogenous variable.  Mechanisms are evaluated
-    along ``order``, the DAG's topological order, which the caller computes
-    once and reuses for every assignment.
+    ``columns`` holds one equal-length column per exogenous variable; row i
+    of the result is the world that row i of the exogenous values makes.
+    Each mechanism fills its child's column in one pass over its parents'
+    columns, along ``order``, the DAG's topological order, which the caller
+    computes once.
     """
     for node in order:
-        if node not in assignment:
-            assignment[node] = scm.mechanisms[node].evaluate(assignment)
-    return assignment
+        if node not in columns:
+            mech = scm.mechanisms[node]
+            parent_rows = zip(*(columns[p] for p in mech.parents))
+            columns[node] = tuple(map(mech.table.__getitem__, parent_rows))
+    return columns
 
 
 def enumerate_worlds(scm: Scm) -> WorldTable:
@@ -416,41 +488,29 @@ def enumerate_worlds(scm: Scm) -> WorldTable:
     are propagated through the mechanisms in topological order.  The result
     has exactly one world per exogenous combination.
     """
-    order = scm.dag.topological_order()
     exogenous = scm.dag.exogenous()
-    exo_domains = [scm.domain(n) for n in exogenous]
-    names = scm.names
-    worlds = []
-    for combo in itertools.product(*exo_domains):
-        assignment = propagate(scm, order, dict(zip(exogenous, combo)))
-        worlds.append(World(names, tuple(assignment[n] for n in names)))
-    return WorldTable(names, tuple(worlds))
+    combos = itertools.product(*(scm.domain(n) for n in exogenous))
+    columns = propagate(
+        scm, scm.dag.topological_order(), dict(zip(exogenous, zip(*combos)))
+    )
+    return WorldTable(scm.names, zip(*(columns[n] for n in scm.names)))
 
 
 def factorization(
-    columns: Sequence[str],
-    rows: Iterable[tuple[tuple[int, ...], int]],
-    stmt: IndependenceStatement,
+    cells: Mapping[tuple[int, ...], int],
 ) -> tuple[bool, tuple[tuple[int, ...], ...]]:
     """Exact factorization of x and y in every stratum of the conditioning set.
 
-    ``rows`` are ``(values, weight)`` pairs, values aligned with ``columns``.
-    In a stratum of total weight n the joint factorizes iff
-    n * joint(a, b) == weight(x=a) * weight(y=b) for every cell.  Returns the
-    verdict and the sorted keys (conditioning values in sorted variable-name
-    order) of the strata present in the rows.
+    ``cells`` maps ``(*stratum, a, b)``, the conditioning values followed by
+    the levels of x and y (``IndependenceStatement.cell_names``), to the
+    total weight of the rows in that cell: 1 per world for world tables,
+    the observed counts for datasets.  In a stratum of total weight n the
+    joint factorizes iff n * joint(a, b) == weight(x=a) * weight(y=b) for
+    every cell.  Returns the verdict and the sorted strata present.
     """
-    index = {name: i for i, name in enumerate(columns)}
-    for name in (stmt.x, stmt.y, *stmt.given):
-        if name not in index:
-            raise UnknownVariableError(f"unknown variable {name!r}")
-    ix, iy = index[stmt.x], index[stmt.y]
-    keys = [index[name] for name in sorted(stmt.given)]
-    strata: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-    for values, weight in rows:
-        joint = strata.setdefault(tuple([values[k] for k in keys]), {})
-        cell = (values[ix], values[iy])
-        joint[cell] = joint.get(cell, 0) + weight
+    strata: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    for key, weight in cells.items():
+        strata.setdefault(key[:-2], {})[key[-2:]] = weight
     if not strata:
         raise EmptyTableError("independence query on an empty world table")
     independent = True
@@ -478,15 +538,14 @@ def uniform_independent(table: WorldTable, stmt: IndependenceStatement) -> bool:
     distribution of the two tested variables factorizes into its marginals.
     Decided with integer arithmetic; there is no tolerance.
     """
-    rows = [(values, 1) for values in table.rows()]
-    return factorization(table.columns, rows, stmt)[0]
+    return factorization(table.cells(stmt))[0]
 
 
 def conditional_distribution(
     table: WorldTable, query: str, given: Mapping[str, int]
 ) -> dict[int, Fraction]:
     """Distribution of ``query`` after filtering the table on observations."""
-    sub = table.filter(lambda w: all(w[k] == v for k, v in given.items()))
+    sub = table.filter({k: partial(operator.eq, v) for k, v in given.items()})
     if not len(sub):
         raise EmptyTableError(f"no world matches observation {dict(given)}")
     return sub.distribution(query)
@@ -494,9 +553,9 @@ def conditional_distribution(
 
 def verify_mechanism_consistency(scm: Scm, table: WorldTable) -> bool:
     """Re-evaluate every mechanism on every world; True when all agree."""
-    for w in table:
-        assignment = w.as_dict()
-        for node, mech in scm.mechanisms.items():
-            if mech.evaluate(assignment) != assignment[node]:
-                return False
+    for node, mech in scm.mechanisms.items():
+        parent_rows = zip(*map(table.column, mech.parents))
+        outputs = map(mech.table.__getitem__, parent_rows)
+        if not all(map(operator.eq, outputs, table.column(node))):
+            return False
     return True

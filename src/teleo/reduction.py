@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 from teleo.dsep import d_separated
 from teleo.errors import (
@@ -36,6 +37,7 @@ from teleo.model import (
     WorldTable,
     enumerate_worlds,
     propagate,
+    row_mask,
     statement_grid,
 )
 from teleo.teleology import FinalModel, compatible_worlds
@@ -126,24 +128,29 @@ def build_reduction(f: FinalModel, rest_level: int | None = None) -> ReductionMo
     if INTENTION_NAME in taken:
         raise ReductionError(f"cannot add {INTENTION_NAME}: the name is taken")
 
-    # survey every exogenous context once: pre-state of the goal variables,
-    # whether the goal already holds at rest, and which action levels meet it
-    names = surgered.names
+    # survey every exogenous context: pre-state of the goal variables, whether
+    # the goal already holds at rest, and which action levels meet it; each
+    # action level propagates all contexts in one column-wise pass
     order = surgered.dag.topological_order()
-    ctx_domains = [surgered.domain(n) for n in context]
-    surveys: list[tuple[dict[str, int], tuple[int, ...], bool, list[int]]] = []
-    for combo in itertools.product(*ctx_domains):
-        ctx = dict(zip(context, combo))
-        at_rest = propagate(surgered, order, {**ctx, action: rest})
-        pre_values = tuple(at_rest[g] for g in goal_vars)
-        met_at_rest = f.goal.holds(World(names, tuple(at_rest[n] for n in names)))
-        achieving = []
-        for level in action_domain:
-            outcome = propagate(surgered, order, {**ctx, action: level})
-            if f.goal.holds(World(names, tuple(outcome[n] for n in names))):
-                achieving.append(level)
-        surveys.append((ctx, pre_values, met_at_rest, achieving))
-    if not any(s[3] for s in surveys):
+    combos = list(itertools.product(*(surgered.domain(n) for n in context)))
+    ctx_columns = dict(zip(context, zip(*combos)))
+
+    def outcome(level: int) -> dict[str, Sequence[int]]:
+        return propagate(
+            surgered, order, {**ctx_columns, action: (level,) * len(combos)}
+        )
+
+    at_rest = outcome(rest)
+    pre_values = list(zip(*(at_rest[g] for g in goal_vars)))
+    met_at_rest = row_mask(at_rest, f.goal.level_tests)
+    achieving: list[list[int]] = [[] for _ in combos]
+    for level in action_domain:
+        met = row_mask(outcome(level), f.goal.level_tests)
+        for levels, meets in zip(achieving, met):
+            if meets:
+                levels.append(level)
+    surveys = list(zip(pre_values, met_at_rest, achieving))
+    if not any(a for _, _, a in surveys):
         raise DegenerateReductionError(
             f"goal {f.goal} is not achievable by any level of {action} in any context"
         )
@@ -165,17 +172,13 @@ def build_reduction(f: FinalModel, rest_level: int | None = None) -> ReductionMo
 
     def tabulate(parents: list[str], fixed_action: int | None, read: str):
         """Mechanism table over exogenous parents (and optionally the
-        action), filled by whole-model evaluation."""
-        table: dict[tuple[int, ...], int] = {}
-        domains = [
-            surgered.domain(p) if p != action else action_domain for p in parents
-        ]
-        for combo in itertools.product(*domains):
-            exo = dict(defaults)
-            exo.update({p: v for p, v in zip(parents, combo) if p != action})
-            exo[action] = combo[parents.index(action)] if action in parents else fixed_action
-            table[combo] = propagate(surgered, order, exo)[read]
-        return table
+        action), filled by one column-wise pass of the whole model; context
+        variables outside ``parents`` sit at their domain minimum."""
+        combos = list(itertools.product(*(surgered.domain(p) for p in parents)))
+        columns = {n: (level,) * len(combos) for n, level in defaults.items()}
+        columns[action] = (fixed_action,) * len(combos)
+        columns.update(zip(parents, zip(*combos)))
+        return dict(zip(combos, propagate(surgered, order, columns)[read]))
 
     # pre-action copies of the goal variables
     for g in goal_vars:
@@ -196,9 +199,9 @@ def build_reduction(f: FinalModel, rest_level: int | None = None) -> ReductionMo
     i_table: dict[tuple[int, ...], int] = {}
     for combo in itertools.product(*pre_domains):
         fires = {
-            bool((not met) and achieving)
-            for _, pre_values, met, achieving in surveys
-            if pre_values == combo
+            bool((not met) and levels)
+            for pre, met, levels in surveys
+            if pre == combo
         }
         if len(fires) > 1:
             raise ReductionError(
@@ -213,7 +216,7 @@ def build_reduction(f: FinalModel, rest_level: int | None = None) -> ReductionMo
 
     # the action follows the intention: rest when idle, else the least
     # achieving level, which must not depend on the context
-    chosen = {min(a) for _, _, met, a in surveys if (not met) and a}
+    chosen = {min(a) for _, met, a in surveys if (not met) and a}
     if len(chosen) > 1:
         raise ReductionError(
             f"no single action level realizes the intention: {sorted(chosen)}"
@@ -413,11 +416,10 @@ def compare_structures(f: FinalModel, r: ReductionModel) -> StructuralComparison
             disagreements.append((stmt, sep_f, sep_r))
 
     shared = r.shared_columns
-    red_projected_worlds = reduction_worlds(r).project(
-        tuple(r.post_of.get(n, n) for n in shared)
+    red_set = set(
+        reduction_worlds(r).project(tuple(r.post_of.get(n, n) for n in shared)).rows
     )
-    red_set = {World(shared, w.values) for w in red_projected_worlds}
-    final_set = compatible_worlds(f).world_set
+    final_set = set(compatible_worlds(f).rows)
     if red_set == final_set:
         relation = "equal"
     elif red_set < final_set:
@@ -436,7 +438,9 @@ def compare_structures(f: FinalModel, r: ReductionModel) -> StructuralComparison
         dsep_disagreements=tuple(disagreements),
         world_relation=relation,
         worlds_only_reduction=tuple(
-            sorted(red_set - final_set, key=lambda w: w.values)
+            World(shared, values) for values in sorted(red_set - final_set)
         ),
-        worlds_only_final=tuple(sorted(final_set - red_set, key=lambda w: w.values)),
+        worlds_only_final=tuple(
+            World(shared, values) for values in sorted(final_set - red_set)
+        ),
     )

@@ -496,10 +496,7 @@ def parse_model(text: str) -> ModelSpecDocument:
                 raise SpecSyntaxError(
                     f"goal mentions {var} outside the intended effects", lineno
                 )
-            mine = [c for c in decl.goal.conjuncts if c.variable == var]
-            if not any(
-                all(c.holds(level) for c in mine) for level in domains[var]
-            ):
+            if not any(map(decl.goal.level_tests[var], domains[var])):
                 raise SpecSyntaxError(
                     f"goal {decl.goal} cannot be satisfied by any level of {var}",
                     lineno,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Sequence
 
 from teleo.dsep import d_separated
@@ -28,7 +28,7 @@ from teleo.errors import (
     TeleologyError,
     UnknownVariableError,
 )
-from teleo.intervention import MStarModel, enumerate_worlds_star
+from teleo.intervention import MStarModel
 from teleo.model import (
     CausalDag,
     IndependenceStatement,
@@ -105,16 +105,25 @@ class GoalPredicate:
                 seen.append(c.variable)
         return tuple(seen)
 
+    @cached_property
+    def level_tests(self) -> dict[str, Callable[[int], bool]]:
+        """One test per goal variable: does a level meet every comparison on
+        that variable?  The goal holds where every variable passes its test,
+        which lets a world table filter on the goal variables' columns."""
+        return {
+            var: partial(_meets, tuple(c for c in self.conjuncts if c.variable == var))
+            for var in self.variables
+        }
+
     def holds(self, world: World) -> bool:
-        return all(c.holds(world[c.variable]) for c in self.conjuncts)
+        return all(test(world[var]) for var, test in self.level_tests.items())
 
     def validate(self, scm: Scm) -> None:
         """Check every referenced variable exists and the conjunction is
         satisfiable by some combination of domain values."""
-        for var in self.variables:
+        for var, test in self.level_tests.items():
             domain = scm.domain(var)  # raises UnknownVariableError
-            mine = [c for c in self.conjuncts if c.variable == var]
-            if not any(all(c.holds(level) for c in mine) for level in domain):
+            if not any(map(test, domain)):
                 raise GoalError(
                     f"goal {self} cannot be satisfied: no level of {var} in "
                     f"{domain} meets its constraints"
@@ -122,6 +131,10 @@ class GoalPredicate:
 
     def __str__(self) -> str:
         return " and ".join(str(c) for c in self.conjuncts)
+
+
+def _meets(conjuncts: tuple[Comparison, ...], level: int) -> bool:
+    return all(c.holds(level) for c in conjuncts)
 
 
 def goal(variable: str, op: str, level: int) -> GoalPredicate:
@@ -133,11 +146,10 @@ def goal(variable: str, op: str, level: int) -> GoalPredicate:
 class FinalModel:
     """A surgered model plus intended effects and a goal over them.
 
-    ``worlds`` holds the compatible worlds (see ``compatible_worlds``),
-    computed on first use and shared by every later reader of this object.
-    That is sound because the object is frozen and ``Scm`` copies its
-    mechanisms at construction; callers must not mutate ``Scm.mechanisms``
-    in place.
+    ``worlds`` holds the compatible worlds (see ``compatible_worlds``):
+    the table ``MStarModel.worlds_meeting`` keeps for this goal, shared with
+    every final model and enumerated hypothesis over the same surgered model
+    and an equal goal.
     """
 
     mstar: MStarModel
@@ -154,9 +166,9 @@ class FinalModel:
     def label(self) -> str:
         return self.name if self.name is not None else str(self.goal)
 
-    @cached_property
+    @property
     def worlds(self) -> WorldTable:
-        return enumerate_worlds_star(self.mstar).filter(self.goal.holds)
+        return self.mstar.worlds_meeting(self.goal)
 
 
 def _reverse_toward_action(
@@ -226,7 +238,7 @@ def compatible_worlds(f: FinalModel) -> WorldTable:
     Always a subset of the intervention's world table; an empty result means
     the goal is unreachable under this action, which is a verdict for the
     caller to report, not an error.  The table is computed once per
-    ``FinalModel`` and the same object is returned on every call.
+    surgered model and goal, and the same object is returned on every call.
     """
     return f.worlds
 
@@ -282,10 +294,10 @@ def distinguishable(f1: FinalModel, f2: FinalModel) -> Distinguishability:
         raise ComparisonError(
             "hypotheses must be built over the same base model and intervention"
         )
-    s1 = compatible_worlds(f1).world_set
-    s2 = compatible_worlds(f2).world_set
-    only1 = tuple(sorted(s1 - s2, key=lambda w: w.values))
-    only2 = tuple(sorted(s2 - s1, key=lambda w: w.values))
+    t1, t2 = compatible_worlds(f1), compatible_worlds(f2)
+    s1, s2 = set(t1.rows), set(t2.rows)
+    only1 = tuple(World(t1.columns, values) for values in sorted(s1 - s2))
+    only2 = tuple(World(t2.columns, values) for values in sorted(s2 - s1))
     return Distinguishability(s1 != s2, only1, only2)
 
 
@@ -325,13 +337,12 @@ def enumerate_goal_hypotheses(
     required = sum(len(m.base.domain(v)) for s in subsets for v in s)
     if required > cap:
         raise EnumerationBudgetError(required, cap)
-    star = enumerate_worlds_star(m)
     out: list[GoalHypothesis] = []
     for effects in subsets:
         for var in effects:
             for level in m.base.domain(var):
                 g = goal(var, "=", level)
-                worlds = star.filter(g.holds)
+                worlds = m.worlds_meeting(g)
                 if len(worlds):
                     out.append(GoalHypothesis(effects, g, worlds))
     return out

@@ -5,6 +5,11 @@ library's reachability kernel: it enumerates every simple trail and applies
 the chain/fork/collider blocking rules trail by trail.  The factorization
 oracle likewise shares nothing with the library's count cross-multiplication:
 it forms the conditional probabilities as Fractions and compares them.
+
+The world oracles are the row-wise reading of the library's columnar world
+tables: one ``World`` per exogenous combination, each mechanism evaluated
+world by world, goals checked comparison by comparison, projections made
+world by world.
 """
 
 from __future__ import annotations
@@ -19,9 +24,11 @@ from teleo.model import (
     Mechanism,
     Scm,
     Variable,
+    World,
     enumerate_worlds,
 )
-from teleo.errors import TeleologyError
+from teleo.errors import EmptyTableError, TeleologyError
+from teleo.identification import DependenceCheck
 from teleo.intervention import do_surgery
 from teleo.teleology import Comparison, GoalPredicate, build_final_model
 
@@ -104,6 +111,54 @@ def factorization_oracle(
                 if joint != px * py:
                     independent = False
     return independent, set(strata)
+
+
+def worlds_oracle(scm: Scm) -> list[World]:
+    """Every world of the model, built one exogenous combination at a time,
+    sorted by value tuple."""
+    order = scm.dag.topological_order()
+    exogenous = scm.dag.exogenous()
+    worlds = set()
+    for combo in itertools.product(*(scm.domain(n) for n in exogenous)):
+        assignment = dict(zip(exogenous, combo))
+        for node in order:
+            if node not in assignment:
+                assignment[node] = scm.mechanisms[node].evaluate(assignment)
+        worlds.add(World(scm.names, tuple(assignment[n] for n in scm.names)))
+    return sorted(worlds, key=lambda w: w.values)
+
+
+def filter_oracle(worlds: list[World], goal: GoalPredicate) -> list[World]:
+    """The worlds in which every comparison of the goal holds."""
+    return [w for w in worlds if all(c.holds(w[c.variable]) for c in goal.conjuncts)]
+
+
+def project_oracle(worlds: list[World], names: tuple[str, ...]) -> list[World]:
+    return sorted({w.project(names) for w in worlds}, key=lambda w: w.values)
+
+
+def uniform_oracle(worlds: list[World], stmt: IndependenceStatement) -> bool:
+    """Independence under the uniform distribution over ``worlds``."""
+    if not worlds:
+        raise EmptyTableError("no worlds")
+    rows = [(w.values, 1) for w in worlds]
+    return factorization_oracle(worlds[0].names, rows, stmt)[0]
+
+
+def dependence_oracle(
+    worlds: list[World], columns: tuple[str, ...], rows, stmt: IndependenceStatement
+) -> DependenceCheck:
+    """Expected (uniform over ``worlds``) against observed (the weighted
+    ``(values, count)`` rows) independence, with the strata only the
+    worlds show."""
+    if not worlds:
+        raise EmptyTableError("no worlds")
+    expected, expected_strata = factorization_oracle(
+        columns, [(w.values, 1) for w in worlds], stmt
+    )
+    observed, observed_strata = factorization_oracle(columns, rows, stmt)
+    skipped = tuple(sorted(expected_strata - observed_strata))
+    return DependenceCheck(stmt, expected, observed, skipped)
 
 
 def all_statements(dag: CausalDag, max_given: int | None = None):
@@ -227,6 +282,11 @@ def chain_scm() -> Scm:
 __all__ = [
     "dsep_oracle",
     "factorization_oracle",
+    "worlds_oracle",
+    "filter_oracle",
+    "project_oracle",
+    "uniform_oracle",
+    "dependence_oracle",
     "all_statements",
     "random_dag",
     "random_scm",

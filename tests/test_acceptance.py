@@ -198,8 +198,8 @@ def test_c09_property_sweep():
         widened = GoalPredicate(f.goal.conjuncts + (extra,))
         star = enumerate_worlds_star(f.mstar)
         assert (
-            star.filter(widened.holds).world_set
-            <= star.filter(f.goal.holds).world_set
+            star.filter(widened.level_tests).world_set
+            <= star.filter(f.goal.level_tests).world_set
         )
         checked += 1
 

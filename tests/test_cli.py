@@ -1,4 +1,7 @@
+import hashlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -155,6 +158,58 @@ class TestJsonMode:
         doc = json.loads(result.output)
         assert doc["result"]["exit_code"] == 2 == result.exit_code
         assert doc["result"]["winner"] is None
+
+
+    def test_json_never_builds_the_human_text(self, runner, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("render_table called")
+
+        monkeypatch.setattr("teleo.cli.render_table", refuse)
+        data = tmp_path / "obs.csv"
+        data.write_text(WARM_CSV)
+        commands = [
+            ["worlds", SPEC],
+            ["intervene", SPEC],
+            ["finalize", SPEC, "--final", "warm"],
+            ["distinguish", SPEC, "--final", "warm", "--final", "cheap"],
+            ["identify", SPEC, str(data), "--enumerate"],
+            ["reduce", SPEC, "--final", "warm"],
+        ]
+        for args in commands:
+            result = invoke(runner, "--json", *args)
+            assert result.exit_code == 0, (args, result.output)
+            assert json.loads(result.output)["command"] == args[0]
+        # the human text of every command but identify renders a table
+        for args in commands:
+            failed = invoke(runner, *args).exit_code == 1
+            assert failed == (args[0] != "identify")
+
+
+def _load_benchmark_generator():
+    """Import ``perfbench/gen.py``, which is a script, not a package module."""
+    name = "perfbench_gen"
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # its dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCHMARK_GEN = _load_benchmark_generator()
+BENCHMARK_DIGESTS = json.loads((ROOT / "perfbench" / "expected.json").read_text())["digests"]
+
+
+class TestBenchmarkInputs:
+    """The benchmark's generated inputs, much larger than the heating model,
+    give the exit code and stdout digest recorded with the benchmark."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("workload", sorted(BENCHMARK_GEN.GENERATORS))
+    def test_output_matches_the_recorded_digest(self, runner, tmp_path, workload, seed):
+        args = BENCHMARK_GEN.GENERATORS[workload](seed).write(tmp_path)
+        result = invoke(runner, "--json", *args)
+        digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+        assert [result.exit_code, digest] == BENCHMARK_DIGESTS[workload][str(seed)]
 
 
 class TestErrorHandling:

@@ -14,8 +14,12 @@ from teleo.identification import (
     rank_hypotheses,
 )
 from teleo.intervention import do_surgery, enumerate_worlds_star
+from teleo.errors import EmptyTableError
 from teleo.model import (
+    CausalDag,
     IndependenceStatement,
+    Scm,
+    WorldTable,
     enumerate_worlds,
     factorization,
     statement_grid,
@@ -32,10 +36,12 @@ from teleo.speclang import (
     print_model,
 )
 from teleo.teleology import (
+    Comparison,
     GoalPredicate,
     compatible_worlds,
     distinguishable,
     enumerate_goal_hypotheses,
+    goal,
 )
 
 from teleo.errors import TeleologyError
@@ -43,12 +49,17 @@ from teleo.teleology import build_final_model
 
 from support import (
     all_statements,
+    dependence_oracle,
     dsep_oracle,
     factorization_oracle,
+    filter_oracle,
+    project_oracle,
     random_dag,
     random_final,
     random_goal,
     random_scm,
+    uniform_oracle,
+    worlds_oracle,
 )
 
 seeds = st.integers(min_value=0, max_value=2**31)
@@ -83,12 +94,12 @@ def test_factorization_matches_the_fraction_oracle_on_world_tables(seed):
     rng = random.Random(seed)
     scm = random_scm(rng, min_levels=3, max_levels=3)
     full = enumerate_worlds(scm)
-    part = full.filter(lambda w: rng.random() < 0.4)
+    part = WorldTable(full.columns, [v for v in full.rows if rng.random() < 0.4])
     for table in (full, part) if len(part) else (full,):
-        rows = [(values, 1) for values in table.rows()]
+        rows = [(values, 1) for values in table.rows]
         for stmt in statement_grid(table.columns):
             independent, strata = factorization_oracle(table.columns, rows, stmt)
-            assert factorization(table.columns, rows, stmt) == (
+            assert factorization(table.cells(stmt)) == (
                 independent,
                 tuple(sorted(strata)),
             )
@@ -105,15 +116,108 @@ def test_factorization_matches_the_fraction_oracle_on_weighted_rows(seed):
         (tuple(rng.choice(d) for d in domains), rng.randint(1, 5))
         for _ in range(rng.randint(1, 12))
     ]
-    for rows in (Dataset(columns, tuple(bag)).rows, Dataset(columns, (bag[0],)).rows):
+    for data in (Dataset(columns, tuple(bag)), Dataset(columns, (bag[0],))):
         for stmt in statement_grid(columns):
-            independent, strata = factorization_oracle(columns, rows, stmt)
-            assert factorization(columns, rows, stmt) == (
+            independent, strata = factorization_oracle(columns, data.rows, stmt)
+            assert factorization(data.cells(stmt)) == (
                 independent,
                 tuple(sorted(strata)),
             )
-            if len(rows) == 1:
+            if len(data.rows) == 1:
                 assert independent
+
+
+def _ternary_models(rng: random.Random) -> tuple[Scm, Scm]:
+    """A random ternary model, and the same model with its variables
+    declared in reverse topological order, so that the leading columns of
+    the sorted table are endogenous."""
+    scm = random_scm(rng, min_levels=3, max_levels=3)
+    order = scm.dag.topological_order()[::-1]
+    by_name = {v.name: v for v in scm.variables}
+    redeclared = Scm(
+        CausalDag(order, scm.dag.edges),
+        tuple(by_name[n] for n in order),
+        scm.mechanisms,
+    )
+    return scm, redeclared
+
+
+def _goals(rng: random.Random, scm: Scm, worlds) -> list[GoalPredicate]:
+    """Atomic goals over one variable, a goal that pins a single world, and
+    goals that no world meets."""
+    var = rng.choice(scm.names)
+    pinned = rng.choice(worlds)
+    low = scm.domain(var)[0]
+    return [
+        *(goal(var, "=", level) for level in scm.domain(var)),
+        GoalPredicate(tuple(Comparison(n, "=", v) for n, v in pinned.as_dict().items())),
+        goal(var, "<", low),
+        GoalPredicate((Comparison(var, "=", low), Comparison(var, "!=", low))),
+    ]
+
+
+def _outcome(fn, *args):
+    """What a call returns, or EmptyTableError when it raises that."""
+    try:
+        return fn(*args)
+    except EmptyTableError:
+        return EmptyTableError
+
+
+@MODERATE
+@given(seeds)
+def test_columnar_tables_match_the_world_oracle(seed):
+    rng = random.Random(seed)
+    for scm in _ternary_models(rng):
+        worlds = worlds_oracle(scm)
+        table = enumerate_worlds(scm)
+        assert list(table) == worlds
+        for g in _goals(rng, scm, worlds):
+            assert list(table.filter(g.level_tests)) == filter_oracle(worlds, g)
+        names = tuple(rng.sample(scm.names, rng.randint(0, len(scm.names))))
+        assert list(table.project(names)) == project_oracle(worlds, names)
+
+
+@MODERATE
+@given(seeds)
+def test_columnar_independence_matches_the_world_oracle(seed):
+    rng = random.Random(seed)
+    for scm in _ternary_models(rng):
+        worlds = worlds_oracle(scm)
+        table = enumerate_worlds(scm)
+        for g in _goals(rng, scm, worlds):
+            sub, sub_worlds = table.filter(g.level_tests), filter_oracle(worlds, g)
+            for stmt in statement_grid(scm.names):
+                assert _outcome(uniform_independent, sub, stmt) == _outcome(
+                    uniform_oracle, sub_worlds, stmt
+                )
+
+
+@MODERATE
+@given(seeds)
+def test_columnar_check_dependence_matches_the_world_oracle(seed):
+    rng = random.Random(seed)
+    for scm in _ternary_models(rng):
+        targets = [n for n in scm.dag.nodes if scm.dag.children(n)]
+        if not targets:
+            continue
+        m = do_surgery(scm, rng.choice(targets))
+        star = worlds_oracle(m.model)
+        observed = rng.sample(star, rng.randint(1, len(star)))
+        bag = Dataset(scm.names, tuple((w.values, rng.randint(1, 4)) for w in observed))
+        single = Dataset(scm.names, ((observed[0].values, 3),))
+        effect = rng.choice(scm.dag.children(m.target))
+        for level in scm.domain(effect):
+            try:
+                f = build_final_model(m, (effect,), goal(effect, "=", level))
+            except TeleologyError:
+                continue  # reversal closed a cycle
+            compatible = filter_oracle(star, f.goal)
+            for data in (bag, single):
+                for stmt in statement_grid(scm.names):
+                    assert _outcome(check_dependence, f, data, stmt) == _outcome(
+                        dependence_oracle, compatible, scm.names, data.rows, stmt
+                    )
 
 
 @MODERATE
@@ -127,8 +231,8 @@ def test_check_dependence_matches_the_fraction_oracle(seed):
     table = compatible_worlds(f)
     if not len(table):
         return
-    worlds = [(values, 1) for values in table.rows()]
-    observed = rng.sample(table.rows(), rng.randint(1, len(table)))
+    worlds = [(values, 1) for values in table.rows]
+    observed = rng.sample(table.rows, rng.randint(1, len(table)))
     data = Dataset(scm.names, tuple((v, rng.randint(1, 4)) for v in observed))
     for stmt in statement_grid(scm.names):
         check = check_dependence(f, data, stmt)
@@ -193,7 +297,7 @@ def test_cached_compatible_worlds_match_a_fresh_enumeration(seed):
     f = random_final(rng, random_scm(rng))
     if f is None:
         return
-    fresh = enumerate_worlds(f.mstar.model).filter(f.goal.holds)
+    fresh = enumerate_worlds(f.mstar.model).filter(f.goal.level_tests)
     copied_before_use = copy.deepcopy(f)
     assert compatible_worlds(f) == fresh
     assert compatible_worlds(copied_before_use) == fresh
@@ -211,7 +315,10 @@ def test_conjunction_monotonicity(seed):
     extra = random_goal(rng, scm, f.intended_effects).conjuncts[0]
     widened = GoalPredicate(f.goal.conjuncts + (extra,))
     star = enumerate_worlds_star(f.mstar)
-    assert star.filter(widened.holds).world_set <= star.filter(f.goal.holds).world_set
+    assert (
+        star.filter(widened.level_tests).world_set
+        <= star.filter(f.goal.level_tests).world_set
+    )
 
 
 @MODERATE

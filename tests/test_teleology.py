@@ -12,7 +12,7 @@ from teleo.errors import (
 )
 from teleo.identification import load_dataset, rank_hypotheses
 from teleo.intervention import do_surgery, enumerate_worlds_star
-from teleo.model import CausalDag, Mechanism, Scm, Variable
+from teleo.model import CausalDag, Mechanism, Scm, Variable, WorldTable
 from teleo.speclang import load_model
 from teleo.teleology import (
     Comparison,
@@ -185,6 +185,24 @@ class TestWorldTablesAreShared:
         ranking = rank_hypotheses(candidates, data)
         assert len(ranking) == len(candidates) > 1
         assert len(calls) == 1 and calls[0] is m.model
+
+    def test_enumerated_candidates_share_one_table_per_goal(self, monkeypatch):
+        filtered = []
+        original = WorldTable.filter
+
+        def counting(table, keep):
+            filtered.append(keep)
+            return original(table, keep)
+
+        monkeypatch.setattr(WorldTable, "filter", counting)
+        m = load_model(SPEC.read_text()).mstar
+        hyps = enumerate_goal_hypotheses(m, max_effects=2)
+        for h in hyps:
+            f = build_final_model(m, h.effects, h.goal, name=h.label)
+            assert h.worlds is compatible_worlds(f)
+        # T=0..2 and B=0..1, each reached from two effect sets
+        assert len(hyps) == 10
+        assert len(filtered) == 5
 
 
 class TestImpliedDependencies:
