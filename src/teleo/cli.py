@@ -56,9 +56,8 @@ class _Cli(click.Group):
 @click.group(cls=_Cli)
 @click.version_option(version=__version__, prog_name="teleo")
 @click.option("--json", "as_json", is_flag=True, help="Emit one JSON document.")
-@click.option("--seed", type=int, default=None, help="Reserved; not used.")
 @click.pass_context
-def cli(ctx, as_json: bool, seed: int | None):
+def cli(ctx, as_json: bool):
     """Teleological analysis of discrete causal models."""
     ctx.obj = {"json": as_json}
 

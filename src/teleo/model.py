@@ -23,6 +23,7 @@ Fractions.  There is no tolerance anywhere in this module.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import operator
 from collections import Counter
@@ -86,8 +87,13 @@ class CausalDag:
     """Directed acyclic graph over variable names.
 
     ``nodes`` keeps declaration order, which fixes column order in every
-    printed table.  Edges are kept in declaration order as well; equality and
-    hashing use the tuples as given.
+    printed table.  Edges are kept in declaration order as well; equality,
+    hashing and ``repr`` use only these two tuples.
+
+    This is the one index of the graph: construction validates it and builds
+    each node's parent and child lists (in edge-declaration order) and the
+    topological order once.  Every query reads them, and so does the
+    d-separation kernel (``dsep``), which subscripts the lists directly.
     """
 
     nodes: tuple[str, ...]
@@ -96,77 +102,96 @@ class CausalDag:
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
-        seen = set()
+        parents: dict[str, list[str]] = {}
+        children: dict[str, list[str]] = {}
         for n in self.nodes:
-            if n in seen:
+            if n in parents:
                 raise ModelStructureError(f"duplicate node {n!r}")
-            seen.add(n)
+            parents[n] = []
+            children[n] = []
         edge_set = set()
         for parent, child in self.edges:
-            if parent not in seen:
+            if parent not in parents:
                 raise ModelStructureError(f"edge endpoint {parent!r} is not a node")
-            if child not in seen:
+            if child not in parents:
                 raise ModelStructureError(f"edge endpoint {child!r} is not a node")
             if parent == child:
                 raise ModelStructureError(f"self-loop on {parent!r}")
             if (parent, child) in edge_set:
                 raise ModelStructureError(f"duplicate edge {parent!r} -> {child!r}")
             edge_set.add((parent, child))
-        self.topological_order()  # raises on cycles
+            parents[child].append(parent)
+            children[parent].append(child)
+        for name, lists in (("_parents", parents), ("_children", children)):
+            object.__setattr__(self, name, {n: tuple(v) for n, v in lists.items()})
+        object.__setattr__(self, "_order", self._kahn())
 
-    def parents(self, node: str) -> tuple[str, ...]:
-        """Parents of ``node`` in edge-declaration order."""
-        self._require(node)
-        return tuple(p for p, c in self.edges if c == node)
-
-    def children(self, node: str) -> tuple[str, ...]:
-        self._require(node)
-        return tuple(c for p, c in self.edges if p == node)
-
-    def descendants(self, node: str) -> tuple[str, ...]:
-        """All strict descendants of ``node``, in declaration order."""
-        self._require(node)
-        reached: set[str] = set()
-        frontier = [node]
-        while frontier:
-            v = frontier.pop()
-            for c in self.children(v):
-                if c not in reached:
-                    reached.add(c)
-                    frontier.append(c)
-        return tuple(n for n in self.nodes if n in reached)
-
-    def exogenous(self) -> tuple[str, ...]:
-        children_of = {c for _, c in self.edges}
-        return tuple(n for n in self.nodes if n not in children_of)
-
-    def endogenous(self) -> tuple[str, ...]:
-        children_of = {c for _, c in self.edges}
-        return tuple(n for n in self.nodes if n in children_of)
-
-    def topological_order(self) -> tuple[str, ...]:
-        """Kahn's algorithm with declaration-order tie breaking."""
-        indegree = {n: 0 for n in self.nodes}
-        for _, c in self.edges:
-            indegree[c] += 1
+    def _kahn(self) -> tuple[str, ...]:
+        """Kahn's algorithm; of the ready nodes the earliest declared goes
+        first.  Raises on cycles."""
+        position = {n: i for i, n in enumerate(self.nodes)}
+        indegree = {n: len(p) for n, p in self._parents.items()}
+        ready = [position[n] for n, d in indegree.items() if d == 0]  # sorted: a heap
         order: list[str] = []
-        ready = {n for n in self.nodes if indegree[n] == 0}
         while ready:
-            v = next(n for n in self.nodes if n in ready)
-            ready.discard(v)
+            v = self.nodes[heapq.heappop(ready)]
             order.append(v)
-            for c in self.children(v):
+            for c in self._children[v]:
                 indegree[c] -= 1
                 if indegree[c] == 0:
-                    ready.add(c)
+                    heapq.heappush(ready, position[c])
         if len(order) != len(self.nodes):
             stuck = sorted(n for n, d in indegree.items() if d > 0)
             raise ModelStructureError(f"graph has a cycle through {', '.join(stuck)}")
         return tuple(order)
 
-    def _require(self, node: str) -> None:
-        if node not in self.nodes:
-            raise UnknownVariableError(f"unknown variable {node!r}")
+    def parents(self, node: str) -> tuple[str, ...]:
+        """Parents of ``node`` in edge-declaration order."""
+        return self._lookup(self._parents, node)
+
+    def children(self, node: str) -> tuple[str, ...]:
+        """Children of ``node`` in edge-declaration order."""
+        return self._lookup(self._children, node)
+
+    def ancestors(self, nodes: Iterable[str]) -> set[str]:
+        """Every strict ancestor of any of ``nodes``."""
+        return self._reach(self._parents, nodes)
+
+    def descendants(self, node: str) -> tuple[str, ...]:
+        """All strict descendants of ``node``, in declaration order."""
+        reached = self._reach(self._children, (node,))
+        return tuple(n for n in self.nodes if n in reached)
+
+    def exogenous(self) -> tuple[str, ...]:
+        return tuple(n for n in self.nodes if not self._parents[n])
+
+    def endogenous(self) -> tuple[str, ...]:
+        return tuple(n for n in self.nodes if self._parents[n])
+
+    def topological_order(self) -> tuple[str, ...]:
+        """Kahn's order with declaration-order tie breaking, computed once at
+        construction."""
+        return self._order
+
+    def _reach(
+        self, step: Mapping[str, tuple[str, ...]], start: Iterable[str]
+    ) -> set[str]:
+        """The nodes reached from ``start`` by one or more ``step`` hops."""
+        reached: set[str] = set()
+        frontier = [self._lookup(step, n) for n in start]
+        while frontier:
+            for v in frontier.pop():
+                if v not in reached:
+                    reached.add(v)
+                    frontier.append(step[v])
+        return reached
+
+    @staticmethod
+    def _lookup(index: Mapping[str, tuple[str, ...]], node: str) -> tuple[str, ...]:
+        try:
+            return index[node]
+        except KeyError:
+            raise UnknownVariableError(f"unknown variable {node!r}") from None
 
 
 @dataclass(frozen=True)

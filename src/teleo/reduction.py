@@ -73,11 +73,6 @@ class ReductionModel:
     rest: int
     pre_of: dict[str, str]
     post_of: dict[str, str]
-    provenance: dict[str, str | None]
-
-    @property
-    def intention(self) -> str:
-        return INTENTION_NAME
 
     @property
     def shared_columns(self) -> tuple[str, ...]:
@@ -155,16 +150,10 @@ def build_reduction(f: FinalModel, rest_level: int | None = None) -> ReductionMo
             f"goal {f.goal} is not achievable by any level of {action} in any context"
         )
 
-    def exo_ancestors(node: str) -> list[str]:
-        anc = set()
-        frontier = [node]
-        while frontier:
-            v = frontier.pop()
-            for p in surgered.dag.parents(v):
-                if p not in anc:
-                    anc.add(p)
-                    frontier.append(p)
-        return [n for n in context if n in anc]
+    def exo_parents(node: str) -> list[str]:
+        """The context variables ``node`` depends on, in declaration order."""
+        ancestors = surgered.dag.ancestors((node,))
+        return [n for n in context if n in ancestors]
 
     defaults = {n: surgered.domain(n)[0] for n in context}
     variables: list[Variable] = [surgered.variable(n) for n in context]
@@ -182,7 +171,7 @@ def build_reduction(f: FinalModel, rest_level: int | None = None) -> ReductionMo
 
     # pre-action copies of the goal variables
     for g in goal_vars:
-        parents = exo_ancestors(g)
+        parents = exo_parents(g)
         if not parents:
             if not context:
                 raise ReductionError(
@@ -229,7 +218,7 @@ def build_reduction(f: FinalModel, rest_level: int | None = None) -> ReductionMo
 
     # post-action copies and untouched downstream mechanisms
     for g in goal_vars:
-        parents = exo_ancestors(g) + [action]
+        parents = exo_parents(g) + [action]
         variables.append(Variable(post_of[g], surgered.domain(g)))
         mechanisms[post_of[g]] = Mechanism(
             post_of[g], tuple(parents), tabulate(parents, None, g)
@@ -240,23 +229,21 @@ def build_reduction(f: FinalModel, rest_level: int | None = None) -> ReductionMo
         variables.append(surgered.variable(node))
         mechanisms[node] = Mechanism(node, renamed, dict(mech.table))
 
-    edges: list[tuple[str, str]] = []
-    for var in variables:
-        mech = mechanisms.get(var.name)
-        if mech:
-            edges.extend((p, var.name) for p in mech.parents)
-    dag = CausalDag(tuple(v.name for v in variables), tuple(edges))
-    scm = Scm(dag, tuple(variables), mechanisms)
+    scm = _assemble(variables, mechanisms)
+    return ReductionModel(f, scm, action, rest, pre_of, post_of)
 
-    provenance: dict[str, str | None] = {n: n for n in context}
-    for g in goal_vars:
-        provenance[pre_of[g]] = g
-        provenance[post_of[g]] = g
-    provenance[INTENTION_NAME] = None
-    provenance[action] = action
-    for node in downstream:
-        provenance[node] = node
-    return ReductionModel(f, scm, action, rest, pre_of, post_of, provenance)
+
+def _assemble(variables: Sequence[Variable], mechanisms: dict[str, Mechanism]) -> Scm:
+    """The model over ``variables``, in their order, whose DAG has one edge
+    from each mechanism parent to its child."""
+    edges = [
+        (p, v.name)
+        for v in variables
+        if v.name in mechanisms
+        for p in mechanisms[v.name].parents
+    ]
+    dag = CausalDag(tuple(v.name for v in variables), tuple(edges))
+    return Scm(dag, tuple(variables), mechanisms)
 
 
 def reduction_worlds(r: ReductionModel) -> WorldTable:
@@ -292,14 +279,7 @@ def splice_out(scm: Scm, name: str) -> Scm:
             assignment[name] = mech_v.evaluate(assignment)
             table[combo] = mech.evaluate(assignment)
         new_mechs[node] = Mechanism(node, tuple(new_parents), table)
-    variables = tuple(v for v in scm.variables if v.name != name)
-    edges: list[tuple[str, str]] = []
-    for var in variables:
-        mech = new_mechs.get(var.name)
-        if mech:
-            edges.extend((p, var.name) for p in mech.parents)
-    dag = CausalDag(tuple(v.name for v in variables), tuple(edges))
-    return Scm(dag, variables, new_mechs)
+    return _assemble([v for v in scm.variables if v.name != name], new_mechs)
 
 
 def rename_variable(scm: Scm, old: str, new: str) -> Scm:

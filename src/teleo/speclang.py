@@ -302,32 +302,22 @@ def _scan(text: str) -> _Raw:
     return raw
 
 
-def _cycle_line(edges: list[tuple[tuple[str, str], int]], nodes: set[str]) -> int:
-    """Line of the first edge whose addition closes a cycle."""
-
-    def acyclic(pairs: list[tuple[str, str]]) -> bool:
-        children: dict[str, list[str]] = {n: [] for n in nodes}
-        indeg = {n: 0 for n in nodes}
-        for p, c in pairs:
-            children[p].append(c)
-            indeg[c] += 1
-        ready = [n for n in nodes if indeg[n] == 0]
-        seen = 0
-        while ready:
-            v = ready.pop()
-            seen += 1
-            for c in children[v]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    ready.append(c)
-        return seen == len(nodes)
-
-    pairs: list[tuple[str, str]] = []
-    for edge, lineno in edges:
-        pairs.append(edge)
-        if not acyclic(pairs):
-            return lineno
-    raise AssertionError("no cycle found")  # pragma: no cover
+def _cycle_line(
+    edges: list[tuple[tuple[str, str], int]], nodes: tuple[str, ...]
+) -> int:
+    """Line of the first edge whose addition closes a cycle: the end of the
+    shortest edge prefix that ``CausalDag`` rejects, found by bisection
+    (adding edges never removes a cycle).  Runs only on the error path, for
+    edges that close a cycle as a whole."""
+    acyclic, cyclic = 0, len(edges)  # lengths of an acyclic and a cyclic prefix
+    while cyclic - acyclic > 1:
+        mid = (acyclic + cyclic) // 2
+        try:
+            CausalDag(nodes, tuple(e for e, _ in edges[:mid]))
+            acyclic = mid
+        except ModelStructureError:
+            cyclic = mid
+    return edges[cyclic - 1][1]
 
 
 def parse_model(text: str) -> ModelSpecDocument:
@@ -346,7 +336,6 @@ def parse_model(text: str) -> ModelSpecDocument:
         domains[decl.name] = decl.domain
 
     seen_edges: set[tuple[str, str]] = set()
-    inbound: dict[str, list[str]] = {}
     for (parent, child), lineno in raw.edges:
         for endpoint in (parent, child):
             if endpoint not in domains:
@@ -356,14 +345,13 @@ def parse_model(text: str) -> ModelSpecDocument:
         if (parent, child) in seen_edges:
             raise SpecSyntaxError(f"duplicate edge {parent} -> {child}", lineno)
         seen_edges.add((parent, child))
-        inbound.setdefault(child, []).append(parent)
 
     # acyclicity probe; on failure, blame the edge that closed the loop
     try:
-        CausalDag(tuple(domains), tuple(e for e, _ in raw.edges))
+        dag = CausalDag(tuple(domains), tuple(e for e, _ in raw.edges))
     except ModelStructureError:
         raise SpecSyntaxError(
-            "edge closes a cycle", _cycle_line(raw.edges, set(domains))
+            "edge closes a cycle", _cycle_line(raw.edges, tuple(domains))
         ) from None
 
     mech_decls: list[MechDecl] = []
@@ -374,7 +362,7 @@ def parse_model(text: str) -> ModelSpecDocument:
         if child in mech_children:
             raise SpecSyntaxError(f"duplicate mechanism for {child!r}", lineno)
         mech_children.add(child)
-        dag_parents = tuple(inbound.get(child, ()))
+        dag_parents = dag.parents(child)
         if not dag_parents:
             raise SpecSyntaxError(
                 f"{child} has no inbound edges; exogenous variables take no mechanism",
@@ -440,9 +428,8 @@ def parse_model(text: str) -> ModelSpecDocument:
             rows = sorted(table.items())
         mech_decls.append(MechDecl(child, tuple(parents), tuple(rows), notation))
 
-    for child in inbound:
+    for (_, child), lineno in raw.edges:
         if child not in mech_children:
-            lineno = next(ln for (p, c), ln in raw.edges if c == child)
             raise SpecSyntaxError(
                 f"model is not total: {child} has parents but no mechanism", lineno
             )

@@ -2,9 +2,12 @@
 
 The d-separation oracle here is deliberately naive and independent of the
 library's reachability kernel: it enumerates every simple trail and applies
-the chain/fork/collider blocking rules trail by trail.  The factorization
-oracle likewise shares nothing with the library's count cross-multiplication:
-it forms the conditional probabilities as Fractions and compares them.
+the chain/fork/collider blocking rules trail by trail.  The graph oracles
+read only an edge list, never a DAG's parent, child or order index:
+reachability is a transitive closure, and the topological order is picked one
+node at a time.  The factorization oracle likewise shares nothing with the
+library's count cross-multiplication: it forms the conditional probabilities
+as Fractions and compares them.
 
 The world oracles are the row-wise reading of the library's columnar world
 tables: one ``World`` per exogenous combination, each mechanism evaluated
@@ -35,19 +38,39 @@ from teleo.teleology import Comparison, GoalPredicate, build_final_model
 NAMES = tuple("ABCDEFGH")
 
 
+def reachability_oracle(edges) -> set[tuple[str, str]]:
+    """Every (a, b) with a directed path of one or more of the ``(parent,
+    child)`` edges from a to b, by repeated composition of the edge list
+    until nothing is added.  The edges may form cycles."""
+    reach = set(edges)
+    while True:
+        longer = {(a, d) for a, b in reach for c, d in edges if b == c}
+        if longer <= reach:
+            return reach
+        reach |= longer
+
+
+def topological_oracle(dag: CausalDag) -> tuple[str, ...]:
+    """The order that repeatedly takes the earliest-declared node whose
+    parents are all placed."""
+    order: list[str] = []
+    while len(order) < len(dag.nodes):
+        order.append(
+            next(
+                n
+                for n in dag.nodes
+                if n not in order
+                and all(p in order for p, c in dag.edges if c == n)
+            )
+        )
+    return tuple(order)
+
+
 def dsep_oracle(dag: CausalDag, stmt: IndependenceStatement) -> bool:
     """Brute-force d-separation: every simple trail must be blocked."""
     z = set(stmt.given)
     edge_set = set(dag.edges)
-
-    ancestors_of_z = set(z)
-    frontier = list(z)
-    while frontier:
-        v = frontier.pop()
-        for p in dag.parents(v):
-            if p not in ancestors_of_z:
-                ancestors_of_z.add(p)
-                frontier.append(p)
+    ancestors_of_z = z | {a for a, b in reachability_oracle(dag.edges) if b in z}
 
     neighbors = {n: set() for n in dag.nodes}
     for p, c in dag.edges:
@@ -280,6 +303,8 @@ def chain_scm() -> Scm:
 
 
 __all__ = [
+    "reachability_oracle",
+    "topological_oracle",
     "dsep_oracle",
     "factorization_oracle",
     "worlds_oracle",

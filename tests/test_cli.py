@@ -278,6 +278,10 @@ class TestGlobalFlags:
         assert result.exit_code == 0
         assert __version__ in result.output
 
-    def test_seed_is_accepted(self, runner):
+    def test_seed_is_an_unknown_option(self, runner):
         result = invoke(runner, "--seed", "7", "worlds", SPEC)
-        assert result.exit_code == 0
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error: ")
+        assert "--seed" in result.output
+        assert "Traceback" not in result.output

@@ -172,6 +172,37 @@ class TestUniformIndependence:
             IndependenceStatement("W", "H", frozenset({"W"}))
 
 
+class TestCausalDagIndex:
+    def test_ready_ties_go_to_the_earliest_declared_node(self):
+        dag = CausalDag(("C", "B", "A"), (("A", "B"),))
+        assert dag.topological_order() == ("C", "A", "B")
+
+    def test_cycle_message_names_the_nodes_on_it(self):
+        with pytest.raises(ModelStructureError, match="cycle through B, C$"):
+            CausalDag(("A", "B", "C"), (("A", "B"), ("B", "C"), ("C", "B")))
+
+    def test_ancestors_of_a_set_and_descendants_of_a_node(self):
+        dag = CausalDag(("W", "H", "T", "B"), (("W", "T"), ("H", "T"), ("H", "B")))
+        assert dag.ancestors({"T", "B"}) == {"W", "H"}
+        assert dag.ancestors(()) == set()
+        assert dag.descendants("H") == ("T", "B")
+
+    def test_unknown_node_is_reported(self):
+        dag = CausalDag(("A", "B"), (("A", "B"),))
+        for query in (dag.parents, dag.children, dag.descendants):
+            with pytest.raises(UnknownVariableError):
+                query("Q")
+        with pytest.raises(UnknownVariableError):
+            dag.ancestors({"A", "Q"})
+
+    def test_equality_hash_and_repr_use_nodes_and_edges_only(self):
+        a = CausalDag(("A", "B"), [("A", "B")])
+        b = CausalDag(("A", "B"), (("A", "B"),))
+        assert a == b and hash(a) == hash(b)
+        assert a != CausalDag(("A", "B"), ())
+        assert repr(a) == "CausalDag(nodes=('A', 'B'), edges=(('A', 'B'),))"
+
+
 class TestDistributions:
     def test_marginal_is_exact(self):
         table = enumerate_worlds(m1_scm())

@@ -4,6 +4,7 @@ import copy
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from teleo.dsep import d_separated
@@ -14,7 +15,7 @@ from teleo.identification import (
     rank_hypotheses,
 )
 from teleo.intervention import do_surgery, enumerate_worlds_star
-from teleo.errors import EmptyTableError
+from teleo.errors import EmptyTableError, SpecSyntaxError
 from teleo.model import (
     CausalDag,
     IndependenceStatement,
@@ -58,6 +59,8 @@ from support import (
     random_final,
     random_goal,
     random_scm,
+    reachability_oracle,
+    topological_oracle,
     uniform_oracle,
     worlds_oracle,
 )
@@ -73,6 +76,49 @@ def test_dsep_matches_the_trail_oracle(seed):
     dag = random_dag(rng, rng.randint(2, 5), rng.random())
     for stmt in all_statements(dag):
         assert d_separated(dag, stmt) == dsep_oracle(dag, stmt)
+
+
+@MODERATE
+@given(seeds)
+def test_dag_index_matches_the_edge_list_oracles(seed):
+    # random_dag shuffles which declared node comes first in causal order,
+    # so the earliest-declared ready node is often not the first declared
+    rng = random.Random(seed)
+    dag = random_dag(rng, rng.randint(1, 8), rng.random())
+    assert dag.topological_order() == topological_oracle(dag)
+    reach = reachability_oracle(dag.edges)
+    for n in dag.nodes:
+        assert dag.parents(n) == tuple(p for p, c in dag.edges if c == n)
+        assert dag.children(n) == tuple(c for p, c in dag.edges if p == n)
+        assert dag.ancestors({n}) == {a for a, b in reach if b == n}
+        assert dag.descendants(n) == tuple(b for b in dag.nodes if (n, b) in reach)
+    some = set(rng.sample(dag.nodes, rng.randint(0, len(dag.nodes))))
+    assert dag.ancestors(some) == {a for a, b in reach if b in some}
+    assert dag.exogenous() == tuple(n for n in dag.nodes if not dag.parents(n))
+    assert dag.endogenous() == tuple(n for n in dag.nodes if dag.parents(n))
+
+
+@MODERATE
+@given(seeds)
+def test_cycle_error_names_the_first_edge_that_closes_a_cycle(seed):
+    rng = random.Random(seed)
+    dag = random_dag(rng, rng.randint(2, 8), rng.random())
+    acyclic = list(dag.edges) or [dag.nodes[:2]]
+    edges = list(acyclic)
+    for _ in range(rng.randint(1, 3)):  # a reversed copy closes a cycle
+        a, b = rng.choice(acyclic)
+        edges.insert(rng.randint(0, len(edges)), (b, a))
+    edges = list(dict.fromkeys(edges))  # the parser rejects repeated edges first
+    closing = next(
+        end
+        for end in range(1, len(edges) + 1)
+        if any(a == b for a, b in reachability_oracle(edges[:end]))
+    )
+    text = "".join(f"var {n} in 0..1\n" for n in dag.nodes)
+    text += "".join(f"edge {a} -> {b}\n" for a, b in edges)
+    with pytest.raises(SpecSyntaxError, match="cycle") as exc:
+        parse_model(text)
+    assert exc.value.line == len(dag.nodes) + closing
 
 
 @MODERATE

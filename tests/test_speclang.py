@@ -97,6 +97,21 @@ class TestDiagnostics:
         )
         assert e.line == 4 and "cycle" in str(e)
 
+    def test_cycle_blames_the_closing_edge_not_the_last_edge(self):
+        e = err(
+            "var A in 0..1\nvar B in 0..1\nvar C in 0..1\nvar D in 0..1\n"
+            "edge A -> B\nedge B -> C\nedge C -> A\nedge D -> A\n"
+        )
+        assert e.line == 7 and "cycle" in str(e)
+
+    def test_missing_mechanisms_blame_the_first_edge(self):
+        # B is declared before C, but the edge into C comes first
+        e = err(
+            "var A in 0..1\nvar B in 0..1\nvar C in 0..1\n"
+            "edge A -> C\nedge A -> B\n"
+        )
+        assert e.line == 4 and "C has parents but no mechanism" in str(e)
+
     def test_duplicate_variable(self):
         e = err("var W in 0..1\nvar W in 0..1\n")
         assert e.line == 2 and "duplicate" in str(e)
