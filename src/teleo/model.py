@@ -42,6 +42,8 @@ __all__ = [
     "Variable",
     "CausalDag",
     "Mechanism",
+    "check_parents",
+    "check_table",
     "Scm",
     "World",
     "WorldTable",
@@ -200,7 +202,7 @@ class Mechanism:
 
     ``table`` maps each combination of parent levels (a tuple aligned with
     ``parents``) to a child level.  Totality over the parents' domains is
-    validated when the mechanism is attached to a model.
+    validated when the mechanism is attached to a model (``check_table``).
     """
 
     child: str
@@ -216,6 +218,10 @@ class Mechanism:
             raise ModelStructureError(
                 f"mechanism for {self.child}: needs at least one parent"
             )
+        if len(set(self.parents)) != len(self.parents):
+            raise ModelStructureError(
+                f"repeated parent in mechanism for {self.child}"
+            )
 
     def evaluate(self, assignment: Mapping[str, int]) -> int:
         return self.table[tuple(assignment[p] for p in self.parents)]
@@ -225,19 +231,57 @@ class Mechanism:
         """Child takes the sum of its parents' values.
 
         The sum must land inside the child's domain for every combination;
-        no clamping is applied.  Widen the child's domain instead.
+        no clamping is applied.
         """
-        parents = list(parents)
-        table: dict[tuple[int, ...], int] = {}
-        for combo in itertools.product(*(p.domain for p in parents)):
-            total = sum(combo)
+        parents = tuple(parents)
+        combos = itertools.product(*(p.domain for p in parents))
+        table = {combo: sum(combo) for combo in combos}
+        mech = cls(child.name, tuple(p.name for p in parents), table)
+        for combo, total in mech.table.items():
             if total not in child.domain:
                 raise ModelStructureError(
-                    f"mechanism for {child.name}: sum {total} of parent values "
-                    f"{combo} is outside domain {child.domain}"
+                    f"sum {total} of {dict(zip(mech.parents, combo))} is outside "
+                    f"domain {child.domain} of {child.name}; widen the domain"
                 )
-            table[combo] = total
-        return cls(child.name, tuple(p.name for p in parents), table)
+        return mech
+
+
+def check_parents(dag: CausalDag, child: str, parents: Sequence[str]) -> None:
+    """A mechanism drives an endogenous node from exactly its DAG parents,
+    listed in any order."""
+    dag_parents = dag.parents(child)
+    if not dag_parents:
+        raise ModelStructureError(
+            f"{child} has no inbound edges; exogenous variables take no mechanism"
+        )
+    if set(parents) != set(dag_parents):
+        raise ModelStructureError(
+            f"mechanism parents ({', '.join(parents)}) do not match the "
+            f"edges into {child} ({', '.join(dag_parents)})"
+        )
+
+
+def check_table(mech: Mechanism, variables: Mapping[str, Variable]) -> None:
+    """A mechanism's table maps every combination of its parents' levels,
+    and nothing else, into its child's domain.  Rows are checked in table
+    order, then totality."""
+    expected = set(itertools.product(*(variables[p].domain for p in mech.parents)))
+    domain = variables[mech.child].domain
+    for key, value in mech.table.items():
+        if key not in expected:
+            raise ModelStructureError(
+                f"row {key} is outside the parent domains of {mech.child}"
+            )
+        if value not in domain:
+            raise ModelStructureError(
+                f"value {value} outside domain {domain} of {mech.child}"
+            )
+    missing = expected - set(mech.table)
+    if missing:
+        raise ModelStructureError(
+            f"mechanism for {mech.child} is not total: no entry for parent "
+            f"values {min(missing)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -257,46 +301,17 @@ class Scm:
         if set(by_name) != set(self.dag.nodes):
             raise ModelStructureError("dag nodes and declared variables differ")
         for node in self.dag.nodes:
-            parents = self.dag.parents(node)
             mech = self.mechanisms.get(node)
-            if parents and mech is None:
-                raise ModelStructureError(f"endogenous node {node} lacks a mechanism")
-            if not parents and mech is not None:
-                raise ModelStructureError(
-                    f"exogenous node {node} must not carry a mechanism"
-                )
             if mech is None:
+                if self.dag.parents(node):
+                    raise ModelStructureError(f"{node} has parents but no mechanism")
                 continue
             if mech.child != node:
                 raise ModelStructureError(
                     f"mechanism filed under {node} drives {mech.child}"
                 )
-            if set(mech.parents) != set(parents):
-                raise ModelStructureError(
-                    f"mechanism parents {mech.parents} of {node} do not match "
-                    f"dag parents {parents}"
-                )
-            self._check_total(mech, by_name)
-
-    def _check_total(self, mech: Mechanism, by_name: Mapping[str, Variable]) -> None:
-        expected = set(itertools.product(*(by_name[p].domain for p in mech.parents)))
-        child_domain = by_name[mech.child].domain
-        for combo in expected:
-            if combo not in mech.table:
-                raise ModelStructureError(
-                    f"mechanism for {mech.child}: no entry for parent values {combo}"
-                )
-            out = mech.table[combo]
-            if out not in child_domain:
-                raise ModelStructureError(
-                    f"mechanism for {mech.child}: output {out} for {combo} is "
-                    f"outside domain {child_domain}"
-                )
-        extra = set(mech.table) - expected
-        if extra:
-            raise ModelStructureError(
-                f"mechanism for {mech.child}: rows outside parent domains: {sorted(extra)}"
-            )
+            check_parents(self.dag, node, mech.parents)
+            check_table(mech, by_name)
 
     def variable(self, name: str) -> Variable:
         for v in self.variables:

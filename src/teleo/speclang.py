@@ -1,4 +1,4 @@
-"""The model-specification language: parser, validator, printer, compiler.
+"""The model-specification language: parser, printer and model builder.
 
 The grammar is line oriented; ``#`` starts a comment anywhere.
 
@@ -10,22 +10,31 @@ The grammar is line oriented; ``#`` starts a comment anywhere.
     rest H = 0
     final warm { effects: T; goal: T = 1 }
 
-``sum`` expands to an explicit table while parsing; a sum that leaves the
-child's domain is a totality error (widen the domain, nothing is clamped).
 A ``table`` without an explicit parent list reads its keys in the order the
-inbound edges were declared.  Parsing validates the whole document, so a
-document that parses always compiles into a well-formed model.
+inbound edges were declared.  ``load_model`` checks the rules of the
+document itself and builds each model object once, in statement order; the
+rules of a model object are checked by its constructor alone, and its error
+is reported at the line of the statement that built it.  ``sum`` is
+``Mechanism.sum_of``, so a sum that leaves the child's domain is that
+constructor's error.  A document that parses always compiles.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-from teleo.errors import ModelStructureError, SpecSyntaxError
+from teleo.errors import ModelStructureError, SpecSyntaxError, TeleoError
 from teleo.intervention import MStarModel, do_surgery
-from teleo.model import CausalDag, Mechanism, Scm, Variable
+from teleo.model import (
+    CausalDag,
+    Mechanism,
+    Scm,
+    Variable,
+    check_parents,
+    check_table,
+)
 from teleo.teleology import Comparison, FinalModel, GoalPredicate, build_final_model
 
 __all__ = [
@@ -36,7 +45,6 @@ __all__ = [
     "CompiledSpec",
     "parse_model",
     "print_model",
-    "compile_document",
     "load_model",
 ]
 
@@ -320,25 +328,44 @@ def _cycle_line(
     return edges[cyclic - 1][1]
 
 
-def parse_model(text: str) -> ModelSpecDocument:
-    """Parse and fully validate one spec document.
+@contextmanager
+def _statement(lineno: int):
+    """Give a model constructor's error the line of the statement it builds;
+    the parser's own diagnostics pass through."""
+    try:
+        yield
+    except SpecSyntaxError:
+        raise
+    except TeleoError as exc:
+        raise SpecSyntaxError(str(exc), lineno) from exc
+
+
+def load_model(text: str) -> CompiledSpec:
+    """Parse one spec document and build its model objects.
 
     Raises SpecSyntaxError with line (and column, for syntax) on the first
-    problem: bad syntax, duplicate declarations, undeclared references,
-    cycles, non-total or out-of-domain mechanisms, unsatisfiable goals.
+    problem.  The document's own rules are checked here: syntax, duplicate
+    declarations and table rows, table-row width, edges (endpoints,
+    self-loops, repeats, the edge that closes a cycle), one ``do`` and one
+    ``rest``, a ``final`` needs a ``do``, repeated effects, and an edge into
+    a variable without a mechanism.  Every other rule belongs to the model
+    object a statement builds (``Mechanism``, ``check_parents``,
+    ``check_table``, ``do_surgery``, ``build_final_model``), which is built
+    once, in statement order, and whose error is reported at that line.
     """
     raw = _scan(text)
 
-    domains: dict[str, tuple[int, ...]] = {}
+    variables: dict[str, Variable] = {}
     for decl, lineno in raw.variables:
-        if decl.name in domains:
+        if decl.name in variables:
             raise SpecSyntaxError(f"duplicate variable {decl.name!r}", lineno)
-        domains[decl.name] = decl.domain
+        with _statement(lineno):
+            variables[decl.name] = Variable(decl.name, decl.domain)
 
     seen_edges: set[tuple[str, str]] = set()
     for (parent, child), lineno in raw.edges:
         for endpoint in (parent, child):
-            if endpoint not in domains:
+            if endpoint not in variables:
                 raise SpecSyntaxError(f"undeclared variable {endpoint!r}", lineno)
         if parent == child:
             raise SpecSyntaxError(f"self-loop on {parent!r}", lineno)
@@ -348,156 +375,101 @@ def parse_model(text: str) -> ModelSpecDocument:
 
     # acyclicity probe; on failure, blame the edge that closed the loop
     try:
-        dag = CausalDag(tuple(domains), tuple(e for e, _ in raw.edges))
+        dag = CausalDag(tuple(variables), tuple(e for e, _ in raw.edges))
     except ModelStructureError:
         raise SpecSyntaxError(
-            "edge closes a cycle", _cycle_line(raw.edges, tuple(domains))
+            "edge closes a cycle", _cycle_line(raw.edges, tuple(variables))
         ) from None
 
+    mechanisms: dict[str, Mechanism] = {}
     mech_decls: list[MechDecl] = []
-    mech_children: set[str] = set()
     for child, parents, body, lineno in raw.mechs:
-        if child not in domains:
-            raise SpecSyntaxError(f"undeclared variable {child!r}", lineno)
-        if child in mech_children:
+        if child in mechanisms:
             raise SpecSyntaxError(f"duplicate mechanism for {child!r}", lineno)
-        mech_children.add(child)
-        dag_parents = dag.parents(child)
-        if not dag_parents:
-            raise SpecSyntaxError(
-                f"{child} has no inbound edges; exogenous variables take no mechanism",
-                lineno,
-            )
-        if body == "sum":
-            assert parents is not None
-            notation = "sum"
-            rows_list = None
-        else:
-            notation = "table"
-            rows_list = body
+        with _statement(lineno):
             if parents is None:
-                parents = dag_parents
-        if set(parents) != set(dag_parents):
-            raise SpecSyntaxError(
-                f"mechanism parents ({', '.join(parents)}) do not match the "
-                f"edges into {child} ({', '.join(dag_parents)})",
-                lineno,
-            )
-        if len(set(parents)) != len(parents):
-            raise SpecSyntaxError(f"repeated parent in mechanism for {child}", lineno)
-        expected = set(itertools.product(*(domains[p] for p in parents)))
-        if notation == "sum":
-            rows = []
-            for combo in sorted(expected):
-                total = sum(combo)
-                if total not in domains[child]:
-                    raise SpecSyntaxError(
-                        f"sum {total} of {dict(zip(parents, combo))} is outside "
-                        f"the domain {domains[child]} of {child}; widen the domain",
-                        lineno,
-                    )
-                rows.append((combo, total))
-        else:
-            table: dict[tuple[int, ...], int] = {}
-            for key, value in rows_list:
-                if len(key) != len(parents):
-                    raise SpecSyntaxError(
-                        f"row {key} has {len(key)} values for {len(parents)} "
-                        f"parents of {child}",
-                        lineno,
-                    )
-                if key in table:
-                    raise SpecSyntaxError(f"duplicate table row {key}", lineno)
-                if key not in expected:
-                    raise SpecSyntaxError(
-                        f"row {key} is outside the parent domains of {child}", lineno
-                    )
-                if value not in domains[child]:
-                    raise SpecSyntaxError(
-                        f"value {value} outside domain {domains[child]} of {child}",
-                        lineno,
-                    )
-                table[key] = value
-            missing = expected - set(table)
-            if missing:
-                raise SpecSyntaxError(
-                    f"mechanism for {child} is not total: no row for "
-                    f"{sorted(missing)[0]}",
-                    lineno,
+                parents = dag.parents(child)
+            check_parents(dag, child, parents)
+            if body == "sum":
+                mech = Mechanism.sum_of(
+                    variables[child], (variables[p] for p in parents)
                 )
-            rows = sorted(table.items())
-        mech_decls.append(MechDecl(child, tuple(parents), tuple(rows), notation))
+            else:
+                table: dict[tuple[int, ...], int] = {}
+                for key, value in body:
+                    if len(key) != len(parents):
+                        raise SpecSyntaxError(
+                            f"row {key} has {len(key)} values for {len(parents)} "
+                            f"parents of {child}",
+                            lineno,
+                        )
+                    if key in table:
+                        raise SpecSyntaxError(f"duplicate table row {key}", lineno)
+                    table[key] = value
+                mech = Mechanism(child, parents, table)
+            check_table(mech, variables)
+        mechanisms[child] = mech
+        notation = "sum" if body == "sum" else "table"
+        mech_decls.append(
+            MechDecl(child, mech.parents, tuple(sorted(mech.table.items())), notation)
+        )
 
     for (_, child), lineno in raw.edges:
-        if child not in mech_children:
-            raise SpecSyntaxError(
-                f"model is not total: {child} has parents but no mechanism", lineno
-            )
+        if child not in mechanisms:
+            raise SpecSyntaxError(f"{child} has parents but no mechanism", lineno)
+    scm = Scm(dag, tuple(variables.values()), mechanisms)
 
     if len(raw.do_decls) > 1:
-        raise SpecSyntaxError(
-            "only one intervention per model", raw.do_decls[1][1]
-        )
-    do_target = None
+        raise SpecSyntaxError("only one intervention per model", raw.do_decls[1][1])
+    do_target = mstar = None
     if raw.do_decls:
         do_target, lineno = raw.do_decls[0]
-        if do_target not in domains:
-            raise SpecSyntaxError(f"undeclared variable {do_target!r}", lineno)
+        with _statement(lineno):
+            mstar = do_surgery(scm, do_target)
 
     if len(raw.rest_decls) > 1:
         raise SpecSyntaxError("only one rest declaration", raw.rest_decls[1][2])
     rest = None
     if raw.rest_decls:
         var, level, lineno = raw.rest_decls[0]
-        if var not in domains:
+        if var not in variables:
             raise SpecSyntaxError(f"undeclared variable {var!r}", lineno)
-        if do_target is None or var != do_target:
+        if var != do_target:
+            raise SpecSyntaxError("rest level must name the do variable", lineno)
+        if level not in variables[var].domain:
             raise SpecSyntaxError(
-                "rest level must name the do variable", lineno
-            )
-        if level not in domains[var]:
-            raise SpecSyntaxError(
-                f"rest level {level} outside domain {domains[var]}", lineno
+                f"rest level {level} outside domain {variables[var].domain}", lineno
             )
         rest = (var, level)
 
-    final_names: set[str] = set()
-    finals: list[FinalDecl] = []
+    finals: dict[str, FinalModel] = {}
     for decl, lineno in raw.finals:
-        if decl.name in final_names:
+        if decl.name in finals:
             raise SpecSyntaxError(f"duplicate final block {decl.name!r}", lineno)
-        final_names.add(decl.name)
-        if do_target is None:
-            raise SpecSyntaxError(
-                f"final {decl.name!r} needs a do declaration", lineno
-            )
-        for eff in decl.effects:
-            if eff not in domains:
-                raise SpecSyntaxError(f"undeclared variable {eff!r}", lineno)
+        if mstar is None:
+            raise SpecSyntaxError(f"final {decl.name!r} needs a do declaration", lineno)
         if len(set(decl.effects)) != len(decl.effects):
             raise SpecSyntaxError("repeated intended effect", lineno)
-        for var in decl.goal.variables:
-            if var not in domains:
-                raise SpecSyntaxError(f"undeclared variable {var!r}", lineno)
-            if var not in decl.effects:
-                raise SpecSyntaxError(
-                    f"goal mentions {var} outside the intended effects", lineno
-                )
-            if not any(map(decl.goal.level_tests[var], domains[var])):
-                raise SpecSyntaxError(
-                    f"goal {decl.goal} cannot be satisfied by any level of {var}",
-                    lineno,
-                )
-        finals.append(decl)
+        with _statement(lineno):
+            finals[decl.name] = build_final_model(
+                mstar, decl.effects, decl.goal, name=decl.name
+            )
 
-    return ModelSpecDocument(
+    document = ModelSpecDocument(
         variables=tuple(decl for decl, _ in raw.variables),
         edges=tuple(e for e, _ in raw.edges),
         mechanisms=tuple(mech_decls),
         do_target=do_target,
         rest=rest,
-        finals=tuple(finals),
+        finals=tuple(decl for decl, _ in raw.finals),
     )
+    return CompiledSpec(document, scm, mstar, finals, rest[1] if rest else None)
+
+
+def parse_model(text: str) -> ModelSpecDocument:
+    """The validated document of one spec: ``load_model(text).document``.
+    A document that parses always compiles."""
+    return load_model(text).document
 
 
 def print_model(doc: ModelSpecDocument) -> str:
@@ -540,32 +512,3 @@ def print_model(doc: ModelSpecDocument) -> str:
             f"final {f.name} {{ effects: {', '.join(f.effects)}; goal: {goal} }}"
         )
     return "\n".join(out) + "\n"
-
-
-def compile_document(doc: ModelSpecDocument) -> CompiledSpec:
-    """Turn a validated document into model objects."""
-    variables = tuple(Variable(v.name, v.domain) for v in doc.variables)
-    dag = CausalDag(tuple(v.name for v in variables), doc.edges)
-    mechanisms = {
-        m.child: Mechanism(m.child, m.parents, dict(m.rows)) for m in doc.mechanisms
-    }
-    scm = Scm(dag, variables, mechanisms)
-    mstar = None
-    finals: dict[str, FinalModel] = {}
-    if doc.do_target is not None:
-        mstar = do_surgery(scm, doc.do_target)
-        for fd in doc.finals:
-            finals[fd.name] = build_final_model(
-                mstar, fd.effects, fd.goal, name=fd.name
-            )
-    return CompiledSpec(
-        document=doc,
-        scm=scm,
-        mstar=mstar,
-        finals=finals,
-        rest=doc.rest[1] if doc.rest else None,
-    )
-
-
-def load_model(text: str) -> CompiledSpec:
-    return compile_document(parse_model(text))

@@ -125,8 +125,7 @@ class GoalPredicate:
             domain = scm.domain(var)  # raises UnknownVariableError
             if not any(map(test, domain)):
                 raise GoalError(
-                    f"goal {self} cannot be satisfied: no level of {var} in "
-                    f"{domain} meets its constraints"
+                    f"goal {self} cannot be satisfied by any level of {var}"
                 )
 
     def __str__(self) -> str:
@@ -203,30 +202,32 @@ def build_final_model(
 ) -> FinalModel:
     """Attach a goal hypothesis to a surgered model.
 
-    Intended effects must be causal descendants of the action in the base
-    model, and the goal may only mention intended effects.
+    The goal may only mention intended effects and must be satisfiable,
+    intended effects must be causal descendants of the action in the base
+    model, and reversing the arrows toward the action must leave a DAG;
+    the rules are checked in that order.
     """
     base = m.base
-    intended = set(intended)
+    intended = tuple(intended)
     if not intended:
         raise TeleologyError("at least one intended effect is required")
     for eff in intended:
         if eff not in base.dag.nodes:
             raise UnknownVariableError(f"unknown intended effect {eff!r}")
     order = {n: i for i, n in enumerate(base.names)}
-    intended = tuple(sorted(intended, key=order.__getitem__))
+    intended = tuple(sorted(set(intended), key=order.__getitem__))
+    stray = [v for v in goal.variables if v not in intended]
+    if stray:
+        raise TeleologyError(
+            f"goal mentions {', '.join(stray)} outside the intended effects"
+        )
+    goal.validate(base)
     descendants = set(base.dag.descendants(m.target))
     outside = [e for e in intended if e not in descendants]
     if outside:
         raise TeleologyError(
             f"intended effects must be causal descendants of {m.target}; "
             f"{', '.join(outside)} are not"
-        )
-    goal.validate(base)
-    stray = [v for v in goal.variables if v not in intended]
-    if stray:
-        raise TeleologyError(
-            f"goal mentions {', '.join(stray)} outside the intended effects"
         )
     final_dag = _reverse_toward_action(m.surgered_dag, m.target, intended)
     return FinalModel(m, intended, goal, final_dag, name)

@@ -224,6 +224,21 @@ class TestErrorHandling:
         assert result.exit_code == 1
         assert "line 2" in result.output
 
+    def test_final_effect_outside_the_descendants_reports_its_line(
+        self, runner, tmp_path
+    ):
+        # the final is not needed to list the worlds, but the spec is refused
+        spec = tmp_path / "upstream.tele"
+        text = Path(SPEC).read_text()
+        spec.write_text(text.replace("B; goal: B = 0", "W; goal: W = 0"))
+        result = invoke(runner, "worlds", str(spec))
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (
+            "error: line 26: "
+            "intended effects must be causal descendants of H; W are not\n"
+        )
+
     def test_non_ascii_digit_is_an_error_not_a_crash(self, runner, tmp_path):
         spec = tmp_path / "superscript.tele"
         spec.write_text("var W in 0..\u00b2\n", encoding="utf-8")

@@ -1,20 +1,22 @@
 """Mutation fuzz of the two text inputs: model specs and CSV datasets.
 
 Each example applies a few character insertions, replacements and deletions
-to a valid document.  Loading the result must either succeed or raise a
-TeleoError; any other exception would reach the command line as a
-traceback instead of an ``error:`` line.  Half of the mutations land next
-to a digit, where the integer readers are, and the alphabet mixes ASCII
-syntax with characters that ``str`` methods treat as digits or whitespace
-but ``int`` does not read as ASCII: a superscript two, an Arabic-Indic
-three, a no-break space, a byte-order mark and a carriage return.
+to a valid document.  Loading a mutated spec must either succeed or raise a
+SpecSyntaxError that names a line; loading a mutated dataset must either
+succeed or raise a TeleoError.  Any other exception would reach the command
+line as a traceback instead of an ``error:`` line.  Half of the mutations
+land next to a digit, where the integer readers are, and the alphabet mixes
+ASCII syntax with characters that ``str`` methods treat as digits or
+whitespace but ``int`` does not read as ASCII: a superscript two, an
+Arabic-Indic three, a no-break space, a byte-order mark and a carriage
+return.
 """
 
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from teleo.errors import TeleoError
+from teleo.errors import SpecSyntaxError, TeleoError
 from teleo.identification import load_dataset
 from teleo.speclang import load_model
 
@@ -52,8 +54,8 @@ def mutated(draw, text: str) -> str:
 def test_mutated_spec_loads_or_raises_teleo_error(text):
     try:
         load_model(text)
-    except TeleoError:
-        pass
+    except SpecSyntaxError as exc:
+        assert exc.line >= 1
 
 
 @FUZZ

@@ -80,6 +80,10 @@ class TestStructuralValidation:
         with pytest.raises(ModelStructureError, match="outside domain"):
             Scm(dag, (x, y), {"Y": Mechanism("Y", ("X",), {(0,): 0, (1,): 7})})
 
+    def test_repeated_parent_rejected(self):
+        with pytest.raises(ModelStructureError, match="repeated parent"):
+            Mechanism("C", ("A", "A"), {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0})
+
     def test_sum_constructor_rejects_out_of_domain(self):
         x = Variable("X", (0, 1))
         y = Variable("Y", (0, 1))

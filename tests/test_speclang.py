@@ -202,6 +202,193 @@ class TestDiagnostics:
         assert e.line == 1 and "expected an integer" in str(e)
 
 
+def fault(name: str, text: str, message: str):
+    return pytest.param(text, message, id=name)
+
+
+# MINI's statements sit on lines 1-2 (var), 4 (edge), 6 (mech), 8 (do) and
+# 9 (final).  One spec per rule, each breaking that rule alone.
+SINGLE_FAULTS = [
+    # the document's own rules, checked by the parser
+    fault("syntax", "var W in 0..\n", "line 1, column 13: expected an integer"),
+    fault(
+        "unknown-statement",
+        "vra W in 0..1\n",
+        "line 1, column 1: unknown statement 'vra'",
+    ),
+    fault(
+        "one-level-domain",
+        "var W in 3..3\n",
+        "line 1, column 14: domain 3..3 needs at least two increasing levels",
+    ),
+    fault(
+        "duplicate-variable",
+        "var W in 0..1\nvar W in 0..1\n",
+        "line 2: duplicate variable 'W'",
+    ),
+    fault(
+        "undeclared-endpoint",
+        "var W in 0..1\nedge W -> T\n",
+        "line 2: undeclared variable 'T'",
+    ),
+    fault("self-loop", "var W in 0..1\nedge W -> W\n", "line 2: self-loop on 'W'"),
+    fault(
+        "duplicate-edge",
+        MINI.replace("edge X -> Y\n", "edge X -> Y\nedge X -> Y\n"),
+        "line 5: duplicate edge X -> Y",
+    ),
+    fault(
+        "cycle",
+        MINI.replace("edge X -> Y\n", "edge X -> Y\nedge Y -> X\n"),
+        "line 5: edge closes a cycle",
+    ),
+    fault(
+        "duplicate-mechanism",
+        MINI.replace("\ndo X", "mech Y = sum(X)\ndo X"),
+        "line 7: duplicate mechanism for 'Y'",
+    ),
+    fault(
+        "row-width",
+        MINI.replace("(1)->0", "(1,0)->0"),
+        "line 6: row (1, 0) has 2 values for 1 parents of Y",
+    ),
+    fault(
+        "duplicate-row",
+        MINI.replace("(1)->0", "(0)->0"),
+        "line 6: duplicate table row (0,)",
+    ),
+    fault(
+        "missing-mechanism",
+        MINI.replace("mech Y", "# mech Y"),
+        "line 4: Y has parents but no mechanism",
+    ),
+    fault("second-do", MINI + "do Y\n", "line 10: only one intervention per model"),
+    fault(
+        "second-rest",
+        MINI + "rest X = 0\nrest X = 1\n",
+        "line 11: only one rest declaration",
+    ),
+    fault("rest-undeclared", MINI + "rest Q = 0\n", "line 10: undeclared variable 'Q'"),
+    fault(
+        "rest-not-the-do-variable",
+        MINI + "rest Y = 0\n",
+        "line 10: rest level must name the do variable",
+    ),
+    fault(
+        "rest-level-outside-domain",
+        MINI + "rest X = 7\n",
+        "line 10: rest level 7 outside domain (0, 1)",
+    ),
+    fault(
+        "final-without-do",
+        MINI.replace("do X\n", ""),
+        "line 8: final 'flip' needs a do declaration",
+    ),
+    fault(
+        "duplicate-final",
+        MINI + "final flip { effects: Y; goal: Y = 0 }\n",
+        "line 10: duplicate final block 'flip'",
+    ),
+    fault(
+        "repeated-effect",
+        MINI.replace("effects: Y;", "effects: Y, Y;"),
+        "line 9: repeated intended effect",
+    ),
+    # the rules of the model objects, reported at the line of their statement
+    fault(
+        "mechanism-for-undeclared",
+        MINI.replace("mech Y", "mech Q"),
+        "line 6: unknown variable 'Q'",
+    ),
+    fault(
+        "mechanism-for-exogenous",
+        "var X in 0..1\nmech X = table { (0)->0 }\n",
+        "line 2: X has no inbound edges; exogenous variables take no mechanism",
+    ),
+    fault(
+        "parent-mismatch",
+        "var X in 0..1\nvar Z in 0..1\nvar Y in 0..1\nedge X -> Y\nmech Y = sum(Z)\n",
+        "line 5: mechanism parents (Z) do not match the edges into Y (X)",
+    ),
+    fault(
+        "repeated-parent-in-table",
+        MINI.replace("(X) { (0)->1; (1)->0 }", "(X, X) { (0,0)->0; (1,1)->0 }"),
+        "line 6: repeated parent in mechanism for Y",
+    ),
+    fault(
+        "repeated-parent-in-sum",
+        "var X in 0..1\nvar Y in 0..2\nedge X -> Y\nmech Y = sum(X, X)\n",
+        "line 4: repeated parent in mechanism for Y",
+    ),
+    fault(
+        "sum-outside-domain",
+        "var A in 0..1\nvar B in 0..1\nvar S in 0..1\n"
+        "edge A -> S\nedge B -> S\nmech S = sum(A, B)\n",
+        "line 6: sum 2 of {'A': 1, 'B': 1} is outside domain (0, 1) of S; "
+        "widen the domain",
+    ),
+    fault(
+        "row-outside-parent-domains",
+        MINI.replace("(1)->0", "(1)->0; (2)->0"),
+        "line 6: row (2,) is outside the parent domains of Y",
+    ),
+    fault(
+        "value-outside-domain",
+        MINI.replace("(1)->0", "(1)->7"),
+        "line 6: value 7 outside domain (0, 1) of Y",
+    ),
+    fault(
+        "table-not-total",
+        MINI.replace("; (1)->0", ""),
+        "line 6: mechanism for Y is not total: no entry for parent values (1,)",
+    ),
+    fault(
+        "do-undeclared",
+        MINI.replace("do X", "do Q"),
+        "line 8: unknown intervention target 'Q'",
+    ),
+    fault(
+        "effect-undeclared",
+        MINI.replace("effects: Y;", "effects: Y, Q;"),
+        "line 9: unknown intended effect 'Q'",
+    ),
+    fault(
+        "goal-undeclared",
+        MINI.replace("goal: Y = 1", "goal: Q = 1"),
+        "line 9: goal mentions Q outside the intended effects",
+    ),
+    fault(
+        "goal-outside-effects",
+        MINI.replace("goal: Y = 1", "goal: X = 1"),
+        "line 9: goal mentions X outside the intended effects",
+    ),
+    fault(
+        "goal-unsatisfiable",
+        MINI.replace("goal: Y = 1", "goal: Y = 5"),
+        "line 9: goal Y=5 cannot be satisfied by any level of Y",
+    ),
+    fault(
+        "effect-not-a-descendant",
+        MINI.replace("do X", "do Y").replace("Y; goal: Y", "X; goal: X"),
+        "line 9: intended effects must be causal descendants of Y; X are not",
+    ),
+    fault(
+        # X -> Y -> Z, do X: reversing toward X for Z alone adds Z -> X
+        "reversal-closes-a-cycle",
+        "var X in 0..1\nvar Y in 0..1\nvar Z in 0..1\nedge X -> Y\nedge Y -> Z\n"
+        "mech Y = sum(X)\nmech Z = sum(Y)\ndo X\n"
+        "final deep { effects: Z; goal: Z = 1 }\n",
+        "line 9: reversing arrows toward X for effects {Z} breaks the graph: "
+        "graph has a cycle through X, Y, Z",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, message", SINGLE_FAULTS)
+def test_each_rule_reports_its_statement(text, message):
+    assert str(err(text)) == message
+
+
 class TestRoundTrip:
     CORPUS = [ROOM, MINI, MINI.replace("table(X)", "table")]
 
