@@ -20,7 +20,6 @@ from teleo.model import (
     Mechanism,
     Scm,
     Variable,
-    World,
     WorldTable,
     conditional_distribution,
     enumerate_worlds,
@@ -64,7 +63,6 @@ __all__ = [
     "CausalDag",
     "Mechanism",
     "Scm",
-    "World",
     "WorldTable",
     "IndependenceStatement",
     "enumerate_worlds",

@@ -229,10 +229,8 @@ def distinguish(ctx, spec: str, names: tuple[str, ...]):
             (f2.label, verdict.only_second),
         ):
             lines.append(f"worlds compatible only with {label}:")
-            if worlds:
-                lines.append(
-                    render_table(columns, [w.values for w in worlds]).rstrip("\n")
-                )
+            if worlds.rows:
+                lines.append(_table_text(worlds).rstrip("\n"))
             else:
                 lines.append("(none)")
         return "\n".join(lines) + "\n"
@@ -243,8 +241,8 @@ def distinguish(ctx, spec: str, names: tuple[str, ...]):
             "second": f2.label,
             "distinguishable": verdict.distinguishable,
             "columns": list(columns),
-            "only_first": [list(w.values) for w in verdict.only_first],
-            "only_second": [list(w.values) for w in verdict.only_second],
+            "only_first": [list(v) for v in verdict.only_first.rows],
+            "only_second": [list(v) for v in verdict.only_second.rows],
         }
 
     _emit(ctx, "distinguish", result, human)
@@ -333,9 +331,7 @@ def identify(ctx, spec: str, data: str, enumerate_all: bool, max_effects: int):
                     "equivalence_class": e.equivalence_class,
                     "support_compatible": e.verdict.support_compatible,
                     "compatible_world_count": e.verdict.compatible_world_count,
-                    "violating_rows": [
-                        list(w.values) for w in e.verdict.violating_rows
-                    ],
+                    "violating_rows": [list(v) for v in e.verdict.violating_rows.rows],
                     "dependence_checks": [
                         {
                             **_stmt_fields(c.statement),
@@ -419,9 +415,9 @@ def reduce(ctx, spec: str, name: str, rest_level: int | None):
                 "columns": list(r.shared_columns),
                 "relation": cmp.world_relation,
                 "worlds_only_reduction": [
-                    list(w.values) for w in cmp.worlds_only_reduction
+                    list(v) for v in cmp.worlds_only_reduction.rows
                 ],
-                "worlds_only_final": [list(w.values) for w in cmp.worlds_only_final],
+                "worlds_only_final": [list(v) for v in cmp.worlds_only_final.rows],
             },
             "structure": {
                 "action_listens_final": list(cmp.action_listens_final),

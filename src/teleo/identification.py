@@ -13,12 +13,12 @@ statistical testing here, deliberately.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Mapping
 
 from teleo.errors import BindingError, ComparisonError, DatasetError, TeleoError
-from teleo.model import IndependenceStatement, Scm, World, WorldTable, factorization
+from teleo.model import IndependenceStatement, Scm, WorldTable, factorization
 from teleo.speclang import INTEGER
 from teleo.teleology import FinalModel, compatible_worlds
 
@@ -171,7 +171,7 @@ class IdentificationVerdict:
 
     hypothesis: FinalModel
     support_compatible: bool
-    violating_rows: tuple[World, ...]
+    violating_rows: WorldTable
     dependence_checks: tuple[DependenceCheck, ...]
     compatible_world_count: int
 
@@ -189,13 +189,10 @@ def check_support(f: FinalModel, d: Dataset) -> IdentificationVerdict:
     compatible-world set are violations."""
     _bind(f, d)
     table = compatible_worlds(f)
-    allowed = set(table.rows)
-    violating = tuple(
-        World(d.columns, values) for values in d.support.rows if values not in allowed
-    )
+    violating = d.support.outside(table)
     return IdentificationVerdict(
         hypothesis=f,
-        support_compatible=not violating,
+        support_compatible=not violating.rows,
         violating_rows=violating,
         dependence_checks=(),
         compatible_world_count=len(table),
@@ -255,15 +252,7 @@ def rank_hypotheses(
         checks: tuple[DependenceCheck, ...] = ()
         if support.compatible_world_count:
             checks = tuple(check_dependence(f, d, s) for s in pair_stmts)
-        verdicts.append(
-            IdentificationVerdict(
-                hypothesis=f,
-                support_compatible=support.support_compatible,
-                violating_rows=support.violating_rows,
-                dependence_checks=checks,
-                compatible_world_count=support.compatible_world_count,
-            )
-        )
+        verdicts.append(replace(support, dependence_checks=checks))
     decl_index = {id(f): i for i, f in enumerate(candidates)}
     ordered = sorted(
         verdicts,

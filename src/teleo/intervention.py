@@ -16,7 +16,7 @@ from functools import cached_property, partial
 from typing import TYPE_CHECKING
 
 from teleo.errors import UnknownVariableError
-from teleo.model import CausalDag, Scm, WorldTable, enumerate_worlds
+from teleo.model import CausalDag, Scm, WorldTable
 
 if TYPE_CHECKING:
     from teleo.teleology import GoalPredicate
@@ -42,13 +42,9 @@ class MStarModel:
     """A base model after surgery on one variable.
 
     ``model`` is the surgered Scm: same nodes and variables as the base,
-    inbound edges of the target removed, target mechanism dropped.
-
-    ``worlds`` is the surgered model's world table, computed on first use
-    and shared by every later reader of this object, and ``worlds_meeting``
-    keeps one filtered table per goal the same way.  That is sound because
-    the object is frozen and ``Scm`` copies its mechanisms at construction;
-    callers must not mutate ``Scm.mechanisms`` in place.
+    inbound edges of the target removed, target mechanism dropped.  Its
+    world table (``Scm.worlds``) is enumerated once, and ``worlds_meeting``
+    keeps one filtered table per goal the same way.
     """
 
     base: Scm
@@ -64,10 +60,6 @@ class MStarModel:
         return self.model.dag
 
     @cached_property
-    def worlds(self) -> WorldTable:
-        return enumerate_worlds(self.model)
-
-    @cached_property
     def _worlds_by_goal(self) -> dict[GoalPredicate, WorldTable]:
         return {}
 
@@ -79,7 +71,7 @@ class MStarModel:
         """
         table = self._worlds_by_goal.get(goal)
         if table is None:
-            table = self.worlds.filter(goal.level_tests)
+            table = self.model.worlds.filter(goal.level_tests)
             self._worlds_by_goal[goal] = table
         return table
 
@@ -105,10 +97,10 @@ def enumerate_worlds_star(m: MStarModel) -> WorldTable:
 
     The freed target ranges over its whole domain alongside the base
     exogenous variables; fixing the target to one value is a query-time
-    restriction, not part of the table.  The table is computed once per
-    ``MStarModel`` and the same object is returned on every call.
+    restriction, not part of the table.  The table is the surgered model's
+    ``Scm.worlds``: computed once, and the same object on every call.
     """
-    return m.worlds
+    return m.model.worlds
 
 
 def interventional_distribution(

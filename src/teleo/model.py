@@ -6,12 +6,12 @@ Exogenous variables range freely over their domains, so the set of worlds
 consistent with the model is finite and enumerable: one world per combination
 of exogenous values.
 
-World tables are columnar: a table stores its worlds as sorted, distinct
-integer value tuples and builds each variable's column once, on first use.
-Enumeration fills every endogenous column in one pass per mechanism, goal
-filters test the goal variables' columns, and independence queries count
-column cells.  ``World`` is a view over one row, made only for callers that
-iterate a table.
+A world table is the one representation of a set of worlds: it stores
+them as sorted, distinct integer value tuples and builds each variable's
+column once, on first use.  Enumeration fills every endogenous column in one
+pass per mechanism, goal filters test the goal variables' columns,
+independence queries count column cells, and set comparisons take the rows
+one table has and another lacks (``WorldTable.outside``).
 
 World tables carry a uniform weighting over their members.  All probability
 comparisons are exact.  Independence is decided by one count-weighted
@@ -45,7 +45,6 @@ __all__ = [
     "check_parents",
     "check_table",
     "Scm",
-    "World",
     "WorldTable",
     "IndependenceStatement",
     "statement_grid",
@@ -286,7 +285,13 @@ def check_table(mech: Mechanism, variables: Mapping[str, Variable]) -> None:
 
 @dataclass(frozen=True)
 class Scm:
-    """A causal DAG with one deterministic mechanism per endogenous node."""
+    """A causal DAG with one deterministic mechanism per endogenous node.
+
+    ``worlds`` is the model's world table, enumerated on first use and
+    shared by every later reader.  That is sound because the object is
+    frozen and copies its mechanisms at construction; callers must not
+    mutate ``mechanisms`` in place.
+    """
 
     dag: CausalDag
     variables: tuple[Variable, ...]
@@ -300,6 +305,11 @@ class Scm:
             raise ModelStructureError("duplicate variable declaration")
         if set(by_name) != set(self.dag.nodes):
             raise ModelStructureError("dag nodes and declared variables differ")
+        for name in self.mechanisms:
+            if name not in by_name:
+                raise ModelStructureError(
+                    f"mechanism filed under {name}, which is not a node"
+                )
         for node in self.dag.nodes:
             mech = self.mechanisms.get(node)
             if mech is None:
@@ -326,37 +336,9 @@ class Scm:
     def domain(self, name: str) -> tuple[int, ...]:
         return self.variable(name).domain
 
-
-@dataclass(frozen=True)
-class World:
-    """A total assignment of one level to every model variable."""
-
-    names: tuple[str, ...]
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "values", tuple(self.values))
-        if len(self.names) != len(self.values):
-            raise ModelStructureError("world names and values differ in length")
-        if len(set(self.names)) != len(self.names):
-            raise ModelStructureError("world assigns a variable twice")
-
-    def __getitem__(self, name: str) -> int:
-        try:
-            return self.values[self.names.index(name)]
-        except ValueError:
-            raise UnknownVariableError(f"unknown variable {name!r}") from None
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(zip(self.names, self.values))
-
-    def project(self, names: Iterable[str]) -> "World":
-        names = tuple(names)
-        return World(names, tuple(self[n] for n in names))
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(f"{n}={v}" for n, v in zip(self.names, self.values)) + ")"
+    @cached_property
+    def worlds(self) -> "WorldTable":
+        return enumerate_worlds(self)
 
 
 @dataclass(frozen=True)
@@ -364,10 +346,9 @@ class WorldTable:
     """An ordered, deduplicated set of worlds under uniform weighting.
 
     ``rows`` holds one value tuple per world, aligned with ``columns`` and
-    sorted lexicographically, which makes every printed table reproducible.
-    The kernels read whole columns (``column``), each built once on first
-    use and cached.  ``World`` objects are views, made only when a caller
-    iterates the table.
+    sorted lexicographically, which makes every printed table reproducible
+    and lets equal sets compare equal.  The kernels read whole columns
+    (``column``), each built once on first use and cached.
     """
 
     columns: tuple[str, ...]
@@ -388,13 +369,6 @@ class WorldTable:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def __iter__(self) -> Iterator[World]:
-        return (World(self.columns, values) for values in self.rows)
-
-    @property
-    def world_set(self) -> frozenset[World]:
-        return frozenset(self)
 
     @cached_property
     def _column_cache(self) -> dict[str, tuple[int, ...]]:
@@ -423,6 +397,16 @@ class WorldTable:
         if not columns:
             return WorldTable(columns, [()] if self.rows else [])
         return WorldTable(columns, zip(*map(self.column, columns)))
+
+    def outside(self, other: "WorldTable") -> "WorldTable":
+        """The rows of this table that ``other`` lacks, under this table's
+        columns.  Both tables must have the same columns."""
+        if other.columns != self.columns:
+            raise ModelStructureError(
+                f"cannot compare tables over {self.columns} and {other.columns}"
+            )
+        lacking = set(other.rows)
+        return WorldTable(self.columns, (r for r in self.rows if r not in lacking))
 
     def distribution(self, query: str) -> dict[int, Fraction]:
         """Marginal distribution of one variable, exact Fractions."""

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from teleo.dsep import d_separated
@@ -33,9 +32,7 @@ from teleo.model import (
     Mechanism,
     Scm,
     Variable,
-    World,
     WorldTable,
-    enumerate_worlds,
     propagate,
     row_mask,
     statement_grid,
@@ -59,13 +56,7 @@ INTENTION_NAME = "I"
 
 @dataclass(frozen=True)
 class ReductionModel:
-    """An ordinary causal model standing in for a final model.
-
-    ``worlds`` is the world table of ``scm``, computed on first use and
-    shared by every later reader of this object.  That is sound because the
-    object is frozen and ``Scm`` copies its mechanisms at construction;
-    callers must not mutate ``Scm.mechanisms`` in place.
-    """
+    """An ordinary causal model standing in for a final model."""
 
     source: FinalModel
     scm: Scm
@@ -79,10 +70,6 @@ class ReductionModel:
         """Base variable names, with goal variables read from their
         post-action copies."""
         return self.source.mstar.model.names
-
-    @cached_property
-    def worlds(self) -> WorldTable:
-        return enumerate_worlds(self.scm)
 
 
 def build_reduction(f: FinalModel, rest_level: int | None = None) -> ReductionModel:
@@ -183,21 +170,20 @@ def build_reduction(f: FinalModel, rest_level: int | None = None) -> ReductionMo
             pre_of[g], tuple(parents), tabulate(parents, rest, g)
         )
 
-    # the intention: 1 iff the goal is unmet at rest and some level meets it
-    pre_domains = [surgered.domain(g) for g in goal_vars]
+    # the intention: 1 iff the goal is unmet at rest and some level meets it;
+    # contexts that share a pre-state must agree, and unseen pre-states idle
+    fires: dict[tuple[int, ...], set[bool]] = {}
+    for pre, met, levels in surveys:
+        fires.setdefault(pre, set()).add(not met and bool(levels))
     i_table: dict[tuple[int, ...], int] = {}
-    for combo in itertools.product(*pre_domains):
-        fires = {
-            bool((not met) and levels)
-            for pre, met, levels in surveys
-            if pre == combo
-        }
-        if len(fires) > 1:
+    for combo in itertools.product(*(surgered.domain(g) for g in goal_vars)):
+        seen = fires.get(combo, {False})
+        if len(seen) > 1:
             raise ReductionError(
                 "intention is not a function of the pre-action goal "
                 f"measurements: contexts with pre-state {combo} disagree"
             )
-        i_table[combo] = int(fires.pop()) if fires else 0
+        i_table[combo] = int(True in seen)
     variables.append(Variable(INTENTION_NAME, (0, 1)))
     mechanisms[INTENTION_NAME] = Mechanism(
         INTENTION_NAME, tuple(pre_of[g] for g in goal_vars), i_table
@@ -249,7 +235,7 @@ def _assemble(variables: Sequence[Variable], mechanisms: dict[str, Mechanism]) -
 def reduction_worlds(r: ReductionModel) -> WorldTable:
     """Worlds of the reduction's causal model, computed once per
     ``ReductionModel``; the same object is returned on every call."""
-    return r.worlds
+    return r.scm.worlds
 
 
 def splice_out(scm: Scm, name: str) -> Scm:
@@ -352,8 +338,8 @@ class StructuralComparison:
     action_listens_reduction: tuple[str, ...]
     dsep_disagreements: tuple[tuple[IndependenceStatement, bool, bool], ...]
     world_relation: str  # "equal" | "subset" | "diverges"
-    worlds_only_reduction: tuple[World, ...]
-    worlds_only_final: tuple[World, ...]
+    worlds_only_reduction: WorldTable
+    worlds_only_final: WorldTable
 
     @property
     def action_wiring_differs(self) -> bool:
@@ -395,17 +381,16 @@ def compare_structures(f: FinalModel, r: ReductionModel) -> StructuralComparison
         if sep_f != sep_r:
             disagreements.append((stmt, sep_f, sep_r))
 
+    # the reduction's worlds read on the base variables, goal variables from
+    # their post-action copies, then relabelled to the base names
     shared = r.shared_columns
-    red_set = set(
-        reduction_worlds(r).project(tuple(r.post_of.get(n, n) for n in shared)).rows
-    )
-    final_set = set(compatible_worlds(f).rows)
-    if red_set == final_set:
-        relation = "equal"
-    elif red_set < final_set:
-        relation = "subset"
-    else:
+    post = reduction_worlds(r).project(r.post_of.get(n, n) for n in shared)
+    reduced, final = WorldTable(shared, post.rows), compatible_worlds(f)
+    only_reduction, only_final = reduced.outside(final), final.outside(reduced)
+    if only_reduction.rows:
         relation = "diverges"
+    else:
+        relation = "subset" if only_final.rows else "equal"
     return StructuralComparison(
         action=f.mstar.target,
         final_dag=f.final_dag,
@@ -417,10 +402,6 @@ def compare_structures(f: FinalModel, r: ReductionModel) -> StructuralComparison
         action_listens_reduction=projected_dag.parents(f.mstar.target),
         dsep_disagreements=tuple(disagreements),
         world_relation=relation,
-        worlds_only_reduction=tuple(
-            World(shared, values) for values in sorted(red_set - final_set)
-        ),
-        worlds_only_final=tuple(
-            World(shared, values) for values in sorted(final_set - red_set)
-        ),
+        worlds_only_reduction=only_reduction,
+        worlds_only_final=only_final,
     )

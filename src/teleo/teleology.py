@@ -33,7 +33,6 @@ from teleo.model import (
     CausalDag,
     IndependenceStatement,
     Scm,
-    World,
     WorldTable,
     statement_grid,
     uniform_independent,
@@ -114,9 +113,6 @@ class GoalPredicate:
             var: partial(_meets, tuple(c for c in self.conjuncts if c.variable == var))
             for var in self.variables
         }
-
-    def holds(self, world: World) -> bool:
-        return all(test(world[var]) for var, test in self.level_tests.items())
 
     def validate(self, scm: Scm) -> None:
         """Check every referenced variable exists and the conjunction is
@@ -274,15 +270,21 @@ def implied_dependencies(f: FinalModel) -> list[ImpliedDependence]:
 
 @dataclass(frozen=True)
 class Distinguishability:
-    """Whether two goal hypotheses predict different observation conditions."""
+    """Whether two goal hypotheses predict different observation conditions:
+    the compatible worlds only the first allows, and those only the second
+    allows."""
 
-    distinguishable: bool
-    only_first: tuple[World, ...]
-    only_second: tuple[World, ...]
+    only_first: WorldTable
+    only_second: WorldTable
 
     @property
-    def witnesses(self) -> tuple[World, ...]:
-        return tuple(sorted(self.only_first + self.only_second, key=lambda w: w.values))
+    def distinguishable(self) -> bool:
+        return bool(self.only_first.rows or self.only_second.rows)
+
+    @property
+    def witnesses(self) -> WorldTable:
+        rows = self.only_first.rows + self.only_second.rows
+        return WorldTable(self.only_first.columns, rows)
 
 
 def distinguishable(f1: FinalModel, f2: FinalModel) -> Distinguishability:
@@ -296,10 +298,7 @@ def distinguishable(f1: FinalModel, f2: FinalModel) -> Distinguishability:
             "hypotheses must be built over the same base model and intervention"
         )
     t1, t2 = compatible_worlds(f1), compatible_worlds(f2)
-    s1, s2 = set(t1.rows), set(t2.rows)
-    only1 = tuple(World(t1.columns, values) for values in sorted(s1 - s2))
-    only2 = tuple(World(t2.columns, values) for values in sorted(s2 - s1))
-    return Distinguishability(s1 != s2, only1, only2)
+    return Distinguishability(t1.outside(t2), t2.outside(t1))
 
 
 @dataclass(frozen=True)

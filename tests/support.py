@@ -12,13 +12,16 @@ as Fractions and compares them.
 The world oracles are the row-wise reading of the library's columnar world
 tables: one ``World`` per exogenous combination, each mechanism evaluated
 world by world, goals checked comparison by comparison, projections made
-world by world.
+world by world.  ``World`` is the oracles' row type; the library keeps every
+set of worlds as a ``WorldTable``, and ``worlds_of`` reads one back as
+``World``s.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 from teleo.model import (
@@ -27,7 +30,7 @@ from teleo.model import (
     Mechanism,
     Scm,
     Variable,
-    World,
+    WorldTable,
     enumerate_worlds,
 )
 from teleo.errors import EmptyTableError, TeleologyError
@@ -36,6 +39,32 @@ from teleo.intervention import do_surgery
 from teleo.teleology import Comparison, GoalPredicate, build_final_model
 
 NAMES = tuple("ABCDEFGH")
+
+
+@dataclass(frozen=True)
+class World:
+    """A total assignment of one level to every named variable."""
+
+    names: tuple[str, ...]
+    values: tuple[int, ...]
+
+    def __getitem__(self, name: str) -> int:
+        return self.values[self.names.index(name)]
+
+    def as_dict(self) -> dict[str, int]:
+        return dict(zip(self.names, self.values))
+
+    def project(self, names: tuple[str, ...]) -> "World":
+        return World(names, tuple(self[n] for n in names))
+
+
+def worlds_of(table: WorldTable) -> list[World]:
+    """The rows of a world table as ``World``s, in row order."""
+    return [World(table.columns, values) for values in table.rows]
+
+
+def world_set(table: WorldTable) -> frozenset[World]:
+    return frozenset(worlds_of(table))
 
 
 def reachability_oracle(edges) -> set[tuple[str, str]]:
@@ -285,8 +314,8 @@ def m1_scm() -> Scm:
     return Scm(dag, (w, h, t, b), mechanisms)
 
 
-def value_sets(table) -> set[tuple[int, ...]]:
-    return {w.values for w in table}
+def value_sets(table: WorldTable) -> set[tuple[int, ...]]:
+    return set(table.rows)
 
 
 def chain_scm() -> Scm:
@@ -303,6 +332,9 @@ def chain_scm() -> Scm:
 
 
 __all__ = [
+    "World",
+    "worlds_of",
+    "world_set",
     "reachability_oracle",
     "topological_oracle",
     "dsep_oracle",

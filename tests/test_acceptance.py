@@ -36,6 +36,7 @@ from support import (
     random_goal,
     random_scm,
     value_sets,
+    world_set,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -139,7 +140,7 @@ def test_c06_reduction_table(room, finals):
     assert table.columns == ("W", "T0", "I", "H", "T1", "B")
     assert value_sets(table) == TABLE_5
     projected = table.project(("W", "H", "T1", "B"))
-    assert {w.values for w in projected} == TABLE_3["T=1"]
+    assert value_sets(projected) == TABLE_3["T=1"]
     result = CliRunner().invoke(cli, ["reduce", SPEC, "--final", "warm"])
     assert result.exit_code == 0
     golden = (Path(__file__).parent / "golden" / "reduce_warm.txt").read_text()
@@ -181,8 +182,8 @@ def test_c09_property_sweep():
         if f is None:
             continue
         assert (
-            compatible_worlds(f).world_set
-            <= enumerate_worlds_star(f.mstar).world_set
+            world_set(compatible_worlds(f))
+            <= world_set(enumerate_worlds_star(f.mstar))
         )
         checked += 1
 
@@ -198,8 +199,8 @@ def test_c09_property_sweep():
         widened = GoalPredicate(f.goal.conjuncts + (extra,))
         star = enumerate_worlds_star(f.mstar)
         assert (
-            star.filter(widened.level_tests).world_set
-            <= star.filter(f.goal.level_tests).world_set
+            world_set(star.filter(widened.level_tests))
+            <= world_set(star.filter(f.goal.level_tests))
         )
         checked += 1
 

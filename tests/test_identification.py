@@ -115,18 +115,18 @@ class TestCheckSupport:
     def test_matching_data_has_no_violations(self, scm, finals):
         d = load_dataset(WARM_DATA, scm)
         v = check_support(finals[0], d)
-        assert v.support_compatible and v.violating_rows == ()
+        assert v.support_compatible and v.violating_rows.rows == ()
 
     def test_heating_on_during_a_sunny_day_refutes_warm(self, scm, finals):
         d = load_dataset("W,H,T,B\n1,0,1,0\n1,1,2,1\n", scm)
         v = check_support(finals[0], d)
         assert not v.support_compatible
-        assert [w.values for w in v.violating_rows] == [(1, 1, 2, 1)]
+        assert list(v.violating_rows.rows) == [(1, 1, 2, 1)]
 
     def test_expensive_row_refutes_cheap(self, scm, finals):
         d = load_dataset("W,H,T,B\n0,1,1,1\n", scm)
         v = check_support(finals[3], d)
-        assert [w.values for w in v.violating_rows] == [(0, 1, 1, 1)]
+        assert list(v.violating_rows.rows) == [(0, 1, 1, 1)]
 
     def test_unbound_dataset(self, finals):
         d = Dataset(("W", "H"), (((0, 0), 1),))

@@ -17,7 +17,7 @@ from teleo.model import (
     enumerate_worlds,
 )
 
-from support import chain_scm, m1_scm, value_sets
+from support import chain_scm, m1_scm, value_sets, world_set
 
 
 class TestSurgery:
@@ -52,7 +52,7 @@ class TestStarWorlds:
     def test_exogenous_target_reproduces_base_table(self):
         scm = m1_scm()
         star = enumerate_worlds_star(do_surgery(scm, "H"))
-        assert star.world_set == enumerate_worlds(scm).world_set
+        assert world_set(star) == world_set(enumerate_worlds(scm))
 
     def test_chain_do_y_frees_both_settings(self):
         # 2 x 2 free settings of (X, Y); Z copies Y

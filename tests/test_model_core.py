@@ -8,7 +8,6 @@ from teleo.model import (
     Mechanism,
     Scm,
     Variable,
-    World,
     WorldTable,
     conditional_distribution,
     enumerate_worlds,
@@ -64,6 +63,19 @@ class TestStructuralValidation:
             "X": Mechanism("X", ("Y",), {(0,): 0, (1,): 1}),
         }
         with pytest.raises(ModelStructureError, match="X"):
+            Scm(dag, (x, y), mechs)
+
+    def test_mechanism_filed_under_a_non_node_rejected(self):
+        x = Variable("X", (0, 1))
+        y = Variable("Y", (0, 1))
+        dag = CausalDag(("X", "Y"), (("X", "Y"),))
+        mechs = {
+            "Y": Mechanism("Y", ("X",), {(0,): 0, (1,): 1}),
+            "Q": Mechanism("Q", ("X",), {(0,): 0, (1,): 1}),
+        }
+        with pytest.raises(
+            ModelStructureError, match="^mechanism filed under Q, which is not a node$"
+        ):
             Scm(dag, (x, y), mechs)
 
     def test_non_total_mechanism_rejected(self):
@@ -124,7 +136,7 @@ class TestWorldTable:
     def test_deduplication(self):
         table = WorldTable(("A",), ((0,), (0,)))
         assert len(table) == 1
-        assert list(table) == [World(("A",), (0,))]
+        assert table.columns == ("A",) and table.rows == ((0,),)
 
     def test_world_column_mismatch_rejected(self):
         with pytest.raises(ModelStructureError):
@@ -135,6 +147,25 @@ class TestWorldTable:
     def test_projection(self):
         table = enumerate_worlds(m1_scm()).project(("W", "B"))
         assert value_sets(table) == {(0, 0), (1, 0), (0, 1), (1, 1)}
+
+    def test_outside_keeps_the_rows_the_other_table_lacks(self):
+        table = enumerate_worlds(m1_scm())
+        warm = table.filter({"T": lambda t: t == 1})
+        rest = table.outside(warm)
+        assert rest.columns == table.columns
+        assert rest.rows == ((0, 0, 0, 0), (1, 1, 2, 1))
+        assert warm.outside(table).rows == ()
+        assert table.outside(table.filter({})).rows == ()
+
+    def test_outside_needs_equal_columns(self):
+        table = enumerate_worlds(m1_scm())
+        with pytest.raises(ModelStructureError, match="cannot compare"):
+            table.outside(table.project(("W", "H", "B", "T")))
+
+    def test_scm_enumerates_its_worlds_once(self):
+        scm = m1_scm()
+        assert scm.worlds is scm.worlds
+        assert scm.worlds == enumerate_worlds(scm)
 
 
 class TestUniformIndependence:

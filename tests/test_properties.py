@@ -15,7 +15,7 @@ from teleo.identification import (
     rank_hypotheses,
 )
 from teleo.intervention import do_surgery, enumerate_worlds_star
-from teleo.errors import EmptyTableError, SpecSyntaxError
+from teleo.errors import EmptyTableError, ReductionError, SpecSyntaxError
 from teleo.model import (
     CausalDag,
     IndependenceStatement,
@@ -27,7 +27,7 @@ from teleo.model import (
     uniform_independent,
     verify_mechanism_consistency,
 )
-from teleo.reduction import splice_out
+from teleo.reduction import build_reduction, compare_structures, splice_out
 from teleo.speclang import (
     FinalDecl,
     MechDecl,
@@ -62,6 +62,9 @@ from support import (
     reachability_oracle,
     topological_oracle,
     uniform_oracle,
+    World,
+    world_set,
+    worlds_of,
     worlds_oracle,
 )
 
@@ -217,11 +220,11 @@ def test_columnar_tables_match_the_world_oracle(seed):
     for scm in _ternary_models(rng):
         worlds = worlds_oracle(scm)
         table = enumerate_worlds(scm)
-        assert list(table) == worlds
+        assert worlds_of(table) == worlds
         for g in _goals(rng, scm, worlds):
-            assert list(table.filter(g.level_tests)) == filter_oracle(worlds, g)
+            assert worlds_of(table.filter(g.level_tests)) == filter_oracle(worlds, g)
         names = tuple(rng.sample(scm.names, rng.randint(0, len(scm.names))))
-        assert list(table.project(names)) == project_oracle(worlds, names)
+        assert worlds_of(table.project(names)) == project_oracle(worlds, names)
 
 
 @MODERATE
@@ -323,7 +326,7 @@ def test_surgery_on_exogenous_target_is_identity(seed):
     exo = scm.dag.exogenous()
     target = rng.choice(exo)
     m = do_surgery(scm, target)
-    assert enumerate_worlds_star(m).world_set == enumerate_worlds(scm).world_set
+    assert world_set(enumerate_worlds_star(m)) == world_set(enumerate_worlds(scm))
 
 
 @MODERATE
@@ -333,7 +336,7 @@ def test_compatible_worlds_subset_law(seed):
     f = random_final(rng, random_scm(rng))
     if f is None:
         return
-    assert compatible_worlds(f).world_set <= enumerate_worlds_star(f.mstar).world_set
+    assert world_set(compatible_worlds(f)) <= world_set(enumerate_worlds_star(f.mstar))
 
 
 @MODERATE
@@ -362,8 +365,8 @@ def test_conjunction_monotonicity(seed):
     widened = GoalPredicate(f.goal.conjuncts + (extra,))
     star = enumerate_worlds_star(f.mstar)
     assert (
-        star.filter(widened.level_tests).world_set
-        <= star.filter(f.goal.level_tests).world_set
+        world_set(star.filter(widened.level_tests))
+        <= world_set(star.filter(f.goal.level_tests))
     )
 
 
@@ -394,6 +397,47 @@ def test_distinguishable_is_symmetric_and_reflexively_false(seed):
     a, b = distinguishable(f1, f2), distinguishable(f2, f1)
     assert a.distinguishable == b.distinguishable
     assert a.only_first == b.only_second
+
+
+@MODERATE
+@given(seeds)
+def test_world_set_differences_match_the_world_oracle(seed):
+    # distinguishable, check_support and compare_structures each take a set
+    # difference of world tables; the oracle takes it world by world
+    rng = random.Random(seed)
+    scm = random_scm(rng)
+    f1 = random_final(rng, scm)
+    if f1 is None:
+        return
+    effects = f1.intended_effects
+    f2 = build_final_model(f1.mstar, effects, random_goal(rng, scm, effects))
+    star = worlds_oracle(f1.mstar.model)
+    c1, c2 = filter_oracle(star, f1.goal), filter_oracle(star, f2.goal)
+
+    v = distinguishable(f1, f2)
+    assert worlds_of(v.only_first) == [w for w in c1 if w not in c2]
+    assert worlds_of(v.only_second) == [w for w in c2 if w not in c1]
+    assert v.distinguishable == (c1 != c2)
+
+    domains = [scm.domain(n) for n in scm.names]
+    rows = [tuple(rng.choice(d) for d in domains) for _ in range(rng.randint(1, 6))]
+    verdict = check_support(f1, Dataset(scm.names, tuple((r, 1) for r in rows)))
+    observed = [World(scm.names, r) for r in sorted(set(rows))]
+    assert worlds_of(verdict.violating_rows) == [w for w in observed if w not in c1]
+
+    try:
+        r = build_reduction(f1)
+    except ReductionError:
+        return
+    cmp = compare_structures(f1, r)
+    post = tuple(r.post_of.get(n, n) for n in scm.names)
+    reduced = [World(scm.names, w.values) for w in project_oracle(worlds_oracle(r.scm), post)]
+    only_reduction = [w for w in reduced if w not in c1]
+    only_final = [w for w in c1 if w not in reduced]
+    assert worlds_of(cmp.worlds_only_reduction) == only_reduction
+    assert worlds_of(cmp.worlds_only_final) == only_final
+    relation = "diverges" if only_reduction else "subset" if only_final else "equal"
+    assert cmp.world_relation == relation
 
 
 @MODERATE
@@ -430,7 +474,7 @@ def test_uniform_data_reproduces_expected_dependence(seed):
     table = compatible_worlds(f)
     if not len(table):
         return
-    data = Dataset(scm.names, tuple((w.values, 1) for w in table))
+    data = Dataset(scm.names, tuple((values, 1) for values in table.rows))
     for x, y in itertools.combinations(scm.names, 2):
         check = check_dependence(f, data, IndependenceStatement(x, y))
         assert check.agree
@@ -451,14 +495,14 @@ def test_exact_support_match_wins_specificity(seed):
     if not hyps:
         return
     chosen = rng.choice(hyps)
-    data = Dataset(scm.names, tuple((w.values, 1) for w in chosen.worlds))
+    data = Dataset(scm.names, tuple((values, 1) for values in chosen.worlds.rows))
     for h in hyps:
         try:
             f = build_final_model(m, h.effects, h.goal)
         except TeleologyError:
             continue  # reversal closed a cycle; nothing to rank
         verdict = check_support(f, data)
-        if h.worlds.world_set == chosen.worlds.world_set:
+        if world_set(h.worlds) == world_set(chosen.worlds):
             assert verdict.support_compatible
         elif len(h.worlds) < len(chosen.worlds):
             assert not verdict.support_compatible
@@ -474,8 +518,8 @@ def test_splice_preserves_projected_worlds(seed):
         return
     victim = rng.choice(endogenous)
     remaining = tuple(n for n in scm.names if n != victim)
-    before = enumerate_worlds(scm).project(remaining).world_set
-    after = enumerate_worlds(splice_out(scm, victim)).world_set
+    before = world_set(enumerate_worlds(scm).project(remaining))
+    after = world_set(enumerate_worlds(splice_out(scm, victim)))
     assert before == after
 
 
@@ -582,7 +626,7 @@ def test_ranking_deterministic_across_runs(seed):
     if not candidates:
         return
     star = enumerate_worlds_star(m)
-    data = Dataset(scm.names, tuple((w.values, 1) for w in star))
+    data = Dataset(scm.names, tuple((values, 1) for values in star.rows))
     one = [(r.rank, r.verdict.hypothesis.label) for r in rank_hypotheses(candidates, data)]
     two = [(r.rank, r.verdict.hypothesis.label) for r in rank_hypotheses(candidates, data)]
     assert one == two

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from teleo.errors import DegenerateReductionError, ModelStructureError, ReductionError
@@ -18,9 +20,10 @@ from teleo.reduction import (
     rename_variable,
     splice_out,
 )
+from teleo.speclang import load_model
 from teleo.teleology import build_final_model, compatible_worlds, goal
 
-from support import chain_scm, m1_scm, value_sets
+from support import chain_scm, m1_scm, value_sets, world_set
 
 
 @pytest.fixture(scope="module")
@@ -74,9 +77,9 @@ class TestBuildReduction:
         f = build_final_model(m, ("B",), goal("B", "=", 0), "cheap")
         r = build_reduction(f, rest_level=0)
         table = reduction_worlds(r)
-        assert all(w["I"] == 0 for w in table)
-        assert all(w["H"] == r.rest for w in table)
-        assert all(w["B0"] == w["B1"] for w in table)
+        assert set(table.column("I")) == {0}
+        assert set(table.column("H")) == {r.rest}
+        assert table.column("B0") == table.column("B1")
 
     def test_unachievable_goal_is_degenerate(self):
         x = Variable("X", (0, 1))
@@ -96,6 +99,50 @@ class TestBuildReduction:
         with pytest.raises(DegenerateReductionError):
             build_reduction(f)
 
+    @pytest.mark.parametrize(
+        "domains, table, goal_level, message",
+        [
+            # U=0: the goal is reached by A=1, so I fires; U=1: no level
+            # reaches it, so I idles; both contexts measure G=0 at rest
+            (
+                "var U in 0..1\nvar A in 0..1\nvar G in 0..1",
+                "(0,0)->0; (0,1)->0; (1,0)->1; (1,1)->0",
+                1,
+                "intention is not a function of the pre-action goal "
+                "measurements: contexts with pre-state (0,) disagree",
+            ),
+            # pre-states 1 (U=0 fires, U=2 idles) and 0 (U=1 fires, U=3
+            # idles) both disagree; the first in product order is blamed
+            (
+                "var U in 0..3\nvar A in 0..1\nvar G in 0..2",
+                "(0,0)->1; (0,1)->0; (0,2)->1; (0,3)->0; "
+                "(1,0)->2; (1,1)->2; (1,2)->1; (1,3)->0",
+                2,
+                "intention is not a function of the pre-action goal "
+                "measurements: contexts with pre-state (0,) disagree",
+            ),
+            # U=0 is met first by A=1, U=1 only by A=2
+            (
+                "var U in 0..1\nvar A in 0..2\nvar G in 0..2",
+                "(0,0)->0; (0,1)->2; (1,0)->1; (1,1)->2; (2,0)->1; (2,1)->1",
+                1,
+                "no single action level realizes the intention: [1, 2]",
+            ),
+        ],
+        ids=["one-pre-state", "first-in-product-order", "two-action-levels"],
+    )
+    def test_intention_must_be_one_function_of_the_pre_state(
+        self, domains, table, goal_level, message
+    ):
+        spec = (
+            f"{domains}\nedge A -> G\nedge U -> G\n"
+            f"mech G = table(A, U) {{ {table} }}\ndo A\n"
+            f"final g {{ effects: G; goal: G = {goal_level} }}\n"
+        )
+        f = load_model(spec).finals["g"]
+        with pytest.raises(ReductionError, match=f"^{re.escape(message)}$"):
+            build_reduction(f)
+
     def test_rest_level_must_be_in_domain(self, warm):
         with pytest.raises(ReductionError, match="rest level"):
             build_reduction(warm, rest_level=9)
@@ -108,8 +155,8 @@ class TestSplicing:
     def test_splice_preserves_projected_worlds(self, warm_reduction):
         scm = warm_reduction.scm
         remaining = tuple(n for n in scm.names if n != "I")
-        before = enumerate_worlds(scm).project(remaining).world_set
-        after = enumerate_worlds(splice_out(scm, "I")).world_set
+        before = world_set(enumerate_worlds(scm).project(remaining))
+        after = world_set(enumerate_worlds(splice_out(scm, "I")))
         assert before == after
 
     def test_splice_rejects_exogenous(self, warm_reduction):
@@ -155,7 +202,7 @@ class TestStructuralComparison:
     def test_worlds_agree_when_one_level_achieves_the_goal(self, warm, warm_reduction):
         cmp = compare_structures(warm, warm_reduction)
         assert cmp.world_relation == "equal"
-        assert cmp.worlds_only_final == () and cmp.worlds_only_reduction == ()
+        assert cmp.worlds_only_final.rows == () and cmp.worlds_only_reduction.rows == ()
 
     def test_reduction_subsets_when_goal_is_loose(self):
         # T<2 holds at rest in both contexts, so the reduction never turns
@@ -164,7 +211,7 @@ class TestStructuralComparison:
         f = build_final_model(m, ("T",), goal("T", "<", 2), "mild")
         cmp = compare_structures(f, build_reduction(f, rest_level=0))
         assert cmp.world_relation == "subset"
-        assert (0, 1, 1, 1) in {w.values for w in cmp.worlds_only_final}
+        assert (0, 1, 1, 1) in value_sets(cmp.worlds_only_final)
 
     def test_some_separation_statements_flip(self, warm, warm_reduction):
         cmp = compare_structures(warm, warm_reduction)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-import teleo.intervention
+import teleo.model
 from teleo.errors import (
     ComparisonError,
     EnumerationBudgetError,
@@ -25,7 +25,7 @@ from teleo.teleology import (
     implied_dependencies,
 )
 
-from support import chain_scm, m1_scm, value_sets
+from support import chain_scm, filter_oracle, m1_scm, value_sets, world_set, worlds_of
 
 SPEC = Path(__file__).resolve().parents[1] / "models" / "heating.tele"
 
@@ -136,9 +136,9 @@ class TestCompatibleWorlds:
         }
 
     def test_subset_of_intervention_worlds(self, finals):
-        star = enumerate_worlds_star(finals["warm"].mstar).world_set
+        star = world_set(enumerate_worlds_star(finals["warm"].mstar))
         for f in finals.values():
-            assert compatible_worlds(f).world_set <= star
+            assert world_set(compatible_worlds(f)) <= star
 
     def test_unreachable_goal_is_a_verdict_not_an_error(self):
         # Z inherits only 0/1 from Y, so Z=2 is satisfiable on the domain
@@ -168,13 +168,13 @@ class TestWorldTablesAreShared:
 
     def test_ranking_enumerates_once_per_surgered_model(self, monkeypatch):
         calls = []
-        original = teleo.intervention.enumerate_worlds
+        original = teleo.model.enumerate_worlds
 
         def counting(scm):
             calls.append(scm)
             return original(scm)
 
-        monkeypatch.setattr(teleo.intervention, "enumerate_worlds", counting)
+        monkeypatch.setattr(teleo.model, "enumerate_worlds", counting)
         compiled = load_model(SPEC.read_text())
         m = compiled.mstar
         candidates = [
@@ -241,18 +241,19 @@ class TestDistinguishability:
     def test_temperature_vs_bill_goal(self, finals):
         v = distinguishable(finals["warm"], finals["cheap"])
         assert v.distinguishable
-        assert {w.values for w in v.witnesses} == {(0, 0, 0, 0), (0, 1, 1, 1)}
+        assert v.witnesses.columns == ("W", "H", "T", "B")
+        assert value_sets(v.witnesses) == {(0, 0, 0, 0), (0, 1, 1, 1)}
 
     def test_identical_goals_not_distinguishable(self, room_star, finals):
         twin = build_final_model(room_star, ("T",), goal("T", "=", 1), "twin")
         v = distinguishable(finals["warm"], twin)
         assert not v.distinguishable
-        assert v.witnesses == ()
+        assert v.witnesses.rows == ()
 
     def test_never_hot_vs_never_cold(self, finals):
         v = distinguishable(finals["mild"], finals["notcold"])
         assert v.distinguishable
-        assert {w.values for w in v.witnesses} == {(0, 0, 0, 0), (1, 1, 2, 1)}
+        assert value_sets(v.witnesses) == {(0, 0, 0, 0), (1, 1, 2, 1)}
 
     def test_symmetry(self, finals):
         a = distinguishable(finals["warm"], finals["cheap"])
@@ -322,11 +323,11 @@ class TestHypothesisEnumeration:
             enumerate_goal_hypotheses(m, max_effects=2, cap=3)
         assert exc.value.required > 3
         # the cap is checked before the surgered world table is built
-        assert "worlds" not in m.__dict__
+        assert "worlds" not in m.model.__dict__
 
     def test_candidates_come_with_their_worlds(self, room_star):
         hyps = enumerate_goal_hypotheses(room_star, max_effects=2)
-        star = enumerate_worlds_star(room_star).world_set
+        star = world_set(enumerate_worlds_star(room_star))
         for h in hyps:
-            assert h.worlds.world_set <= star
-            assert all(h.goal.holds(w) for w in h.worlds)
+            assert world_set(h.worlds) <= star
+            assert filter_oracle(worlds_of(h.worlds), h.goal) == worlds_of(h.worlds)
