@@ -11,7 +11,6 @@ unique most-specific compatible hypothesis / none compatible / tied.
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 from typing import Callable
@@ -24,7 +23,7 @@ from teleo.identification import load_dataset, rank_hypotheses, summarize_rankin
 from teleo.intervention import do_surgery, enumerate_worlds_star
 from teleo.model import WorldTable, enumerate_worlds
 from teleo.reduction import build_reduction, compare_structures, reduction_worlds
-from teleo.render import render_table
+from teleo.render import render_json, render_table
 from teleo.speclang import CompiledSpec, load_model
 from teleo.teleology import (
     build_final_model,
@@ -66,7 +65,15 @@ def _read(path: str, what: str) -> str:
     p = Path(path)
     if not p.is_file():
         raise click.ClickException(f"{what} {path!r} not found")
-    return p.read_text(encoding="utf-8")
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise click.ClickException(
+            f"{what} {path!r} is not UTF-8 text (byte {exc.start})"
+        ) from None
+    except OSError as exc:
+        reason = exc.strerror or type(exc).__name__
+        raise click.ClickException(f"cannot read {what} {path!r}: {reason}") from None
 
 
 def _load_spec(path: str) -> CompiledSpec:
@@ -84,7 +91,7 @@ def _emit(
     diagnostics = list(diagnostics)
     if ctx.obj["json"]:
         doc = {"command": command, "result": result(), "diagnostics": diagnostics}
-        click.echo(json.dumps(doc, indent=2, sort_keys=True))
+        click.echo(render_json(doc))
     else:
         for note in diagnostics:
             click.echo(note, err=True)

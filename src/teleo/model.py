@@ -94,7 +94,8 @@ class CausalDag:
     This is the one index of the graph: construction validates it and builds
     each node's parent and child lists (in edge-declaration order) and the
     topological order once.  Every query reads them, and so does the
-    d-separation kernel (``dsep``), which subscripts the lists directly.
+    d-separation kernel (``dsep``), which subscripts the lists directly and
+    keeps its walks in ``_reachable``.
     """
 
     nodes: tuple[str, ...]
@@ -126,6 +127,8 @@ class CausalDag:
         for name, lists in (("_parents", parents), ("_children", children)):
             object.__setattr__(self, name, {n: tuple(v) for n, v in lists.items()})
         object.__setattr__(self, "_order", self._kahn())
+        # d-separation's walks, keyed by (x, Z); filled by ``dsep``
+        object.__setattr__(self, "_reachable", {})
 
     def _kahn(self) -> tuple[str, ...]:
         """Kahn's algorithm; of the ready nodes the earliest declared goes

@@ -1,7 +1,11 @@
-"""Plain-text table rendering shared by the CLI and the golden tests."""
+"""Text rendering shared by the CLI and the golden tests: aligned plain-text
+tables and the ``--json`` document writer."""
 
 from __future__ import annotations
 
+import json
+from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 
@@ -19,3 +23,102 @@ def render_table(columns: Sequence[str], rows: Iterable[Sequence[object]]) -> st
     for row in [list(columns)] + rows:
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
     return "\n".join(lines) + "\n"
+
+
+def render_json(doc: object) -> str:
+    """Exactly ``json.dumps(doc, indent=2, sort_keys=True)``, but faster.
+
+    CPython serves an indented ``json.dumps`` with its pure-Python encoder,
+    one call per value.  The documents here are mostly tables: lists whose
+    items share one shape, either lists of one length or dicts with the same
+    keys.  Such a list gets one ``%``-template for all its items, with ``%d``
+    for a column of plain ints, so most values cost a C-level format instead
+    of a Python call.  Everything else recurses, and a value of no type named
+    here goes to ``json.dumps``, which also raises its ``TypeError`` for a
+    value JSON cannot hold.
+    """
+    return _encode(doc, 0)
+
+
+_SCALARS = {
+    str: _quote,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _encode(value: object, level: int) -> str:
+    """``value`` written at indent ``level``; its items go one level deeper."""
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        pairs = sorted(value.items())
+        items = [f"{_key(k)}: {_encode(v, level + 1)}" for k, v in pairs]
+        return _wrap("{}", items, level)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        rows = _table(value, level + 1)
+        if rows is None:
+            rows = [_encode(v, level + 1) for v in value]
+        return _wrap("[]", rows, level)
+    return json.dumps(value)
+
+
+def _wrap(brackets: str, items: list[str], level: int) -> str:
+    """Rendered ``items`` inside ``brackets``, the whole written at indent
+    ``level``."""
+    inner = "\n" + "  " * (level + 1)
+    body = ("," + inner).join(items)
+    return brackets[0] + inner + body + "\n" + "  " * level + brackets[1]
+
+
+def _key(key: object) -> str:
+    """A dict key as ``json`` writes it: non-string scalars become strings."""
+    if not isinstance(key, str):
+        if key is not None and not isinstance(key, (int, float)):
+            raise TypeError(
+                "keys must be str, int, float, bool or None, "
+                f"not {type(key).__name__}"
+            )
+        key = json.dumps(key)
+    return _quote(key)
+
+
+def _table(items: Sequence[object], level: int) -> list[str] | None:
+    """The rendered items of a list whose items share one shape, written at
+    indent ``level`` through one template; None for any other list."""
+    kind = type(items[0])
+    if len(set(map(type, items))) != 1:
+        return None
+    if kind is dict:
+        keys = items[0].keys()
+        if set(map(type, keys)) != {str} or any(i.keys() != keys for i in items):
+            return None
+        keys = sorted(keys)
+        # a key is template text, so its own % signs are escaped
+        labels = [_quote(k).replace("%", "%%") + ": " for k in keys]
+        columns = [list(map(itemgetter(k), items)) for k in keys]
+    elif kind is list or kind is tuple:
+        if len(set(map(len, items))) != 1:
+            return None
+        labels = [""] * len(items[0])
+        columns = zip(*items)
+    else:
+        return None
+    if not labels:
+        return None
+    fields, values = [], []
+    for label, column in zip(labels, columns):
+        if set(map(type, column)) == {int}:  # bools are not ints here
+            fields.append(label + "%d")
+            values.append(column)
+        else:
+            fields.append(label + "%s")
+            values.append([_encode(v, level + 1) for v in column])
+    template = _wrap("{}" if kind is dict else "[]", fields, level)
+    return [template % row for row in zip(*values)]

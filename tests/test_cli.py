@@ -17,6 +17,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 WARM_CSV = "W,H,T,B,count\n1,0,1,0,5\n0,1,1,1,5\n"
 ALL_CSV = "W,H,T,B\n0,0,0,0\n1,0,1,0\n0,1,1,1\n1,1,2,1\n"
+# mild wins; warm, cheap, costly and notcold each see a row outside their worlds
+VIOLATING_CSV = "W,H,T,B,count\n1,0,1,0,5\n0,1,1,1,5\n0,0,0,0,1\n"
 
 
 @pytest.fixture()
@@ -159,6 +161,35 @@ class TestJsonMode:
         assert doc["result"]["exit_code"] == 2 == result.exit_code
         assert doc["result"]["winner"] is None
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["worlds", SPEC],
+            ["intervene", SPEC],
+            ["finalize", SPEC, "--final", "warm"],
+            # mild allows every world warm does, so only_first is empty
+            ["distinguish", SPEC, "--final", "warm", "--final", "mild"],
+            ["reduce", SPEC, "--final", "warm"],
+            ["identify", SPEC, "VIOLATING_CSV"],
+            ["identify", SPEC, "VIOLATING_CSV", "--enumerate", "--max-effects", "2"],
+        ],
+        ids=lambda args: "-".join(a for a in args if a not in (SPEC, "--final")),
+    )
+    def test_json_bytes_are_the_stdlib_encoding(self, runner, tmp_path, args):
+        data = tmp_path / "obs.csv"
+        data.write_text(VIOLATING_CSV)
+        args = [str(data) if a == "VIOLATING_CSV" else a for a in args]
+        result = invoke(runner, "--json", *args)
+        doc = json.loads(result.stdout)
+        assert result.stdout == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert result.exit_code == doc["result"].get("exit_code", 0)
+        if args[0] == "identify":
+            ranking = doc["result"]["ranking"]
+            assert any(e["violating_rows"] for e in ranking)
+            checks = [c for e in ranking for c in e["dependence_checks"]]
+            # unconditional pair checks have one stratum, which the data
+            # shows, so every skipped_strata list is present and empty
+            assert checks and all(c["skipped_strata"] == [] for c in checks)
 
     def test_json_never_builds_the_human_text(self, runner, monkeypatch, tmp_path):
         def refuse(*args, **kwargs):
@@ -257,6 +288,38 @@ class TestErrorHandling:
         assert isinstance(result.exception, SystemExit)
         assert result.output.startswith("error: line 2: non-integer")
         assert "Traceback" not in result.output
+
+    def test_spec_that_is_not_utf8_is_an_error_not_a_crash(self, runner, tmp_path):
+        spec = tmp_path / "bad.tele"
+        spec.write_bytes(b"\xff\xfevar W in 0..1\n")
+        result = invoke(runner, "worlds", str(spec))
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (
+            f"error: model spec {str(spec)!r} is not UTF-8 text (byte 0)\n"
+        )
+
+    def test_dataset_that_is_not_utf8_is_an_error_not_a_crash(self, runner, tmp_path):
+        data = tmp_path / "obs.csv"
+        data.write_bytes(b"W,H,T,B\n\xff\xfe,0,1,0\n")
+        result = invoke(runner, "identify", SPEC, str(data))
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (
+            f"error: dataset {str(data)!r} is not UTF-8 text (byte 8)\n"
+        )
+
+    def test_unreadable_spec_is_an_error_not_a_crash(self, runner, monkeypatch):
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr("pathlib.Path.read_text", refuse)
+        result = invoke(runner, "worlds", SPEC)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (
+            f"error: cannot read model spec {SPEC!r}: Permission denied\n"
+        )
 
     def test_unknown_final_name(self, runner):
         result = invoke(runner, "finalize", SPEC, "--final", "nope")

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import json
 import random
 
 import pytest
@@ -28,6 +29,7 @@ from teleo.model import (
     verify_mechanism_consistency,
 )
 from teleo.reduction import build_reduction, compare_structures, splice_out
+from teleo.render import render_json
 from teleo.speclang import (
     FinalDecl,
     MechDecl,
@@ -79,6 +81,50 @@ def test_dsep_matches_the_trail_oracle(seed):
     dag = random_dag(rng, rng.randint(2, 5), rng.random())
     for stmt in all_statements(dag):
         assert d_separated(dag, stmt) == dsep_oracle(dag, stmt)
+
+
+def _walks_match_the_oracle(dag: CausalDag) -> None:
+    """Every walk in the DAG's memo reaches exactly the nodes the trail
+    oracle calls d-connected to x given Z."""
+    for (x, z), reached in dag._reachable.items():
+        for y in dag.nodes:
+            if y != x and y not in z:
+                stmt = IndependenceStatement(x, y, z)
+                assert (y in reached) == (not dsep_oracle(dag, stmt)), (dag, stmt)
+
+
+@MODERATE
+@given(seeds)
+def test_one_walk_per_x_and_z_answers_every_y(seed):
+    rng = random.Random(seed)
+    dag = random_dag(rng, rng.randint(2, 6), rng.random())
+    stmts = list(all_statements(dag))
+    rng.shuffle(stmts)  # the walk for (x, Z) is started by any of its ys
+    for stmt in stmts:
+        assert d_separated(dag, stmt) == dsep_oracle(dag, stmt), (dag, stmt)
+    assert set(dag._reachable) == {(s.x, s.given) for s in stmts}
+    _walks_match_the_oracle(dag)
+
+
+@MODERATE
+@given(seeds)
+def test_dags_over_the_same_nodes_keep_their_own_walks(seed):
+    # compare_structures asks the same statements of the final DAG and of
+    # the projected reduction's DAG, which share their nodes
+    rng = random.Random(seed)
+    first = random_dag(rng, rng.randint(2, 6), rng.random())
+    edges = list(first.edges)
+    if edges:
+        edges.remove(rng.choice(edges))
+    else:
+        edges.append(first.nodes[:2])
+    second = CausalDag(first.nodes, tuple(edges))
+    assert first._reachable is not second._reachable
+    for stmt in all_statements(first):
+        for dag in (first, second):
+            assert d_separated(dag, stmt) == dsep_oracle(dag, stmt), (dag, stmt)
+    _walks_match_the_oracle(first)
+    _walks_match_the_oracle(second)
 
 
 @MODERATE
@@ -630,3 +676,77 @@ def test_ranking_deterministic_across_runs(seed):
     one = [(r.rank, r.verdict.hypothesis.label) for r in rank_hypotheses(candidates, data)]
     two = [(r.rank, r.verdict.hypothesis.label) for r in rank_hypotheses(candidates, data)]
     assert one == two
+
+
+# JSON documents for the writer: the shapes the commands emit (lists of
+# equal-length int rows, lists of dicts with the same keys) and their near
+# misses, nested in arbitrary JSON
+_json_keys = st.text(max_size=4) | st.sampled_from(["%", "%d", "%s%%", '"', "{", "}"])
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.floats()
+    | st.text(max_size=6)
+)
+_ints_and_bools = st.integers(min_value=-(2**70), max_value=3) | st.booleans()
+
+
+def _json_tables(values):
+    widths = st.integers(min_value=0, max_value=4)
+    int_rows = widths.flatmap(
+        lambda w: st.lists(
+            st.lists(_ints_and_bools, min_size=w, max_size=w)
+            | st.tuples(*[_ints_and_bools] * w),
+            max_size=5,
+        )
+    )
+    records = st.lists(_json_keys, max_size=4, unique=True).flatmap(
+        lambda keys: st.lists(
+            st.fixed_dictionaries({k: values for k in keys}), max_size=5
+        )
+    )
+    return (
+        int_rows
+        | records
+        | st.lists(st.lists(_ints_and_bools, max_size=3), max_size=4)  # ragged
+        | st.lists(st.dictionaries(_json_keys, values, max_size=3), max_size=4)
+        | st.dictionaries(st.integers(), values, max_size=3)
+    )
+
+
+_json_documents = st.recursive(
+    _json_scalars,
+    lambda values: (
+        st.lists(values, max_size=4)
+        | st.lists(values, max_size=3).map(tuple)
+        | st.dictionaries(_json_keys, values, max_size=4)
+        | _json_tables(values)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_documents)
+def test_json_writer_matches_the_stdlib_encoder(doc):
+    assert render_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {1, 2},
+        {"a": [1, frozenset()]},
+        [{"a": 1, "b": {2}}, {"a": 2, "b": {3}}],
+        [[1, {2}], [3, {4}]],
+        {(1, 2): 3},
+        {1: 2, "1": 3},
+    ],
+    ids=repr,
+)
+def test_json_writer_refuses_what_the_stdlib_encoder_refuses(doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        render_json(doc)
