@@ -15,10 +15,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Mapping
 
 from teleo.errors import BindingError, ComparisonError, DatasetError, TeleoError
-from teleo.model import IndependenceStatement, Scm, WorldTable, factorization
+from teleo.model import (
+    IndependenceStatement,
+    Scm,
+    WorldTable,
+    factorization,
+    weight_layers,
+)
 from teleo.speclang import INTEGER
 from teleo.teleology import FinalModel, compatible_worlds
 
@@ -71,13 +76,17 @@ class Dataset:
         return WorldTable(self.columns, (values for values, _ in self.rows))
 
     @cached_property
-    def counts(self) -> tuple[int, ...]:
-        """The count of each row, aligned with ``rows``."""
-        return tuple(count for _, count in self.rows)
+    def layers(self) -> tuple[int, ...]:
+        """The counts as binary weight layers over the rows of ``support``
+        (``model.weight_layers``)."""
+        return weight_layers([count for _, count in self.rows])
 
-    def cells(self, stmt: IndependenceStatement) -> Mapping[tuple[int, ...], int]:
-        """Observed count of every ``(*stratum, x, y)`` cell of ``stmt``."""
-        return self.support.cells(stmt, self.counts)
+    def cells(
+        self, stmt: IndependenceStatement
+    ) -> dict[tuple[int, ...], dict[tuple[int, int], int]]:
+        """Observed count of every ``(a, b)`` cell of ``stmt``, grouped by
+        stratum (``WorldTable.cells``)."""
+        return self.support.cells(stmt, self.layers)
 
 
 def load_dataset(text: str, scm: Scm) -> Dataset:
@@ -233,6 +242,11 @@ def rank_hypotheses(
     Candidates with identical compatible-world sets form one observational
     equivalence class and share a class number.  Each verdict also carries
     the expected-vs-observed dependence checks for every variable pair.
+
+    The checks are unconditional, so each has the one stratum ``()``, which
+    every dataset shows: their ``skipped_strata`` are always empty.  A
+    stratum is skipped only when ``check_dependence`` is given a statement
+    with a conditioning set.
     """
     if not candidates:
         raise TeleoError("rank_hypotheses needs at least one candidate")

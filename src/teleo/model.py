@@ -8,16 +8,20 @@ of exogenous values.
 
 A world table is the one representation of a set of worlds: it stores
 them as sorted, distinct integer value tuples and builds each variable's
-column once, on first use.  Enumeration fills every endogenous column in one
-pass per mechanism, goal filters test the goal variables' columns,
-independence queries count column cells, and set comparisons take the rows
-one table has and another lacks (``WorldTable.outside``).
+column once, on first use, and from the column an index of row bitmasks,
+one Python int per level present (bit i is row i).  Enumeration fills every
+endogenous column in one pass per mechanism, goal filters test the goal
+variables' columns, independence queries count cells by intersecting level
+masks, and set comparisons take the rows one table has and another lacks
+(``WorldTable.outside``).
 
 World tables carry a uniform weighting over their members.  All probability
 comparisons are exact.  Independence is decided by one count-weighted
 kernel, ``factorization``, which cross-multiplies integer counts in every
-conditioning stratum of a cell table: world tables count each world once,
-datasets add their observed counts.  Distributions are returned as
+conditioning stratum of the grouped cell counts that ``WorldTable.cells``
+returns: a cell's count is the popcount of its row mask for a world table,
+and for a dataset the sum over binary weight layers of 2^k times the
+popcount of the mask within layer k.  Distributions are returned as
 Fractions.  There is no tolerance anywhere in this module.
 """
 
@@ -26,7 +30,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
@@ -49,6 +52,7 @@ __all__ = [
     "IndependenceStatement",
     "statement_grid",
     "row_mask",
+    "weight_layers",
     "propagate",
     "enumerate_worlds",
     "factorization",
@@ -351,7 +355,8 @@ class WorldTable:
     ``rows`` holds one value tuple per world, aligned with ``columns`` and
     sorted lexicographically, which makes every printed table reproducible
     and lets equal sets compare equal.  The kernels read whole columns
-    (``column``), each built once on first use and cached.
+    (``column``) and each column's level masks (``levels``), each built once
+    on first use and cached outside equality, hashing and ``repr``.
     """
 
     columns: tuple[str, ...]
@@ -388,6 +393,19 @@ class WorldTable:
             values = self._column_cache[name] = tuple(map(at, self.rows))
         return values
 
+    @cached_property
+    def _level_cache(self) -> dict[str, dict[int, int]]:
+        return {}
+
+    def levels(self, name: str) -> Mapping[int, int]:
+        """The row bitmask of each level present in one column, in level
+        order: bit i is set iff row i has that level.  Built on first use
+        and cached."""
+        masks = self._level_cache.get(name)
+        if masks is None:
+            masks = self._level_cache[name] = _level_masks(self.column(name))
+        return masks
+
     def filter(self, keep: Mapping[str, Callable[[int], bool]]) -> "WorldTable":
         """The worlds whose level of each named variable passes its test."""
         if not keep:
@@ -415,22 +433,78 @@ class WorldTable:
         """Marginal distribution of one variable, exact Fractions."""
         if not self.rows:
             raise EmptyTableError("distribution over an empty world table")
-        counts = Counter(self.column(query))
         n = len(self.rows)
-        return {level: Fraction(c, n) for level, c in sorted(counts.items())}
+        return {
+            level: Fraction(mask.bit_count(), n)
+            for level, mask in self.levels(query).items()
+        }
 
     def cells(
-        self, stmt: "IndependenceStatement", weights: Iterable[int] | None = None
-    ) -> Mapping[tuple[int, ...], int]:
-        """Total weight of every ``(*stratum, x, y)`` cell of ``stmt`` (see
-        ``factorization``): 1 per world, or the row-aligned ``weights``."""
-        keys = zip(*map(self.column, stmt.cell_names))
+        self, stmt: "IndependenceStatement", weights: Sequence[int] | None = None
+    ) -> dict[tuple[int, ...], dict[tuple[int, int], int]]:
+        """Total weight of every ``(a, b)`` cell of ``stmt``, grouped by
+        stratum (see ``factorization``).
+
+        A stratum's rows are the intersection of its conditioning levels'
+        masks, and a cell's rows that mask and the masks of x = a and
+        y = b; strata and cells without rows are left out, and strata come
+        in sorted order.  A cell weighs the popcount of its mask (1 per
+        world), or with ``weights``, binary weight layers over the rows
+        (``weight_layers``), sum_k 2^k * popcount(mask & weights[k]).
+        """
+        strata = [((), (1 << len(self.rows)) - 1)] if self.rows else []
+        for name in sorted(stmt.given):
+            levels = self.levels(name).items()
+            strata = [
+                ((*stratum, level), both)
+                for stratum, rows in strata
+                for level, mask in levels
+                if (both := rows & mask)
+            ]
         if weights is None:
-            return Counter(keys)
-        cells: dict[tuple[int, ...], int] = {}
-        for key, weight in zip(keys, weights):
-            cells[key] = cells.get(key, 0) + weight
-        return cells
+            weigh = int.bit_count
+        else:
+            weigh = partial(_layered_weight, tuple(enumerate(weights)))
+        xs = self.levels(stmt.x).items()
+        ys = self.levels(stmt.y).items()
+        grouped = {}
+        for stratum, rows in strata:
+            joint = grouped[stratum] = {}
+            for a, x_mask in xs:
+                if at_a := rows & x_mask:
+                    for b, y_mask in ys:
+                        if cell := at_a & y_mask:
+                            joint[a, b] = weigh(cell)
+        return grouped
+
+
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _bitmask(bits: Iterable[int]) -> int:
+    """The int whose bit i is the i-th of ``bits`` (each 0 or 1): one
+    base-2 parse, so linear in the number of bits."""
+    digits = bytes(bits)[::-1].translate(_DIGITS)
+    return int(digits, 2) if digits else 0
+
+
+def _level_masks(column: Sequence[int]) -> dict[int, int]:
+    """One row bitmask per level of ``column``, in level order."""
+    return {
+        level: _bitmask(map(level.__eq__, column)) for level in sorted(set(column))
+    }
+
+
+def weight_layers(weights: Sequence[int]) -> tuple[int, ...]:
+    """Row-aligned positive weights as binary layers: bit i of layer k
+    is bit k of ``weights[i]``, so ``weights[i]`` is the sum of 2^k over the
+    layers k that have bit i."""
+    top = max(weights, default=0).bit_length()
+    return tuple(_bitmask(w >> k & 1 for w in weights) for k in range(top))
+
+
+def _layered_weight(layers: Iterable[tuple[int, int]], cell: int) -> int:
+    return sum((cell & layer).bit_count() << k for k, layer in layers)
 
 
 def row_mask(
@@ -465,12 +539,6 @@ class IndependenceStatement:
             raise ModelStructureError(
                 "conditioning set must not contain the tested variables"
             )
-
-    @property
-    def cell_names(self) -> tuple[str, ...]:
-        """The variables that key one cell: the conditioning set in sorted
-        order, then x, then y."""
-        return (*sorted(self.given), self.x, self.y)
 
     def __str__(self) -> str:
         base = f"{self.x} and {self.y}"
@@ -524,38 +592,38 @@ def enumerate_worlds(scm: Scm) -> WorldTable:
 
 
 def factorization(
-    cells: Mapping[tuple[int, ...], int],
+    strata: Mapping[tuple[int, ...], Mapping[tuple[int, int], int]],
 ) -> tuple[bool, tuple[tuple[int, ...], ...]]:
     """Exact factorization of x and y in every stratum of the conditioning set.
 
-    ``cells`` maps ``(*stratum, a, b)``, the conditioning values followed by
-    the levels of x and y (``IndependenceStatement.cell_names``), to the
-    total weight of the rows in that cell: 1 per world for world tables,
-    the observed counts for datasets.  In a stratum of total weight n the
+    ``strata`` maps each conditioning stratum (its values in the order of
+    ``sorted(stmt.given)``) to the cells in it: ``(a, b)``, levels of x and
+    y, to the positive total weight of the rows in that cell, as
+    ``WorldTable.cells`` groups them: 1 per world for world tables, the
+    observed counts for datasets.  In a stratum of total weight n the
     joint factorizes iff n * joint(a, b) == weight(x=a) * weight(y=b) for
-    every cell.  Returns the verdict and the sorted strata present.
+    every pair of levels present.  Returns the verdict and the sorted
+    strata present.
     """
-    strata: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    for key, weight in cells.items():
-        strata.setdefault(key[:-2], {})[key[-2:]] = weight
     if not strata:
         raise EmptyTableError("independence query on an empty world table")
-    independent = True
-    for joint in strata.values():
-        n = sum(joint.values())
-        mx: dict[int, int] = {}
-        my: dict[int, int] = {}
-        for (a, b), count in joint.items():
-            mx[a] = mx.get(a, 0) + count
-            my[b] = my.get(b, 0) + count
-        if any(
-            n * joint.get((a, b), 0) != ca * cb
-            for a, ca in mx.items()
-            for b, cb in my.items()
-        ):
-            independent = False
-            break
-    return independent, tuple(sorted(strata))
+    return all(map(_factorizes, strata.values())), tuple(sorted(strata))
+
+
+def _factorizes(joint: Mapping[tuple[int, int], int]) -> bool:
+    n = sum(joint.values())
+    mx: dict[int, int] = {}
+    my: dict[int, int] = {}
+    for (a, b), count in joint.items():
+        mx[a] = mx.get(a, 0) + count
+        my[b] = my.get(b, 0) + count
+    # checking the cells present suffices: if each has n * count ==
+    # mx[a] * my[b], they sum to n * n, the sum over every pair of levels
+    # of the positive mx[a] * my[b], so no pair is missing a cell
+    for (a, b), count in joint.items():
+        if n * count != mx[a] * my[b]:
+            return False
+    return True
 
 
 def uniform_independent(table: WorldTable, stmt: IndependenceStatement) -> bool:

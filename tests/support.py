@@ -7,7 +7,9 @@ read only an edge list, never a DAG's parent, child or order index:
 reachability is a transitive closure, and the topological order is picked one
 node at a time.  The factorization oracle likewise shares nothing with the
 library's count cross-multiplication: it forms the conditional probabilities
-as Fractions and compares them.
+as Fractions and compares them.  The cell oracle is the library's former
+row-hashing counter: one key tuple per row, counted (or summed by weight),
+then sliced into strata, against the library's intersected level bitmasks.
 
 The world oracles are the row-wise reading of the library's columnar world
 tables: one ``World`` per exogenous combination, each mechanism evaluated
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -163,6 +166,26 @@ def factorization_oracle(
                 if joint != px * py:
                     independent = False
     return independent, set(strata)
+
+
+def cells_oracle(
+    table: WorldTable, stmt: IndependenceStatement, counts=None
+) -> dict[tuple[int, ...], dict[tuple[int, int], int]]:
+    """The ``(a, b)`` cell weights of ``stmt`` per stratum, from one
+    ``(*stratum, a, b)`` key per row: 1 per row, or the row-aligned
+    ``counts``."""
+    names = (*sorted(stmt.given), stmt.x, stmt.y)
+    keys = zip(*map(table.column, names))
+    if counts is None:
+        cells = Counter(keys)
+    else:
+        cells = {}
+        for key, weight in zip(keys, counts):
+            cells[key] = cells.get(key, 0) + weight
+    strata: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
+    for key, weight in cells.items():
+        strata.setdefault(key[:-2], {})[key[-2:]] = weight
+    return strata
 
 
 def worlds_oracle(scm: Scm) -> list[World]:
@@ -339,6 +362,7 @@ __all__ = [
     "topological_oracle",
     "dsep_oracle",
     "factorization_oracle",
+    "cells_oracle",
     "worlds_oracle",
     "filter_oracle",
     "project_oracle",

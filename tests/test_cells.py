@@ -1,0 +1,223 @@
+"""The bitmask cell counter against the row-hashing oracle.
+
+``WorldTable.cells`` counts each cell as the popcount of intersected
+level masks (times the binary weight layers, for datasets).  These tests
+compare its grouped counts, and the ``factorization`` verdicts they give,
+with ``support.cells_oracle`` and ``support.factorization_oracle`` where
+masks cross machine-word boundaries, where counts need many layers and
+where a goal filter leaves strata empty; and they pin the per-column
+memo of the mask index.
+"""
+
+import itertools
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import teleo.model
+from teleo.identification import Dataset, check_dependence
+from teleo.intervention import do_surgery
+from teleo.model import (
+    IndependenceStatement,
+    WorldTable,
+    factorization,
+    statement_grid,
+    uniform_independent,
+    weight_layers,
+)
+from teleo.teleology import build_final_model, compatible_worlds, goal
+
+from support import (
+    cells_oracle,
+    factorization_oracle,
+    m1_scm,
+    random_final,
+    random_scm,
+)
+
+seeds = st.integers(min_value=0, max_value=2**31)
+MODERATE = settings(max_examples=60, deadline=None)
+
+
+def _statements(columns, max_given=2):
+    """Every (x, y, Z) over ``columns`` with up to ``max_given`` variables
+    in Z."""
+    for x, y in itertools.combinations(columns, 2):
+        rest = [n for n in columns if n not in (x, y)]
+        for k in range(min(max_given, len(rest)) + 1):
+            for z in itertools.combinations(rest, k):
+                yield IndependenceStatement(x, y, frozenset(z))
+
+
+def _assert_kernel_matches_the_oracles(table, stmt, counts=None):
+    """Grouped counts, their verdict, and the order of the strata agree
+    with the row-hashing counter and the Fraction oracle."""
+    weights = None if counts is None else weight_layers(counts)
+    grouped = table.cells(stmt, weights)
+    expected = cells_oracle(table, stmt, counts)
+    assert grouped == expected, stmt
+    assert list(grouped) == sorted(expected)
+    rows = zip(table.rows, counts or itertools.repeat(1))
+    independent, strata = factorization_oracle(table.columns, list(rows), stmt)
+    verdict = (independent, tuple(sorted(strata)))
+    assert factorization(grouped) == factorization(expected) == verdict, stmt
+
+
+def _sampled_table(rng: random.Random, size: int) -> WorldTable:
+    """``size`` distinct rows over six ternary columns."""
+    columns = tuple("ABCDEF")
+    space = list(itertools.product(range(3), repeat=len(columns)))
+    return WorldTable(columns, rng.sample(space, size))
+
+
+@pytest.mark.parametrize("size", [63, 64, 65, 300])
+def test_cells_match_the_oracles_across_word_boundaries(size):
+    rng = random.Random(size)
+    table = _sampled_table(rng, size)
+    assert len(table) == size
+    for stmt in _statements(table.columns):
+        _assert_kernel_matches_the_oracles(table, stmt)
+
+
+@pytest.mark.parametrize("size", [63, 64, 65])
+def test_full_binary_products_are_independent_across_word_boundaries(size):
+    # 64 rows are every combination of six binary columns; 63 and 65 rows
+    # drop one or add a seventh column's level, which breaks independence
+    space = list(itertools.product((0, 1), repeat=6))
+    rows = [(*v, 0) for v in space][: min(size, 64)]
+    if size == 65:
+        rows.append((0,) * 6 + (1,))
+    table = WorldTable(tuple("ABCDEFG"), rows)
+    assert len(table) == size
+    verdicts = set()
+    for stmt in _statements(table.columns):
+        _assert_kernel_matches_the_oracles(table, stmt)
+        verdicts.add(uniform_independent(table, stmt))
+    assert verdicts == ({True} if size == 64 else {True, False})
+
+
+@pytest.mark.parametrize(
+    "top", [7, 2**20 + 1, 2**31 + 12345], ids=["3-layers", "21-layers", "32-layers"]
+)
+def test_weighted_cells_match_the_oracles_with_many_layers(top):
+    rng = random.Random(top)
+    table = _sampled_table(rng, 130)
+    counts = [rng.randint(1, top) for _ in table.rows]
+    counts[rng.randrange(len(counts))] = top
+    layers = weight_layers(counts)
+    assert len(layers) == top.bit_length() >= 3
+    data = Dataset(table.columns, tuple(zip(table.rows, counts)))
+    assert data.support == table and data.layers == layers
+    for stmt in _statements(table.columns):
+        _assert_kernel_matches_the_oracles(table, stmt, counts)
+        assert data.cells(stmt) == table.cells(stmt, layers)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=2**40), min_size=1, max_size=200))
+def test_weight_layers_add_back_to_the_weights(weights):
+    layers = weight_layers(weights)
+    assert layers[-1]  # the top layer holds the largest weight's top bit
+    for i, w in enumerate(weights):
+        assert sum(1 << k for k, layer in enumerate(layers) if layer >> i & 1) == w
+
+
+def test_strata_a_goal_filter_empties_are_left_out():
+    # the warm hypothesis T >= 1 drops the world with T = 0, so no stratum
+    # of T is 0, and given B and T the stratum (0, 2) is gone too
+    worlds = m1_scm().worlds
+    table = worlds.filter(goal("T", ">=", 1).level_tests)
+    assert len(table) == 3
+    by_t = table.cells(IndependenceStatement("W", "H", frozenset({"T"})))
+    assert list(by_t) == [(1,), (2,)]
+    by_bt = table.cells(IndependenceStatement("W", "H", frozenset({"B", "T"})))
+    assert list(by_bt) == [(0, 1), (1, 1), (1, 2)]
+    for stmt in _statements(table.columns, max_given=3):
+        _assert_kernel_matches_the_oracles(table, stmt)
+        for joint in table.cells(stmt).values():
+            assert joint and all(joint.values())
+
+
+@MODERATE
+@given(seeds)
+def test_cells_on_goal_filtered_tables_match_the_oracles(seed):
+    rng = random.Random(seed)
+    f = random_final(rng, random_scm(rng, max_levels=4))
+    if f is None:
+        return
+    table = compatible_worlds(f)
+    for stmt in _statements(table.columns):
+        if not len(table):
+            assert table.cells(stmt) == {}
+            continue
+        _assert_kernel_matches_the_oracles(table, stmt)
+        counts = [rng.randint(1, 9) for _ in table.rows]
+        _assert_kernel_matches_the_oracles(table, stmt, counts)
+
+
+def test_skipped_strata_come_from_strata_the_data_leaves_empty():
+    # the compatible worlds of T >= 1 show T = 1 and T = 2; data that only
+    # ever saw T = 1 skips stratum (2,)
+    scm = m1_scm()
+    f = build_final_model(do_surgery(scm, "H"), ("T",), goal("T", ">=", 1))
+    data = Dataset(scm.names, (((1, 0, 1, 0), 2**21), ((0, 1, 1, 1), 3)))
+    stmt = IndependenceStatement("W", "B", frozenset({"T"}))
+    check = check_dependence(f, data, stmt)
+    assert check.skipped_strata == ((2,),)
+    assert list(data.cells(check.statement)) == [(1,)]
+
+
+class _CountingMasks:
+    """Wraps `_level_masks` and counts its calls."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self.build = teleo.model._level_masks
+        monkeypatch.setattr(teleo.model, "_level_masks", self)
+
+    def __call__(self, column):
+        self.calls += 1
+        return self.build(column)
+
+
+def test_the_grid_builds_each_column_index_once(monkeypatch):
+    counting = _CountingMasks(monkeypatch)
+    table = _sampled_table(random.Random(7), 100)
+    for _ in range(2):
+        for stmt in statement_grid(table.columns):
+            uniform_independent(table, stmt)
+        for name in table.columns:
+            table.distribution(name)
+    assert counting.calls == len(table.columns)
+    assert set(table._level_cache) == set(table.columns)
+    for name in table.columns:
+        assert table.levels(name) is table._level_cache[name]
+
+
+def test_tables_with_equal_rows_keep_their_own_indexes(monkeypatch):
+    counting = _CountingMasks(monkeypatch)
+    rows = _sampled_table(random.Random(8), 70).rows
+    first = WorldTable(tuple("ABCDEF"), rows)
+    second = WorldTable(tuple("ABCDEF"), rows)
+    assert first == second
+    assert first._level_cache is not second._level_cache
+    first.levels("A")
+    assert set(first._level_cache) == {"A"} and not second._level_cache
+    second.levels("A")
+    assert counting.calls == 2
+    assert first.levels("A") == second.levels("A")
+    assert first.levels("A") is not second.levels("A")
+
+
+def test_the_index_stays_out_of_equality_hash_and_repr():
+    rows = _sampled_table(random.Random(9), 65).rows
+    indexed = WorldTable(tuple("ABCDEF"), rows)
+    fresh = WorldTable(tuple("ABCDEF"), rows)
+    before = (repr(indexed), hash(indexed))
+    for stmt in statement_grid(indexed.columns):
+        indexed.cells(stmt)
+    assert (repr(indexed), hash(indexed)) == before == (repr(fresh), hash(fresh))
+    assert indexed == fresh
+    columns = "('A', 'B', 'C', 'D', 'E', 'F')"
+    assert repr(indexed).startswith(f"WorldTable(columns={columns}, rows=((")
+    assert "_cache" not in repr(indexed)

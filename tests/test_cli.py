@@ -242,6 +242,20 @@ class TestBenchmarkInputs:
         digest = hashlib.sha256(result.stdout_bytes).hexdigest()
         assert [result.exit_code, digest] == BENCHMARK_DIGESTS[workload][str(seed)]
 
+    def test_finalize_on_a_256_row_compatible_table(
+        self, runner, tmp_path, monkeypatch
+    ):
+        # finalize_grid with 11 context variables: 2^12 worlds, the goal in
+        # 256 of them, 3,610 statements on one compatible table
+        monkeypatch.setitem(BENCHMARK_GEN.WORKLOADS["finalize_grid"], "context", 11)
+        args = BENCHMARK_GEN.GENERATORS["finalize_grid"](3).write(tmp_path)
+        result = invoke(runner, "--json", *args)
+        assert result.exit_code == 0
+        assert len(json.loads(result.output)["result"]["assignments"]) == 256
+        assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+            "007785d3b576ba73095341b310f8392499583797cc7afba7606d4d19c0113196"
+        )
+
 
 class TestErrorHandling:
     def test_missing_spec_file(self, runner):
