@@ -8,7 +8,6 @@ command line.
 
 from teleo.errors import TeleoError
 from teleo.intervention import (
-    InterventionSpec,
     MStarModel,
     do_surgery,
     enumerate_worlds_star,
@@ -53,7 +52,7 @@ from teleo.reduction import (
     reduction_worlds,
     splice_out,
 )
-from teleo.speclang import load_model, parse_model, print_model
+from teleo.speclang import load_model, print_model
 
 __version__ = "0.1.0"
 
@@ -69,7 +68,6 @@ __all__ = [
     "uniform_independent",
     "conditional_distribution",
     "d_separated",
-    "InterventionSpec",
     "MStarModel",
     "do_surgery",
     "enumerate_worlds_star",
@@ -95,7 +93,6 @@ __all__ = [
     "project_reduction",
     "splice_out",
     "compare_structures",
-    "parse_model",
     "print_model",
     "load_model",
     "__version__",

@@ -131,8 +131,9 @@ def worlds(ctx, spec: str):
 def intervene(ctx, spec: str, target: str | None):
     """Print the worlds of the model after surgery on one variable."""
     compiled = _load_spec(spec)
-    target = target or compiled.document.do_target
-    if target is None:
+    if not target and compiled.mstar is not None:
+        target = compiled.mstar.target
+    if not target:
         raise click.ClickException("no intervention: pass --do or declare one")
     m = do_surgery(compiled.scm, target)
     table = enumerate_worlds_star(m)

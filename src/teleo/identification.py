@@ -133,7 +133,13 @@ def load_dataset(text: str, scm: Scm) -> Dataset:
             )
         if not all(INTEGER.fullmatch(f) for f in fields):
             raise DatasetError(f"non-integer field in {line!r}", lineno)
-        numbers = [int(f) for f in fields]
+        try:
+            numbers = [int(f) for f in fields]
+        except ValueError:  # past Python's limit on digits read from text
+            longest = max(map(len, fields))
+            raise DatasetError(
+                f"integer field of {longest} characters is too long", lineno
+            ) from None
         count = numbers.pop() if has_count else 1
         if count < 1:
             raise DatasetError(f"count must be positive, found {count}", lineno)

@@ -2,9 +2,10 @@
 
 Surgery removes every inbound arrow of the target and drops its mechanism,
 so the target ranges freely over its domain while every other mechanism
-keeps working.  Nodes are never removed.  A derived model records exactly
-one intervention; intervening on a second variable means building a second
-derived model from the base.
+keeps working.  Nodes are never removed.  The derived model,
+``MStarModel``, keeps the base model, the target's name and the surgered
+model; intervening on a second variable means building a second derived
+model from the base.
 """
 
 from __future__ import annotations
@@ -22,19 +23,11 @@ if TYPE_CHECKING:
     from teleo.teleology import GoalPredicate
 
 __all__ = [
-    "InterventionSpec",
     "MStarModel",
     "do_surgery",
     "enumerate_worlds_star",
     "interventional_distribution",
 ]
-
-
-@dataclass(frozen=True)
-class InterventionSpec:
-    """Names the single variable the agent sets by fiat."""
-
-    target: str
 
 
 @dataclass(frozen=True)
@@ -48,12 +41,8 @@ class MStarModel:
     """
 
     base: Scm
-    intervention: InterventionSpec
+    target: str
     model: Scm
-
-    @property
-    def target(self) -> str:
-        return self.intervention.target
 
     @property
     def surgered_dag(self) -> CausalDag:
@@ -76,20 +65,18 @@ class MStarModel:
         return table
 
 
-def do_surgery(scm: Scm, spec: InterventionSpec | str) -> MStarModel:
-    """Build the derived model for one intervention.
+def do_surgery(scm: Scm, target: str) -> MStarModel:
+    """Build the derived model for an intervention on ``target``.
 
     The target keeps its domain and its outgoing arrows; it just stops
     listening to its former parents.
     """
-    if isinstance(spec, str):
-        spec = InterventionSpec(spec)
-    if spec.target not in scm.dag.nodes:
-        raise UnknownVariableError(f"unknown intervention target {spec.target!r}")
-    kept_edges = tuple(e for e in scm.dag.edges if e[1] != spec.target)
+    if target not in scm.dag.nodes:
+        raise UnknownVariableError(f"unknown intervention target {target!r}")
+    kept_edges = tuple(e for e in scm.dag.edges if e[1] != target)
     dag = CausalDag(scm.dag.nodes, kept_edges)
-    mechanisms = {k: m for k, m in scm.mechanisms.items() if k != spec.target}
-    return MStarModel(scm, spec, Scm(dag, scm.variables, mechanisms))
+    mechanisms = {k: m for k, m in scm.mechanisms.items() if k != target}
+    return MStarModel(scm, target, Scm(dag, scm.variables, mechanisms))
 
 
 def enumerate_worlds_star(m: MStarModel) -> WorldTable:

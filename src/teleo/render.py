@@ -71,10 +71,12 @@ def _encode(value: object, level: int) -> str:
 
 def _wrap(brackets: str, items: list[str], level: int) -> str:
     """Rendered ``items`` inside ``brackets``, the whole written at indent
-    ``level``."""
+    ``level``.  The brackets go onto the first and last items, which the
+    list gives up, so the one join is the only copy of the body."""
     inner = "\n" + "  " * (level + 1)
-    body = ("," + inner).join(items)
-    return brackets[0] + inner + body + "\n" + "  " * level + brackets[1]
+    items[0] = brackets[0] + inner + items[0]
+    items[-1] += "\n" + "  " * level + brackets[1]
+    return ("," + inner).join(items)
 
 
 def _key(key: object) -> str:

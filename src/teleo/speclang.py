@@ -16,7 +16,8 @@ document itself and builds each model object once, in statement order; the
 rules of a model object are checked by its constructor alone, and its error
 is reported at the line of the statement that built it.  ``sum`` is
 ``Mechanism.sum_of``, so a sum that leaves the child's domain is that
-constructor's error.  A document that parses always compiles.
+constructor's error.  The model objects are the only form of a spec:
+``print_model`` writes them back as canonical text.
 """
 
 from __future__ import annotations
@@ -38,12 +39,7 @@ from teleo.model import (
 from teleo.teleology import Comparison, FinalModel, GoalPredicate, build_final_model
 
 __all__ = [
-    "VarDecl",
-    "MechDecl",
-    "FinalDecl",
-    "ModelSpecDocument",
     "CompiledSpec",
-    "parse_model",
     "print_model",
     "load_model",
 ]
@@ -54,44 +50,12 @@ __all__ = [
 INTEGER = re.compile(r"-?[0-9]+")
 
 
-@dataclass(frozen=True)
-class VarDecl:
-    name: str
-    domain: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class MechDecl:
-    child: str
-    parents: tuple[str, ...]
-    rows: tuple[tuple[tuple[int, ...], int], ...]  # sorted (key, value) pairs
-    notation: str  # "sum" or "table"
-
-
-@dataclass(frozen=True)
-class FinalDecl:
-    name: str
-    effects: tuple[str, ...]
-    goal: GoalPredicate
-
-
-@dataclass(frozen=True)
-class ModelSpecDocument:
-    """Abstract form of one spec file: one model plus named hypotheses."""
-
-    variables: tuple[VarDecl, ...]
-    edges: tuple[tuple[str, str], ...]
-    mechanisms: tuple[MechDecl, ...]
-    do_target: str | None = None
-    rest: tuple[str, int] | None = None
-    finals: tuple[FinalDecl, ...] = ()
-
-
 @dataclass
 class CompiledSpec:
-    """A document turned into live model objects."""
+    """The model objects of one spec: the base model, the surgered model of
+    its ``do`` (if any), its ``final`` blocks by name and its ``rest``
+    level."""
 
-    document: ModelSpecDocument
     scm: Scm
     mstar: MStarModel | None
     finals: dict[str, FinalModel] = field(default_factory=dict)
@@ -154,8 +118,13 @@ class _Cursor:
         found = INTEGER.match(self.text, self.pos)
         if found is None:
             self.error("expected an integer")
+        literal = found.group()
+        try:
+            value = int(literal)
+        except ValueError:  # past Python's limit on digits read from text
+            self.error(f"integer literal of {len(literal)} characters is too long")
         self.pos = found.end()
-        return int(found.group())
+        return value
 
     def comparison_op(self) -> str:
         for op in ("<=", ">=", "!=", "=", "<", ">"):
@@ -172,14 +141,16 @@ class _Cursor:
 class _Raw:
     """Parsed statements plus the lines they came from, for diagnostics."""
 
-    variables: list[tuple[VarDecl, int]] = field(default_factory=list)
+    variables: list[tuple[str, tuple[int, ...], int]] = field(default_factory=list)
     edges: list[tuple[tuple[str, str], int]] = field(default_factory=list)
     mechs: list[tuple[str, tuple[str, ...] | None, object, int]] = field(
         default_factory=list
     )
     do_decls: list[tuple[str, int]] = field(default_factory=list)
     rest_decls: list[tuple[str, int, int]] = field(default_factory=list)
-    finals: list[tuple[FinalDecl, int]] = field(default_factory=list)
+    finals: list[tuple[str, tuple[str, ...], GoalPredicate, int]] = field(
+        default_factory=list
+    )
 
 
 def _parse_var(cur: _Cursor, raw: _Raw) -> None:
@@ -191,7 +162,7 @@ def _parse_var(cur: _Cursor, raw: _Raw) -> None:
     cur.end()
     if hi <= lo:
         cur.error(f"domain {lo}..{hi} needs at least two increasing levels")
-    raw.variables.append((VarDecl(name, tuple(range(lo, hi + 1))), cur.lineno))
+    raw.variables.append((name, tuple(range(lo, hi + 1)), cur.lineno))
 
 
 def _parse_edge(cur: _Cursor, raw: _Raw) -> None:
@@ -275,7 +246,7 @@ def _parse_final(cur: _Cursor, raw: _Raw) -> None:
     cur.match(";")
     cur.expect("}")
     cur.end()
-    raw.finals.append((FinalDecl(name, tuple(effects), goal), cur.lineno))
+    raw.finals.append((name, tuple(effects), goal, cur.lineno))
 
 
 _STATEMENTS = {
@@ -356,11 +327,11 @@ def load_model(text: str) -> CompiledSpec:
     raw = _scan(text)
 
     variables: dict[str, Variable] = {}
-    for decl, lineno in raw.variables:
-        if decl.name in variables:
-            raise SpecSyntaxError(f"duplicate variable {decl.name!r}", lineno)
+    for name, domain, lineno in raw.variables:
+        if name in variables:
+            raise SpecSyntaxError(f"duplicate variable {name!r}", lineno)
         with _statement(lineno):
-            variables[decl.name] = Variable(decl.name, decl.domain)
+            variables[name] = Variable(name, domain)
 
     seen_edges: set[tuple[str, str]] = set()
     for (parent, child), lineno in raw.edges:
@@ -382,7 +353,6 @@ def load_model(text: str) -> CompiledSpec:
         ) from None
 
     mechanisms: dict[str, Mechanism] = {}
-    mech_decls: list[MechDecl] = []
     for child, parents, body, lineno in raw.mechs:
         if child in mechanisms:
             raise SpecSyntaxError(f"duplicate mechanism for {child!r}", lineno)
@@ -409,10 +379,6 @@ def load_model(text: str) -> CompiledSpec:
                 mech = Mechanism(child, parents, table)
             check_table(mech, variables)
         mechanisms[child] = mech
-        notation = "sum" if body == "sum" else "table"
-        mech_decls.append(
-            MechDecl(child, mech.parents, tuple(sorted(mech.table.items())), notation)
-        )
 
     for (_, child), lineno in raw.edges:
         if child not in mechanisms:
@@ -421,11 +387,11 @@ def load_model(text: str) -> CompiledSpec:
 
     if len(raw.do_decls) > 1:
         raise SpecSyntaxError("only one intervention per model", raw.do_decls[1][1])
-    do_target = mstar = None
+    mstar = None
     if raw.do_decls:
-        do_target, lineno = raw.do_decls[0]
+        target, lineno = raw.do_decls[0]
         with _statement(lineno):
-            mstar = do_surgery(scm, do_target)
+            mstar = do_surgery(scm, target)
 
     if len(raw.rest_decls) > 1:
         raise SpecSyntaxError("only one rest declaration", raw.rest_decls[1][2])
@@ -434,81 +400,66 @@ def load_model(text: str) -> CompiledSpec:
         var, level, lineno = raw.rest_decls[0]
         if var not in variables:
             raise SpecSyntaxError(f"undeclared variable {var!r}", lineno)
-        if var != do_target:
+        if mstar is None or var != mstar.target:
             raise SpecSyntaxError("rest level must name the do variable", lineno)
         if level not in variables[var].domain:
             raise SpecSyntaxError(
                 f"rest level {level} outside domain {variables[var].domain}", lineno
             )
-        rest = (var, level)
+        rest = level
 
     finals: dict[str, FinalModel] = {}
-    for decl, lineno in raw.finals:
-        if decl.name in finals:
-            raise SpecSyntaxError(f"duplicate final block {decl.name!r}", lineno)
+    for name, effects, goal, lineno in raw.finals:
+        if name in finals:
+            raise SpecSyntaxError(f"duplicate final block {name!r}", lineno)
         if mstar is None:
-            raise SpecSyntaxError(f"final {decl.name!r} needs a do declaration", lineno)
-        if len(set(decl.effects)) != len(decl.effects):
+            raise SpecSyntaxError(f"final {name!r} needs a do declaration", lineno)
+        if len(set(effects)) != len(effects):
             raise SpecSyntaxError("repeated intended effect", lineno)
         with _statement(lineno):
-            finals[decl.name] = build_final_model(
-                mstar, decl.effects, decl.goal, name=decl.name
-            )
+            finals[name] = build_final_model(mstar, effects, goal, name=name)
 
-    document = ModelSpecDocument(
-        variables=tuple(decl for decl, _ in raw.variables),
-        edges=tuple(e for e, _ in raw.edges),
-        mechanisms=tuple(mech_decls),
-        do_target=do_target,
-        rest=rest,
-        finals=tuple(decl for decl, _ in raw.finals),
-    )
-    return CompiledSpec(document, scm, mstar, finals, rest[1] if rest else None)
+    return CompiledSpec(scm, mstar, finals, rest)
 
 
-def parse_model(text: str) -> ModelSpecDocument:
-    """The validated document of one spec: ``load_model(text).document``.
-    A document that parses always compiles."""
-    return load_model(text).document
+def print_model(spec: CompiledSpec) -> str:
+    """Canonical text for a compiled spec; ``load_model`` of the text builds
+    an equal spec.
 
-
-def print_model(doc: ModelSpecDocument) -> str:
-    """Canonical text for a document; parsing it back gives an equal document."""
+    Statements come in model order: variables and edges as declared,
+    mechanisms as their statements were, each table's rows sorted, and each
+    final's effects in variable order.  A table whose every value is the sum
+    of its key prints as ``sum``.
+    """
+    scm = spec.scm
     out: list[str] = []
-    for v in doc.variables:
+    for v in scm.variables:
         lo, hi = v.domain[0], v.domain[-1]
         if v.domain != tuple(range(lo, hi + 1)):
-            raise SpecSyntaxError(
-                f"domain of {v.name} is not a contiguous range", 0
-            )
+            raise SpecSyntaxError(f"domain of {v.name} is not a contiguous range", 0)
         out.append(f"var {v.name} in {lo}..{hi}")
-    if doc.edges:
+    if scm.dag.edges:
         out.append("")
-        out.extend(f"edge {p} -> {c}" for p, c in doc.edges)
-    if doc.mechanisms:
+        out.extend(f"edge {p} -> {c}" for p, c in scm.dag.edges)
+    if scm.mechanisms:
         out.append("")
-        for m in doc.mechanisms:
-            if m.notation == "sum":
-                out.append(f"mech {m.child} = sum({', '.join(m.parents)})")
+        for m in scm.mechanisms.values():
+            parents = ", ".join(m.parents)
+            if all(sum(key) == value for key, value in m.table.items()):
+                out.append(f"mech {m.child} = sum({parents})")
             else:
                 rows = "; ".join(
                     f"({','.join(str(v) for v in key)})->{value}"
-                    for key, value in m.rows
+                    for key, value in sorted(m.table.items())
                 )
-                out.append(
-                    f"mech {m.child} = table({', '.join(m.parents)}) {{ {rows} }}"
-                )
-    if doc.do_target or doc.rest or doc.finals:
-        out.append("")
-    if doc.do_target:
-        out.append(f"do {doc.do_target}")
-    if doc.rest:
-        out.append(f"rest {doc.rest[0]} = {doc.rest[1]}")
-    for f in doc.finals:
-        goal = " and ".join(
-            f"{c.variable} {c.op} {c.level}" for c in f.goal.conjuncts
-        )
-        out.append(
-            f"final {f.name} {{ effects: {', '.join(f.effects)}; goal: {goal} }}"
-        )
+                out.append(f"mech {m.child} = table({parents}) {{ {rows} }}")
+    if spec.mstar is not None:
+        target = spec.mstar.target
+        out.extend(("", f"do {target}"))
+        if spec.rest is not None:
+            out.append(f"rest {target} = {spec.rest}")
+    for name, f in spec.finals.items():
+        goal = " and ".join(f"{c.variable} {c.op} {c.level}" for c in f.goal.conjuncts)
+        effects = ", ".join(f.intended_effects)
+        out.append(f"final {name} {{ effects: {effects}; goal: {goal} }}")
     return "\n".join(out) + "\n"

@@ -14,6 +14,7 @@ intact, the teleological reading is a second constraint layered on top.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -326,18 +327,23 @@ def enumerate_goal_hypotheses(
     ``max_effects`` members, crossed with every atomic equality goal over a
     member variable.  Deeper subsets probe how far along a chain the
     intention reaches; wider ones probe which branch of co-effects is meant.
-    Candidates whose goal no reachable world satisfies are dropped.
+    Candidates whose goal no reachable world satisfies are dropped.  The
+    candidate count is checked against ``cap`` before any subset is built.
     """
     if max_effects < 1:
         raise TeleologyError("max_effects must be at least 1")
     descendants = m.base.dag.descendants(m.target)
-    subsets: list[tuple[str, ...]] = []
-    for size in range(1, min(max_effects, len(descendants)) + 1):
-        subsets.extend(itertools.combinations(descendants, size))
-    required = sum(len(m.base.domain(v)) for s in subsets for v in s)
+    n = len(descendants)
+    sizes = range(1, min(max_effects, n) + 1)
+    # each variable is in C(n-1, k-1) of the k-subsets, one candidate per level
+    levels = sum(len(m.base.domain(v)) for v in descendants)
+    required = levels * sum(math.comb(n - 1, k - 1) for k in sizes)
     if required > cap:
         raise EnumerationBudgetError(required, cap)
     out: list[GoalHypothesis] = []
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(descendants, k) for k in sizes
+    )
     for effects in subsets:
         for var in effects:
             for level in m.base.domain(var):

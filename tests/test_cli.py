@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from click.testing import CliRunner
 from teleo import __version__
 from teleo.cli import cli
 from teleo.render import render_table
+from teleo.speclang import load_model, print_model
 
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = str(ROOT / "models" / "heating.tele")
@@ -242,6 +244,12 @@ class TestBenchmarkInputs:
         digest = hashlib.sha256(result.stdout_bytes).hexdigest()
         assert [result.exit_code, digest] == BENCHMARK_DIGESTS[workload][str(seed)]
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("workload", sorted(BENCHMARK_GEN.GENERATORS))
+    def test_spec_round_trips_through_the_printer(self, workload, seed):
+        spec = load_model(BENCHMARK_GEN.GENERATORS[workload](seed).model.spec())
+        assert load_model(print_model(spec)) == spec
+
     def test_finalize_on_a_256_row_compatible_table(
         self, runner, tmp_path, monkeypatch
     ):
@@ -302,6 +310,54 @@ class TestErrorHandling:
         assert isinstance(result.exception, SystemExit)
         assert result.output.startswith("error: line 2: non-integer")
         assert "Traceback" not in result.output
+
+    def test_integer_past_the_digit_limit_is_an_error_not_a_crash(
+        self, runner, tmp_path
+    ):
+        spec = tmp_path / "long.tele"
+        spec.write_text("var X in 0.." + "9" * 5000 + "\n")
+        data = tmp_path / "obs.csv"
+        data.write_text("W,H,T,B\n" + "1" * 5000 + ",0,1,0\n")
+        for args, message in (
+            (
+                ("worlds", str(spec)),
+                "line 1, column 13: integer literal of 5000 characters is too long",
+            ),
+            (
+                ("identify", SPEC, str(data)),
+                "line 2: integer field of 5000 characters is too long",
+            ),
+        ):
+            start = time.perf_counter()
+            result = invoke(runner, *args)
+            assert time.perf_counter() - start < 1.0
+            assert result.exit_code == 1
+            assert isinstance(result.exception, SystemExit)
+            assert result.output == f"error: {message}\n"
+
+    def test_candidate_cap_fails_before_building_subsets(self, runner, tmp_path):
+        # 40 binary children of the action, effect sets of up to 20
+        children = [f"C{i}" for i in range(40)]
+        spec = tmp_path / "wide.tele"
+        spec.write_text(
+            "var A in 0..1\ndo A\n"
+            + "".join(
+                f"var {c} in 0..1\nedge A -> {c}\nmech {c} = sum(A)\n"
+                for c in children
+            )
+        )
+        data = tmp_path / "obs.csv"
+        data.write_text(",".join(["A", *children]) + "\n" + ",".join(["0"] * 41) + "\n")
+        args = ("identify", str(spec), str(data), "--enumerate", "--max-effects", "20")
+        start = time.perf_counter()
+        result = invoke(runner, *args)
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 1
+        # each of the 80 levels is in sum_{k<=20} C(39, k-1) = 2^38 subsets
+        assert result.output == (
+            f"error: hypothesis enumeration needs {80 * 2**38} candidates, "
+            "cap is 4096\n"
+        )
 
     def test_spec_that_is_not_utf8_is_an_error_not_a_crash(self, runner, tmp_path):
         spec = tmp_path / "bad.tele"

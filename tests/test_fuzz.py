@@ -9,7 +9,7 @@ land next to a digit, where the integer readers are, and the alphabet mixes
 ASCII syntax with characters that ``str`` methods treat as digits or
 whitespace but ``int`` does not read as ASCII: a superscript two, an
 Arabic-Indic three, a no-break space, a byte-order mark and a carriage
-return.
+return.  It also holds a digit run longer than ``int`` reads from text.
 """
 
 from pathlib import Path
@@ -24,9 +24,10 @@ SPEC = (Path(__file__).resolve().parents[1] / "models" / "heating.tele").read_te
 CSV = "W,H,T,B,count\n1,0,1,0,5\n0,1,1,1,5\n0,0,0,0,2\n"
 SCM = load_model(SPEC).scm
 
-# no digit above 1 is inserted, so a mutated domain stays small
+# no digit above 1 is inserted, so a mutated domain stays small; the run of
+# 5,000 zeros makes an integer past Python's limit on digits read from text
 ALPHABET = ["\u00b2", "\u0663", "\u00a0", "\ufeff", "\r", "\n", " ", "0", "1",
-            "-", ".", ",", "#", "(", ")", ";", "=", "W"]
+            "-", ".", ",", "#", "(", ")", ";", "=", "W", "0" * 5000]
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True)
 
 

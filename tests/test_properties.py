@@ -30,14 +30,7 @@ from teleo.model import (
 )
 from teleo.reduction import build_reduction, compare_structures, splice_out
 from teleo.render import render_json
-from teleo.speclang import (
-    FinalDecl,
-    MechDecl,
-    ModelSpecDocument,
-    VarDecl,
-    parse_model,
-    print_model,
-)
+from teleo.speclang import CompiledSpec, load_model, print_model
 from teleo.teleology import (
     Comparison,
     GoalPredicate,
@@ -166,7 +159,7 @@ def test_cycle_error_names_the_first_edge_that_closes_a_cycle(seed):
     text = "".join(f"var {n} in 0..1\n" for n in dag.nodes)
     text += "".join(f"edge {a} -> {b}\n" for a, b in edges)
     with pytest.raises(SpecSyntaxError, match="cycle") as exc:
-        parse_model(text)
+        load_model(text)
     assert exc.value.line == len(dag.nodes) + closing
 
 
@@ -585,47 +578,38 @@ def test_hypothesis_enumeration_is_order_stable(seed):
     ]
 
 
-def _random_document(rng: random.Random) -> ModelSpecDocument:
+def _random_spec(rng: random.Random):
+    """A random model with mechanisms stated out of declaration order, and
+    maybe a do, a rest level and up to two finals whose effects are children
+    of the action, in random order.  The finals are written as text here,
+    since one of them may not build; returns the spec without them, the
+    finals as (name, effects, goal) and the whole text."""
     scm = random_scm(rng)
-    variables = tuple(VarDecl(v.name, v.domain) for v in scm.variables)
-    mechs = tuple(
-        MechDecl(m.child, m.parents, tuple(sorted(m.table.items())), "table")
-        for _, m in sorted(scm.mechanisms.items())
-    )
-    do_target = None
-    rest = None
-    finals: tuple[FinalDecl, ...] = ()
+    scm = Scm(scm.dag, scm.variables, dict(sorted(scm.mechanisms.items())))
+    mstar = rest = None
+    finals = []
     targets = [n for n in scm.dag.nodes if scm.dag.children(n)]
     if targets and rng.random() < 0.8:
-        do_target = rng.choice(targets)
+        mstar = do_surgery(scm, rng.choice(targets))
         if rng.random() < 0.5:
-            rest = (do_target, rng.choice(scm.domain(do_target)))
-        children = scm.dag.children(do_target)
-        names = iter(("first", "second"))
-        finals = tuple(
-            FinalDecl(
-                next(names),
-                effects := tuple(rng.sample(children, rng.randint(1, len(children)))),
-                random_goal(rng, scm, effects),
-            )
-            for _ in range(rng.randint(0, 2))
-        )
-    return ModelSpecDocument(
-        variables=variables,
-        edges=scm.dag.edges,
-        mechanisms=mechs,
-        do_target=do_target,
-        rest=rest,
-        finals=finals,
-    )
+            rest = rng.choice(scm.domain(mstar.target))
+        children = scm.dag.children(mstar.target)
+        for name in ("first", "second")[: rng.randint(0, 2)]:
+            effects = tuple(rng.sample(children, rng.randint(1, len(children))))
+            finals.append((name, effects, random_goal(rng, scm, effects)))
+    spec = CompiledSpec(scm, mstar, {}, rest)
+    text = print_model(spec)
+    for name, effects, g in finals:
+        said = " and ".join(f"{c.variable} {c.op} {c.level}" for c in g.conjuncts)
+        text += f"final {name} {{ effects: {', '.join(effects)}; goal: {said} }}\n"
+    return spec, finals, text
 
 
-def _reversal_closes_a_cycle(doc: ModelSpecDocument, final: FinalDecl) -> bool:
+def _reversal_closes_a_cycle(scm: Scm, action: str, effects) -> bool:
     """Surgery on the do target, then each effect's arrow turned toward it,
     on the bare edge list."""
-    action = doc.do_target
-    edges = [(p, c) for p, c in doc.edges if c != action]
-    for eff in final.effects:
+    edges = [(p, c) for p, c in scm.dag.edges if c != action]
+    for eff in effects:
         if (action, eff) in edges:
             edges.remove((action, eff))
         edges.append((eff, action))
@@ -638,15 +622,24 @@ def test_parser_round_trip_on_random_documents(seed):
     # every effect is a child of the action, but one that the action also
     # reaches through another child closes a cycle when its arrow turns
     # round; the parser must then blame the first such final's line
-    doc = _random_document(random.Random(seed))
-    text = print_model(doc)
-    broken = [f for f in doc.finals if _reversal_closes_a_cycle(doc, f)]
+    spec, finals, text = _random_spec(random.Random(seed))
+    broken = [
+        name
+        for name, effects, _ in finals
+        if _reversal_closes_a_cycle(spec.scm, spec.mstar.target, effects)
+    ]
     if not broken:
-        assert parse_model(text) == doc
+        spec.finals = {
+            name: build_final_model(spec.mstar, effects, g, name=name)
+            for name, effects, g in finals
+        }
+        loaded = load_model(text)
+        assert loaded == spec
+        assert load_model(print_model(loaded)) == loaded
         return
     with pytest.raises(SpecSyntaxError, match="cycle") as exc:
-        parse_model(text)
-    header = f"final {broken[0].name} "
+        load_model(text)
+    header = f"final {broken[0]} "
     lines = text.splitlines()
     assert exc.value.line == 1 + next(
         i for i, line in enumerate(lines) if line.startswith(header)

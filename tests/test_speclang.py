@@ -4,7 +4,7 @@ import pytest
 
 from teleo.errors import SpecSyntaxError
 from teleo.model import enumerate_worlds
-from teleo.speclang import load_model, parse_model, print_model
+from teleo.speclang import load_model, print_model
 from teleo.teleology import compatible_worlds
 
 from support import value_sets
@@ -44,7 +44,7 @@ class TestParsing:
             (0, 1, 1, 1),
         }
         assert compiled.rest == 0
-        assert compiled.document.do_target == "H"
+        assert compiled.mstar.target == "H"
 
     def test_table_mechanism_and_conjunction(self):
         compiled = load_model(
@@ -80,7 +80,7 @@ mech C = table(B, A) { (0,0)->0; (0,1)->1; (1,0)->1; (1,1)->0 }
 
 def err(text: str) -> SpecSyntaxError:
     with pytest.raises(SpecSyntaxError) as exc:
-        parse_model(text)
+        load_model(text)
     return exc.value
 
 
@@ -211,6 +211,11 @@ def fault(name: str, text: str, message: str):
 SINGLE_FAULTS = [
     # the document's own rules, checked by the parser
     fault("syntax", "var W in 0..\n", "line 1, column 13: expected an integer"),
+    fault(
+        "integer-past-the-digit-limit",
+        "var W in 0.." + "9" * 5000 + "\n",
+        "line 1, column 13: integer literal of 5000 characters is too long",
+    ),
     fault(
         "unknown-statement",
         "vra W in 0..1\n",
@@ -394,15 +399,40 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("text", CORPUS, ids=["room", "mini", "mini-implicit"])
     def test_parse_print_parse_is_identity(self, text):
-        doc = parse_model(text)
-        assert parse_model(print_model(doc)) == doc
+        spec = load_model(text)
+        assert load_model(print_model(spec)) == spec
 
     def test_printer_is_stable(self):
-        doc = parse_model(ROOM)
-        assert print_model(parse_model(print_model(doc))) == print_model(doc)
+        printed = print_model(load_model(ROOM))
+        assert print_model(load_model(printed)) == printed
 
     def test_sum_notation_survives_round_trip(self):
-        doc = parse_model(ROOM)
-        printed = print_model(doc)
+        printed = print_model(load_model(ROOM))
         assert "mech T = sum(W, H)" in printed
         assert "mech B = sum(H)" in printed
+
+    def test_table_that_sums_its_key_prints_as_sum(self):
+        text = MINI.replace("(0)->1; (1)->0", "(1)->1; (0)->0")
+        spec = load_model(text)
+        printed = print_model(spec)
+        assert "mech Y = sum(X)" in printed
+        assert load_model(printed) == spec
+
+    def test_other_tables_print_their_sorted_rows(self):
+        text = MINI.replace("(0)->1; (1)->0", "(1)->0; (0)->1")
+        printed = print_model(load_model(text))
+        assert "mech Y = table(X) { (0)->1; (1)->0 }" in printed
+
+    def test_effects_print_in_declaration_order(self):
+        text = (
+            "var X in 0..1\nvar Y in 0..1\nvar Z in 0..1\n"
+            "edge X -> Y\nedge X -> Z\n"
+            "mech Y = table(X) { (0)->1; (1)->0 }\nmech Z = sum(X)\n"
+            "do X\nfinal both { effects: Z, Y; goal: Z = 1 and Y = 0 }\n"
+        )
+        spec = load_model(text)
+        printed = print_model(spec)
+        assert printed.endswith(
+            "final both { effects: Y, Z; goal: Z = 1 and Y = 0 }\n"
+        )
+        assert load_model(printed) == spec

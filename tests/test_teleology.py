@@ -1,4 +1,7 @@
 import copy
+import itertools
+import random
+import time
 from pathlib import Path
 
 import pytest
@@ -25,7 +28,15 @@ from teleo.teleology import (
     implied_dependencies,
 )
 
-from support import chain_scm, filter_oracle, m1_scm, value_sets, world_set, worlds_of
+from support import (
+    chain_scm,
+    filter_oracle,
+    m1_scm,
+    random_scm,
+    value_sets,
+    world_set,
+    worlds_of,
+)
 
 SPEC = Path(__file__).resolve().parents[1] / "models" / "heating.tele"
 
@@ -324,6 +335,47 @@ class TestHypothesisEnumeration:
         assert exc.value.required > 3
         # the cap is checked before the surgered world table is built
         assert "worlds" not in m.model.__dict__
+        # the up-front count equals the candidates the subsets would give
+        rng = random.Random(7)
+        randoms = [random_scm(rng, max_vars=6) for _ in range(20)]
+        for scm in [m1_scm(), chain_scm(), *randoms]:
+            for target in (n for n in scm.dag.nodes if scm.dag.children(n)):
+                m = do_surgery(scm, target)
+                descendants = scm.dag.descendants(target)
+                for max_effects in range(1, len(descendants) + 2):
+                    enumerated = sum(
+                        len(scm.domain(v))
+                        for size in range(1, max_effects + 1)
+                        for s in itertools.combinations(descendants, size)
+                        for v in s
+                    )
+                    with pytest.raises(EnumerationBudgetError) as exc:
+                        enumerate_goal_hypotheses(m, max_effects, cap=enumerated - 1)
+                    assert exc.value.required == enumerated
+                    enumerate_goal_hypotheses(m, max_effects, cap=enumerated)
+
+    def test_budget_cap_comes_before_any_subset(self):
+        # 40 binary children of the action: 80 levels, each in
+        # sum_{k<=20} C(39, k-1) = 2^38 of the subsets up to size 20
+        a = Variable("A", (0, 1))
+        children = [Variable(f"C{i}", (0, 1)) for i in range(40)]
+        dag = CausalDag(
+            ("A", *(c.name for c in children)), [("A", c.name) for c in children]
+        )
+        scm = Scm(
+            dag,
+            (a, *children),
+            {c.name: Mechanism.sum_of(c, (a,)) for c in children},
+        )
+        m = do_surgery(scm, "A")
+        start = time.perf_counter()
+        with pytest.raises(EnumerationBudgetError) as exc:
+            enumerate_goal_hypotheses(m, max_effects=20)
+        assert time.perf_counter() - start < 1.0
+        assert exc.value.required == 80 * 2**38
+        assert str(exc.value) == (
+            f"hypothesis enumeration needs {80 * 2**38} candidates, cap is 4096"
+        )
 
     def test_candidates_come_with_their_worlds(self, room_star):
         hyps = enumerate_goal_hypotheses(room_star, max_effects=2)
