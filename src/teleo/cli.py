@@ -26,7 +26,6 @@ from teleo.reduction import build_reduction, compare_structures, reduction_world
 from teleo.render import render_json, render_table
 from teleo.speclang import CompiledSpec, load_model
 from teleo.teleology import (
-    build_final_model,
     compatible_worlds,
     distinguishable,
     enumerate_goal_hypotheses,
@@ -276,16 +275,8 @@ def identify(ctx, spec: str, data: str, enumerate_all: bool, max_effects: int):
     if enumerate_all:
         if compiled.mstar is None:
             raise click.ClickException("spec declares no intervention to enumerate for")
-        candidates = []
-        for hyp in enumerate_goal_hypotheses(compiled.mstar, max_effects):
-            try:
-                candidates.append(
-                    build_final_model(
-                        compiled.mstar, hyp.effects, hyp.goal, name=hyp.label
-                    )
-                )
-            except TeleoError as exc:
-                diagnostics.append(f"skipped candidate {hyp.label}: {exc}")
+        candidates, skipped = enumerate_goal_hypotheses(compiled.mstar, max_effects)
+        diagnostics = [f"skipped candidate {name}: {exc}" for name, exc in skipped]
     else:
         candidates = list(compiled.finals.values())
         if not candidates:

@@ -244,7 +244,7 @@ def rank_hypotheses(
     """Rank goal hypotheses against one dataset.
 
     Support-compatible candidates come first, the most specific (smallest
-    compatible-world set) leading; ties fall back to declaration order.
+    compatible-world set) leading; ties keep the order of ``candidates``.
     Candidates with identical compatible-world sets form one observational
     equivalence class and share a class number.  Each verdict also carries
     the expected-vs-observed dependence checks for every variable pair.
@@ -273,14 +273,8 @@ def rank_hypotheses(
         if support.compatible_world_count:
             checks = tuple(check_dependence(f, d, s) for s in pair_stmts)
         verdicts.append(replace(support, dependence_checks=checks))
-    decl_index = {id(f): i for i, f in enumerate(candidates)}
     ordered = sorted(
-        verdicts,
-        key=lambda v: (
-            not v.support_compatible,
-            v.compatible_world_count,
-            decl_index[id(v.hypothesis)],
-        ),
+        verdicts, key=lambda v: (not v.support_compatible, v.compatible_world_count)
     )
     class_ids: dict[tuple[tuple[int, ...], ...], int] = {}
     out: list[RankedHypothesis] = []

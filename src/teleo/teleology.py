@@ -50,7 +50,6 @@ __all__ = [
     "ImpliedDependence",
     "distinguishable",
     "Distinguishability",
-    "GoalHypothesis",
     "enumerate_goal_hypotheses",
     "DEFAULT_CANDIDATE_CAP",
 ]
@@ -142,10 +141,8 @@ def goal(variable: str, op: str, level: int) -> GoalPredicate:
 class FinalModel:
     """A surgered model plus intended effects and a goal over them.
 
-    ``worlds`` holds the compatible worlds (see ``compatible_worlds``):
-    the table ``MStarModel.worlds_meeting`` keeps for this goal, shared with
-    every final model and enumerated hypothesis over the same surgered model
-    and an equal goal.
+    A declared final block and an enumerated goal hypothesis are both final
+    models.  Their compatible worlds come from ``compatible_worlds``.
     """
 
     mstar: MStarModel
@@ -161,10 +158,6 @@ class FinalModel:
     @property
     def label(self) -> str:
         return self.name if self.name is not None else str(self.goal)
-
-    @property
-    def worlds(self) -> WorldTable:
-        return self.mstar.worlds_meeting(self.goal)
 
 
 def _reverse_toward_action(
@@ -236,9 +229,10 @@ def compatible_worlds(f: FinalModel) -> WorldTable:
     Always a subset of the intervention's world table; an empty result means
     the goal is unreachable under this action, which is a verdict for the
     caller to report, not an error.  The table is computed once per
-    surgered model and goal, and the same object is returned on every call.
+    surgered model and goal, and the same object is returned on every call,
+    for every final model over that surgered model and an equal goal.
     """
-    return f.worlds
+    return f.mstar.worlds_meeting(f.goal)
 
 
 @dataclass(frozen=True)
@@ -302,32 +296,22 @@ def distinguishable(f1: FinalModel, f2: FinalModel) -> Distinguishability:
     return Distinguishability(t1.outside(t2), t2.outside(t1))
 
 
-@dataclass(frozen=True)
-class GoalHypothesis:
-    """One enumerated candidate: effect set, atomic goal, compatible worlds."""
-
-    effects: tuple[str, ...]
-    goal: GoalPredicate
-    worlds: WorldTable
-
-    @property
-    def label(self) -> str:
-        g = str(self.goal)
-        if tuple(self.goal.variables) == self.effects:
-            return g
-        return f"{g}[{','.join(self.effects)}]"
-
-
 def enumerate_goal_hypotheses(
     m: MStarModel, max_effects: int, cap: int = DEFAULT_CANDIDATE_CAP
-) -> list[GoalHypothesis]:
-    """All candidate goal hypotheses for one intervention.
+) -> tuple[list[FinalModel], list[tuple[str, TeleologyError]]]:
+    """All candidate goal hypotheses for one intervention, as final models.
 
     Candidates are non-empty subsets of the action's descendants up to
     ``max_effects`` members, crossed with every atomic equality goal over a
     member variable.  Deeper subsets probe how far along a chain the
     intention reaches; wider ones probe which branch of co-effects is meant.
-    Candidates whose goal no reachable world satisfies are dropped.  The
+    A candidate is named by its goal, with its effect set appended when that
+    holds more than the goal's variable: ``T=1``, ``T=1[T,B]``.
+
+    Returns ``(finals, skipped)``: the final models in candidate order, and
+    a ``(name, error)`` pair for each candidate whose arrow reversal closes
+    a cycle.  Candidates whose goal no reachable world satisfies are dropped
+    before any final model is built, so they appear in neither list.  The
     candidate count is checked against ``cap`` before any subset is built.
     """
     if max_effects < 1:
@@ -340,7 +324,8 @@ def enumerate_goal_hypotheses(
     required = levels * sum(math.comb(n - 1, k - 1) for k in sizes)
     if required > cap:
         raise EnumerationBudgetError(required, cap)
-    out: list[GoalHypothesis] = []
+    finals: list[FinalModel] = []
+    skipped: list[tuple[str, TeleologyError]] = []
     subsets = itertools.chain.from_iterable(
         itertools.combinations(descendants, k) for k in sizes
     )
@@ -348,7 +333,11 @@ def enumerate_goal_hypotheses(
         for var in effects:
             for level in m.base.domain(var):
                 g = goal(var, "=", level)
-                worlds = m.worlds_meeting(g)
-                if len(worlds):
-                    out.append(GoalHypothesis(effects, g, worlds))
-    return out
+                if not len(m.worlds_meeting(g)):
+                    continue
+                name = str(g) if effects == (var,) else f"{g}[{','.join(effects)}]"
+                try:
+                    finals.append(build_final_model(m, effects, g, name))
+                except TeleologyError as exc:
+                    skipped.append((name, exc))
+    return finals, skipped

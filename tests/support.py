@@ -16,7 +16,8 @@ tables: one ``World`` per exogenous combination, each mechanism evaluated
 world by world, goals checked comparison by comparison, projections made
 world by world.  ``World`` is the oracles' row type; the library keeps every
 set of worlds as a ``WorldTable``, and ``worlds_of`` reads one back as
-``World``s.
+``World``s.  The candidates oracle enumerates goal hypotheses in two steps,
+listing the reachable candidates first and building each one afterwards.
 """
 
 from __future__ import annotations
@@ -323,6 +324,34 @@ def random_final(rng: random.Random, scm: Scm):
         return None
 
 
+def candidates_oracle(m, max_effects: int):
+    """The goal-hypothesis enumeration in two plain steps: list every
+    effect set of up to ``max_effects`` of the action's descendants
+    (read off the edge list) with each equality goal over a member that
+    some surgered world meets, then build each as a final model, keeping the
+    construction error of one whose arrow reversal closes a cycle.  Returns
+    ``(finals, skipped)`` in the shape ``enumerate_goal_hypotheses`` does."""
+    reached = {b for a, b in reachability_oracle(m.base.dag.edges) if a == m.target}
+    descendants = [n for n in m.base.dag.nodes if n in reached]
+    worlds = worlds_oracle(m.model)
+    hypotheses = []
+    for size in range(1, max_effects + 1):
+        for effects in itertools.combinations(descendants, size):
+            for var in effects:
+                for level in m.base.domain(var):
+                    g = GoalPredicate((Comparison(var, "=", level),))
+                    if filter_oracle(worlds, g):
+                        hypotheses.append((effects, g))
+    finals, skipped = [], []
+    for effects, g in hypotheses:
+        label = str(g) if g.variables == effects else f"{g}[{','.join(effects)}]"
+        try:
+            finals.append(build_final_model(m, effects, g, name=label))
+        except TeleologyError as exc:
+            skipped.append((label, exc))
+    return finals, skipped
+
+
 def m1_scm() -> Scm:
     """The four-variable room model used throughout the golden tests."""
     w = Variable("W", (0, 1))
@@ -373,6 +402,7 @@ __all__ = [
     "random_scm",
     "random_goal",
     "random_final",
+    "candidates_oracle",
     "m1_scm",
     "chain_scm",
     "value_sets",

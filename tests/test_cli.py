@@ -21,6 +21,10 @@ WARM_CSV = "W,H,T,B,count\n1,0,1,0,5\n0,1,1,1,5\n"
 ALL_CSV = "W,H,T,B\n0,0,0,0\n1,0,1,0\n0,1,1,1\n1,1,2,1\n"
 # mild wins; warm, cheap, costly and notcold each see a row outside their worlds
 VIOLATING_CSV = "W,H,T,B,count\n1,0,1,0,5\n0,1,1,1,5\n0,0,0,0,1\n"
+CHAIN_SPEC = (
+    "var X in 0..1\nvar Y in 0..1\nvar Z in 0..1\nedge X -> Y\nedge Y -> Z\n"
+    "mech Y = sum(X)\nmech Z = sum(Y)\ndo X\n"
+)
 
 
 @pytest.fixture()
@@ -117,6 +121,41 @@ class TestIdentify:
         result = invoke(runner, "identify", SPEC, str(data))
         lines = result.output.splitlines()
         assert lines[1].startswith("rank 1: warm")
+
+    def test_cyclic_candidates_are_skipped_with_a_diagnostic(self, runner, tmp_path):
+        # turning Z's arrow toward X closes X -> Y -> Z -> X, so both Z
+        # goals over the effect set {Z} are skipped; {Y, Z} reverses X -> Y
+        spec = tmp_path / "chain.tele"
+        spec.write_text(CHAIN_SPEC)
+        data = tmp_path / "obs.csv"
+        data.write_text("X,Y,Z\n0,0,0\n1,1,1\n")
+        args = ("identify", str(spec), str(data), "--enumerate", "--max-effects", "2")
+        skipped = [
+            f"skipped candidate Z={level}: reversing arrows toward X for effects "
+            "{Z} breaks the graph: graph has a cycle through X, Y, Z"
+            for level in (0, 1)
+        ]
+        result = invoke(runner, *args)
+        assert result.exit_code == 2
+        assert result.stderr == "".join(line + "\n" for line in skipped)
+        assert result.stdout == (
+            "2 observations, 2 distinct rows\n"
+            + "".join(
+                f"rank {rank}: {name} [class {cls}] support violated "
+                "(1 distinct observed row outside)\n"
+                for rank, (name, cls) in enumerate(
+                    [("Y=0", 1), ("Y=1", 2), ("Y=0[Y,Z]", 1),
+                     ("Y=1[Y,Z]", 2), ("Z=0[Y,Z]", 1), ("Z=1[Y,Z]", 2)],
+                    start=1,
+                )
+            )
+            + "no compatible hypothesis\n"
+        )
+        result = invoke(runner, "--json", *args)
+        doc = json.loads(result.stdout)
+        assert result.exit_code == 2 == doc["result"]["exit_code"]
+        assert doc["diagnostics"] == skipped
+        assert len(doc["result"]["ranking"]) == 6
 
 
 class TestJsonMode:
@@ -405,6 +444,16 @@ class TestErrorHandling:
         result = invoke(runner, "identify", SPEC, str(data))
         assert result.exit_code == 1
         assert "line 2" in result.output
+
+    def test_max_effects_below_one_is_an_error(self, runner, tmp_path):
+        spec = tmp_path / "chain.tele"
+        spec.write_text(CHAIN_SPEC)
+        data = tmp_path / "obs.csv"
+        data.write_text("X,Y,Z\n0,0,0\n")
+        args = ("identify", str(spec), str(data), "--enumerate", "--max-effects", "0")
+        result = invoke(runner, *args)
+        assert result.exit_code == 1
+        assert result.output == "error: max_effects must be at least 1\n"
 
     def test_unreachable_goal_is_reported_not_crashed(self, runner, tmp_path):
         spec = tmp_path / "far.tele"

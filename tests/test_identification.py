@@ -199,6 +199,18 @@ class TestRanking:
         assert summary.exit_code == 3
         assert set(summary.tied) == {"warm", "twin"}
 
+    def test_tied_candidates_keep_list_order(self, scm, room_star, finals):
+        # warm and twin are equal models with equal compatible sets
+        twin = build_final_model(room_star, ("T",), goal("T", "=", 1), "twin")
+        d = load_dataset(WARM_DATA, scm)
+        for order in ([finals[0], twin], [twin, finals[0]]):
+            ranking = rank_hypotheses(order, d)
+            assert [r.verdict.hypothesis.label for r in ranking] == [
+                f.label for f in order
+            ]
+            assert [r.equivalence_class for r in ranking] == [1, 1]
+            assert summarize_ranking(ranking).exit_code == 3
+
     def test_stable_under_row_permutation(self, scm, finals):
         rows = ["1,0,1,0", "0,1,1,1", "1,0,1,0", "0,1,1,1", "1,0,1,0"]
         rng = random.Random(5)

@@ -45,6 +45,7 @@ from teleo.teleology import build_final_model
 
 from support import (
     all_statements,
+    candidates_oracle,
     dependence_oracle,
     dsep_oracle,
     factorization_oracle,
@@ -530,20 +531,17 @@ def test_exact_support_match_wins_specificity(seed):
     if not targets:
         return
     m = do_surgery(scm, rng.choice(targets))
-    hyps = enumerate_goal_hypotheses(m, max_effects=1)
-    if not hyps:
+    finals, _ = enumerate_goal_hypotheses(m, max_effects=1)
+    if not finals:
         return
-    chosen = rng.choice(hyps)
-    data = Dataset(scm.names, tuple((values, 1) for values in chosen.worlds.rows))
-    for h in hyps:
-        try:
-            f = build_final_model(m, h.effects, h.goal)
-        except TeleologyError:
-            continue  # reversal closed a cycle; nothing to rank
+    chosen = compatible_worlds(rng.choice(finals))
+    data = Dataset(scm.names, tuple((values, 1) for values in chosen.rows))
+    for f in finals:
         verdict = check_support(f, data)
-        if world_set(h.worlds) == world_set(chosen.worlds):
+        worlds = compatible_worlds(f)
+        if world_set(worlds) == world_set(chosen):
             assert verdict.support_compatible
-        elif len(h.worlds) < len(chosen.worlds):
+        elif len(worlds) < len(chosen):
             assert not verdict.support_compatible
 
 
@@ -571,11 +569,33 @@ def test_hypothesis_enumeration_is_order_stable(seed):
     if not targets:
         return
     m = do_surgery(scm, targets[0])
-    first = enumerate_goal_hypotheses(m, max_effects=2)
-    second = enumerate_goal_hypotheses(m, max_effects=2)
-    assert [(h.effects, str(h.goal)) for h in first] == [
-        (h.effects, str(h.goal)) for h in second
-    ]
+
+    def listing():
+        finals, skipped = enumerate_goal_hypotheses(m, max_effects=2)
+        named = [(f.name, f.intended_effects, str(f.goal)) for f in finals]
+        return named, [name for name, _ in skipped]
+
+    assert listing() == listing()
+
+
+@MODERATE
+@given(seeds)
+def test_enumerated_finals_match_the_candidates_oracle(seed):
+    scm = random_scm(random.Random(seed))
+    for target in (n for n in scm.dag.nodes if scm.dag.children(n)):
+        m = do_surgery(scm, target)
+        star = worlds_oracle(m.model)
+        for max_effects in (1, 2, 3):
+            finals, skipped = enumerate_goal_hypotheses(m, max_effects)
+            want_finals, want_skipped = candidates_oracle(m, max_effects)
+            assert [(f.name, f.intended_effects, f.goal) for f in finals] == [
+                (f.name, f.intended_effects, f.goal) for f in want_finals
+            ]
+            assert [(name, str(exc)) for name, exc in skipped] == [
+                (name, str(exc)) for name, exc in want_skipped
+            ]
+            for f in finals:
+                assert worlds_of(compatible_worlds(f)) == filter_oracle(star, f.goal)
 
 
 def _random_spec(rng: random.Random):
@@ -655,13 +675,7 @@ def test_ranking_deterministic_across_runs(seed):
     if not targets:
         return
     m = do_surgery(scm, targets[0])
-    hyps = enumerate_goal_hypotheses(m, max_effects=1)
-    candidates = []
-    for h in hyps:
-        try:
-            candidates.append(build_final_model(m, h.effects, h.goal, name=h.label))
-        except TeleologyError:
-            pass
+    candidates, _ = enumerate_goal_hypotheses(m, max_effects=1)
     if not candidates:
         return
     star = enumerate_worlds_star(m)

@@ -188,10 +188,7 @@ class TestWorldTablesAreShared:
         monkeypatch.setattr(teleo.model, "enumerate_worlds", counting)
         compiled = load_model(SPEC.read_text())
         m = compiled.mstar
-        candidates = [
-            build_final_model(m, h.effects, h.goal, name=h.label)
-            for h in enumerate_goal_hypotheses(m, max_effects=2)
-        ]
+        candidates, _ = enumerate_goal_hypotheses(m, max_effects=2)
         data = load_dataset("W,H,T,B\n1,0,1,0\n0,1,1,1\n", compiled.scm)
         ranking = rank_hypotheses(candidates, data)
         assert len(ranking) == len(candidates) > 1
@@ -207,13 +204,12 @@ class TestWorldTablesAreShared:
 
         monkeypatch.setattr(WorldTable, "filter", counting)
         m = load_model(SPEC.read_text()).mstar
-        hyps = enumerate_goal_hypotheses(m, max_effects=2)
-        for h in hyps:
-            f = build_final_model(m, h.effects, h.goal, name=h.label)
-            assert h.worlds is compatible_worlds(f)
+        finals, skipped = enumerate_goal_hypotheses(m, max_effects=2)
+        tables = {str(f.goal): compatible_worlds(f) for f in finals}
+        assert all(compatible_worlds(f) is tables[str(f.goal)] for f in finals)
         # T=0..2 and B=0..1, each reached from two effect sets
-        assert len(hyps) == 10
-        assert len(filtered) == 5
+        assert len(finals) == 10 and skipped == []
+        assert len(tables) == len(filtered) == 5
 
 
 class TestImpliedDependencies:
@@ -281,19 +277,20 @@ class TestDistinguishability:
 
 class TestHypothesisEnumeration:
     def test_room_model_candidates(self, room_star):
-        hyps = enumerate_goal_hypotheses(room_star, max_effects=1)
-        labels = [h.label for h in hyps]
-        assert labels == ["T=0", "T=1", "T=2", "B=0", "B=1"]
+        finals, skipped = enumerate_goal_hypotheses(room_star, max_effects=1)
+        assert [f.label for f in finals] == ["T=0", "T=1", "T=2", "B=0", "B=1"]
+        assert skipped == []
         # T=0 is reachable through the all-zero world, so it stays
-        assert value_sets(next(h.worlds for h in hyps if h.label == "T=0")) == {
-            (0, 0, 0, 0)
-        }
+        assert value_sets(compatible_worlds(finals[0])) == {(0, 0, 0, 0)}
 
     def test_chain_depth_candidates(self):
         # how deep does the intention reach along X -> Y -> Z?
         m = do_surgery(chain_scm(), "X")
-        hyps = enumerate_goal_hypotheses(m, max_effects=2)
-        assert {h.effects for h in hyps} == {("Y",), ("Z",), ("Y", "Z")}
+        finals, skipped = enumerate_goal_hypotheses(m, max_effects=2)
+        assert {f.intended_effects for f in finals} == {("Y",), ("Y", "Z")}
+        # turning Z alone toward X closes X -> Y -> Z -> X
+        assert [name for name, _ in skipped] == ["Z=0", "Z=1"]
+        assert all("cycle" in str(exc) for _, exc in skipped)
 
     def test_fork_breadth_candidates(self):
         # which branch of the fork was the point?
@@ -308,8 +305,9 @@ class TestHypothesisEnumeration:
             {"B": Mechanism("B", ("A",), ident), "C": Mechanism("C", ("A",), ident)},
         )
         m = do_surgery(scm, "A")
-        hyps = enumerate_goal_hypotheses(m, max_effects=2)
-        assert {h.effects for h in hyps} == {("B",), ("C",), ("B", "C")}
+        finals, skipped = enumerate_goal_hypotheses(m, max_effects=2)
+        assert {f.intended_effects for f in finals} == {("B",), ("C",), ("B", "C")}
+        assert skipped == []
 
     def test_unreachable_candidates_dropped(self):
         x = Variable("X", (0, 1))
@@ -325,8 +323,14 @@ class TestHypothesisEnumeration:
             },
         )
         m = do_surgery(scm, "Y")
-        hyps = enumerate_goal_hypotheses(m, max_effects=1)
-        assert "Z=2" not in [h.label for h in hyps]
+        finals, skipped = enumerate_goal_hypotheses(m, max_effects=1)
+        assert [f.label for f in finals] == ["Z=0", "Z=1"]
+        assert skipped == []
+        # under do(X) every Z goal closes a cycle, but the unreachable one
+        # is dropped before it is built, so it gives no diagnostic either
+        finals, skipped = enumerate_goal_hypotheses(do_surgery(scm, "X"), 1)
+        assert [f.label for f in finals] == ["Y=0", "Y=1"]
+        assert [name for name, _ in skipped] == ["Z=0", "Z=1"]
 
     def test_budget_cap(self):
         m = do_surgery(m1_scm(), "H")
@@ -378,8 +382,9 @@ class TestHypothesisEnumeration:
         )
 
     def test_candidates_come_with_their_worlds(self, room_star):
-        hyps = enumerate_goal_hypotheses(room_star, max_effects=2)
+        finals, _ = enumerate_goal_hypotheses(room_star, max_effects=2)
         star = world_set(enumerate_worlds_star(room_star))
-        for h in hyps:
-            assert world_set(h.worlds) <= star
-            assert filter_oracle(worlds_of(h.worlds), h.goal) == worlds_of(h.worlds)
+        for f in finals:
+            worlds = compatible_worlds(f)
+            assert world_set(worlds) <= star
+            assert filter_oracle(worlds_of(worlds), f.goal) == worlds_of(worlds)
