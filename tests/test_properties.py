@@ -531,10 +531,18 @@ def test_exact_support_match_wins_specificity(seed):
     if not targets:
         return
     m = do_surgery(scm, rng.choice(targets))
-    finals, _ = enumerate_goal_hypotheses(m, max_effects=1)
-    if not finals:
+    # draw from every reachable candidate goal, cyclic reversals included,
+    # so datasets from deeper descendants' compatible sets are generated too
+    goals = [
+        goal(v, "=", level)
+        for v in m.base.dag.descendants(m.target)
+        for level in m.base.domain(v)
+        if len(m.worlds_meeting(goal(v, "=", level)))
+    ]
+    if not goals:
         return
-    chosen = compatible_worlds(rng.choice(finals))
+    finals, _ = enumerate_goal_hypotheses(m, max_effects=1)
+    chosen = m.worlds_meeting(rng.choice(goals))
     data = Dataset(scm.names, tuple((values, 1) for values in chosen.rows))
     for f in finals:
         verdict = check_support(f, data)
