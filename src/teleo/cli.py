@@ -11,11 +11,11 @@ unique most-specific compatible hypothesis / none compatible / tied.
 
 from __future__ import annotations
 
+import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Callable
-
-import click
 
 from teleo import __version__
 from teleo.errors import TeleoError
@@ -33,46 +33,73 @@ from teleo.teleology import (
 )
 
 
-class _Cli(click.Group):
-    """Group with uniform error handling: every failure exits 1."""
+class _Cli(argparse.ArgumentParser):
+    """Parser with uniform error handling: every failure is one ``error:``
+    line on standard error and exit code 1."""
 
-    def main(self, *args, **kwargs):  # noqa: D102 - click override
-        kwargs["standalone_mode"] = False
+    def error(self, message: str):
+        sys.stderr.write(f"error: {message}\n")
+        sys.exit(1)
+
+    def main(self, args=None, prog_name=None):
+        """Run the command line ``args`` (default ``sys.argv[1:]``) and exit
+        with the command's code; ``prog_name`` names the program in help."""
+        self.prog = prog_name or self.prog
+        argv = sys.argv[1:] if args is None else list(args)
+        # name an unknown option before the command, not the value after it;
+        # a "--" there ends the options (argparse would take it as the command)
+        for i, token in enumerate(argv):
+            if token == "--":
+                del argv[i]
+            if token == "--" or not token.startswith("-"):
+                break
+            if token not in self._option_string_actions:
+                self.error(f"unrecognized arguments: {token}")
+        parsed = self.parse_args(argv)
         try:
-            rv = super().main(*args, **kwargs)
-        except click.ClickException as exc:
-            click.echo(f"error: {exc.format_message()}", err=True)
-            sys.exit(1)
-        except click.Abort:
-            sys.exit(1)
+            sys.exit(parsed.run(parsed) or 0)
         except TeleoError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
-        sys.exit(rv if isinstance(rv, int) else 0)
+            self.error(str(exc))
 
 
-@click.group(cls=_Cli)
-@click.version_option(version=__version__, prog_name="teleo")
-@click.option("--json", "as_json", is_flag=True, help="Emit one JSON document.")
-@click.pass_context
-def cli(ctx, as_json: bool):
-    """Teleological analysis of discrete causal models."""
-    ctx.obj = {"json": as_json}
+cli = _Cli("teleo", allow_abbrev=False,
+           description="Teleological analysis of discrete causal models.")
+cli.add_argument("--version", action="version", version=f"teleo, version {__version__}")
+cli.add_argument("--json", action="store_true", help="Emit one JSON document.")
+_commands = cli.add_subparsers(metavar="COMMAND", required=True)
+
+
+def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
+    return flags, options
+
+
+def _command(*arguments: tuple[tuple[str, ...], dict]):
+    """Register ``run(args) -> exit code`` as the command ``<run> SPEC arguments``."""
+
+    def register(run: Callable[[argparse.Namespace], int | None]):
+        sub = _commands.add_parser(run.__name__, description=run.__doc__,
+                                   help=run.__doc__.splitlines()[0], allow_abbrev=False)
+        sub.add_argument("spec", metavar="SPEC")
+        for flags, options in arguments:
+            sub.add_argument(*flags, **options)
+        sub.set_defaults(run=run)
+        return run
+
+    return register
 
 
 def _read(path: str, what: str) -> str:
     p = Path(path)
     if not p.is_file():
-        raise click.ClickException(f"{what} {path!r} not found")
+        raise TeleoError(f"{what} {path!r} not found")
     try:
         return p.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise click.ClickException(
-            f"{what} {path!r} is not UTF-8 text (byte {exc.start})"
-        ) from None
+        reason = f"is not UTF-8 text (byte {exc.start})"
+        raise TeleoError(f"{what} {path!r} {reason}") from None
     except OSError as exc:
         reason = exc.strerror or type(exc).__name__
-        raise click.ClickException(f"cannot read {what} {path!r}: {reason}") from None
+        raise TeleoError(f"cannot read {what} {path!r}: {reason}") from None
 
 
 def _load_spec(path: str) -> CompiledSpec:
@@ -80,7 +107,7 @@ def _load_spec(path: str) -> CompiledSpec:
 
 
 def _emit(
-    ctx,
+    args,
     command: str,
     result: Callable[[], dict],
     human: Callable[[], str],
@@ -88,13 +115,18 @@ def _emit(
 ):
     """Print the JSON document or the human text; only that one is built."""
     diagnostics = list(diagnostics)
-    if ctx.obj["json"]:
+    if args.json:
         doc = {"command": command, "result": result(), "diagnostics": diagnostics}
-        click.echo(render_json(doc))
+        text = render_json(doc) + "\n"
     else:
         for note in diagnostics:
-            click.echo(note, err=True)
-        click.echo(human(), nl=False)
+            print(note, file=sys.stderr)
+        text = human()
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left early; the flush at exit goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _table_result(table: WorldTable) -> dict:
@@ -113,53 +145,39 @@ def _stmt_fields(stmt) -> dict:
     return {"x": stmt.x, "y": stmt.y, "given": sorted(stmt.given)}
 
 
-@cli.command()
-@click.argument("spec")
-@click.pass_context
-def worlds(ctx, spec: str):
+@_command()
+def worlds(args):
     """Print every world consistent with the model."""
-    compiled = _load_spec(spec)
+    compiled = _load_spec(args.spec)
     table = enumerate_worlds(compiled.scm)
-    _emit(ctx, "worlds", lambda: _table_result(table), lambda: _table_text(table))
+    _emit(args, "worlds", lambda: _table_result(table), lambda: _table_text(table))
 
 
-@cli.command()
-@click.argument("spec")
-@click.option("--do", "target", default=None, help="Variable to intervene on.")
-@click.pass_context
-def intervene(ctx, spec: str, target: str | None):
+@_command(_arg("--do", dest="target", help="Variable to intervene on."))
+def intervene(args):
     """Print the worlds of the model after surgery on one variable."""
-    compiled = _load_spec(spec)
-    if not target and compiled.mstar is not None:
-        target = compiled.mstar.target
+    compiled = _load_spec(args.spec)
+    target = args.target or (compiled.mstar.target if compiled.mstar else None)
     if not target:
-        raise click.ClickException("no intervention: pass --do or declare one")
+        raise TeleoError("no intervention: pass --do or declare one")
     m = do_surgery(compiled.scm, target)
     table = enumerate_worlds_star(m)
-    _emit(
-        ctx,
-        "intervene",
-        lambda: {"target": target, **_table_result(table)},
-        lambda: _table_text(table),
-    )
+    _emit(args, "intervene", lambda: {"target": target, **_table_result(table)},
+          lambda: _table_text(table))
 
 
 def _require_final(compiled: CompiledSpec, name: str):
     if name not in compiled.finals:
         known = ", ".join(compiled.finals) or "none declared"
-        raise click.ClickException(f"no final block {name!r} ({known})")
+        raise TeleoError(f"no final block {name!r} ({known})")
     return compiled.finals[name]
 
 
-@cli.command()
-@click.argument("spec")
-@click.option("--final", "name", required=True, help="Final block to evaluate.")
-@click.pass_context
-def finalize(ctx, spec: str, name: str):
-    """Print the worlds compatible with a goal hypothesis and the
-    (in)dependence pattern it implies."""
-    compiled = _load_spec(spec)
-    f = _require_final(compiled, name)
+@_command(_arg("--final", dest="name", required=True, help="Final block to evaluate."))
+def finalize(args):
+    """Print a goal hypothesis's compatible worlds and implied (in)dependence."""
+    compiled = _load_spec(args.spec)
+    f = _require_final(compiled, args.name)
     table = compatible_worlds(f)
     reports = implied_dependencies(f) if len(table) else []
 
@@ -197,49 +215,35 @@ def finalize(ctx, spec: str, name: str):
             dep_lines.append(f"  {r.statement}: {verdict} (expected)")
             graph = "separated" if r.graph_separated else "connected"
             sep_lines.append(f"  {r.statement}: {graph}")
-        return (
-            head
-            + "compatible worlds:\n"
-            + _table_text(table)
-            + "\n"
-            + "\n".join(dep_lines)
-            + "\n\n"
-            + "\n".join(sep_lines)
-            + "\n"
-        )
+        body = [f"compatible worlds:\n{_table_text(table)}", *dep_lines, "", *sep_lines]
+        return head + "\n".join(body) + "\n"
 
-    _emit(ctx, "finalize", result, human)
+    _emit(args, "finalize", result, human)
 
 
-@cli.command()
-@click.argument("spec")
-@click.option("--final", "names", multiple=True, help="Name two final blocks.")
-@click.pass_context
-def distinguish(ctx, spec: str, names: tuple[str, ...]):
+@_command(
+    _arg("--final", dest="names", action="append", default=[],
+         help="Name two final blocks."),
+)
+def distinguish(args):
     """Can two goal hypotheses be told apart from observational data?"""
-    if len(names) != 2:
-        raise click.ClickException("pass exactly two --final names")
-    compiled = _load_spec(spec)
-    f1, f2 = (_require_final(compiled, n) for n in names)
+    if len(args.names) != 2:
+        raise TeleoError("pass exactly two --final names")
+    compiled = _load_spec(args.spec)
+    f1, f2 = (_require_final(compiled, n) for n in args.names)
     verdict = distinguishable(f1, f2)
-    columns = f1.mstar.model.names
 
     def human() -> str:
+        pair = f"{f1.label} vs {f2.label}"
         if not verdict.distinguishable:
-            return (
-                f"{f1.label} vs {f2.label}: not distinguishable "
-                "(identical compatible worlds)\n"
-            )
-        lines = [f"{f1.label} vs {f2.label}: distinguishable"]
+            return f"{pair}: not distinguishable (identical compatible worlds)\n"
+        lines = [f"{pair}: distinguishable"]
         for label, worlds in (
             (f1.label, verdict.only_first),
             (f2.label, verdict.only_second),
         ):
             lines.append(f"worlds compatible only with {label}:")
-            if worlds.rows:
-                lines.append(_table_text(worlds).rstrip("\n"))
-            else:
-                lines.append("(none)")
+            lines.append(_table_text(worlds).rstrip("\n") if worlds.rows else "(none)")
         return "\n".join(lines) + "\n"
 
     def result() -> dict:
@@ -247,42 +251,40 @@ def distinguish(ctx, spec: str, names: tuple[str, ...]):
             "first": f1.label,
             "second": f2.label,
             "distinguishable": verdict.distinguishable,
-            "columns": list(columns),
+            "columns": list(f1.mstar.model.names),
             "only_first": [list(v) for v in verdict.only_first.rows],
             "only_second": [list(v) for v in verdict.only_second.rows],
         }
 
-    _emit(ctx, "distinguish", result, human)
+    _emit(args, "distinguish", result, human)
 
 
-@cli.command()
-@click.argument("spec")
-@click.argument("data")
-@click.option("--enumerate", "enumerate_all", is_flag=True,
-              help="Rank enumerated hypotheses instead of declared finals.")
-@click.option("--max-effects", type=int, default=1, show_default=True,
-              help="Largest intended-effect set when enumerating.")
-@click.pass_context
-def identify(ctx, spec: str, data: str, enumerate_all: bool, max_effects: int):
+@_command(
+    _arg("data", metavar="DATA"),
+    _arg("--enumerate", dest="enumerate_all", action="store_true",
+         help="Rank enumerated hypotheses instead of declared finals."),
+    _arg("--max-effects", type=int, default=1,
+         help="Largest intended-effect set when enumerating (default: 1)."),
+)
+def identify(args):
     """Rank goal hypotheses against observed data.
 
     Exit codes: 0 a unique most-specific compatible hypothesis, 2 none
     compatible, 3 tied at the top.
     """
-    compiled = _load_spec(spec)
-    dataset = load_dataset(_read(data, "dataset"), compiled.scm)
+    compiled = _load_spec(args.spec)
+    dataset = load_dataset(_read(args.data, "dataset"), compiled.scm)
     diagnostics: list[str] = []
-    if enumerate_all:
+    if args.enumerate_all:
         if compiled.mstar is None:
-            raise click.ClickException("spec declares no intervention to enumerate for")
+            raise TeleoError("spec declares no intervention to enumerate for")
+        max_effects = args.max_effects
         candidates, skipped = enumerate_goal_hypotheses(compiled.mstar, max_effects)
         diagnostics = [f"skipped candidate {name}: {exc}" for name, exc in skipped]
     else:
         candidates = list(compiled.finals.values())
         if not candidates:
-            raise click.ClickException(
-                "spec declares no final blocks; use --enumerate"
-            )
+            raise TeleoError("spec declares no final blocks; use --enumerate")
     ranking = rank_hypotheses(candidates, dataset)
     summary = summarize_ranking(ranking)
 
@@ -350,23 +352,22 @@ def identify(ctx, spec: str, data: str, enumerate_all: bool, max_effects: int):
             "exit_code": summary.exit_code,
         }
 
-    _emit(ctx, "identify", result, human, diagnostics)
-    ctx.exit(summary.exit_code)
+    _emit(args, "identify", result, human, diagnostics)
+    return summary.exit_code
 
 
-@cli.command()
-@click.argument("spec")
-@click.option("--final", "name", required=True, help="Final block to reduce.")
-@click.option("--rest", "rest_level", type=int, default=None,
-              help="Action level of the pre-action state (default: declared rest, else the domain minimum).")
-@click.pass_context
-def reduce(ctx, spec: str, name: str, rest_level: int | None):
+@_command(
+    _arg("--final", dest="name", required=True, help="Final block to reduce."),
+    _arg("--rest", dest="rest_level", type=int,
+         help="Action level of the pre-action state "
+         "(default: declared rest, else the domain minimum)."),
+)
+def reduce(args):
     """Build the purely causal counterpart of a final model and compare."""
-    compiled = _load_spec(spec)
-    f = _require_final(compiled, name)
-    if rest_level is None:
-        rest_level = compiled.rest
-    r = build_reduction(f, rest_level)
+    compiled = _load_spec(args.spec)
+    f = _require_final(compiled, args.name)
+    rest = compiled.rest if args.rest_level is None else args.rest_level
+    r = build_reduction(f, rest)
     table = reduction_worlds(r)
     cmp = compare_structures(f, r)
 
@@ -436,11 +437,10 @@ def reduce(ctx, spec: str, name: str, rest_level: int | None):
             },
         }
 
-    _emit(ctx, "reduce", result, human)
+    _emit(args, "reduce", result, human)
 
 
-def main():
-    cli()
+main = cli.main
 
 
 if __name__ == "__main__":

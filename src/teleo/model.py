@@ -317,6 +317,8 @@ class Scm:
                 raise ModelStructureError(
                     f"mechanism filed under {name}, which is not a node"
                 )
+        # the name index ``variable`` and ``domain`` read; not a field
+        object.__setattr__(self, "_by_name", by_name)
         for node in self.dag.nodes:
             mech = self.mechanisms.get(node)
             if mech is None:
@@ -331,10 +333,10 @@ class Scm:
             check_table(mech, by_name)
 
     def variable(self, name: str) -> Variable:
-        for v in self.variables:
-            if v.name == name:
-                return v
-        raise UnknownVariableError(f"unknown variable {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise UnknownVariableError(f"unknown variable {name!r}") from None
 
     @property
     def names(self) -> tuple[str, ...]:

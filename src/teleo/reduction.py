@@ -362,11 +362,13 @@ def compare_structures(f: FinalModel, r: ReductionModel) -> StructuralComparison
     projected = project_reduction(r)
     # prune edges the mechanisms provably ignore: a constant action, for
     # instance, listens to nothing even if a carrier edge exists
-    pruned_edges = []
-    for parent, child in projected.dag.edges:
-        if parent in _effective_parents(projected, child):
-            pruned_edges.append((parent, child))
-    projected_dag = CausalDag(projected.dag.nodes, tuple(pruned_edges))
+    effective = {n: _effective_parents(projected, n) for n in projected.dag.nodes}
+    pruned_edges = tuple(
+        (parent, child)
+        for parent, child in projected.dag.edges
+        if parent in effective[child]
+    )
+    projected_dag = CausalDag(projected.dag.nodes, pruned_edges)
 
     final_edges = set(f.final_dag.edges)
     red_edges = set(projected_dag.edges)

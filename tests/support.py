@@ -18,16 +18,22 @@ world by world.  ``World`` is the oracles' row type; the library keeps every
 set of worlds as a ``WorldTable``, and ``worlds_of`` reads one back as
 ``World``s.  The candidates oracle enumerates goal hypotheses in two steps,
 listing the reachable candidates first and building each one afterwards.
+
+``run_cli`` runs the ``teleo`` command line in-process and captures what it
+writes.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+from teleo.cli import cli
 from teleo.model import (
     CausalDag,
     IndependenceStatement,
@@ -43,6 +49,28 @@ from teleo.intervention import do_surgery
 from teleo.teleology import Comparison, GoalPredicate, build_final_model
 
 NAMES = tuple("ABCDEFGH")
+
+
+@dataclass(frozen=True)
+class CliRun:
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
+def run_cli(*argv: str) -> CliRun:
+    """Run ``teleo ARGV...`` in-process and return its exit code and output.
+
+    Every run ends in ``SystemExit``; any other exception propagates, so a
+    traceback fails the calling test instead of becoming an exit code.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            cli.main(args=list(argv), prog_name="teleo")
+        except SystemExit as exc:
+            return CliRun(exc.code, out.getvalue(), err.getvalue())
+    raise AssertionError("teleo returned instead of exiting")
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,7 @@ import time
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from teleo.cli import cli
 from teleo.dsep import d_separated
 from teleo.identification import Dataset, check_support, load_dataset
 from teleo.intervention import do_surgery, enumerate_worlds_star
@@ -35,6 +33,7 @@ from support import (
     random_final,
     random_goal,
     random_scm,
+    run_cli,
     value_sets,
     world_set,
 )
@@ -84,11 +83,12 @@ def finals(room):
 @criterion(1, "world table reproduced byte-stably in under a second")
 def test_c01_world_table(room):
     started = time.perf_counter()
-    result = CliRunner().invoke(cli, ["worlds", SPEC])
+    result = run_cli("worlds", SPEC)
     elapsed = time.perf_counter() - started
     assert result.exit_code == 0
     golden = (Path(__file__).parent / "golden" / "worlds_heating.txt").read_text()
-    assert result.output == golden
+    assert result.stdout == golden
+    assert result.stderr == ""
     table = enumerate_worlds(room.scm)
     assert value_sets(table) == TABLE_1
     assert elapsed < 1.0, f"took {elapsed:.3f}s"
@@ -141,10 +141,11 @@ def test_c06_reduction_table(room, finals):
     assert value_sets(table) == TABLE_5
     projected = table.project(("W", "H", "T1", "B"))
     assert value_sets(projected) == TABLE_3["T=1"]
-    result = CliRunner().invoke(cli, ["reduce", SPEC, "--final", "warm"])
+    result = run_cli("reduce", SPEC, "--final", "warm")
     assert result.exit_code == 0
     golden = (Path(__file__).parent / "golden" / "reduce_warm.txt").read_text()
-    assert result.output == golden
+    assert result.stdout == golden
+    assert result.stderr == ""
 
 
 @criterion(7, "final model and reduction wire the action differently")
@@ -252,7 +253,6 @@ def test_c09_property_sweep():
 
 @criterion(10, "identification picks the right hypothesis end to end")
 def test_c10_end_to_end_identification(room, tmp_path):
-    runner = CliRunner()
     rng = random.Random(10)
     t1_rows = sorted(TABLE_3["T=1"])
     sampled = [rng.choice(t1_rows) for _ in range(40)]
@@ -261,18 +261,18 @@ def test_c10_end_to_end_identification(room, tmp_path):
     csv = "W,H,T,B\n" + "\n".join(",".join(map(str, r)) for r in sampled) + "\n"
     data = tmp_path / "t1.csv"
     data.write_text(csv)
-    result = runner.invoke(cli, ["identify", SPEC, str(data)])
+    result = run_cli("identify", SPEC, str(data))
     assert result.exit_code == 0
-    assert "winner: warm" in result.output
+    assert "winner: warm" in result.stdout
 
     all_rows = "W,H,T,B\n" + "\n".join(
         ",".join(map(str, r)) for r in sorted(TABLE_1)
     ) + "\n"
     data_all = tmp_path / "all.csv"
     data_all.write_text(all_rows)
-    result = runner.invoke(cli, ["identify", SPEC, str(data_all)])
+    result = run_cli("identify", SPEC, str(data_all))
     assert result.exit_code == 2
-    assert "no compatible hypothesis" in result.output
+    assert "no compatible hypothesis" in result.stdout
 
     # the same verdicts hold at the library level
     dataset = load_dataset(csv, room.scm)
