@@ -55,6 +55,10 @@ class _Cli(argparse.ArgumentParser):
                 break
             if token not in self._option_string_actions:
                 self.error(f"unrecognized arguments: {token}")
+        # a final "--" ends no options, but argparse refuses it after an
+        # option's value; it is a positional only after an earlier "--"
+        if argv[-1:] == ["--"] and "--" not in argv[:-1]:
+            argv.pop()
         parsed = self.parse_args(argv)
         try:
             sys.exit(parsed.run(parsed) or 0)
@@ -182,6 +186,7 @@ def finalize(args):
     reports = implied_dependencies(f) if len(table) else []
 
     def result() -> dict:
+        fields = [_stmt_fields(r.statement) for r in reports]
         return {
             "name": f.label,
             "action": f.action,
@@ -190,12 +195,10 @@ def finalize(args):
             "goal_reachable": bool(len(table)),
             **_table_result(table),
             "dependence": [
-                {**_stmt_fields(r.statement), "independent": r.dist_independent}
-                for r in reports
+                {**s, "independent": r.dist_independent} for s, r in zip(fields, reports)
             ],
             "separation": [
-                {**_stmt_fields(r.statement), "separated": r.graph_separated}
-                for r in reports
+                {**s, "separated": r.graph_separated} for s, r in zip(fields, reports)
             ],
         }
 

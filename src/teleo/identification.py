@@ -4,7 +4,7 @@ A dataset is a bag of fully observed rows with positive counts.  A
 hypothesis is compatible on support when every observed row lies inside its
 compatible-world set; dependence checks compare the independence pattern the
 hypothesis predicts with the one the empirical frequencies show.  Both sides
-run through the one exact kernel, ``model.factorization``: the compatible
+run through the one exact kernel, ``WorldTable.factorizes``: the compatible
 worlds with weight 1 each, the dataset rows with their observed counts.
 Frequencies factorize or they do not, by integer arithmetic.  There is no
 statistical testing here, deliberately.
@@ -21,7 +21,6 @@ from teleo.model import (
     IndependenceStatement,
     Scm,
     WorldTable,
-    factorization,
     weight_layers,
 )
 from teleo.speclang import INTEGER
@@ -80,13 +79,6 @@ class Dataset:
         """The counts as binary weight layers over the rows of ``support``
         (``model.weight_layers``)."""
         return weight_layers([count for _, count in self.rows])
-
-    def cells(
-        self, stmt: IndependenceStatement
-    ) -> dict[tuple[int, ...], dict[tuple[int, int], int]]:
-        """Observed count of every ``(a, b)`` cell of ``stmt``, grouped by
-        stratum (``WorldTable.cells``)."""
-        return self.support.cells(stmt, self.layers)
 
 
 def load_dataset(text: str, scm: Scm) -> Dataset:
@@ -225,9 +217,11 @@ def check_dependence(
     skipped on the observed side and reported.
     """
     _bind(f, d)
-    expected, expected_strata = factorization(compatible_worlds(f).cells(stmt))
-    observed, observed_strata = factorization(d.cells(stmt))
-    skipped = tuple(sorted(set(expected_strata) - set(observed_strata)))
+    table = compatible_worlds(f)
+    expected = table.factorizes(stmt)
+    observed = d.support.factorizes(stmt, d.layers)
+    seen = {stratum for stratum, _ in d.support.strata(stmt.given)}
+    skipped = tuple(s for s, _ in table.strata(stmt.given) if s not in seen)
     return DependenceCheck(stmt, expected, observed, skipped)
 
 

@@ -17,12 +17,13 @@ masks, and set comparisons take the rows one table has and another lacks
 
 World tables carry a uniform weighting over their members.  All probability
 comparisons are exact.  Independence is decided by one count-weighted
-kernel, ``factorization``, which cross-multiplies integer counts in every
-conditioning stratum of the grouped cell counts that ``WorldTable.cells``
-returns: a cell's count is the popcount of its row mask for a world table,
-and for a dataset the sum over binary weight layers of 2^k times the
-popcount of the mask within layer k.  Distributions are returned as
-Fractions.  There is no tolerance anywhere in this module.
+kernel, ``WorldTable.factorizes``, which cross-multiplies integer counts in
+every stratum of the conditioning set.  A table builds the strata of each
+conditioning set once (``WorldTable.strata``) as row masks, and a count is
+the popcount of a mask for a world table, and for a dataset the sum over
+binary weight layers of 2^k times the popcount of the mask within layer k.
+Distributions are returned as Fractions.  There is no tolerance anywhere in
+this module.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ __all__ = [
     "weight_layers",
     "propagate",
     "enumerate_worlds",
-    "factorization",
     "uniform_independent",
     "conditional_distribution",
     "verify_mechanism_consistency",
@@ -356,9 +356,11 @@ class WorldTable:
 
     ``rows`` holds one value tuple per world, aligned with ``columns`` and
     sorted lexicographically, which makes every printed table reproducible
-    and lets equal sets compare equal.  The kernels read whole columns
-    (``column``) and each column's level masks (``levels``), each built once
-    on first use and cached outside equality, hashing and ``repr``.
+    and lets equal sets compare equal.  Rows given in strictly increasing
+    order are kept as they come; any others are deduplicated and sorted.
+    The kernels read whole columns (``column``), each column's level masks
+    (``levels``) and each conditioning set's strata (``strata``), each built
+    once on first use and cached outside equality, hashing and ``repr``.
     """
 
     columns: tuple[str, ...]
@@ -368,14 +370,17 @@ class WorldTable:
         columns = tuple(self.columns)
         if len(set(columns)) != len(columns):
             raise ModelStructureError(f"table columns {columns} repeat a variable")
-        rows = set(map(tuple, self.rows))
-        for values in rows:
-            if len(values) != len(columns):
-                raise ModelStructureError(
-                    f"row {values} does not match table columns {columns}"
-                )
+        rows = tuple(map(tuple, self.rows))
+        if set(map(len, rows)) - {len(columns)}:
+            values = next(r for r in rows if len(r) != len(columns))
+            raise ModelStructureError(
+                f"row {values} does not match table columns {columns}"
+            )
+        # rows that strictly increase are already sorted and distinct
+        if not all(map(operator.lt, rows, itertools.islice(rows, 1, None))):
+            rows = tuple(sorted(set(rows)))
         object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "rows", tuple(sorted(rows)))
+        object.__setattr__(self, "rows", rows)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -441,43 +446,71 @@ class WorldTable:
             for level, mask in self.levels(query).items()
         }
 
-    def cells(
-        self, stmt: "IndependenceStatement", weights: Sequence[int] | None = None
-    ) -> dict[tuple[int, ...], dict[tuple[int, int], int]]:
-        """Total weight of every ``(a, b)`` cell of ``stmt``, grouped by
-        stratum (see ``factorization``).
+    @cached_property
+    def _strata_cache(self) -> dict[frozenset[str], list[tuple[tuple[int, ...], int]]]:
+        return {}
 
-        A stratum's rows are the intersection of its conditioning levels'
-        masks, and a cell's rows that mask and the masks of x = a and
-        y = b; strata and cells without rows are left out, and strata come
-        in sorted order.  A cell weighs the popcount of its mask (1 per
-        world), or with ``weights``, binary weight layers over the rows
-        (``weight_layers``), sum_k 2^k * popcount(mask & weights[k]).
+    def strata(self, given: Iterable[str]) -> list[tuple[tuple[int, ...], int]]:
+        """The ``(stratum, row mask)`` of every stratum of the conditioning
+        set ``given`` that has rows, in sorted order.
+
+        A stratum holds the levels of ``sorted(given)``, and its rows are the
+        intersection of those levels' masks.  An empty ``given`` has the one
+        stratum ``()`` of every row, and an empty table has none.  Built once
+        per conditioning set and cached.
         """
-        strata = [((), (1 << len(self.rows)) - 1)] if self.rows else []
-        for name in sorted(stmt.given):
-            levels = self.levels(name).items()
-            strata = [
-                ((*stratum, level), both)
-                for stratum, rows in strata
-                for level, mask in levels
-                if (both := rows & mask)
-            ]
+        given = frozenset(given)
+        strata = self._strata_cache.get(given)
+        if strata is None:
+            strata = [((), (1 << len(self.rows)) - 1)] if self.rows else []
+            for name in sorted(given):
+                levels = self.levels(name).items()
+                # level order within each sorted stratum keeps the list sorted
+                strata = [
+                    ((*stratum, level), both)
+                    for stratum, rows in strata
+                    for level, mask in levels
+                    if (both := rows & mask)
+                ]
+            self._strata_cache[given] = strata
+        return strata
+
+    def factorizes(
+        self, stmt: "IndependenceStatement", weights: Sequence[int] | None = None
+    ) -> bool:
+        """Whether x and y of ``stmt`` factorize exactly in every stratum of
+        its conditioning set: the one independence kernel.
+
+        In a stratum of rows s and total weight n, the joint factorizes iff
+        n * w(s & x_a & y_b) == w(s & x_a) * w(s & y_b) for every pair of
+        levels a of x and b of y.  A row weighs 1 (the popcount of a mask),
+        or with ``weights``, binary weight layers over the rows
+        (``weight_layers``), w(mask) = sum_k 2^k * popcount(mask & weights[k]).
+        Raises ``EmptyTableError`` on a table without rows.
+        """
+        strata = self.strata(stmt.given)
+        # w is additive over x's levels, so for each b the equations over
+        # every a sum to n * w(s & y_b) on both sides: when all but one a
+        # hold, so does the last.  The same goes for b, so the first level
+        # of each variable needs no equation of its own.
+        xs = [*self.levels(stmt.x).values()][1:]
+        ys = [*self.levels(stmt.y).values()][1:]
+        if not strata:
+            raise EmptyTableError("independence query on an empty world table")
         if weights is None:
             weigh = int.bit_count
         else:
             weigh = partial(_layered_weight, tuple(enumerate(weights)))
-        xs = self.levels(stmt.x).items()
-        ys = self.levels(stmt.y).items()
-        grouped = {}
-        for stratum, rows in strata:
-            joint = grouped[stratum] = {}
-            for a, x_mask in xs:
-                if at_a := rows & x_mask:
-                    for b, y_mask in ys:
-                        if cell := at_a & y_mask:
-                            joint[a, b] = weigh(cell)
-        return grouped
+        for _, rows in strata:
+            n = weigh(rows)
+            at_ys = [(y_mask, weigh(rows & y_mask)) for y_mask in ys]
+            for x_mask in xs:
+                at_a = rows & x_mask
+                count = weigh(at_a)
+                for y_mask, at_b in at_ys:
+                    if n * weigh(at_a & y_mask) != count * at_b:
+                        return False
+        return True
 
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -593,41 +626,6 @@ def enumerate_worlds(scm: Scm) -> WorldTable:
     return WorldTable(scm.names, zip(*(columns[n] for n in scm.names)))
 
 
-def factorization(
-    strata: Mapping[tuple[int, ...], Mapping[tuple[int, int], int]],
-) -> tuple[bool, tuple[tuple[int, ...], ...]]:
-    """Exact factorization of x and y in every stratum of the conditioning set.
-
-    ``strata`` maps each conditioning stratum (its values in the order of
-    ``sorted(stmt.given)``) to the cells in it: ``(a, b)``, levels of x and
-    y, to the positive total weight of the rows in that cell, as
-    ``WorldTable.cells`` groups them: 1 per world for world tables, the
-    observed counts for datasets.  In a stratum of total weight n the
-    joint factorizes iff n * joint(a, b) == weight(x=a) * weight(y=b) for
-    every pair of levels present.  Returns the verdict and the sorted
-    strata present.
-    """
-    if not strata:
-        raise EmptyTableError("independence query on an empty world table")
-    return all(map(_factorizes, strata.values())), tuple(sorted(strata))
-
-
-def _factorizes(joint: Mapping[tuple[int, int], int]) -> bool:
-    n = sum(joint.values())
-    mx: dict[int, int] = {}
-    my: dict[int, int] = {}
-    for (a, b), count in joint.items():
-        mx[a] = mx.get(a, 0) + count
-        my[b] = my.get(b, 0) + count
-    # checking the cells present suffices: if each has n * count ==
-    # mx[a] * my[b], they sum to n * n, the sum over every pair of levels
-    # of the positive mx[a] * my[b], so no pair is missing a cell
-    for (a, b), count in joint.items():
-        if n * count != mx[a] * my[b]:
-            return False
-    return True
-
-
 def uniform_independent(table: WorldTable, stmt: IndependenceStatement) -> bool:
     """Exact independence verdict under the uniform distribution.
 
@@ -635,7 +633,7 @@ def uniform_independent(table: WorldTable, stmt: IndependenceStatement) -> bool:
     distribution of the two tested variables factorizes into its marginals.
     Decided with integer arithmetic; there is no tolerance.
     """
-    return factorization(table.cells(stmt))[0]
+    return table.factorizes(stmt)
 
 
 def conditional_distribution(

@@ -3,6 +3,7 @@ tables and the ``--json`` document writer."""
 
 from __future__ import annotations
 
+import itertools
 import json
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
@@ -33,9 +34,11 @@ def render_json(doc: object) -> str:
     items share one shape, either lists of one length or dicts with the same
     keys.  Such a list gets one ``%``-template for all its items, with ``%d``
     for a column of plain ints, so most values cost a C-level format instead
-    of a Python call.  Everything else recurses, and a value of no type named
-    here goes to ``json.dumps``, which also raises its ``TypeError`` for a
-    value JSON cannot hold.
+    of a Python call.  Its other columns are encoded column by column: one
+    ``map`` for a column of strings, bools or Nones, and each distinct value
+    once for a column of flat lists (``_column``).  Everything else recurses,
+    and a value of no type named here goes to ``json.dumps``, which also
+    raises its ``TypeError`` for a value JSON cannot hold.
     """
     return _encode(doc, 0)
 
@@ -99,7 +102,8 @@ def _table(items: Sequence[object], level: int) -> list[str] | None:
         return None
     if kind is dict:
         keys = items[0].keys()
-        if set(map(type, keys)) != {str} or any(i.keys() != keys for i in items):
+        same = map(keys.__eq__, map(dict.keys, items))
+        if set(map(type, keys)) != {str} or not all(same):
             return None
         keys = sorted(keys)
         # a key is template text, so its own % signs are escaped
@@ -116,11 +120,40 @@ def _table(items: Sequence[object], level: int) -> list[str] | None:
         return None
     fields, values = [], []
     for label, column in zip(labels, columns):
-        if set(map(type, column)) == {int}:  # bools are not ints here
+        kinds = set(map(type, column))
+        if kinds == {int}:  # bools are not ints here
             fields.append(label + "%d")
             values.append(column)
         else:
             fields.append(label + "%s")
-            values.append([_encode(v, level + 1) for v in column])
+            values.append(_column(column, kinds, level + 1))
     template = _wrap("{}" if kind is dict else "[]", fields, level)
-    return [template % row for row in zip(*values)]
+    return list(map(template.__mod__, zip(*values)))
+
+
+# item types that equal no item of another of them, so that a tuple of them
+# is a dict key that never stands for a differently written value
+_KEYABLE = {str, int, type(None)}
+
+
+def _column(column: Sequence[object], kinds: set[type], level: int) -> list[str]:
+    """The rendered values of one table column whose values have the types
+    ``kinds``, written at indent ``level``.
+
+    A column of one scalar type is written by one C-level ``map``; a column
+    of lists and tuples whose items are all strings, ints or None is written
+    one distinct value at a time.  Any other column goes value by value.
+    """
+    if kinds == {str}:
+        return list(map(_quote, column))
+    if kinds == {bool}:
+        return list(map(("false", "true").__getitem__, column))
+    if kinds == {type(None)}:
+        return ["null"] * len(column)
+    if kinds <= {list, tuple}:
+        items = set(map(type, itertools.chain.from_iterable(column)))
+        if items <= _KEYABLE:
+            keys = list(map(tuple, column))
+            written = {key: _encode(key, level) for key in set(keys)}
+            return list(map(written.__getitem__, keys))
+    return [_encode(v, level) for v in column]

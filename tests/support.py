@@ -9,7 +9,8 @@ node at a time.  The factorization oracle likewise shares nothing with the
 library's count cross-multiplication: it forms the conditional probabilities
 as Fractions and compares them.  The cell oracle is the library's former
 row-hashing counter: one key tuple per row, counted (or summed by weight),
-then sliced into strata, against the library's intersected level bitmasks.
+then sliced into strata; the strata oracle sets each stratum's row bits one
+row at a time, against the library's intersected level bitmasks.
 
 The world oracles are the row-wise reading of the library's columnar world
 tables: one ``World`` per exogenous combination, each mechanism evaluated
@@ -217,6 +218,17 @@ def cells_oracle(
     return strata
 
 
+def strata_oracle(table: WorldTable, given) -> list[tuple[tuple[int, ...], int]]:
+    """The ``(stratum, row mask)`` of every stratum of ``given`` in
+    ``table``, sorted, with each row's bit set one row at a time."""
+    names = sorted(given)
+    masks: dict[tuple[int, ...], int] = {}
+    for i, world in enumerate(worlds_of(table)):
+        key = tuple(world[n] for n in names)
+        masks[key] = masks.get(key, 0) | 1 << i
+    return sorted(masks.items())
+
+
 def worlds_oracle(scm: Scm) -> list[World]:
     """Every world of the model, built one exogenous combination at a time,
     sorted by value tuple."""
@@ -420,6 +432,7 @@ __all__ = [
     "dsep_oracle",
     "factorization_oracle",
     "cells_oracle",
+    "strata_oracle",
     "worlds_oracle",
     "filter_oracle",
     "project_oracle",

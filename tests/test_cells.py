@@ -1,12 +1,13 @@
-"""The bitmask cell counter against the row-hashing oracle.
+"""The bitmask kernel against the row-hashing oracles.
 
-``WorldTable.cells`` counts each cell as the popcount of intersected
-level masks (times the binary weight layers, for datasets).  These tests
-compare its grouped counts, and the ``factorization`` verdicts they give,
-with ``support.cells_oracle`` and ``support.factorization_oracle`` where
-masks cross machine-word boundaries, where counts need many layers and
-where a goal filter leaves strata empty; and they pin the per-column
-memo of the mask index.
+``WorldTable.strata`` intersects level masks into the row mask of each
+stratum of a conditioning set, once per set, and ``WorldTable.factorizes``
+weighs cells as popcounts of those masks (times the binary weight layers,
+for datasets).  These tests compare the strata with ``support.strata_oracle``
+and ``support.cells_oracle``, and the verdicts with
+``support.factorization_oracle``, where masks cross machine-word boundaries,
+where counts need many layers and where a goal filter leaves strata empty;
+and they pin the per-column and per-conditioning-set memos.
 """
 
 import itertools
@@ -16,12 +17,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import teleo.model
+from teleo.errors import EmptyTableError
 from teleo.identification import Dataset, check_dependence
 from teleo.intervention import do_surgery
 from teleo.model import (
     IndependenceStatement,
     WorldTable,
-    factorization,
     statement_grid,
     uniform_independent,
     weight_layers,
@@ -30,10 +31,14 @@ from teleo.teleology import build_final_model, compatible_worlds, goal
 
 from support import (
     cells_oracle,
+    dependence_oracle,
     factorization_oracle,
     m1_scm,
     random_final,
     random_scm,
+    strata_oracle,
+    uniform_oracle,
+    worlds_of,
 )
 
 seeds = st.integers(min_value=0, max_value=2**31)
@@ -50,18 +55,27 @@ def _statements(columns, max_given=2):
                 yield IndependenceStatement(x, y, frozenset(z))
 
 
+def _keys(strata):
+    return [stratum for stratum, _ in strata]
+
+
 def _assert_kernel_matches_the_oracles(table, stmt, counts=None):
-    """Grouped counts, their verdict, and the order of the strata agree
-    with the row-hashing counter and the Fraction oracle."""
+    """The strata, their row masks and weights, and the verdict agree with
+    the row-by-row strata, the row-hashing counter and the Fraction
+    oracle."""
     weights = None if counts is None else weight_layers(counts)
-    grouped = table.cells(stmt, weights)
-    expected = cells_oracle(table, stmt, counts)
-    assert grouped == expected, stmt
-    assert list(grouped) == sorted(expected)
-    rows = zip(table.rows, counts or itertools.repeat(1))
-    independent, strata = factorization_oracle(table.columns, list(rows), stmt)
-    verdict = (independent, tuple(sorted(strata)))
-    assert factorization(grouped) == factorization(expected) == verdict, stmt
+    strata = table.strata(stmt.given)
+    assert strata == strata_oracle(table, stmt.given), stmt
+    grouped = cells_oracle(table, stmt, counts)
+    assert _keys(strata) == sorted(grouped)
+    row_weights = counts or [1] * len(table)
+    for stratum, mask in strata:
+        inside = sum(w for i, w in enumerate(row_weights) if mask >> i & 1)
+        assert inside == sum(grouped[stratum].values())
+    rows = zip(table.rows, row_weights)
+    independent, present = factorization_oracle(table.columns, list(rows), stmt)
+    assert _keys(strata) == sorted(present)
+    assert table.factorizes(stmt, weights) == independent, stmt
 
 
 def _sampled_table(rng: random.Random, size: int) -> WorldTable:
@@ -111,7 +125,10 @@ def test_weighted_cells_match_the_oracles_with_many_layers(top):
     assert data.support == table and data.layers == layers
     for stmt in _statements(table.columns):
         _assert_kernel_matches_the_oracles(table, stmt, counts)
-        assert data.cells(stmt) == table.cells(stmt, layers)
+        assert data.support.strata(stmt.given) == table.strata(stmt.given)
+        assert data.support.factorizes(stmt, data.layers) == table.factorizes(
+            stmt, layers
+        )
 
 
 @given(st.lists(st.integers(min_value=1, max_value=2**40), min_size=1, max_size=200))
@@ -128,14 +145,11 @@ def test_strata_a_goal_filter_empties_are_left_out():
     worlds = m1_scm().worlds
     table = worlds.filter(goal("T", ">=", 1).level_tests)
     assert len(table) == 3
-    by_t = table.cells(IndependenceStatement("W", "H", frozenset({"T"})))
-    assert list(by_t) == [(1,), (2,)]
-    by_bt = table.cells(IndependenceStatement("W", "H", frozenset({"B", "T"})))
-    assert list(by_bt) == [(0, 1), (1, 1), (1, 2)]
+    assert _keys(table.strata({"T"})) == [(1,), (2,)]
+    assert _keys(table.strata({"B", "T"})) == [(0, 1), (1, 1), (1, 2)]
     for stmt in _statements(table.columns, max_given=3):
         _assert_kernel_matches_the_oracles(table, stmt)
-        for joint in table.cells(stmt).values():
-            assert joint and all(joint.values())
+        assert all(mask for _, mask in table.strata(stmt.given))
 
 
 @MODERATE
@@ -148,7 +162,9 @@ def test_cells_on_goal_filtered_tables_match_the_oracles(seed):
     table = compatible_worlds(f)
     for stmt in _statements(table.columns):
         if not len(table):
-            assert table.cells(stmt) == {}
+            assert table.strata(stmt.given) == []
+            with pytest.raises(EmptyTableError):
+                table.factorizes(stmt)
             continue
         _assert_kernel_matches_the_oracles(table, stmt)
         counts = [rng.randint(1, 9) for _ in table.rows]
@@ -164,7 +180,7 @@ def test_skipped_strata_come_from_strata_the_data_leaves_empty():
     stmt = IndependenceStatement("W", "B", frozenset({"T"}))
     check = check_dependence(f, data, stmt)
     assert check.skipped_strata == ((2,),)
-    assert list(data.cells(check.statement)) == [(1,)]
+    assert _keys(data.support.strata(check.statement.given)) == [(1,)]
 
 
 class _CountingMasks:
@@ -215,9 +231,72 @@ def test_the_index_stays_out_of_equality_hash_and_repr():
     fresh = WorldTable(tuple("ABCDEF"), rows)
     before = (repr(indexed), hash(indexed))
     for stmt in statement_grid(indexed.columns):
-        indexed.cells(stmt)
+        indexed.factorizes(stmt)
+    assert indexed._strata_cache and not fresh._strata_cache
     assert (repr(indexed), hash(indexed)) == before == (repr(fresh), hash(fresh))
     assert indexed == fresh
     columns = "('A', 'B', 'C', 'D', 'E', 'F')"
     assert repr(indexed).startswith(f"WorldTable(columns={columns}, rows=((")
     assert "_cache" not in repr(indexed)
+
+
+def test_the_grid_builds_each_conditioning_set_once():
+    table = _sampled_table(random.Random(10), 90)
+    for stmt in statement_grid(table.columns):
+        uniform_independent(table, stmt)
+    built = dict(table._strata_cache)
+    assert set(built) == {frozenset(), *(frozenset({n}) for n in table.columns)}
+    for stmt in statement_grid(table.columns):
+        uniform_independent(table, stmt)
+        assert table.strata(stmt.given) is built[stmt.given]
+    assert table._strata_cache == built
+    pair = table.strata(("E", "B"))
+    assert table.strata(["B", "E"]) is pair is table.strata(frozenset("BE"))
+
+
+def _shuffled_statements(rng: random.Random, columns):
+    stmts = list(_statements(columns))
+    rng.shuffle(stmts)
+    return stmts
+
+
+@MODERATE
+@given(seeds)
+def test_one_table_answers_many_statements_like_the_uniform_oracle(seed):
+    rng = random.Random(seed)
+    columns = tuple(rng.sample("ABCDE", rng.randint(2, 5)))
+    domains = [range(rng.randint(2, 3)) for _ in columns]
+    space = list(itertools.product(*domains))
+    table = WorldTable(columns, rng.sample(space, rng.randint(1, len(space))))
+    worlds = worlds_of(table)
+    for stmt in _shuffled_statements(rng, columns):
+        assert uniform_independent(table, stmt) == uniform_oracle(worlds, stmt)
+        assert table.strata(stmt.given) == strata_oracle(table, stmt.given)
+    empty = WorldTable(columns, [])
+    for stmt in _statements(columns):
+        with pytest.raises(EmptyTableError):
+            uniform_independent(empty, stmt)
+
+
+@MODERATE
+@given(seeds)
+def test_check_dependence_answers_many_statements_like_the_dependence_oracle(seed):
+    rng = random.Random(seed)
+    scm = random_scm(rng, max_levels=3)
+    f = random_final(rng, scm)
+    if f is None:
+        return
+    table = compatible_worlds(f)
+    if not len(table):
+        data = Dataset(scm.names, ((scm.worlds.rows[0], 1),))
+        for stmt in _statements(scm.names):
+            with pytest.raises(EmptyTableError):
+                check_dependence(f, data, stmt)
+        return
+    observed = rng.sample(table.rows, rng.randint(1, len(table)))
+    data = Dataset(scm.names, tuple((v, rng.randint(1, 9)) for v in observed))
+    worlds = worlds_of(table)
+    for stmt in _shuffled_statements(rng, scm.names):
+        assert check_dependence(f, data, stmt) == dependence_oracle(
+            worlds, scm.names, data.rows, stmt
+        )

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib.util
 import json
@@ -498,6 +499,29 @@ class TestGlobalFlags:
         assert result == run_cli("--json", "worlds", SPEC)
         assert result.exit_code == 0
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("finalize", SPEC, "--final", "warm"),
+            ("--json", "finalize", SPEC, "--final", "warm"),
+            ("distinguish", SPEC, "--final", "warm", "--final", "cheap"),
+            ("worlds", SPEC),
+        ],
+        ids=["finalize", "json-finalize", "distinguish", "worlds"],
+    )
+    def test_a_final_double_dash_ends_no_options(self, args):
+        result = run_cli(*args, "--")
+        assert result == run_cli(*args)
+        assert result.exit_code == 0 and result.stdout
+
+    def test_a_double_dash_after_an_earlier_one_is_a_positional(self):
+        assert run_cli("worlds", "--", SPEC) == run_cli("worlds", SPEC)
+        result = run_cli("finalize", "--final", "warm", "--", "--")
+        assert result.exit_code == 1
+        assert result.stderr == "error: model spec '--' not found\n"
+        result = run_cli("worlds", SPEC, "--", "--")
+        assert result.stderr == "error: unrecognized arguments: --\n"
+
 
 class TestUsageErrors:
     """Every usage error is one ``error:`` line on standard error, naming
@@ -578,6 +602,24 @@ class TestProcess:
             "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
             "print(sorted(new - set(sys.stdlib_module_names) - {'teleo'}))"
         )
+        assert self.run("-c", code) == (0, "[]\n", "")
+
+    def test_the_command_line_imports_every_traced_module(self):
+        # the traced benchmark run wraps the functions of the modules that
+        # are loaded when it starts, so a module ``teleo.cli`` loads later
+        # would go untraced; ``perfbench/probe.py`` is read, not changed
+        source = (ROOT / "perfbench" / "probe.py").read_text(encoding="utf-8")
+        traced = next(
+            ast.literal_eval(node.value)
+            for node in ast.parse(source).body
+            if isinstance(node, ast.Assign) and node.targets[0].id == "TRACED"
+        )
+        modules = sorted({f"teleo.{module}" for module, _ in traced})
+        code = (
+            "import sys, teleo.cli; "
+            f"print([m for m in {modules!r} if m not in sys.modules])"
+        )
+        assert "teleo.model" in modules
         assert self.run("-c", code) == (0, "[]\n", "")
 
     def test_a_reader_that_stops_early_gets_no_traceback(self, tmp_path):

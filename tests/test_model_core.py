@@ -144,6 +144,30 @@ class TestWorldTable:
         with pytest.raises(ModelStructureError):
             WorldTable(("A", "A"), ((0, 1),))
 
+    def test_unsorted_and_repeated_rows_are_sorted_and_deduplicated(self):
+        rows = [(1, 0), (0, 1), (1, 0), (0, 0), (0, 1)]
+        table = WorldTable(("A", "B"), rows)
+        assert table.rows == ((0, 0), (0, 1), (1, 0))
+        assert WorldTable(("A", "B"), [(0, 0), (0, 0)]).rows == ((0, 0),)
+        assert WorldTable(("A", "B"), iter(rows)) == table
+        assert WorldTable(("A", "B"), [list(r) for r in rows]) == table
+
+    def test_rows_that_strictly_increase_are_kept_in_order(self):
+        rows = ((0, 0), (0, 1), (1, 0))
+        table = WorldTable(("A", "B"), rows)
+        assert table.rows == rows
+        assert WorldTable(("A", "B"), [[0, 0], [0, 1]]).rows == ((0, 0), (0, 1))
+
+    @pytest.mark.parametrize(
+        "rows", [[(0,)], [(0, 0), (0,)], [(0, 0), (1, 1), (0, 0, 0)], [(1, 1), ()]]
+    )
+    def test_a_row_of_another_width_is_named(self, rows):
+        bad = next(r for r in rows if len(r) != 2)
+        message = f"row {bad} does not match table columns ('A', 'B')"
+        with pytest.raises(ModelStructureError) as exc:
+            WorldTable(("A", "B"), rows)
+        assert str(exc.value) == message
+
     def test_projection(self):
         table = enumerate_worlds(m1_scm()).project(("W", "B"))
         assert value_sets(table) == {(0, 0), (1, 0), (0, 1), (1, 1)}

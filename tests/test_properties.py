@@ -23,7 +23,6 @@ from teleo.model import (
     Scm,
     WorldTable,
     enumerate_worlds,
-    factorization,
     statement_grid,
     uniform_independent,
     verify_mechanism_consistency,
@@ -188,10 +187,8 @@ def test_factorization_matches_the_fraction_oracle_on_world_tables(seed):
         rows = [(values, 1) for values in table.rows]
         for stmt in statement_grid(table.columns):
             independent, strata = factorization_oracle(table.columns, rows, stmt)
-            assert factorization(table.cells(stmt)) == (
-                independent,
-                tuple(sorted(strata)),
-            )
+            assert table.factorizes(stmt) == independent
+            assert [s for s, _ in table.strata(stmt.given)] == sorted(strata)
             assert uniform_independent(table, stmt) == independent
 
 
@@ -208,10 +205,8 @@ def test_factorization_matches_the_fraction_oracle_on_weighted_rows(seed):
     for data in (Dataset(columns, tuple(bag)), Dataset(columns, (bag[0],))):
         for stmt in statement_grid(columns):
             independent, strata = factorization_oracle(columns, data.rows, stmt)
-            assert factorization(data.cells(stmt)) == (
-                independent,
-                tuple(sorted(strata)),
-            )
+            assert data.support.factorizes(stmt, data.layers) == independent
+            assert [s for s, _ in data.support.strata(stmt.given)] == sorted(strata)
             if len(data.rows) == 1:
                 assert independent
 
@@ -265,6 +260,33 @@ def test_columnar_tables_match_the_world_oracle(seed):
             assert worlds_of(table.filter(g.level_tests)) == filter_oracle(worlds, g)
         names = tuple(rng.sample(scm.names, rng.randint(0, len(scm.names))))
         assert worlds_of(table.project(names)) == project_oracle(worlds, names)
+
+
+@MODERATE
+@given(seeds)
+def test_tables_in_any_declaration_order_match_the_world_oracle(seed):
+    # a shuffled declaration order often puts an endogenous column first,
+    # so product order is not row order and the table has to sort its rows
+    rng = random.Random(seed)
+    scm = random_scm(rng, max_levels=3)
+    order = list(scm.names)
+    rng.shuffle(order)
+    by_name = {v.name: v for v in scm.variables}
+    shuffled = Scm(
+        CausalDag(tuple(order), scm.dag.edges),
+        tuple(by_name[n] for n in order),
+        scm.mechanisms,
+    )
+    for model in (scm, shuffled):
+        worlds = worlds_oracle(model)
+        table = enumerate_worlds(model)
+        assert worlds_of(table) == worlds
+        assert all(a < b for a, b in zip(table.rows, table.rows[1:]))
+        for g in _goals(rng, model, worlds):
+            assert worlds_of(table.filter(g.level_tests)) == filter_oracle(worlds, g)
+        rows = list(table.rows) + rng.sample(table.rows, rng.randint(0, len(table)))
+        rng.shuffle(rows)
+        assert WorldTable(table.columns, rows) == table
 
 
 @MODERATE
@@ -765,3 +787,79 @@ def test_json_writer_refuses_what_the_stdlib_encoder_refuses(doc):
         json.dumps(doc, indent=2, sort_keys=True)
     with pytest.raises(TypeError):
         render_json(doc)
+
+
+def _same_as_the_stdlib_encoder(doc):
+    """``render_json`` writes what ``json.dumps`` writes, or raises the
+    ``TypeError`` it raises, message and all."""
+    try:
+        expected = json.dumps(doc, indent=2, sort_keys=True)
+    except TypeError as exc:
+        with pytest.raises(TypeError) as raised:
+            render_json(doc)
+        assert str(raised.value) == str(exc)
+    else:
+        assert render_json(doc) == expected
+
+
+# one strategy per kind of table column: scalar columns of one type, the
+# grid's ``given`` lists (few distinct values, each repeated), flat lists
+# whose items ints and bools or floats could make equal, nested lists that
+# hold lists, sets or dicts, and columns that mix all of these
+_nested_items = (
+    st.lists(st.integers(0, 2), max_size=2)
+    | st.sets(st.integers(0, 2), max_size=2)
+    | st.dictionaries(st.text("ab", max_size=1), st.integers(0, 1), max_size=2)
+)
+_column_values = [
+    st.booleans(),
+    st.none(),
+    st.text(max_size=3),
+    st.lists(st.sampled_from(["A", "B", "é"]), max_size=2, unique=True),
+    st.lists(st.none() | st.integers(-2, 2) | st.text("xy", max_size=2), max_size=3)
+    .flatmap(lambda v: st.sampled_from([v, tuple(v)])),
+    st.lists(st.booleans() | st.integers(0, 1) | st.floats(0, 1), max_size=2),
+    st.lists(_nested_items, max_size=2),
+]
+_mixed_values = st.one_of(*_column_values, st.integers(-2, 2))
+_columns = st.sampled_from(_column_values) | st.just(_mixed_values)
+
+
+@st.composite
+def _column_tables(draw):
+    """A list of records, or of rows, whose columns each come from one
+    column strategy."""
+    keys = draw(st.lists(st.text("gixy", min_size=1, max_size=2), min_size=1,
+                         max_size=4, unique=True))
+    kinds = [draw(_columns) for _ in keys]
+    size = draw(st.integers(1, 12))
+    rows = [[draw(kind) for kind in kinds] for _ in range(size)]
+    if draw(st.booleans()):
+        return {"rows": [dict(zip(keys, row)) for row in rows]}
+    return {"rows": rows}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_column_tables())
+def test_json_writer_encodes_columns_like_the_stdlib_encoder(doc):
+    _same_as_the_stdlib_encoder(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [{"x": "A", "given": ["B"]}, {"x": "A", "given": ["B"]}, {"x": "B", "given": []}],
+        [[True, None, "a"], [False, None, "é\n"]],
+        [[[1], "a"], [[True], "b"], [[1.0], "c"]],
+        [[("A", "B")], [["A", "B"]], [[None, 0]]],
+        [[[[1]]], [[[1]]]],
+        [[[{2}]], [[{3}]]],
+        [[[{"a": [1]}]], [[{"a": [1]}]]],
+        [[[{1: 2}]], [[{"1": 2}]]],
+        [["a", 1, None, True, [1]], ["b", 2, None, False, ["x"]]],
+        [[{3}, [{4}]], [{5}, [{6}]]],
+    ],
+    ids=repr,
+)
+def test_json_writer_column_cases(doc):
+    _same_as_the_stdlib_encoder(doc)
