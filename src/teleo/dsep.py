@@ -6,17 +6,22 @@ or one of its descendants is conditioned on.  Every query runs through one
 pure-Python kernel, the "Reachable" algorithm of Koller & Friedman
 (Probabilistic Graphical Models, Algorithm 3.1): mark the conditioning set
 and its ancestors, then walk (node, direction) states outward from x along
-active trails.  Parent, child and ancestor lists come from the DAG's own
-index (``CausalDag``).
+active trails.  The kernel keeps its states as node bitmasks in the DAG's
+bit order (bit i is ``dag.nodes[i]``, see ``CausalDag``): the ancestors of
+Z are a mask fixpoint over the parent masks, and the walk advances two
+frontier masks, the nodes entered from a child (going up) and those
+entered from a parent (going down), one hop at a time until neither has a
+node it has not had before.
 
 One walk from x given Z reaches every node d-connected to x given Z, so it
-answers the query for every y at once.  ``d_separated`` still answers one
-statement per call, but it walks only on the first query for its (x, Z):
-the reached set is kept in the DAG's own memo (``CausalDag._reachable``),
-keyed by (x, Z), and later queries with the same x and Z only look y up.
-A statement grid over n variables thus walks at most once per (x, Z) pair
-instead of once per statement.  The memo lives and dies with its DAG, so
-two DAGs never share an entry, whatever their nodes.
+answers the query for every y at once.  ``reachable`` walks only on the
+first query for its (x, Z): the reached mask is kept in the DAG's own memo
+(``CausalDag._reachable``), keyed by (x, Z), and ``d_separated`` tests y's
+bit in it.  A statement grid over n variables thus walks at most once per
+(x, Z) pair instead of once per statement, and two DAGs over the same
+nodes in the same order compare every y of one (x, Z) by XOR-ing their two
+masks.  The memo lives and dies with its DAG, so two DAGs never share an
+entry, whatever their nodes.
 """
 
 from __future__ import annotations
@@ -24,50 +29,51 @@ from __future__ import annotations
 from teleo.errors import UnknownVariableError
 from teleo.model import CausalDag, IndependenceStatement
 
-__all__ = ["d_separated"]
+__all__ = ["d_separated", "reachable"]
 
 
 def d_separated(dag: CausalDag, stmt: IndependenceStatement) -> bool:
     """True iff every trail between the two variables is blocked given Z."""
-    parents = dag._parents
+    position = dag._position
     for name in (stmt.x, stmt.y, *stmt.given):
-        if name not in parents:
+        if name not in position:
             raise UnknownVariableError(f"unknown variable {name!r}")
-    key = (stmt.x, stmt.given)
+    return not reachable(dag, stmt.x, stmt.given) >> position[stmt.y] & 1
+
+
+def reachable(dag: CausalDag, x: str, given: frozenset[str]) -> int:
+    """The mask of every node joined to ``x`` by a trail that is active
+    given ``given``, ``x`` itself included; bit i is ``dag.nodes[i]``.
+
+    Walked on the first call for its (x, given) and kept in the DAG's memo.
+    """
+    key = (x, given)
     reached = dag._reachable.get(key)
     if reached is None:
-        reached = dag._reachable[key] = _reachable(dag, stmt.x, stmt.given)
-    return stmt.y not in reached
+        start, z = dag._mask((x,)), dag._mask(given)
+        reached = dag._reachable[key] = _walk(dag, start, z)
+    return reached
 
 
-def _reachable(dag: CausalDag, x: str, z: frozenset[str]) -> frozenset[str]:
-    """Every node joined to ``x`` by a trail that is active given ``z``."""
-    # the walk subscripts the DAG's own parent and child lists: the caller
-    # has checked the names, so every lookup succeeds, and a method call per
-    # step made the kernel about a fifth slower
-    parents, children = dag._parents, dag._children
+def _walk(dag: CausalDag, start: int, z: int) -> int:
+    """The Reachable walk from the node of ``start`` given the nodes of
+    ``z``, on masks; returns every node it reaches."""
+    parents, children, hop = dag._parents_masks, dag._children_masks, dag._hop
 
     # phase 1: nodes in Z or with a descendant in Z; a collider there is open
-    opens_collider = dag.ancestors(z) | z
+    opens = dag._reach(parents, z) | z
 
-    # phase 2: walk (node, up) states from x, where up records that the node
-    # was entered from a child and down that it was entered from a parent
-    start = (x, True)
-    seen = {start}
-    todo = [start]
-    while todo:
-        v, up = todo.pop()
-        if up:
-            if v in z:
-                continue  # chain or fork through an observed node is blocked
-            steps = [(p, True) for p in parents[v]]
-            steps += [(c, False) for c in children[v]]
-        else:
-            steps = [] if v in z else [(c, False) for c in children[v]]
-            if v in opens_collider:
-                steps += [(p, True) for p in parents[v]]
-        for state in steps:
-            if state not in seen:
-                seen.add(state)
-                todo.append(state)
-    return frozenset(v for v, _ in seen)
+    # phase 2: up holds the nodes entered from a child (x counts as one),
+    # down those entered from a parent.  A node in Z passes nothing on
+    # (a chain or fork through it is blocked) except, entered from a
+    # parent, up to its own parents, as does any open collider.
+    up = seen_up = start
+    down = seen_down = 0
+    while up or down:
+        to_up = hop(parents, (up & ~z) | (down & opens))
+        to_down = hop(children, (up | down) & ~z)
+        up = to_up & ~seen_up
+        seen_up |= up
+        down = to_down & ~seen_down
+        seen_down |= down
+    return seen_up | seen_down

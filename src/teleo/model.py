@@ -34,7 +34,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from teleo.errors import (
     EmptyTableError,
@@ -51,8 +51,11 @@ __all__ = [
     "Scm",
     "WorldTable",
     "IndependenceStatement",
+    "grid_cells",
     "statement_grid",
     "row_mask",
+    "level_masks",
+    "stratify",
     "weight_layers",
     "propagate",
     "enumerate_worlds",
@@ -60,6 +63,8 @@ __all__ = [
     "conditional_distribution",
     "verify_mechanism_consistency",
 ]
+
+_V = TypeVar("_V")
 
 
 def _check_identifier(name: str) -> None:
@@ -96,10 +101,13 @@ class CausalDag:
     hashing and ``repr`` use only these two tuples.
 
     This is the one index of the graph: construction validates it and builds
-    each node's parent and child lists (in edge-declaration order) and the
-    topological order once.  Every query reads them, and so does the
-    d-separation kernel (``dsep``), which subscripts the lists directly and
-    keeps its walks in ``_reachable``.
+    each node's parent and child lists (in edge-declaration order), the same
+    neighbourhoods as node bitmasks, and the topological order once.  In a
+    mask, bit i stands for ``nodes[i]``, so a mask read from bit 0 upward
+    lists its nodes in declaration order.  Every query reads this index:
+    ancestors and descendants are mask fixpoints, and the d-separation
+    kernel (``dsep``) walks the parent and child masks and keeps its walks
+    in ``_reachable``.
     """
 
     nodes: tuple[str, ...]
@@ -108,11 +116,13 @@ class CausalDag:
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
+        position: dict[str, int] = {}
         parents: dict[str, list[str]] = {}
         children: dict[str, list[str]] = {}
         for n in self.nodes:
             if n in parents:
                 raise ModelStructureError(f"duplicate node {n!r}")
+            position[n] = len(position)
             parents[n] = []
             children[n] = []
         edge_set = set()
@@ -128,16 +138,20 @@ class CausalDag:
             edge_set.add((parent, child))
             parents[child].append(parent)
             children[parent].append(child)
-        for name, lists in (("_parents", parents), ("_children", children)):
-            object.__setattr__(self, name, {n: tuple(v) for n, v in lists.items()})
+        object.__setattr__(self, "_position", position)
+        for name, lists in (("parents", parents), ("children", children)):
+            object.__setattr__(self, f"_{name}", {n: tuple(v) for n, v in lists.items()})
+            masks = tuple(self._mask(lists[n]) for n in self.nodes)
+            object.__setattr__(self, f"_{name}_masks", masks)
         object.__setattr__(self, "_order", self._kahn())
-        # d-separation's walks, keyed by (x, Z); filled by ``dsep``
+        # d-separation's walks as reached-node masks, keyed by (x, Z);
+        # filled by ``dsep``
         object.__setattr__(self, "_reachable", {})
 
     def _kahn(self) -> tuple[str, ...]:
         """Kahn's algorithm; of the ready nodes the earliest declared goes
         first.  Raises on cycles."""
-        position = {n: i for i, n in enumerate(self.nodes)}
+        position = self._position
         indegree = {n: len(p) for n, p in self._parents.items()}
         ready = [position[n] for n, d in indegree.items() if d == 0]  # sorted: a heap
         order: list[str] = []
@@ -163,12 +177,11 @@ class CausalDag:
 
     def ancestors(self, nodes: Iterable[str]) -> set[str]:
         """Every strict ancestor of any of ``nodes``."""
-        return self._reach(self._parents, nodes)
+        return set(self._names(self._reach(self._parents_masks, self._mask(nodes))))
 
     def descendants(self, node: str) -> tuple[str, ...]:
         """All strict descendants of ``node``, in declaration order."""
-        reached = self._reach(self._children, (node,))
-        return tuple(n for n in self.nodes if n in reached)
+        return self._names(self._reach(self._children_masks, self._mask((node,))))
 
     def exogenous(self) -> tuple[str, ...]:
         return tuple(n for n in self.nodes if not self._parents[n])
@@ -181,21 +194,42 @@ class CausalDag:
         construction."""
         return self._order
 
-    def _reach(
-        self, step: Mapping[str, tuple[str, ...]], start: Iterable[str]
-    ) -> set[str]:
-        """The nodes reached from ``start`` by one or more ``step`` hops."""
-        reached: set[str] = set()
-        frontier = [self._lookup(step, n) for n in start]
+    def _mask(self, nodes: Iterable[str]) -> int:
+        """The mask of ``nodes``; raises on a name that is not a node."""
+        mask = 0
+        for n in nodes:
+            mask |= 1 << self._lookup(self._position, n)
+        return mask
+
+    def _names(self, mask: int) -> tuple[str, ...]:
+        """The nodes of ``mask``, in declaration order."""
+        return tuple(n for i, n in enumerate(self.nodes) if mask >> i & 1)
+
+    @staticmethod
+    def _hop(step: Sequence[int], mask: int) -> int:
+        """The mask one hop from the nodes of ``mask``, where ``step[i]`` is
+        the mask one hop from node i (``_parents_masks`` or
+        ``_children_masks``)."""
+        reached = 0
+        while mask:
+            low = mask & -mask
+            reached |= step[low.bit_length() - 1]
+            mask ^= low
+        return reached
+
+    @classmethod
+    def _reach(cls, step: Sequence[int], start: int) -> int:
+        """The mask of nodes reached from the nodes of ``start`` by one or
+        more hops: a fixpoint over frontier masks."""
+        reached = 0
+        frontier = cls._hop(step, start)
         while frontier:
-            for v in frontier.pop():
-                if v not in reached:
-                    reached.add(v)
-                    frontier.append(step[v])
+            reached |= frontier
+            frontier = cls._hop(step, frontier) & ~reached
         return reached
 
     @staticmethod
-    def _lookup(index: Mapping[str, tuple[str, ...]], node: str) -> tuple[str, ...]:
+    def _lookup(index: Mapping[str, _V], node: str) -> _V:
         try:
             return index[node]
         except KeyError:
@@ -410,7 +444,7 @@ class WorldTable:
         and cached."""
         masks = self._level_cache.get(name)
         if masks is None:
-            masks = self._level_cache[name] = _level_masks(self.column(name))
+            masks = self._level_cache[name] = level_masks(self.column(name))
         return masks
 
     def filter(self, keep: Mapping[str, Callable[[int], bool]]) -> "WorldTable":
@@ -462,16 +496,7 @@ class WorldTable:
         given = frozenset(given)
         strata = self._strata_cache.get(given)
         if strata is None:
-            strata = [((), (1 << len(self.rows)) - 1)] if self.rows else []
-            for name in sorted(given):
-                levels = self.levels(name).items()
-                # level order within each sorted stratum keeps the list sorted
-                strata = [
-                    ((*stratum, level), both)
-                    for stratum, rows in strata
-                    for level, mask in levels
-                    if (both := rows & mask)
-                ]
+            strata = stratify(len(self.rows), map(self.levels, sorted(given)))
             self._strata_cache[given] = strata
         return strata
 
@@ -523,11 +548,31 @@ def _bitmask(bits: Iterable[int]) -> int:
     return int(digits, 2) if digits else 0
 
 
-def _level_masks(column: Sequence[int]) -> dict[int, int]:
+def level_masks(column: Sequence[int]) -> dict[int, int]:
     """One row bitmask per level of ``column``, in level order."""
     return {
         level: _bitmask(map(level.__eq__, column)) for level in sorted(set(column))
     }
+
+
+def stratify(
+    n_rows: int, levels: Iterable[Mapping[int, int]]
+) -> list[tuple[tuple[int, ...], int]]:
+    """The ``(stratum, row mask)`` of every combination of levels that has
+    rows, in sorted order, from one ``level_masks`` map per column over
+    ``n_rows`` rows.  A stratum holds one level per column, and its rows are
+    the intersection of those levels' masks.  No columns give the one
+    stratum ``()`` of every row, and no rows give no strata."""
+    strata = [((), (1 << n_rows) - 1)] if n_rows else []
+    for masks in levels:
+        # level order within each sorted stratum keeps the list sorted
+        strata = [
+            ((*stratum, level), both)
+            for stratum, rows in strata
+            for level, mask in masks.items()
+            if (both := rows & mask)
+        ]
+    return strata
 
 
 def weight_layers(weights: Sequence[int]) -> tuple[int, ...]:
@@ -582,14 +627,23 @@ class IndependenceStatement:
         return base
 
 
-def statement_grid(names: Sequence[str]) -> Iterator[IndependenceStatement]:
-    """Every pair of variables in declaration order, first unconditioned and
+def grid_cells(
+    names: Sequence[str],
+) -> Iterator[tuple[str, str, frozenset[str]]]:
+    """The ``(x, y, given)`` cells of the statement grid, in its one order:
+    every pair of variables in declaration order, first unconditioned and
     then given each other single variable."""
+    singles = [(w, frozenset((w,))) for w in names]
     for x, y in itertools.combinations(names, 2):
-        yield IndependenceStatement(x, y)
-        for w in names:
-            if w not in (x, y):
-                yield IndependenceStatement(x, y, frozenset({w}))
+        yield x, y, frozenset()
+        for w, given in singles:
+            if w != x and w != y:
+                yield x, y, given
+
+
+def statement_grid(names: Sequence[str]) -> Iterator[IndependenceStatement]:
+    """The statement of each cell of the grid, in grid order (``grid_cells``)."""
+    return itertools.starmap(IndependenceStatement, grid_cells(names))
 
 
 def propagate(

@@ -15,11 +15,13 @@ flip).
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from teleo.dsep import d_separated
+from teleo.dsep import reachable
 from teleo.errors import (
     ComparisonError,
     DegenerateReductionError,
@@ -33,9 +35,10 @@ from teleo.model import (
     Scm,
     Variable,
     WorldTable,
+    grid_cells,
+    level_masks,
     propagate,
-    row_mask,
-    statement_grid,
+    stratify,
 )
 from teleo.teleology import FinalModel, compatible_worlds
 
@@ -110,32 +113,34 @@ def build_reduction(f: FinalModel, rest_level: int | None = None) -> ReductionMo
     if INTENTION_NAME in taken:
         raise ReductionError(f"cannot add {INTENTION_NAME}: the name is taken")
 
-    # survey every exogenous context: pre-state of the goal variables, whether
-    # the goal already holds at rest, and which action levels meet it; each
-    # action level propagates all contexts in one column-wise pass
+    # survey every exogenous context, one row per context: each action level
+    # propagates all contexts in one column-wise pass, and the survey keeps
+    # context masks (bit i is context i) of where each level meets the goal
     order = surgered.dag.topological_order()
     combos = list(itertools.product(*(surgered.domain(n) for n in context)))
     ctx_columns = dict(zip(context, zip(*combos)))
-
-    def outcome(level: int) -> dict[str, Sequence[int]]:
-        return propagate(
+    goal_tests = f.goal.level_tests.items()
+    meets: dict[int, int] = {}  # action level -> contexts it meets the goal in
+    for level in action_domain:
+        columns = propagate(
             surgered, order, {**ctx_columns, action: (level,) * len(combos)}
         )
-
-    at_rest = outcome(rest)
-    pre_values = list(zip(*(at_rest[g] for g in goal_vars)))
-    met_at_rest = row_mask(at_rest, f.goal.level_tests)
-    achieving: list[list[int]] = [[] for _ in combos]
-    for level in action_domain:
-        met = row_mask(outcome(level), f.goal.level_tests)
-        for levels, meets in zip(achieving, met):
-            if meets:
-                levels.append(level)
-    surveys = list(zip(pre_values, met_at_rest, achieving))
-    if not any(a for _, _, a in surveys):
+        met = (1 << len(combos)) - 1
+        for name, test in goal_tests:
+            met &= sum(m for v, m in level_masks(columns[name]).items() if test(v))
+        meets[level] = met
+        if level == rest:
+            # the pre-state strata: the contexts of each rest-level goal state
+            pre_states = dict(
+                stratify(len(combos), (level_masks(columns[g]) for g in goal_vars))
+            )
+    achievable = functools.reduce(operator.or_, meets.values())
+    if not achievable:
         raise DegenerateReductionError(
             f"goal {f.goal} is not achievable by any level of {action} in any context"
         )
+    # the intention fires where the goal is unmet at rest and some level meets it
+    fires = achievable & ~meets[rest]
 
     def exo_parents(node: str) -> list[str]:
         """The context variables ``node`` depends on, in declaration order."""
@@ -172,18 +177,16 @@ def build_reduction(f: FinalModel, rest_level: int | None = None) -> ReductionMo
 
     # the intention: 1 iff the goal is unmet at rest and some level meets it;
     # contexts that share a pre-state must agree, and unseen pre-states idle
-    fires: dict[tuple[int, ...], set[bool]] = {}
-    for pre, met, levels in surveys:
-        fires.setdefault(pre, set()).add(not met and bool(levels))
     i_table: dict[tuple[int, ...], int] = {}
     for combo in itertools.product(*(surgered.domain(g) for g in goal_vars)):
-        seen = fires.get(combo, {False})
-        if len(seen) > 1:
+        rows = pre_states.get(combo, 0)
+        firing = rows & fires
+        if firing and firing != rows:
             raise ReductionError(
                 "intention is not a function of the pre-action goal "
                 f"measurements: contexts with pre-state {combo} disagree"
             )
-        i_table[combo] = int(True in seen)
+        i_table[combo] = int(bool(firing))
     variables.append(Variable(INTENTION_NAME, (0, 1)))
     mechanisms[INTENTION_NAME] = Mechanism(
         INTENTION_NAME, tuple(pre_of[g] for g in goal_vars), i_table
@@ -191,12 +194,17 @@ def build_reduction(f: FinalModel, rest_level: int | None = None) -> ReductionMo
 
     # the action follows the intention: rest when idle, else the least
     # achieving level, which must not depend on the context
-    chosen = {min(a) for _, met, a in surveys if (not met) and a}
+    chosen = []
+    waiting = fires
+    for level in action_domain:  # increasing, so each context's least level
+        if waiting & meets[level]:
+            chosen.append(level)
+            waiting &= ~meets[level]
     if len(chosen) > 1:
         raise ReductionError(
-            f"no single action level realizes the intention: {sorted(chosen)}"
+            f"no single action level realizes the intention: {chosen}"
         )
-    act_on = chosen.pop() if chosen else rest
+    act_on = chosen[0] if chosen else rest
     variables.append(Variable(action, action_domain))
     mechanisms[action] = Mechanism(
         action, (INTENTION_NAME,), {(0,): rest, (1,): act_on}
@@ -368,7 +376,8 @@ def compare_structures(f: FinalModel, r: ReductionModel) -> StructuralComparison
         for parent, child in projected.dag.edges
         if parent in effective[child]
     )
-    projected_dag = CausalDag(projected.dag.nodes, pruned_edges)
+    # over the final DAG's nodes in its order, so both DAGs share one bit order
+    projected_dag = CausalDag(f.final_dag.nodes, pruned_edges)
 
     final_edges = set(f.final_dag.edges)
     red_edges = set(projected_dag.edges)
@@ -376,12 +385,22 @@ def compare_structures(f: FinalModel, r: ReductionModel) -> StructuralComparison
     def ordered(edges: set[tuple[str, str]]) -> tuple[tuple[str, str], ...]:
         return tuple(sorted(edges))
 
+    # one walk per (x, Z) on each DAG; the XOR of the two reached masks has
+    # the bit of every y whose separation flips, so only those cells become
+    # statements, in grid order
+    position = projected_dag._position
+    flips: dict[tuple[str, frozenset[str]], int] = {}
     disagreements = []
-    for stmt in statement_grid(f.mstar.model.names):
-        sep_f = d_separated(f.final_dag, stmt)
-        sep_r = d_separated(projected_dag, stmt)
-        if sep_f != sep_r:
-            disagreements.append((stmt, sep_f, sep_r))
+    for x, y, given in grid_cells(f.mstar.model.names):
+        key = (x, given)
+        flipped = flips.get(key)
+        if flipped is None:
+            flipped = flips[key] = (
+                reachable(f.final_dag, x, given) ^ reachable(projected_dag, x, given)
+            )
+        if flipped >> position[y] & 1:
+            sep_f = not reachable(f.final_dag, x, given) >> position[y] & 1
+            disagreements.append((IndependenceStatement(x, y, given), sep_f, not sep_f))
 
     # the reduction's worlds read on the base variables, goal variables from
     # their post-action copies, then relabelled to the base names

@@ -2,7 +2,11 @@
 
 The d-separation oracle here is deliberately naive and independent of the
 library's reachability kernel: it enumerates every simple trail and applies
-the chain/fork/collider blocking rules trail by trail.  The graph oracles
+the chain/fork/collider blocking rules trail by trail.  Trails grow
+exponentially, so on larger DAGs the reachable oracle stands in: it is the
+Reachable walk the library ran before its kernel moved to node bitmasks,
+over a set of (node, direction) states, with parent and child sets read
+off the edge list.  The graph oracles
 read only an edge list, never a DAG's parent, child or order index:
 reachability is a transitive closure, and the topological order is picked one
 node at a time.  The factorization oracle likewise shares nothing with the
@@ -19,6 +23,9 @@ world by world.  ``World`` is the oracles' row type; the library keeps every
 set of worlds as a ``WorldTable``, and ``worlds_of`` reads one back as
 ``World``s.  The candidates oracle enumerates goal hypotheses in two steps,
 listing the reachable candidates first and building each one afterwards.
+The reduction survey oracle is the per-context survey ``build_reduction``
+ran before it moved to context masks: one world per context and action
+level, and per context a pre-state, a flag and a list of achieving levels.
 
 ``run_cli`` runs the ``teleo`` command line in-process and captures what it
 writes.
@@ -44,7 +51,12 @@ from teleo.model import (
     WorldTable,
     enumerate_worlds,
 )
-from teleo.errors import EmptyTableError, TeleologyError
+from teleo.errors import (
+    DegenerateReductionError,
+    EmptyTableError,
+    ReductionError,
+    TeleologyError,
+)
 from teleo.identification import DependenceCheck
 from teleo.intervention import do_surgery
 from teleo.teleology import Comparison, GoalPredicate, build_final_model
@@ -169,6 +181,42 @@ def dsep_oracle(dag: CausalDag, stmt: IndependenceStatement) -> bool:
     return not any(active(t) for t in trails)
 
 
+def reachable_oracle(dag: CausalDag, x: str, z: frozenset[str]) -> frozenset[str]:
+    """Every node joined to ``x`` by a trail that is active given ``z``, ``x``
+    included: a walk over (node, up) states, where up records that the node
+    was entered from a child and down that it was entered from a parent."""
+    parents = {n: [p for p, c in dag.edges if c == n] for n in dag.nodes}
+    children = {n: [c for p, c in dag.edges if p == n] for n in dag.nodes}
+    # nodes in Z or with a descendant in Z; a collider there is open
+    opens_collider = set(z)
+    todo = list(z)
+    while todo:
+        for p in parents[todo.pop()]:
+            if p not in opens_collider:
+                opens_collider.add(p)
+                todo.append(p)
+
+    start = (x, True)
+    seen = {start}
+    states = [start]
+    while states:
+        v, up = states.pop()
+        if up:
+            if v in z:
+                continue  # chain or fork through an observed node is blocked
+            steps = [(p, True) for p in parents[v]]
+            steps += [(c, False) for c in children[v]]
+        else:
+            steps = [] if v in z else [(c, False) for c in children[v]]
+            if v in opens_collider:
+                steps += [(p, True) for p in parents[v]]
+        for state in steps:
+            if state not in seen:
+                seen.add(state)
+                states.append(state)
+    return frozenset(v for v, _ in seen)
+
+
 def factorization_oracle(
     columns: tuple[str, ...],
     rows,
@@ -289,7 +337,12 @@ def all_statements(dag: CausalDag, max_given: int | None = None):
 
 
 def random_dag(rng: random.Random, n_nodes: int, edge_prob: float = 0.5) -> CausalDag:
-    names = NAMES[:n_nodes]
+    """A DAG over ``n_nodes`` nodes, named A-H while they fit and V0, V1, ...
+    beyond, with each edge of a shuffled causal order drawn at ``edge_prob``."""
+    if n_nodes <= len(NAMES):
+        names = NAMES[:n_nodes]
+    else:
+        names = tuple(f"V{i}" for i in range(n_nodes))
     order = list(names)
     rng.shuffle(order)
     edges = []
@@ -392,6 +445,85 @@ def candidates_oracle(m, max_effects: int):
     return finals, skipped
 
 
+def reduction_survey_oracle(f, rest_level: int | None = None) -> dict[str, Mechanism]:
+    """The pre-copy, intention and action mechanisms ``build_reduction``
+    makes for the final model ``f``, keyed by name, or the same
+    ``ReductionError`` it raises, checked in the same order.
+
+    Every exogenous context is evaluated world by world at every action
+    level.  Each context keeps its pre-state (the goal variables at rest),
+    whether the goal holds at rest, and the list of levels that meet it; the
+    intention is read per pre-state and the action level per context."""
+    surgered, action = f.mstar.model, f.mstar.target
+    action_domain = surgered.domain(action)
+    rest = action_domain[0] if rest_level is None else rest_level
+    goal_vars = [n for n in surgered.names if n in f.goal.variables]
+    context = [n for n in surgered.dag.exogenous() if n != action]
+    order = topological_oracle(surgered.dag)
+
+    def world(assignment: dict[str, int]) -> dict[str, int]:
+        for node in order:
+            if node not in assignment:
+                assignment[node] = surgered.mechanisms[node].evaluate(assignment)
+        return assignment
+
+    def meets(values: dict[str, int]) -> bool:
+        return all(c.holds(values[c.variable]) for c in f.goal.conjuncts)
+
+    surveys = []
+    for combo in itertools.product(*(surgered.domain(n) for n in context)):
+        at_rest = world({**dict(zip(context, combo)), action: rest})
+        achieving = [
+            level
+            for level in action_domain
+            if meets(world({**dict(zip(context, combo)), action: level}))
+        ]
+        pre = tuple(at_rest[g] for g in goal_vars)
+        surveys.append((pre, meets(at_rest), achieving))
+    if not any(a for _, _, a in surveys):
+        raise DegenerateReductionError(
+            f"goal {f.goal} is not achievable by any level of {action} in any context"
+        )
+
+    mechanisms: dict[str, Mechanism] = {}
+    reach = reachability_oracle(surgered.dag.edges)
+    for g in goal_vars:
+        parents = [n for n in context if (n, g) in reach]
+        if not parents:
+            if not context:
+                raise ReductionError("no exogenous context to carry the pre-action state")
+            parents = [context[0]]
+        table = {}
+        for combo in itertools.product(*(surgered.domain(p) for p in parents)):
+            ctx = {n: surgered.domain(n)[0] for n in context}
+            ctx.update(zip(parents, combo))
+            table[combo] = world({**ctx, action: rest})[g]
+        mechanisms[f"{g}0"] = Mechanism(f"{g}0", tuple(parents), table)
+
+    fires: dict[tuple[int, ...], set[bool]] = {}
+    for pre, met, levels in surveys:
+        fires.setdefault(pre, set()).add(not met and bool(levels))
+    i_table = {}
+    for combo in itertools.product(*(surgered.domain(g) for g in goal_vars)):
+        seen = fires.get(combo, {False})
+        if len(seen) > 1:
+            raise ReductionError(
+                "intention is not a function of the pre-action goal "
+                f"measurements: contexts with pre-state {combo} disagree"
+            )
+        i_table[combo] = int(True in seen)
+    mechanisms["I"] = Mechanism("I", tuple(f"{g}0" for g in goal_vars), i_table)
+
+    chosen = {min(a) for _, met, a in surveys if not met and a}
+    if len(chosen) > 1:
+        raise ReductionError(
+            f"no single action level realizes the intention: {sorted(chosen)}"
+        )
+    act_on = chosen.pop() if chosen else rest
+    mechanisms[action] = Mechanism(action, ("I",), {(0,): rest, (1,): act_on})
+    return mechanisms
+
+
 def m1_scm() -> Scm:
     """The four-variable room model used throughout the golden tests."""
     w = Variable("W", (0, 1))
@@ -430,6 +562,7 @@ __all__ = [
     "reachability_oracle",
     "topological_oracle",
     "dsep_oracle",
+    "reachable_oracle",
     "factorization_oracle",
     "cells_oracle",
     "strata_oracle",
@@ -444,6 +577,7 @@ __all__ = [
     "random_goal",
     "random_final",
     "candidates_oracle",
+    "reduction_survey_oracle",
     "m1_scm",
     "chain_scm",
     "value_sets",

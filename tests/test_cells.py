@@ -184,12 +184,12 @@ def test_skipped_strata_come_from_strata_the_data_leaves_empty():
 
 
 class _CountingMasks:
-    """Wraps `_level_masks` and counts its calls."""
+    """Wraps `level_masks` and counts its calls."""
 
     def __init__(self, monkeypatch):
         self.calls = 0
-        self.build = teleo.model._level_masks
-        monkeypatch.setattr(teleo.model, "_level_masks", self)
+        self.build = teleo.model.level_masks
+        monkeypatch.setattr(teleo.model, "level_masks", self)
 
     def __call__(self, column):
         self.calls += 1

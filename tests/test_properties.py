@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from teleo.dsep import d_separated
+from teleo.dsep import d_separated, reachable
 from teleo.identification import (
     Dataset,
     check_dependence,
@@ -20,7 +20,9 @@ from teleo.errors import EmptyTableError, ReductionError, SpecSyntaxError
 from teleo.model import (
     CausalDag,
     IndependenceStatement,
+    Mechanism,
     Scm,
+    Variable,
     WorldTable,
     enumerate_worlds,
     statement_grid,
@@ -55,6 +57,8 @@ from support import (
     random_goal,
     random_scm,
     reachability_oracle,
+    reachable_oracle,
+    reduction_survey_oracle,
     topological_oracle,
     uniform_oracle,
     World,
@@ -76,10 +80,16 @@ def test_dsep_matches_the_trail_oracle(seed):
         assert d_separated(dag, stmt) == dsep_oracle(dag, stmt)
 
 
+def _names_of(dag: CausalDag, mask: int) -> frozenset[str]:
+    """The nodes of a reached mask, read in the DAG's bit order."""
+    return frozenset(n for i, n in enumerate(dag.nodes) if mask >> i & 1)
+
+
 def _walks_match_the_oracle(dag: CausalDag) -> None:
     """Every walk in the DAG's memo reaches exactly the nodes the trail
     oracle calls d-connected to x given Z."""
-    for (x, z), reached in dag._reachable.items():
+    for (x, z), mask in dag._reachable.items():
+        reached = _names_of(dag, mask)
         for y in dag.nodes:
             if y != x and y not in z:
                 stmt = IndependenceStatement(x, y, z)
@@ -118,6 +128,22 @@ def test_dags_over_the_same_nodes_keep_their_own_walks(seed):
             assert d_separated(dag, stmt) == dsep_oracle(dag, stmt), (dag, stmt)
     _walks_match_the_oracle(first)
     _walks_match_the_oracle(second)
+
+
+@MODERATE
+@given(seeds)
+def test_mask_walks_match_the_state_walk_oracle(seed):
+    # past 64 nodes a mask is more than one machine word
+    rng = random.Random(seed)
+    n = rng.randint(65, 80) if rng.random() < 0.5 else rng.randint(2, 64)
+    dag = random_dag(rng, n, min(1.0, rng.uniform(0.5, 6.0) / n))
+    for _ in range(12):
+        x = rng.choice(dag.nodes)
+        others = [v for v in dag.nodes if v != x]
+        z = frozenset(rng.sample(others, min(len(others), rng.randint(0, 3))))
+        reached = _names_of(dag, reachable(dag, x, z))
+        assert reached == reachable_oracle(dag, x, z), (dag, x, z)
+        assert dag._reachable[x, z] == reachable(dag, x, z)
 
 
 @MODERATE
@@ -573,6 +599,60 @@ def test_exact_support_match_wins_specificity(seed):
             assert verdict.support_compatible
         elif len(worlds) < len(chosen):
             assert not verdict.support_compatible
+
+
+def _context_and_action_final(rng: random.Random):
+    """do(A) in U -> G <- A with a random table and a random goal on G: the
+    shape whose contexts most often disagree on the intention or on the
+    action level."""
+    u, a, g = (Variable(n, tuple(range(rng.randint(2, 4)))) for n in "UAG")
+    table = {k: rng.choice(g.domain) for k in itertools.product(a.domain, u.domain)}
+    dag = CausalDag(("U", "A", "G"), (("A", "G"), ("U", "G")))
+    scm = Scm(dag, (u, a, g), {"G": Mechanism("G", ("A", "U"), table)})
+    return build_final_model(do_surgery(scm, "A"), ("G",), random_goal(rng, scm, ("G",)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(seeds)
+def test_the_reduction_survey_matches_the_per_context_oracle(seed):
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        f = _context_and_action_final(rng)
+    else:
+        f = random_final(rng, random_scm(rng))
+    if f is None:
+        return
+    rest = rng.choice(f.mstar.model.domain(f.action))
+    try:
+        expected = reduction_survey_oracle(f, rest)
+    except ReductionError as exc:
+        with pytest.raises(ReductionError) as raised:
+            build_reduction(f, rest)
+        assert type(raised.value) is type(exc)
+        assert str(raised.value) == str(exc)
+        return
+    r = build_reduction(f, rest)
+    assert {name: r.scm.mechanisms[name] for name in expected} == expected
+
+
+@MODERATE
+@given(seeds)
+def test_separation_flips_match_the_trail_oracle_in_grid_order(seed):
+    rng = random.Random(seed)
+    f = random_final(rng, random_scm(rng, max_vars=6))
+    if f is None:
+        return
+    try:
+        r = build_reduction(f)
+    except ReductionError:
+        return
+    cmp = compare_structures(f, r)
+    expected = []
+    for s in statement_grid(f.mstar.model.names):
+        sep_f, sep_r = dsep_oracle(f.final_dag, s), dsep_oracle(cmp.projected_dag, s)
+        if sep_f != sep_r:
+            expected.append((s, sep_f, sep_r))
+    assert list(cmp.dsep_disagreements) == expected
 
 
 @MODERATE

@@ -23,7 +23,13 @@ from teleo.reduction import (
 from teleo.speclang import load_model
 from teleo.teleology import build_final_model, compatible_worlds, goal
 
-from support import chain_scm, m1_scm, value_sets, world_set
+from support import (
+    chain_scm,
+    m1_scm,
+    reduction_survey_oracle,
+    value_sets,
+    world_set,
+)
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +148,8 @@ class TestBuildReduction:
         f = load_model(spec).finals["g"]
         with pytest.raises(ReductionError, match=f"^{re.escape(message)}$"):
             build_reduction(f)
+        with pytest.raises(ReductionError, match=f"^{re.escape(message)}$"):
+            reduction_survey_oracle(f)
 
     def test_rest_level_must_be_in_domain(self, warm):
         with pytest.raises(ReductionError, match="rest level"):
