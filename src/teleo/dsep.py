@@ -4,14 +4,18 @@ The blocking rules are the standard ones: chains and forks are blocked by
 conditioning on the middle node, colliders are open only when the collider
 or one of its descendants is conditioned on.  Every query runs through one
 pure-Python kernel, the "Reachable" algorithm of Koller & Friedman
-(Probabilistic Graphical Models, Algorithm 3.1): mark the conditioning set
-and its ancestors, then walk (node, direction) states outward from x along
-active trails.  The kernel keeps its states as node bitmasks in the DAG's
-bit order (bit i is ``dag.nodes[i]``, see ``CausalDag``): the ancestors of
-Z are a mask fixpoint over the parent masks, and the walk advances two
-frontier masks, the nodes entered from a child (going up) and those
-entered from a parent (going down), one hop at a time until neither has a
-node it has not had before.
+(Probabilistic Graphical Models, Algorithm 3.1): walk (node, direction)
+states outward from x along active trails.  The kernel keeps its states as
+node bitmasks in the DAG's bit order (bit i is ``dag.nodes[i]``, see
+``CausalDag``): the walk advances two frontier masks, the nodes entered
+from a child (going up) and those entered from a parent (going down), one
+hop at a time until neither has a node it has not had before.
+
+One deviation from Reachable: it first marks the ancestors of Z, which
+pass up from the down state as open colliders; here only Z's own nodes do.
+The walk reaches the same nodes, because a node entered going down goes on
+down to the first Z node of each directed path into Z, which steps up and
+climbs back to it in the up state, with the same successors.
 
 One walk from x given Z reaches every node d-connected to x given Z, so it
 answers the query for every y at once.  ``reachable`` walks only on the
@@ -59,18 +63,14 @@ def _walk(dag: CausalDag, start: int, z: int) -> int:
     """The Reachable walk from the node of ``start`` given the nodes of
     ``z``, on masks; returns every node it reaches."""
     parents, children, hop = dag._parents_masks, dag._children_masks, dag._hop
-
-    # phase 1: nodes in Z or with a descendant in Z; a collider there is open
-    opens = dag._reach(parents, z) | z
-
-    # phase 2: up holds the nodes entered from a child (x counts as one),
-    # down those entered from a parent.  A node in Z passes nothing on
-    # (a chain or fork through it is blocked) except, entered from a
-    # parent, up to its own parents, as does any open collider.
+    # up holds the nodes entered from a child (x counts as one), down those
+    # entered from a parent.  A node in Z passes nothing on (a chain or
+    # fork through it is blocked) except, entered from a parent, up to its
+    # own parents: a collider in Z, or the first Z node below one.
     up = seen_up = start
     down = seen_down = 0
     while up or down:
-        to_up = hop(parents, (up & ~z) | (down & opens))
+        to_up = hop(parents, (up & ~z) | (down & z))
         to_down = hop(children, (up | down) & ~z)
         up = to_up & ~seen_up
         seen_up |= up

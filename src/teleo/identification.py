@@ -13,12 +13,13 @@ statistical testing here, deliberately.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Iterable
 
 from teleo.errors import BindingError, ComparisonError, DatasetError, TeleoError
 from teleo.model import (
     IndependenceStatement,
+    Record,
     Scm,
     WorldTable,
     weight_layers,
@@ -40,8 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(Record):
     """Aggregated observation counts over the model's variables.
 
     ``rows`` holds distinct value tuples (aligned with ``columns``) with
@@ -52,18 +52,18 @@ class Dataset:
     columns: tuple[str, ...]
     rows: tuple[tuple[tuple[int, ...], int], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(self.columns))
+    def __init__(self, columns: Iterable[str], rows: Iterable[tuple[tuple, int]]):
+        columns = tuple(columns)
         merged: dict[tuple[int, ...], int] = {}
-        for values, count in self.rows:
+        for values, count in rows:
             if count < 1:
                 raise DatasetError(f"non-positive count {count} for row {values}")
-            if len(values) != len(self.columns):
+            if len(values) != len(columns):
                 raise DatasetError(f"row {values} does not match columns")
             merged[tuple(values)] = merged.get(tuple(values), 0) + count
         if not merged:
             raise DatasetError("dataset has no rows")
-        object.__setattr__(self, "rows", tuple(sorted(merged.items())))
+        self.__dict__.update(columns=columns, rows=tuple(sorted(merged.items())))
 
     @property
     def total(self) -> int:
@@ -158,8 +158,7 @@ def _bind(f: FinalModel, d: Dataset) -> None:
         )
 
 
-@dataclass(frozen=True)
-class DependenceCheck:
+class DependenceCheck(Record):
     """Expected vs observed (in)dependence for one statement."""
 
     statement: IndependenceStatement
@@ -172,8 +171,7 @@ class DependenceCheck:
         return self.expected_independent == self.observed_independent
 
 
-@dataclass(frozen=True)
-class IdentificationVerdict:
+class IdentificationVerdict(Record):
     """How one goal hypothesis fares against one dataset."""
 
     hypothesis: FinalModel
@@ -197,13 +195,7 @@ def check_support(f: FinalModel, d: Dataset) -> IdentificationVerdict:
     _bind(f, d)
     table = compatible_worlds(f)
     violating = d.support.outside(table)
-    return IdentificationVerdict(
-        hypothesis=f,
-        support_compatible=not violating.rows,
-        violating_rows=violating,
-        dependence_checks=(),
-        compatible_world_count=len(table),
-    )
+    return IdentificationVerdict(f, not violating.rows, violating, (), len(table))
 
 
 def check_dependence(
@@ -225,8 +217,7 @@ def check_dependence(
     return DependenceCheck(stmt, expected, observed, skipped)
 
 
-@dataclass(frozen=True)
-class RankedHypothesis:
+class RankedHypothesis(Record):
     rank: int
     verdict: IdentificationVerdict
     equivalence_class: int
@@ -262,11 +253,13 @@ def rank_hypotheses(
     ]
     verdicts: list[IdentificationVerdict] = []
     for f in candidates:
-        support = check_support(f, d)
+        v = check_support(f, d)
         checks: tuple[DependenceCheck, ...] = ()
-        if support.compatible_world_count:
+        if v.compatible_world_count:
             checks = tuple(check_dependence(f, d, s) for s in pair_stmts)
-        verdicts.append(replace(support, dependence_checks=checks))
+        verdicts.append(IdentificationVerdict(
+            f, v.support_compatible, v.violating_rows, checks, v.compatible_world_count
+        ))
     ordered = sorted(
         verdicts, key=lambda v: (not v.support_compatible, v.compatible_world_count)
     )
@@ -280,8 +273,7 @@ def rank_hypotheses(
     return out
 
 
-@dataclass(frozen=True)
-class RankingSummary:
+class RankingSummary(Record):
     """Winner selection over a ranked list.
 
     exit_code follows the CLI contract: 0 when a unique most-specific

@@ -11,15 +11,15 @@ model from the base.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, partial
 from typing import TYPE_CHECKING
 
 from teleo.errors import UnknownVariableError
-from teleo.model import CausalDag, Scm, WorldTable
+from teleo.model import CausalDag, Record, Scm, WorldTable
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from teleo.teleology import GoalPredicate
 
 __all__ = [
@@ -30,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MStarModel:
+class MStarModel(Record):
     """A base model after surgery on one variable.
 
     ``model`` is the surgered Scm: same nodes and variables as the base,

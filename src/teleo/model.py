@@ -31,10 +31,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, partial
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from teleo.errors import (
     EmptyTableError,
@@ -42,7 +40,11 @@ from teleo.errors import (
     UnknownVariableError,
 )
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 __all__ = [
+    "Record",
     "Variable",
     "CausalDag",
     "Mechanism",
@@ -61,39 +63,81 @@ __all__ = [
     "enumerate_worlds",
     "uniform_independent",
     "conditional_distribution",
-    "verify_mechanism_consistency",
 ]
 
 _V = TypeVar("_V")
 
 
-def _check_identifier(name: str) -> None:
-    if not name or not name.replace("_", "a").isalnum() or name[0].isdigit():
-        raise ModelStructureError(f"invalid variable name {name!r}")
+class Record:
+    """An immutable value object: the base of every model, statement and
+    verdict type.
+
+    Its fields are the subclass's annotated names, in order, and a class
+    attribute is a field's default.  Equality and hashing read every field
+    but those named in ``uncompared``; ``repr`` reads every field.  A class
+    that normalises its arguments writes its own ``__init__`` and stores
+    each field once in ``__dict__``, where caches live too.
+    """
+
+    def __init_subclass__(cls, uncompared: Iterable[str] = ()):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._compared = tuple(f for f in cls._fields if f not in uncompared)
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):  # the positional call is the fast path
+            values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+            # the fields the call names: fewer than its arguments if one repeats
+            named = {*fields[: len(args)], *kwargs}
+            if values.keys() != set(fields) or len(named) < len(args) + len(kwargs):
+                raise TypeError(f"{type(self).__name__}() takes {', '.join(fields)}")
+            args = map(values.__getitem__, fields)
+        self.__dict__.update(zip(fields, args))
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._compared))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} is immutable")
+
+    __delattr__ = __setattr__
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(Record):
     """A named discrete variable with an ordered domain of integer levels."""
 
     name: str
     domain: tuple[int, ...]
 
-    def __post_init__(self):
-        _check_identifier(self.name)
-        object.__setattr__(self, "domain", tuple(self.domain))
-        if len(self.domain) < 2:
+    def __init__(self, name: str, domain: Iterable[int]):
+        if not name or not name.replace("_", "a").isalnum() or name[0].isdigit():
+            raise ModelStructureError(f"invalid variable name {name!r}")
+        domain = tuple(domain)
+        if len(domain) < 2:
             raise ModelStructureError(
-                f"variable {self.name}: domain must have at least 2 levels"
+                f"variable {name}: domain must have at least 2 levels"
             )
-        if any(b <= a for a, b in zip(self.domain, self.domain[1:])):
+        if any(b <= a for a, b in zip(domain, domain[1:])):
             raise ModelStructureError(
-                f"variable {self.name}: domain levels must be strictly increasing"
+                f"variable {name}: domain levels must be strictly increasing"
             )
+        self.__dict__.update(name=name, domain=domain)
 
 
-@dataclass(frozen=True)
-class CausalDag:
+class CausalDag(Record):
     """Directed acyclic graph over variable names.
 
     ``nodes`` keeps declaration order, which fixes column order in every
@@ -113,20 +157,19 @@ class CausalDag:
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
+    def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]]):
+        nodes, edges = tuple(nodes), tuple(map(tuple, edges))
         position: dict[str, int] = {}
         parents: dict[str, list[str]] = {}
         children: dict[str, list[str]] = {}
-        for n in self.nodes:
+        for n in nodes:
             if n in parents:
                 raise ModelStructureError(f"duplicate node {n!r}")
             position[n] = len(position)
             parents[n] = []
             children[n] = []
         edge_set = set()
-        for parent, child in self.edges:
+        for parent, child in edges:
             if parent not in parents:
                 raise ModelStructureError(f"edge endpoint {parent!r} is not a node")
             if child not in parents:
@@ -138,15 +181,15 @@ class CausalDag:
             edge_set.add((parent, child))
             parents[child].append(parent)
             children[parent].append(child)
-        object.__setattr__(self, "_position", position)
+        index = self.__dict__
+        index.update(nodes=nodes, edges=edges, _position=position)
         for name, lists in (("parents", parents), ("children", children)):
-            object.__setattr__(self, f"_{name}", {n: tuple(v) for n, v in lists.items()})
-            masks = tuple(self._mask(lists[n]) for n in self.nodes)
-            object.__setattr__(self, f"_{name}_masks", masks)
-        object.__setattr__(self, "_order", self._kahn())
+            index[f"_{name}"] = {n: tuple(v) for n, v in lists.items()}
+            index[f"_{name}_masks"] = tuple(self._mask(lists[n]) for n in nodes)
+        index["_order"] = self._kahn()
         # d-separation's walks as reached-node masks, keyed by (x, Z);
         # filled by ``dsep``
-        object.__setattr__(self, "_reachable", {})
+        index["_reachable"] = {}
 
     def _kahn(self) -> tuple[str, ...]:
         """Kahn's algorithm; of the ready nodes the earliest declared goes
@@ -236,8 +279,7 @@ class CausalDag:
             raise UnknownVariableError(f"unknown variable {node!r}") from None
 
 
-@dataclass(frozen=True)
-class Mechanism:
+class Mechanism(Record):
     """Deterministic assignment of a child from its parents.
 
     ``table`` maps each combination of parent levels (a tuple aligned with
@@ -249,19 +291,14 @@ class Mechanism:
     parents: tuple[str, ...]
     table: Mapping[tuple[int, ...], int]
 
-    def __post_init__(self):
-        object.__setattr__(self, "parents", tuple(self.parents))
-        object.__setattr__(
-            self, "table", {tuple(k): v for k, v in dict(self.table).items()}
-        )
-        if not self.parents:
-            raise ModelStructureError(
-                f"mechanism for {self.child}: needs at least one parent"
-            )
-        if len(set(self.parents)) != len(self.parents):
-            raise ModelStructureError(
-                f"repeated parent in mechanism for {self.child}"
-            )
+    def __init__(self, child: str, parents: Iterable[str], table: Mapping):
+        parents = tuple(parents)
+        table = {tuple(k): v for k, v in dict(table).items()}
+        if not parents:
+            raise ModelStructureError(f"mechanism for {child}: needs at least one parent")
+        if len(set(parents)) != len(parents):
+            raise ModelStructureError(f"repeated parent in mechanism for {child}")
+        self.__dict__.update(child=child, parents=parents, table=table)
 
     def evaluate(self, assignment: Mapping[str, int]) -> int:
         return self.table[tuple(assignment[p] for p in self.parents)]
@@ -324,8 +361,7 @@ def check_table(mech: Mechanism, variables: Mapping[str, Variable]) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Scm:
+class Scm(Record):
     """A causal DAG with one deterministic mechanism per endogenous node.
 
     ``worlds`` is the model's world table, enumerated on first use and
@@ -338,43 +374,44 @@ class Scm:
     variables: tuple[Variable, ...]
     mechanisms: Mapping[str, Mechanism]
 
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "mechanisms", dict(self.mechanisms))
-        by_name = {v.name: v for v in self.variables}
-        if len(by_name) != len(self.variables):
+    def __init__(self, dag: CausalDag, variables: Iterable[Variable], mechanisms: Mapping):
+        variables, mechanisms = tuple(variables), dict(mechanisms)
+        by_name = {v.name: v for v in variables}
+        if len(by_name) != len(variables):
             raise ModelStructureError("duplicate variable declaration")
-        if set(by_name) != set(self.dag.nodes):
+        if set(by_name) != set(dag.nodes):
             raise ModelStructureError("dag nodes and declared variables differ")
-        for name in self.mechanisms:
+        for name in mechanisms:
             if name not in by_name:
                 raise ModelStructureError(
                     f"mechanism filed under {name}, which is not a node"
                 )
-        # the name index ``variable`` and ``domain`` read; not a field
-        object.__setattr__(self, "_by_name", by_name)
-        for node in self.dag.nodes:
-            mech = self.mechanisms.get(node)
+        for node in dag.nodes:
+            mech = mechanisms.get(node)
             if mech is None:
-                if self.dag.parents(node):
+                if dag.parents(node):
                     raise ModelStructureError(f"{node} has parents but no mechanism")
                 continue
             if mech.child != node:
                 raise ModelStructureError(
                     f"mechanism filed under {node} drives {mech.child}"
                 )
-            check_parents(self.dag, node, mech.parents)
-            check_table(mech, by_name)
+            check_parents(dag, node, mech.parents)
+            # a mechanism keeps the variables its table was checked against,
+            # so a surgered model, which keeps both, does not check it again
+            reads = tuple(map(by_name.__getitem__, (node, *mech.parents)))
+            if mech.__dict__.get("_checked") != reads:
+                check_table(mech, by_name)
+                mech.__dict__["_checked"] = reads
+        self.__dict__.update(dag=dag, variables=variables, mechanisms=mechanisms)
+        # built once, not fields: the names, and the index ``variable`` reads
+        self.__dict__.update(names=tuple(by_name), _by_name=by_name)
 
     def variable(self, name: str) -> Variable:
         try:
             return self._by_name[name]
         except KeyError:
             raise UnknownVariableError(f"unknown variable {name!r}") from None
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.variables)
 
     def domain(self, name: str) -> tuple[int, ...]:
         return self.variable(name).domain
@@ -384,8 +421,7 @@ class Scm:
         return enumerate_worlds(self)
 
 
-@dataclass(frozen=True)
-class WorldTable:
+class WorldTable(Record):
     """An ordered, deduplicated set of worlds under uniform weighting.
 
     ``rows`` holds one value tuple per world, aligned with ``columns`` and
@@ -400,11 +436,11 @@ class WorldTable:
     columns: tuple[str, ...]
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        columns = tuple(self.columns)
+    def __init__(self, columns: Iterable[str], rows: Iterable[Sequence[int]]):
+        columns = tuple(columns)
         if len(set(columns)) != len(columns):
             raise ModelStructureError(f"table columns {columns} repeat a variable")
-        rows = tuple(map(tuple, self.rows))
+        rows = tuple(map(tuple, rows))
         if set(map(len, rows)) - {len(columns)}:
             values = next(r for r in rows if len(r) != len(columns))
             raise ModelStructureError(
@@ -413,15 +449,11 @@ class WorldTable:
         # rows that strictly increase are already sorted and distinct
         if not all(map(operator.lt, rows, itertools.islice(rows, 1, None))):
             rows = tuple(sorted(set(rows)))
-        object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "rows", rows)
+        self.__dict__.update(columns=columns, rows=rows)
+        self.__dict__.update(_column_cache={}, _level_cache={}, _strata_cache={})
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    @cached_property
-    def _column_cache(self) -> dict[str, tuple[int, ...]]:
-        return {}
 
     def column(self, name: str) -> tuple[int, ...]:
         """The values of one variable, aligned with ``rows``; built on first
@@ -433,10 +465,6 @@ class WorldTable:
             at = operator.itemgetter(self.columns.index(name))
             values = self._column_cache[name] = tuple(map(at, self.rows))
         return values
-
-    @cached_property
-    def _level_cache(self) -> dict[str, dict[int, int]]:
-        return {}
 
     def levels(self, name: str) -> Mapping[int, int]:
         """The row bitmask of each level present in one column, in level
@@ -472,6 +500,7 @@ class WorldTable:
 
     def distribution(self, query: str) -> dict[int, Fraction]:
         """Marginal distribution of one variable, exact Fractions."""
+        from fractions import Fraction  # no command reads a distribution
         if not self.rows:
             raise EmptyTableError("distribution over an empty world table")
         n = len(self.rows)
@@ -479,10 +508,6 @@ class WorldTable:
             level: Fraction(mask.bit_count(), n)
             for level, mask in self.levels(query).items()
         }
-
-    @cached_property
-    def _strata_cache(self) -> dict[frozenset[str], list[tuple[tuple[int, ...], int]]]:
-        return {}
 
     def strata(self, given: Iterable[str]) -> list[tuple[tuple[int, ...], int]]:
         """The ``(stratum, row mask)`` of every stratum of the conditioning
@@ -603,22 +628,22 @@ def row_mask(
     return list(map(all, zip(*passing)))
 
 
-@dataclass(frozen=True)
-class IndependenceStatement:
+class IndependenceStatement(Record):
     """The claim that x and y are independent given a conditioning set."""
 
     x: str
     y: str
-    given: frozenset[str] = field(default_factory=frozenset)
+    given: frozenset[str]
 
-    def __post_init__(self):
-        object.__setattr__(self, "given", frozenset(self.given))
-        if self.x == self.y:
+    def __init__(self, x: str, y: str, given: Iterable[str] = frozenset()):
+        given = frozenset(given)
+        if x == y:
             raise ModelStructureError("independence statement needs two variables")
-        if self.x in self.given or self.y in self.given:
+        if x in given or y in given:
             raise ModelStructureError(
                 "conditioning set must not contain the tested variables"
             )
+        self.__dict__.update(x=x, y=y, given=given)
 
     def __str__(self) -> str:
         base = f"{self.x} and {self.y}"
@@ -698,13 +723,3 @@ def conditional_distribution(
     if not len(sub):
         raise EmptyTableError(f"no world matches observation {dict(given)}")
     return sub.distribution(query)
-
-
-def verify_mechanism_consistency(scm: Scm, table: WorldTable) -> bool:
-    """Re-evaluate every mechanism on every world; True when all agree."""
-    for node, mech in scm.mechanisms.items():
-        parent_rows = zip(*map(table.column, mech.parents))
-        outputs = map(mech.table.__getitem__, parent_rows)
-        if not all(map(operator.eq, outputs, table.column(node))):
-            return False
-    return True

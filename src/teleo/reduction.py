@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Sequence
 
 from teleo.dsep import reachable
@@ -32,6 +31,7 @@ from teleo.model import (
     CausalDag,
     IndependenceStatement,
     Mechanism,
+    Record,
     Scm,
     Variable,
     WorldTable,
@@ -57,8 +57,7 @@ __all__ = [
 INTENTION_NAME = "I"
 
 
-@dataclass(frozen=True)
-class ReductionModel:
+class ReductionModel(Record):
     """An ordinary causal model standing in for a final model."""
 
     source: FinalModel
@@ -332,8 +331,7 @@ def project_reduction(r: ReductionModel) -> Scm:
     return scm
 
 
-@dataclass(frozen=True)
-class StructuralComparison:
+class StructuralComparison(Record):
     """Where a final model and its causal reduction agree and differ."""
 
     action: str

@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 from teleo.errors import ModelStructureError, SpecSyntaxError, TeleoError
 from teleo.intervention import MStarModel, do_surgery
 from teleo.model import (
     CausalDag,
     Mechanism,
+    Record,
     Scm,
     Variable,
     check_parents,
@@ -50,16 +50,19 @@ __all__ = [
 INTEGER = re.compile(r"-?[0-9]+")
 
 
-@dataclass
-class CompiledSpec:
+class CompiledSpec(Record):
     """The model objects of one spec: the base model, the surgered model of
     its ``do`` (if any), its ``final`` blocks by name and its ``rest``
-    level."""
+    level.  Unlike the model objects it can be changed, so it has no hash."""
 
     scm: Scm
     mstar: MStarModel | None
-    finals: dict[str, FinalModel] = field(default_factory=dict)
+    finals: dict[str, FinalModel]
     rest: int | None = None
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
 
 
 class _Cursor:
@@ -137,20 +140,16 @@ class _Cursor:
             self.error("unexpected trailing input")
 
 
-@dataclass
 class _Raw:
     """Parsed statements plus the lines they came from, for diagnostics."""
 
-    variables: list[tuple[str, tuple[int, ...], int]] = field(default_factory=list)
-    edges: list[tuple[tuple[str, str], int]] = field(default_factory=list)
-    mechs: list[tuple[str, tuple[str, ...] | None, object, int]] = field(
-        default_factory=list
-    )
-    do_decls: list[tuple[str, int]] = field(default_factory=list)
-    rest_decls: list[tuple[str, int, int]] = field(default_factory=list)
-    finals: list[tuple[str, tuple[str, ...], GoalPredicate, int]] = field(
-        default_factory=list
-    )
+    def __init__(self):
+        self.variables: list[tuple[str, tuple[int, ...], int]] = []
+        self.edges: list[tuple[tuple[str, str], int]] = []
+        self.mechs: list[tuple[str, tuple[str, ...] | None, object, int]] = []
+        self.do_decls: list[tuple[str, int]] = []
+        self.rest_decls: list[tuple[str, int, int]] = []
+        self.finals: list[tuple[str, tuple[str, ...], GoalPredicate, int]] = []
 
 
 def _parse_var(cur: _Cursor, raw: _Raw) -> None:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Iterable, Sequence
 
@@ -33,6 +32,7 @@ from teleo.intervention import MStarModel
 from teleo.model import (
     CausalDag,
     IndependenceStatement,
+    Record,
     Scm,
     WorldTable,
     statement_grid,
@@ -66,17 +66,17 @@ _OPS: dict[str, Callable[[int, int], bool]] = {
 }
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(Record):
     """One atomic constraint: variable OP level."""
 
     variable: str
     op: str
     level: int
 
-    def __post_init__(self):
-        if self.op not in _OPS:
-            raise GoalError(f"unknown comparison operator {self.op!r}")
+    def __init__(self, variable: str, op: str, level: int):
+        if op not in _OPS:
+            raise GoalError(f"unknown comparison operator {op!r}")
+        self.__dict__.update(variable=variable, op=op, level=level)
 
     def holds(self, value: int) -> bool:
         return _OPS[self.op](value, self.level)
@@ -85,16 +85,16 @@ class Comparison:
         return f"{self.variable}{self.op}{self.level}"
 
 
-@dataclass(frozen=True)
-class GoalPredicate:
+class GoalPredicate(Record):
     """A conjunction of atomic comparisons over intended-effect variables."""
 
     conjuncts: tuple[Comparison, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "conjuncts", tuple(self.conjuncts))
-        if not self.conjuncts:
+    def __init__(self, conjuncts: Iterable[Comparison]):
+        conjuncts = tuple(conjuncts)
+        if not conjuncts:
             raise GoalError("goal predicate needs at least one comparison")
+        self.__dict__["conjuncts"] = conjuncts
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -137,19 +137,19 @@ def goal(variable: str, op: str, level: int) -> GoalPredicate:
     return GoalPredicate((Comparison(variable, op, level),))
 
 
-@dataclass(frozen=True)
-class FinalModel:
+class FinalModel(Record, uncompared={"name"}):
     """A surgered model plus intended effects and a goal over them.
 
     A declared final block and an enumerated goal hypothesis are both final
-    models.  Their compatible worlds come from ``compatible_worlds``.
+    models.  Their compatible worlds come from ``compatible_worlds``.  The
+    name labels a model; equality and hashing leave it out.
     """
 
     mstar: MStarModel
     intended_effects: tuple[str, ...]
     goal: GoalPredicate
     final_dag: CausalDag
-    name: str | None = field(default=None, compare=False)
+    name: str | None = None
 
     @property
     def action(self) -> str:
@@ -235,8 +235,7 @@ def compatible_worlds(f: FinalModel) -> WorldTable:
     return f.mstar.worlds_meeting(f.goal)
 
 
-@dataclass(frozen=True)
-class ImpliedDependence:
+class ImpliedDependence(Record):
     """Graphical and distributional verdicts for one independence statement.
 
     The two verdicts are reported side by side and never merged: with
@@ -255,16 +254,13 @@ def implied_dependencies(f: FinalModel) -> list[ImpliedDependence]:
     table = compatible_worlds(f)
     return [
         ImpliedDependence(
-            stmt,
-            graph_separated=d_separated(f.final_dag, stmt),
-            dist_independent=uniform_independent(table, stmt),
+            stmt, d_separated(f.final_dag, stmt), uniform_independent(table, stmt)
         )
         for stmt in statement_grid(f.mstar.model.names)
     ]
 
 
-@dataclass(frozen=True)
-class Distinguishability:
+class Distinguishability(Record):
     """Whether two goal hypotheses predict different observation conditions:
     the compatible worlds only the first allows, and those only the second
     allows."""

@@ -19,10 +19,12 @@ row at a time, against the library's intersected level bitmasks.
 The world oracles are the row-wise reading of the library's columnar world
 tables: one ``World`` per exogenous combination, each mechanism evaluated
 world by world, goals checked comparison by comparison, projections made
-world by world.  ``World`` is the oracles' row type; the library keeps every
-set of worlds as a ``WorldTable``, and ``worlds_of`` reads one back as
-``World``s.  The candidates oracle enumerates goal hypotheses in two steps,
-listing the reachable candidates first and building each one afterwards.
+world by world.  ``verify_mechanism_consistency`` re-evaluates every
+mechanism on every world of a table.  ``World`` is the oracles' row type;
+the library keeps every set of worlds as a ``WorldTable``, and
+``worlds_of`` reads one back as ``World``s.  The candidates oracle
+enumerates goal hypotheses in two steps, listing the reachable candidates
+first and building each one afterwards.
 The reduction survey oracle is the per-context survey ``build_reduction``
 ran before it moved to context masks: one world per context and action
 level, and per context a pre-state, a flag and a list of achieving levels.
@@ -538,6 +540,16 @@ def m1_scm() -> Scm:
     return Scm(dag, (w, h, t, b), mechanisms)
 
 
+def verify_mechanism_consistency(scm: Scm, table: WorldTable) -> bool:
+    """Re-evaluate every mechanism on every world; True when all agree."""
+    for node, mech in scm.mechanisms.items():
+        parent_rows = zip(*map(table.column, mech.parents))
+        outputs = map(mech.table.__getitem__, parent_rows)
+        if list(outputs) != list(table.column(node)):
+            return False
+    return True
+
+
 def value_sets(table: WorldTable) -> set[tuple[int, ...]]:
     return set(table.rows)
 
@@ -580,6 +592,7 @@ __all__ = [
     "reduction_survey_oracle",
     "m1_scm",
     "chain_scm",
+    "verify_mechanism_consistency",
     "value_sets",
     "enumerate_worlds",
 ]

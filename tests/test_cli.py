@@ -622,6 +622,17 @@ class TestProcess:
         assert "teleo.model" in modules
         assert self.run("-c", code) == (0, "[]\n", "")
 
+    def test_the_command_line_generates_no_code_and_reads_no_fractions(self):
+        # dataclasses (with inspect, ast, dis and tokenize under it) and
+        # fractions (with decimal) are start-up the package does not need;
+        # ``before`` is what the bare interpreter has already loaded
+        code = (
+            "import sys; before = set(sys.modules); import teleo.cli; "
+            "new = set(sys.modules) - before; "
+            "print(sorted(new & {'dataclasses', 'inspect', 'fractions'}))"
+        )
+        assert self.run("-c", code) == (0, "[]\n", "")
+
     def test_a_reader_that_stops_early_gets_no_traceback(self, tmp_path):
         # the JSON document is far larger than a pipe buffer, so the write
         # meets the closed pipe (``teleo --json finalize ... | head -c 20``)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from teleo.dsep import d_separated
+from teleo.dsep import d_separated, reachable
 from teleo.errors import UnknownVariableError
 from teleo.model import CausalDag, IndependenceStatement
 
@@ -37,6 +37,16 @@ class TestBlockingRules:
         g = dag("ABCD", [("A", "C"), ("B", "C"), ("C", "D")])
         assert d_separated(g, stmt("A", "B"))
         assert not d_separated(g, stmt("A", "B", "D"))
+
+    def test_collider_opened_by_a_descendant_two_levels_down(self):
+        # A -> C <- B with C -> D -> E: the walk from A goes down to E, steps
+        # up from it and climbs back to C, from which it reaches B
+        g = dag("ABCDE", [("A", "C"), ("B", "C"), ("C", "D"), ("D", "E")])
+        assert d_separated(g, stmt("A", "B"))
+        assert not d_separated(g, stmt("A", "B", "E"))
+        assert not d_separated(g, stmt("A", "B", "D", "E"))
+        assert reachable(g, "A", frozenset("E")) == 0b11111
+        assert reachable(g, "A", frozenset()) == 0b11101  # all but B
 
     def test_disconnected_nodes_separated(self):
         g = dag("AB", [])

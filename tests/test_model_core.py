@@ -1,21 +1,29 @@
 import pytest
 from fractions import Fraction
+from pathlib import Path
 
 from teleo.errors import EmptyTableError, ModelStructureError, UnknownVariableError
+from teleo.identification import DependenceCheck, RankingSummary
 from teleo.model import (
     CausalDag,
     IndependenceStatement,
     Mechanism,
+    Record,
     Scm,
     Variable,
     WorldTable,
     conditional_distribution,
     enumerate_worlds,
     uniform_independent,
-    verify_mechanism_consistency,
 )
 
-from support import chain_scm, m1_scm, value_sets
+from teleo.reduction import build_reduction
+from teleo.speclang import load_model
+from teleo.teleology import Comparison, build_final_model
+
+from support import chain_scm, m1_scm, value_sets, verify_mechanism_consistency
+
+HEATING = Path(__file__).resolve().parents[1] / "models" / "heating.tele"
 
 M1_WORLDS = {(0, 0, 0, 0), (1, 0, 1, 0), (0, 1, 1, 1), (1, 1, 2, 1)}
 
@@ -279,3 +287,94 @@ class TestDistributions:
         table = enumerate_worlds(m1_scm())
         with pytest.raises(EmptyTableError):
             conditional_distribution(table, "B", {"T": 2, "H": 0})
+
+
+class _Point(Record):
+    x: int
+    y: int = 0
+
+
+class _Pair(Record):
+    x: int
+    y: int = 0
+
+
+class TestRecords:
+    """The one value-object base: fields, defaults, equality, hashing,
+    ``repr`` and immutability."""
+
+    def heating(self):
+        return load_model(HEATING.read_text())
+
+    def test_an_instance_refuses_assignment_and_deletion(self):
+        records = [Variable("X", (0, 1)), _Point(1), m1_scm(), Comparison("X", "=", 1)]
+        for record in records:
+            for name in (*type(record)._fields, "anything_else"):
+                with pytest.raises(AttributeError, match="is immutable"):
+                    setattr(record, name, None)
+                with pytest.raises(AttributeError, match="is immutable"):
+                    delattr(record, name)
+        assert records[0] == Variable("X", (0, 1))
+
+    def test_a_final_model_compares_and_hashes_without_its_name(self):
+        warm = self.heating().finals["warm"]
+        renamed = build_final_model(warm.mstar, warm.intended_effects, warm.goal, "other")
+        unnamed = build_final_model(warm.mstar, warm.intended_effects, warm.goal)
+        assert warm == renamed == unnamed
+        # the hash reads the same key, but a final model's base model holds
+        # dicts, so it has none
+        assert warm._key() == renamed._key() == unnamed._key()
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(warm)
+        assert repr(warm).endswith(", name='warm')")
+        assert repr(unnamed).endswith(", name=None)")
+        assert repr(warm).startswith("FinalModel(mstar=MStarModel(base=Scm(dag=")
+
+    def test_records_of_two_classes_are_never_equal(self):
+        assert _Point(1).__eq__(_Pair(1)) is NotImplemented
+        assert _Point(1) != _Pair(1) and not _Point(1) == _Pair(1)
+        assert _Point(1) != (1, 0)
+        assert _Point(1) == _Point(1, 0) and _Point(1) != _Point(1, 1)
+
+    def test_records_that_hold_dicts_are_unhashable(self):
+        compiled = self.heating()
+        reduction = build_reduction(compiled.finals["warm"], compiled.rest)
+        for record in (compiled.scm, reduction, compiled):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(record)
+
+    def test_a_compiled_spec_can_be_changed(self):
+        compiled = self.heating()
+        compiled.finals = {}
+        assert compiled.finals == {} and compiled != self.heating()
+
+    def test_keyword_positional_and_default_construction_agree(self):
+        stmt = IndependenceStatement("A", "B")
+        assert stmt == IndependenceStatement("A", "B", frozenset())
+        assert stmt == IndependenceStatement(x="A", y="B", given=())
+        assert stmt.given == frozenset()
+        check = DependenceCheck(stmt, True, False)
+        assert check == DependenceCheck(stmt, True, False, ())
+        assert check == DependenceCheck(
+            observed_independent=False, statement=stmt, expected_independent=True
+        )
+        assert check.skipped_strata == ()
+        summary = RankingSummary(None, 2)
+        assert summary == RankingSummary(winner=None, exit_code=2, tied=())
+        assert _Point(1) == _Point(x=1) == _Point(1, y=0) == _Point(y=0, x=1)
+        assert repr(_Point(x=1)) == "_Point(x=1, y=0)"
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [((), {}), ((), {"y": 1}), ((1, 2, 3), {}), ((1,), {"x": 2}), ((1,), {"z": 2})],
+    )
+    def test_a_call_python_would_refuse_raises_type_error(self, args, kwargs):
+        # a missing, surplus, repeated or unknown argument
+        with pytest.raises(TypeError, match=r"^_Point\(\) takes x, y$"):
+            _Point(*args, **kwargs)
+
+    def test_model_names_are_built_once_outside_equality_and_repr(self):
+        scm = m1_scm()
+        assert scm.names == ("W", "H", "T", "B")
+        assert scm.names is scm.names
+        assert "names" not in repr(scm) and "_by_name" not in repr(scm)

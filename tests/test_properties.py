@@ -27,7 +27,6 @@ from teleo.model import (
     enumerate_worlds,
     statement_grid,
     uniform_independent,
-    verify_mechanism_consistency,
 )
 from teleo.reduction import build_reduction, compare_structures, splice_out
 from teleo.render import render_json
@@ -61,6 +60,7 @@ from support import (
     reduction_survey_oracle,
     topological_oracle,
     uniform_oracle,
+    verify_mechanism_consistency,
     World,
     world_set,
     worlds_of,

@@ -10,7 +10,6 @@ from teleo.model import (
     Scm,
     Variable,
     enumerate_worlds,
-    verify_mechanism_consistency,
 )
 from teleo.reduction import (
     build_reduction,
@@ -28,6 +27,7 @@ from support import (
     m1_scm,
     reduction_survey_oracle,
     value_sets,
+    verify_mechanism_consistency,
     world_set,
 )
 

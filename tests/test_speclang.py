@@ -2,8 +2,10 @@ from pathlib import Path
 
 import pytest
 
-from teleo.errors import SpecSyntaxError
-from teleo.model import enumerate_worlds
+import teleo.model
+import teleo.speclang
+from teleo.errors import ModelStructureError, SpecSyntaxError
+from teleo.model import Scm, Variable, enumerate_worlds
 from teleo.speclang import load_model, print_model
 from teleo.teleology import compatible_worlds
 
@@ -45,6 +47,30 @@ class TestParsing:
         }
         assert compiled.rest == 0
         assert compiled.mstar.target == "H"
+
+    def test_each_table_is_checked_at_its_statement_and_in_the_base_model(
+        self, monkeypatch
+    ):
+        checked = []
+
+        def counting(mech, variables):
+            checked.append(mech.child)
+            return check_table(mech, variables)
+
+        check_table = teleo.model.check_table
+        monkeypatch.setattr(teleo.model, "check_table", counting)
+        monkeypatch.setattr(teleo.speclang, "check_table", counting)
+        compiled = load_model(ROOM)
+        # the surgered model keeps both mechanisms and every variable, so it
+        # does not check them a third time
+        assert checked == ["T", "B", "T", "B"]
+        assert compiled.mstar.model.mechanisms == compiled.scm.mechanisms
+        # the same mechanisms over a narrower domain are checked again
+        scm = compiled.scm
+        narrow = [Variable("T", (0, 1)) if v.name == "T" else v for v in scm.variables]
+        with pytest.raises(ModelStructureError, match=r"value 2 outside domain \(0, 1\)"):
+            Scm(scm.dag, narrow, scm.mechanisms)
+        assert checked[4:] == ["T"]
 
     def test_table_mechanism_and_conjunction(self):
         compiled = load_model(
