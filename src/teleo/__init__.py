@@ -50,7 +50,6 @@ from teleo.reduction import (
     compare_structures,
     project_reduction,
     reduction_worlds,
-    splice_out,
 )
 from teleo.speclang import load_model, print_model
 
@@ -91,7 +90,6 @@ __all__ = [
     "build_reduction",
     "reduction_worlds",
     "project_reduction",
-    "splice_out",
     "compare_structures",
     "print_model",
     "load_model",

@@ -24,7 +24,6 @@ from teleo.dsep import reachable
 from teleo.errors import (
     ComparisonError,
     DegenerateReductionError,
-    ModelStructureError,
     ReductionError,
 )
 from teleo.model import (
@@ -47,8 +46,6 @@ __all__ = [
     "build_reduction",
     "reduction_worlds",
     "project_reduction",
-    "splice_out",
-    "rename_variable",
     "StructuralComparison",
     "compare_structures",
     "INTENTION_NAME",
@@ -146,19 +143,11 @@ def build_reduction(f: FinalModel, rest_level: int | None = None) -> ReductionMo
         ancestors = surgered.dag.ancestors((node,))
         return [n for n in context if n in ancestors]
 
-    defaults = {n: surgered.domain(n)[0] for n in context}
+    # context variables outside a copy's parents sit at their domain
+    # minimum, and the action at rest unless it is a parent
+    at_rest = {**{n: surgered.domain(n)[0] for n in context}, action: rest}
     variables: list[Variable] = [surgered.variable(n) for n in context]
     mechanisms: dict[str, Mechanism] = {}
-
-    def tabulate(parents: list[str], fixed_action: int | None, read: str):
-        """Mechanism table over exogenous parents (and optionally the
-        action), filled by one column-wise pass of the whole model; context
-        variables outside ``parents`` sit at their domain minimum."""
-        combos = list(itertools.product(*(surgered.domain(p) for p in parents)))
-        columns = {n: (level,) * len(combos) for n, level in defaults.items()}
-        columns[action] = (fixed_action,) * len(combos)
-        columns.update(zip(parents, zip(*combos)))
-        return dict(zip(combos, propagate(surgered, order, columns)[read]))
 
     # pre-action copies of the goal variables
     for g in goal_vars:
@@ -171,7 +160,7 @@ def build_reduction(f: FinalModel, rest_level: int | None = None) -> ReductionMo
             parents = [context[0]]  # constant pre-state needs a carrier parent
         variables.append(Variable(pre_of[g], surgered.domain(g)))
         mechanisms[pre_of[g]] = Mechanism(
-            pre_of[g], tuple(parents), tabulate(parents, rest, g)
+            pre_of[g], tuple(parents), _tabulate(surgered, order, parents, at_rest, g)
         )
 
     # the intention: 1 iff the goal is unmet at rest and some level meets it;
@@ -214,7 +203,7 @@ def build_reduction(f: FinalModel, rest_level: int | None = None) -> ReductionMo
         parents = exo_parents(g) + [action]
         variables.append(Variable(post_of[g], surgered.domain(g)))
         mechanisms[post_of[g]] = Mechanism(
-            post_of[g], tuple(parents), tabulate(parents, None, g)
+            post_of[g], tuple(parents), _tabulate(surgered, order, parents, at_rest, g)
         )
     for node in downstream:
         mech = surgered.mechanisms[node]
@@ -224,6 +213,22 @@ def build_reduction(f: FinalModel, rest_level: int | None = None) -> ReductionMo
 
     scm = _assemble(variables, mechanisms)
     return ReductionModel(f, scm, action, rest, pre_of, post_of)
+
+
+def _tabulate(
+    scm: Scm,
+    order: Sequence[str],
+    parents: Sequence[str],
+    fixed: dict[str, int],
+    read: str,
+) -> dict[tuple[int, ...], int]:
+    """The table of ``read`` over ``parents``, filled by one column-wise
+    pass of ``scm`` along ``order``: each other exogenous variable the pass
+    reads sits at its level in ``fixed``."""
+    combos = list(itertools.product(*(scm.domain(p) for p in parents)))
+    columns = {n: (level,) * len(combos) for n, level in fixed.items()}
+    columns.update(zip(parents, zip(*combos)))
+    return dict(zip(combos, propagate(scm, order, columns)[read]))
 
 
 def _assemble(variables: Sequence[Variable], mechanisms: dict[str, Mechanism]) -> Scm:
@@ -243,57 +248,6 @@ def reduction_worlds(r: ReductionModel) -> WorldTable:
     """Worlds of the reduction's causal model, computed once per
     ``ReductionModel``; the same object is returned on every call."""
     return r.scm.worlds
-
-
-def splice_out(scm: Scm, name: str) -> Scm:
-    """Remove an endogenous node, inlining its mechanism into its children.
-
-    Deterministic mechanisms compose exactly, so the world table projected
-    onto the remaining variables is unchanged.
-    """
-    mech_v = scm.mechanisms.get(name)
-    if mech_v is None:
-        raise ModelStructureError(f"cannot splice out exogenous node {name}")
-    new_mechs: dict[str, Mechanism] = {}
-    for node in scm.dag.nodes:
-        if node == name:
-            continue
-        mech = scm.mechanisms.get(node)
-        if mech is None or name not in mech.parents:
-            if mech is not None:
-                new_mechs[node] = mech
-            continue
-        kept = [p for p in mech.parents if p != name]
-        new_parents = kept + [q for q in mech_v.parents if q not in kept]
-        domains = {p: scm.domain(p) for p in new_parents}
-        table: dict[tuple[int, ...], int] = {}
-        for combo in itertools.product(*(domains[p] for p in new_parents)):
-            assignment = dict(zip(new_parents, combo))
-            assignment[name] = mech_v.evaluate(assignment)
-            table[combo] = mech.evaluate(assignment)
-        new_mechs[node] = Mechanism(node, tuple(new_parents), table)
-    return _assemble([v for v in scm.variables if v.name != name], new_mechs)
-
-
-def rename_variable(scm: Scm, old: str, new: str) -> Scm:
-    if old not in scm.names:
-        raise ModelStructureError(f"unknown variable {old!r}")
-    if new in scm.names:
-        raise ModelStructureError(f"name {new!r} already in use")
-
-    def swap(n: str) -> str:
-        return new if n == old else n
-
-    variables = tuple(Variable(swap(v.name), v.domain) for v in scm.variables)
-    dag = CausalDag(
-        tuple(swap(n) for n in scm.dag.nodes),
-        tuple((swap(p), swap(c)) for p, c in scm.dag.edges),
-    )
-    mechanisms = {
-        swap(k): Mechanism(swap(m.child), tuple(swap(p) for p in m.parents), dict(m.table))
-        for k, m in scm.mechanisms.items()
-    }
-    return Scm(dag, variables, mechanisms)
 
 
 def _effective_parents(scm: Scm, node: str) -> tuple[str, ...]:
@@ -319,16 +273,30 @@ def _effective_parents(scm: Scm, node: str) -> tuple[str, ...]:
 def project_reduction(r: ReductionModel) -> Scm:
     """Collapse the reduction onto the base variables.
 
-    The intention and the pre-action copies are spliced away (their parents
-    rewired to their children), then each post-action copy takes back the
-    original variable name.  World tables are preserved up to projection.
+    The intention and the pre-action copies are spliced away: the action
+    listens to the pre-action copies' parents, their ordered union with the
+    copies taken in ``pre_of`` order, and one column-wise pass of the
+    copies, the intention and the action over those parents' levels fills
+    its table, as ``build_reduction`` tabulates the copies.  Each
+    post-action copy takes back the original variable name where it stands,
+    and every other mechanism keeps its table.  World tables are preserved
+    up to projection.
     """
-    scm = splice_out(r.scm, INTENTION_NAME)
-    for pre in r.pre_of.values():
-        scm = splice_out(scm, pre)
-    for g, post in r.post_of.items():
-        scm = rename_variable(scm, post, g)
-    return scm
+    scm, action, pre = r.scm, r.action, r.pre_of.values()
+    # kept names map to themselves, post-action copies to their base names
+    name = {n: n for n in scm.names if n != INTENTION_NAME and n not in pre}
+    name.update((post, g) for g, post in r.post_of.items())
+    heard = list(dict.fromkeys(p for c in pre for p in scm.mechanisms[c].parents))
+    # the action reads the context only through I and the pre-action copies
+    table = _tabulate(scm, (*pre, INTENTION_NAME, action), heard, {}, action)
+    mechanisms = {
+        name[n]: Mechanism(name[n], map(name.__getitem__, m.parents), m.table)
+        for n, m in scm.mechanisms.items()
+        if n in name and n != action
+    }
+    mechanisms[action] = Mechanism(action, heard, table)
+    variables = [Variable(name[v.name], v.domain) for v in scm.variables if v.name in name]
+    return _assemble(variables, mechanisms)
 
 
 class StructuralComparison(Record):

@@ -526,6 +526,15 @@ def reduction_survey_oracle(f, rest_level: int | None = None) -> dict[str, Mecha
     return mechanisms
 
 
+def post_action_worlds(r) -> WorldTable:
+    """The reduction's worlds read on the base variables, goal variables
+    from their post-action copies, relabelled to the base names: the reading
+    ``compare_structures`` diffs against the compatible worlds."""
+    shared = r.shared_columns
+    post = enumerate_worlds(r.scm).project(r.post_of.get(n, n) for n in shared)
+    return WorldTable(shared, post.rows)
+
+
 def m1_scm() -> Scm:
     """The four-variable room model used throughout the golden tests."""
     w = Variable("W", (0, 1))
@@ -590,6 +599,7 @@ __all__ = [
     "random_final",
     "candidates_oracle",
     "reduction_survey_oracle",
+    "post_action_worlds",
     "m1_scm",
     "chain_scm",
     "verify_mechanism_consistency",

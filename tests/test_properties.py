@@ -28,7 +28,7 @@ from teleo.model import (
     statement_grid,
     uniform_independent,
 )
-from teleo.reduction import build_reduction, compare_structures, splice_out
+from teleo.reduction import build_reduction, compare_structures, project_reduction
 from teleo.render import render_json
 from teleo.speclang import CompiledSpec, load_model, print_model
 from teleo.teleology import (
@@ -50,6 +50,7 @@ from support import (
     dsep_oracle,
     factorization_oracle,
     filter_oracle,
+    post_action_worlds,
     project_oracle,
     random_dag,
     random_final,
@@ -658,16 +659,18 @@ def test_separation_flips_match_the_trail_oracle_in_grid_order(seed):
 @MODERATE
 @given(seeds)
 def test_splice_preserves_projected_worlds(seed):
+    # the projection splices out the intention and the pre-action copies
+    # and renames the post-action copies, losing no world of the reduction
     rng = random.Random(seed)
-    scm = random_scm(rng)
-    endogenous = scm.dag.endogenous()
-    if not endogenous:
+    f = random_final(rng, random_scm(rng, max_vars=6))
+    if f is None:
         return
-    victim = rng.choice(endogenous)
-    remaining = tuple(n for n in scm.names if n != victim)
-    before = world_set(enumerate_worlds(scm).project(remaining))
-    after = world_set(enumerate_worlds(splice_out(scm, victim)))
-    assert before == after
+    try:
+        r = build_reduction(f)
+    except ReductionError:
+        return
+    projected = enumerate_worlds(project_reduction(r)).project(r.shared_columns)
+    assert projected == post_action_worlds(r)
 
 
 @MODERATE

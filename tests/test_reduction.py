@@ -1,8 +1,9 @@
+import json
 import re
 
 import pytest
 
-from teleo.errors import DegenerateReductionError, ModelStructureError, ReductionError
+from teleo.errors import DegenerateReductionError, ReductionError
 from teleo.intervention import do_surgery
 from teleo.model import (
     CausalDag,
@@ -16,8 +17,6 @@ from teleo.reduction import (
     compare_structures,
     project_reduction,
     reduction_worlds,
-    rename_variable,
-    splice_out,
 )
 from teleo.speclang import load_model
 from teleo.teleology import build_final_model, compatible_worlds, goal
@@ -25,11 +24,30 @@ from teleo.teleology import build_final_model, compatible_worlds, goal
 from support import (
     chain_scm,
     m1_scm,
+    post_action_worlds,
     reduction_survey_oracle,
+    run_cli,
     value_sets,
     verify_mechanism_consistency,
-    world_set,
 )
+
+
+# two goal variables whose context parents are declared in the opposite order
+TWO_GOALS = """\
+var U1 in 0..1
+var U2 in 0..1
+var A in 0..1
+var G1 in 0..1
+var G2 in 0..1
+edge U2 -> G1
+edge A -> G1
+edge U1 -> G2
+edge A -> G2
+mech G1 = table(U2, A) { (0,0)->0; (0,1)->1; (1,0)->1; (1,1)->1 }
+mech G2 = table(U1, A) { (0,0)->0; (0,1)->1; (1,0)->1; (1,1)->1 }
+do A
+final both { effects: G1, G2; goal: G1 = 1 and G2 = 1 }
+"""
 
 
 @pytest.fixture(scope="module")
@@ -161,22 +179,15 @@ class TestBuildReduction:
 
 class TestSplicing:
     def test_splice_preserves_projected_worlds(self, warm_reduction):
-        scm = warm_reduction.scm
-        remaining = tuple(n for n in scm.names if n != "I")
-        before = world_set(enumerate_worlds(scm).project(remaining))
-        after = world_set(enumerate_worlds(splice_out(scm, "I")))
-        assert before == after
+        projected = enumerate_worlds(project_reduction(warm_reduction))
+        shared = warm_reduction.shared_columns
+        assert projected.project(shared) == post_action_worlds(warm_reduction)
 
-    def test_splice_rejects_exogenous(self, warm_reduction):
-        with pytest.raises(ModelStructureError):
-            splice_out(warm_reduction.scm, "W")
-
-    def test_rename_round_trip(self):
-        scm = chain_scm()
-        renamed = rename_variable(scm, "Y", "M")
-        assert "M" in renamed.names and "Y" not in renamed.names
-        back = rename_variable(renamed, "M", "Y")
-        assert value_sets(enumerate_worlds(back)) == value_sets(enumerate_worlds(scm))
+    def test_action_listens_to_the_goal_order_not_the_declaration_order(self):
+        # G1 hears U2 and G2 hears U1, so the pre-action copies, taken in
+        # goal order, hand the action U2 before U1
+        r = build_reduction(load_model(TWO_GOALS).finals["both"])
+        assert project_reduction(r).mechanisms["A"].parents == ("U2", "U1")
 
     def test_projection_collapses_to_base_variables(self, warm_reduction):
         projected = project_reduction(warm_reduction)
@@ -239,3 +250,15 @@ class TestStructuralComparison:
         cmp = compare_structures(f, r)
         assert cmp.action_listens_reduction == ()
         assert not cmp.action_wiring_differs
+
+    def test_reduce_reports_the_action_parents_in_goal_order(self, tmp_path):
+        spec = tmp_path / "two_goals.tele"
+        spec.write_text(TWO_GOALS)
+        human = run_cli("reduce", str(spec), "--final", "both")
+        assert human.exit_code == 0
+        assert (
+            "action A listens to: G1, G2 (final model) vs U2, U1 (reduction)"
+            in human.stdout
+        )
+        doc = json.loads(run_cli("--json", "reduce", str(spec), "--final", "both").stdout)
+        assert doc["result"]["structure"]["action_listens_reduction"] == ["U2", "U1"]
