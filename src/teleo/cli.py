@@ -94,7 +94,7 @@ def _command(*arguments: tuple[tuple[str, ...], dict]):
 
 def _read(path: str, what: str) -> str:
     p = Path(path)
-    if not p.is_file():
+    if not p.exists() or p.is_dir():
         raise TeleoError(f"{what} {path!r} not found")
     try:
         return p.read_text(encoding="utf-8")
@@ -135,8 +135,8 @@ def _emit(
 
 def _table_result(table: WorldTable) -> dict:
     return {
-        "columns": list(table.columns),
-        "worlds": [list(values) for values in table.rows],
+        "columns": table.columns,
+        "worlds": table.rows,
         "assignments": [dict(zip(table.columns, values)) for values in table.rows],
     }
 
@@ -190,7 +190,7 @@ def finalize(args):
         return {
             "name": f.label,
             "action": f.action,
-            "effects": list(f.intended_effects),
+            "effects": f.intended_effects,
             "goal": str(f.goal),
             "goal_reachable": bool(len(table)),
             **_table_result(table),
@@ -254,9 +254,9 @@ def distinguish(args):
             "first": f1.label,
             "second": f2.label,
             "distinguishable": verdict.distinguishable,
-            "columns": list(f1.mstar.model.names),
-            "only_first": [list(v) for v in verdict.only_first.rows],
-            "only_second": [list(v) for v in verdict.only_second.rows],
+            "columns": f1.mstar.model.names,
+            "only_first": verdict.only_first.rows,
+            "only_second": verdict.only_second.rows,
         }
 
     _emit(args, "distinguish", result, human)
@@ -327,7 +327,7 @@ def identify(args):
     def result() -> dict:
         return {
             "observations": dataset.total,
-            "columns": list(dataset.columns),
+            "columns": dataset.columns,
             "ranking": [
                 {
                     "rank": e.rank,
@@ -335,14 +335,14 @@ def identify(args):
                     "equivalence_class": e.equivalence_class,
                     "support_compatible": e.verdict.support_compatible,
                     "compatible_world_count": e.verdict.compatible_world_count,
-                    "violating_rows": [list(v) for v in e.verdict.violating_rows.rows],
+                    "violating_rows": e.verdict.violating_rows.rows,
                     "dependence_checks": [
                         {
                             **_stmt_fields(c.statement),
                             "expected_independent": c.expected_independent,
                             "observed_independent": c.observed_independent,
                             "agree": c.agree,
-                            "skipped_strata": [list(s) for s in c.skipped_strata],
+                            "skipped_strata": c.skipped_strata,
                         }
                         for c in e.verdict.dependence_checks
                     ],
@@ -351,7 +351,7 @@ def identify(args):
                 for e in ranking
             ],
             "winner": summary.winner,
-            "tied": list(summary.tied),
+            "tied": summary.tied,
             "exit_code": summary.exit_code,
         }
 
@@ -415,19 +415,17 @@ def reduce(args):
             "rest": r.rest,
             **_table_result(table),
             "projection": {
-                "columns": list(r.shared_columns),
+                "columns": r.shared_columns,
                 "relation": cmp.world_relation,
-                "worlds_only_reduction": [
-                    list(v) for v in cmp.worlds_only_reduction.rows
-                ],
-                "worlds_only_final": [list(v) for v in cmp.worlds_only_final.rows],
+                "worlds_only_reduction": cmp.worlds_only_reduction.rows,
+                "worlds_only_final": cmp.worlds_only_final.rows,
             },
             "structure": {
-                "action_listens_final": list(cmp.action_listens_final),
-                "action_listens_reduction": list(cmp.action_listens_reduction),
-                "edges_only_final": [list(e) for e in cmp.only_final],
-                "edges_only_reduction": [list(e) for e in cmp.only_reduction],
-                "edges_shared": [list(e) for e in cmp.shared_edges],
+                "action_listens_final": cmp.action_listens_final,
+                "action_listens_reduction": cmp.action_listens_reduction,
+                "edges_only_final": cmp.only_final,
+                "edges_only_reduction": cmp.only_reduction,
+                "edges_shared": cmp.shared_edges,
                 "action_wiring_differs": cmp.action_wiring_differs,
                 "dsep_disagreements": [
                     {

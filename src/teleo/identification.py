@@ -85,9 +85,10 @@ def load_dataset(text: str, scm: Scm) -> Dataset:
     """Parse the CSV dialect and bind it to a model.
 
     Header names the variables, in any order, optionally ending with a
-    literal ``count`` column; body rows are integer levels (an optional
-    ``-`` and ASCII digits, as in the spec language); ``#`` starts a
-    comment.  Duplicate rows are aggregated.  Every value must lie in the
+    literal ``count`` column (which, in a model with a variable ``count``,
+    follows that variable's own column); body rows are integer levels (an
+    optional ``-`` and ASCII digits, as in the spec language); ``#`` starts
+    a comment.  Duplicate rows are aggregated.  Every value must lie in the
     declared domain and the columns must cover the model exactly.
     """
     header: list[str] | None = None
@@ -101,7 +102,9 @@ def load_dataset(text: str, scm: Scm) -> Dataset:
         fields = [f.strip() for f in line.split(",")]
         if header is None:
             header = fields
-            if header and header[-1] == "count":
+            if header[-1] == "count" and (
+                "count" not in scm.names or "count" in header[:-1]
+            ):
                 has_count = True
                 header = header[:-1]
             unknown = [h for h in header if h not in scm.names]

@@ -10,10 +10,10 @@ A world table is the one representation of a set of worlds: it stores
 them as sorted, distinct integer value tuples and builds each variable's
 column once, on first use, and from the column an index of row bitmasks,
 one Python int per level present (bit i is row i).  Enumeration fills every
-endogenous column in one pass per mechanism, goal filters test the goal
-variables' columns, independence queries count cells by intersecting level
-masks, and set comparisons take the rows one table has and another lacks
-(``WorldTable.outside``).
+endogenous column in one pass per mechanism, goal filters select rows from
+the goal variables' level masks, independence queries count cells by
+intersecting level masks, and set comparisons take the rows one table has
+and another lacks (``WorldTable.outside``).
 
 World tables carry a uniform weighting over their members.  All probability
 comparisons are exact.  Independence is decided by one count-weighted
@@ -31,7 +31,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from teleo.errors import (
@@ -55,7 +55,7 @@ __all__ = [
     "IndependenceStatement",
     "grid_cells",
     "statement_grid",
-    "row_mask",
+    "passing",
     "level_masks",
     "stratify",
     "weight_layers",
@@ -300,9 +300,6 @@ class Mechanism(Record):
             raise ModelStructureError(f"repeated parent in mechanism for {child}")
         self.__dict__.update(child=child, parents=parents, table=table)
 
-    def evaluate(self, assignment: Mapping[str, int]) -> int:
-        return self.table[tuple(assignment[p] for p in self.parents)]
-
     @classmethod
     def sum_of(cls, child: Variable, parents: Iterable[Variable]) -> "Mechanism":
         """Child takes the sum of its parents' values.
@@ -341,7 +338,14 @@ def check_parents(dag: CausalDag, child: str, parents: Sequence[str]) -> None:
 def check_table(mech: Mechanism, variables: Mapping[str, Variable]) -> None:
     """A mechanism's table maps every combination of its parents' levels,
     and nothing else, into its child's domain.  Rows are checked in table
-    order, then totality."""
+    order, then totality.
+
+    A mechanism that passes keeps the variables it was checked against, so
+    a later check against the same variables (a model built from a checked
+    statement, or a surgered model) returns at once."""
+    reads = tuple(variables[n] for n in (mech.child, *mech.parents))
+    if mech.__dict__.get("_checked") == reads:
+        return
     expected = set(itertools.product(*(variables[p].domain for p in mech.parents)))
     domain = variables[mech.child].domain
     for key, value in mech.table.items():
@@ -359,6 +363,7 @@ def check_table(mech: Mechanism, variables: Mapping[str, Variable]) -> None:
             f"mechanism for {mech.child} is not total: no entry for parent "
             f"values {min(missing)}"
         )
+    mech.__dict__["_checked"] = reads
 
 
 class Scm(Record):
@@ -397,12 +402,7 @@ class Scm(Record):
                     f"mechanism filed under {node} drives {mech.child}"
                 )
             check_parents(dag, node, mech.parents)
-            # a mechanism keeps the variables its table was checked against,
-            # so a surgered model, which keeps both, does not check it again
-            reads = tuple(map(by_name.__getitem__, (node, *mech.parents)))
-            if mech.__dict__.get("_checked") != reads:
-                check_table(mech, by_name)
-                mech.__dict__["_checked"] = reads
+            check_table(mech, by_name)
         self.__dict__.update(dag=dag, variables=variables, mechanisms=mechanisms)
         # built once, not fields: the names, and the index ``variable`` reads
         self.__dict__.update(names=tuple(by_name), _by_name=by_name)
@@ -479,8 +479,10 @@ class WorldTable(Record):
         """The worlds whose level of each named variable passes its test."""
         if not keep:
             return self
-        mask = row_mask({name: self.column(name) for name in keep}, keep)
-        return WorldTable(self.columns, itertools.compress(self.rows, mask))
+        masks = (passing(self.levels(name), test) for name, test in keep.items())
+        # the binary digits of the rows kept, lowest first: "1" keeps a row
+        digits = map("1".__eq__, f"{reduce(operator.and_, masks):b}"[::-1])
+        return WorldTable(self.columns, itertools.compress(self.rows, digits))
 
     def project(self, columns: Iterable[str]) -> "WorldTable":
         columns = tuple(columns)
@@ -612,20 +614,11 @@ def _layered_weight(layers: Iterable[tuple[int, int]], cell: int) -> int:
     return sum((cell & layer).bit_count() << k for k, layer in layers)
 
 
-def row_mask(
-    columns: Mapping[str, Sequence[int]], keep: Mapping[str, Callable[[int], bool]]
-) -> list[bool]:
-    """Which rows of the aligned ``columns`` pass every test in ``keep``.
-
-    ``keep`` names at least one column.  Each test runs once per distinct
-    level of its column, not once per row.
-    """
-    passing = []
-    for name, test in keep.items():
-        column = columns[name]
-        levels = {level for level in set(column) if test(level)}
-        passing.append(map(levels.__contains__, column))
-    return list(map(all, zip(*passing)))
+def passing(levels: Mapping[int, int], test: Callable[[int], bool]) -> int:
+    """The rows whose level passes ``test``: the union of the row masks in
+    ``levels`` (a ``level_masks`` map) of the levels that pass.  The test
+    runs once per level, not once per row."""
+    return sum(mask for level, mask in levels.items() if test(level))
 
 
 class IndependenceStatement(Record):

@@ -36,6 +36,7 @@ from teleo.model import (
     WorldTable,
     grid_cells,
     level_masks,
+    passing,
     propagate,
     stratify,
 )
@@ -123,7 +124,7 @@ def build_reduction(f: FinalModel, rest_level: int | None = None) -> ReductionMo
         )
         met = (1 << len(combos)) - 1
         for name, test in goal_tests:
-            met &= sum(m for v, m in level_masks(columns[name]).items() if test(v))
+            met &= passing(level_masks(columns[name]), test)
         meets[level] = met
         if level == rest:
             # the pre-state strata: the contexts of each rest-level goal state
@@ -251,22 +252,21 @@ def reduction_worlds(r: ReductionModel) -> WorldTable:
 
 
 def _effective_parents(scm: Scm, node: str) -> tuple[str, ...]:
-    """Parents whose value actually changes the mechanism's output."""
+    """Parents whose value actually changes the mechanism's output.
+
+    The table is total, so a parent matters iff dropping it from every key
+    merges keys that map to different values: fewer distinct keys remain
+    than distinct (key, value) pairs.
+    """
     mech = scm.mechanisms.get(node)
     if mech is None:
         return ()
-    domains = [scm.domain(p) for p in mech.parents]
+    rows = mech.table.items()
     effective = []
     for i, p in enumerate(mech.parents):
-        others = domains[:i] + domains[i + 1 :]
-        for rest_combo in itertools.product(*others):
-            values = {
-                mech.table[rest_combo[:i] + (level,) + rest_combo[i:]]
-                for level in domains[i]
-            }
-            if len(values) > 1:
-                effective.append(p)
-                break
+        merged = {(key[:i] + key[i + 1 :], value) for key, value in rows}
+        if len({key for key, _ in merged}) < len(merged):
+            effective.append(p)
     return tuple(effective)
 
 

@@ -435,7 +435,7 @@ def print_model(spec: CompiledSpec) -> str:
     for v in scm.variables:
         lo, hi = v.domain[0], v.domain[-1]
         if v.domain != tuple(range(lo, hi + 1)):
-            raise SpecSyntaxError(f"domain of {v.name} is not a contiguous range", 0)
+            raise ModelStructureError(f"domain of {v.name} is not a contiguous range")
         out.append(f"var {v.name} in {lo}..{hi}")
     if scm.dag.edges:
         out.append("")

@@ -108,7 +108,8 @@ class GoalPredicate(Record):
     def level_tests(self) -> dict[str, Callable[[int], bool]]:
         """One test per goal variable: does a level meet every comparison on
         that variable?  The goal holds where every variable passes its test,
-        which lets a world table filter on the goal variables' columns."""
+        which lets a world table select rows from the goal variables' level
+        masks."""
         return {
             var: partial(_meets, tuple(c for c in self.conjuncts if c.variable == var))
             for var in self.variables

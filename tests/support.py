@@ -28,6 +28,9 @@ first and building each one afterwards.
 The reduction survey oracle is the per-context survey ``build_reduction``
 ran before it moved to context masks: one world per context and action
 level, and per context a pre-state, a flag and a list of achieving levels.
+The effective-parents oracle is the domain scan ``compare_structures`` ran
+before it read a table's own keys: each parent varied over its domain with
+the other parents' levels held fixed.
 
 ``run_cli`` runs the ``teleo`` command line in-process and captures what it
 writes.
@@ -279,6 +282,11 @@ def strata_oracle(table: WorldTable, given) -> list[tuple[tuple[int, ...], int]]
     return sorted(masks.items())
 
 
+def evaluate(mech: Mechanism, assignment: dict[str, int]) -> int:
+    """The mechanism's output in one world, read from its parents' levels."""
+    return mech.table[tuple(assignment[p] for p in mech.parents)]
+
+
 def worlds_oracle(scm: Scm) -> list[World]:
     """Every world of the model, built one exogenous combination at a time,
     sorted by value tuple."""
@@ -289,7 +297,7 @@ def worlds_oracle(scm: Scm) -> list[World]:
         assignment = dict(zip(exogenous, combo))
         for node in order:
             if node not in assignment:
-                assignment[node] = scm.mechanisms[node].evaluate(assignment)
+                assignment[node] = evaluate(scm.mechanisms[node], assignment)
         worlds.add(World(scm.names, tuple(assignment[n] for n in scm.names)))
     return sorted(worlds, key=lambda w: w.values)
 
@@ -466,7 +474,7 @@ def reduction_survey_oracle(f, rest_level: int | None = None) -> dict[str, Mecha
     def world(assignment: dict[str, int]) -> dict[str, int]:
         for node in order:
             if node not in assignment:
-                assignment[node] = surgered.mechanisms[node].evaluate(assignment)
+                assignment[node] = evaluate(surgered.mechanisms[node], assignment)
         return assignment
 
     def meets(values: dict[str, int]) -> bool:
@@ -524,6 +532,24 @@ def reduction_survey_oracle(f, rest_level: int | None = None) -> dict[str, Mecha
     act_on = chosen.pop() if chosen else rest
     mechanisms[action] = Mechanism(action, ("I",), {(0,): rest, (1,): act_on})
     return mechanisms
+
+
+def effective_parents_oracle(scm: Scm, node: str) -> tuple[str, ...]:
+    """The parents of ``node`` whose level changes its mechanism's output:
+    each parent is varied over its domain with every combination of the
+    other parents' levels held fixed."""
+    mech = scm.mechanisms.get(node)
+    if mech is None:
+        return ()
+    domains = [scm.domain(p) for p in mech.parents]
+    effective = []
+    for i, p in enumerate(mech.parents):
+        for rest in itertools.product(*domains[:i], *domains[i + 1 :]):
+            keys = (rest[:i] + (level,) + rest[i:] for level in domains[i])
+            if len(set(map(mech.table.__getitem__, keys))) > 1:
+                effective.append(p)
+                break
+    return tuple(effective)
 
 
 def post_action_worlds(r) -> WorldTable:

@@ -61,6 +61,20 @@ class TestGoldenOutput:
         assert result.stderr == ""
 
 
+class TestHumanOutput:
+    def test_a_final_is_not_distinguishable_from_itself(self):
+        result = run_cli("distinguish", SPEC, "--final", "warm", "--final", "warm")
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert result.stdout == (
+            "warm vs warm: not distinguishable (identical compatible worlds)\n"
+        )
+
+    def test_a_reduction_that_keeps_every_separation_says_so(self):
+        result = run_cli("reduce", SPEC, "--final", "cheap")
+        assert (result.exit_code, result.stderr) == (0, "")
+        assert result.stdout.endswith("  separation disagreements: none\n")
+
+
 class TestIntervene:
     def test_exogenous_target_reproduces_base_table(self):
         result = run_cli("intervene", SPEC, "--do", "H")
@@ -437,6 +451,28 @@ class TestErrorHandling:
             f"error: cannot read model spec {SPEC!r}: Permission denied\n"
         )
 
+    def test_a_directory_is_not_found(self, tmp_path):
+        result = run_cli("worlds", str(tmp_path))
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr == f"error: model spec {str(tmp_path)!r} not found\n"
+
+    @pytest.mark.parametrize(
+        "spec, options, message",
+        [
+            (CHAIN_SPEC.replace("do X\n", ""), ("--enumerate",),
+             "spec declares no intervention to enumerate for"),
+            (CHAIN_SPEC, (), "spec declares no final blocks; use --enumerate"),
+        ],
+        ids=["enumerate-without-do", "no-finals"],
+    )
+    def test_identify_needs_candidates(self, tmp_path, spec, options, message):
+        (tmp_path / "chain.tele").write_text(spec)
+        (tmp_path / "obs.csv").write_text("X,Y,Z\n0,0,0\n")
+        args = (str(tmp_path / "chain.tele"), str(tmp_path / "obs.csv"), *options)
+        result = run_cli("identify", *args)
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr == f"error: {message}\n"
+
     def test_unknown_final_name(self):
         result = run_cli("finalize", SPEC, "--final", "nope")
         assert result.exit_code == 1
@@ -591,6 +627,13 @@ class TestProcess:
         assert self.run(*TELEO, "worlds", "models/heating.tele") == (
             0, golden("worlds_heating.txt"), ""
         )
+
+    def test_a_spec_is_read_from_a_pipe(self):
+        spec = (ROOT / "models" / "heating.tele").read_bytes()
+        with _python(*TELEO, "worlds", "/dev/stdin", stdin=subprocess.PIPE) as proc:
+            out, err = proc.communicate(spec, timeout=60)
+        assert (proc.returncode, err) == (0, b"")
+        assert out.decode() == golden("worlds_heating.txt")
 
     def test_version(self):
         expected = f"teleo, version {__version__}\n"

@@ -13,6 +13,7 @@ from teleo.identification import (
 )
 from teleo.intervention import do_surgery
 from teleo.model import IndependenceStatement
+from teleo.speclang import load_model
 from teleo.teleology import build_final_model, goal
 
 from support import chain_scm, m1_scm
@@ -105,6 +106,18 @@ class TestLoadDataset:
     def test_counts_are_plain_ascii_integers(self, scm, count):
         with pytest.raises(DatasetError, match="line 3: non-integer"):
             load_dataset(f"W,H,T,B,count\n1,0,1,0,1\n0,1,1,1,{count}\n", scm)
+
+    @pytest.mark.parametrize(
+        "text, rows",
+        [("X,count\n1,1\n", (((1, 1), 1),)), ("X,count,count\n1,1,3\n", (((1, 1), 3),))],
+        ids=["variable", "variable-then-counts"],
+    )
+    def test_a_variable_named_count(self, text, rows):
+        # a trailing count is the count column only after the variable's own
+        spec = "var X in 0..1\nvar count in 0..1\nedge X -> count\nmech count = sum(X)\n"
+        d = load_dataset(text, load_model(spec).scm)
+        assert d.columns == ("X", "count")
+        assert d.rows == rows
 
     def test_non_positive_count(self, scm):
         with pytest.raises(DatasetError, match="positive"):

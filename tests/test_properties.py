@@ -28,7 +28,12 @@ from teleo.model import (
     statement_grid,
     uniform_independent,
 )
-from teleo.reduction import build_reduction, compare_structures, project_reduction
+from teleo.reduction import (
+    _effective_parents,
+    build_reduction,
+    compare_structures,
+    project_reduction,
+)
 from teleo.render import render_json
 from teleo.speclang import CompiledSpec, load_model, print_model
 from teleo.teleology import (
@@ -48,6 +53,7 @@ from support import (
     candidates_oracle,
     dependence_oracle,
     dsep_oracle,
+    effective_parents_oracle,
     factorization_oracle,
     filter_oracle,
     post_action_worlds,
@@ -671,6 +677,17 @@ def test_splice_preserves_projected_worlds(seed):
         return
     projected = enumerate_worlds(project_reduction(r)).project(r.shared_columns)
     assert projected == post_action_worlds(r)
+
+
+@MODERATE
+@given(seeds)
+def test_effective_parents_match_the_domain_scan(seed):
+    # the table's own keys say which parents matter: those whose removal
+    # merges keys of different values
+    rng = random.Random(seed)
+    scm = random_scm(rng, max_vars=6)
+    for node in scm.dag.nodes:
+        assert _effective_parents(scm, node) == effective_parents_oracle(scm, node)
 
 
 @MODERATE

@@ -5,8 +5,8 @@ import pytest
 import teleo.model
 import teleo.speclang
 from teleo.errors import ModelStructureError, SpecSyntaxError
-from teleo.model import Scm, Variable, enumerate_worlds
-from teleo.speclang import load_model, print_model
+from teleo.model import CausalDag, Scm, Variable, enumerate_worlds
+from teleo.speclang import CompiledSpec, load_model, print_model
 from teleo.teleology import compatible_worlds
 
 from support import value_sets
@@ -48,29 +48,35 @@ class TestParsing:
         assert compiled.rest == 0
         assert compiled.mstar.target == "H"
 
-    def test_each_table_is_checked_at_its_statement_and_in_the_base_model(
-        self, monkeypatch
-    ):
+    def test_each_table_is_checked_once_at_its_statement(self, monkeypatch):
         checked = []
 
         def counting(mech, variables):
-            checked.append(mech.child)
-            return check_table(mech, variables)
+            # a check that runs raises or marks the mechanism anew; one that
+            # finds the mark for these variables returns without either
+            mark = mech.__dict__.get("_checked")
+            try:
+                check_table(mech, variables)
+            except ModelStructureError:
+                checked.append(mech.child)
+                raise
+            if mech.__dict__["_checked"] is not mark:
+                checked.append(mech.child)
 
         check_table = teleo.model.check_table
         monkeypatch.setattr(teleo.model, "check_table", counting)
         monkeypatch.setattr(teleo.speclang, "check_table", counting)
         compiled = load_model(ROOM)
-        # the surgered model keeps both mechanisms and every variable, so it
-        # does not check them a third time
-        assert checked == ["T", "B", "T", "B"]
+        # the base model and the surgered model keep the mechanisms and the
+        # variables their statements were checked against
+        assert checked == ["T", "B"]
         assert compiled.mstar.model.mechanisms == compiled.scm.mechanisms
         # the same mechanisms over a narrower domain are checked again
         scm = compiled.scm
         narrow = [Variable("T", (0, 1)) if v.name == "T" else v for v in scm.variables]
         with pytest.raises(ModelStructureError, match=r"value 2 outside domain \(0, 1\)"):
             Scm(scm.dag, narrow, scm.mechanisms)
-        assert checked[4:] == ["T"]
+        assert checked[2:] == ["T"]
 
     def test_table_mechanism_and_conjunction(self):
         compiled = load_model(
@@ -246,6 +252,16 @@ SINGLE_FAULTS = [
         "unknown-statement",
         "vra W in 0..1\n",
         "line 1, column 1: unknown statement 'vra'",
+    ),
+    fault(
+        "mechanism-form",
+        MINI.replace("table(X)", "max(X)"),
+        "line 6, column 13: unknown mechanism form 'max' (use sum or table)",
+    ),
+    fault(
+        "comparison-operator",
+        MINI.replace("Y = 1", "Y ~ 1"),
+        "line 9, column 34: expected a comparison operator (=, !=, <, <=, >, >=)",
     ),
     fault(
         "one-level-domain",
@@ -462,3 +478,11 @@ class TestRoundTrip:
             "final both { effects: Y, Z; goal: Z = 1 and Y = 0 }\n"
         )
         assert load_model(printed) == spec
+
+    def test_a_domain_with_a_gap_is_refused_without_a_line(self):
+        # a model built in code has no statements, so no line to blame
+        scm = Scm(CausalDag(("X",), ()), (Variable("X", (0, 2)),), {})
+        with pytest.raises(ModelStructureError) as exc:
+            print_model(CompiledSpec(scm, None, {}, None))
+        assert type(exc.value) is ModelStructureError
+        assert str(exc.value) == "domain of X is not a contiguous range"
