@@ -12,6 +12,7 @@ unique most-specific compatible hypothesis / none compatible / tied.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from teleo.identification import load_dataset, rank_hypotheses, summarize_rankin
 from teleo.intervention import do_surgery, enumerate_worlds_star
 from teleo.model import WorldTable, enumerate_worlds
 from teleo.reduction import build_reduction, compare_structures, reduction_worlds
-from teleo.render import render_json, render_table
+from teleo.render import Records, json_chunks, render_table
 from teleo.speclang import CompiledSpec, load_model
 from teleo.teleology import (
     compatible_worlds,
@@ -121,13 +122,13 @@ def _emit(
     diagnostics = list(diagnostics)
     if args.json:
         doc = {"command": command, "result": result(), "diagnostics": diagnostics}
-        text = render_json(doc) + "\n"
+        chunks = itertools.chain(json_chunks(doc), ("\n",))
     else:
         for note in diagnostics:
             print(note, file=sys.stderr)
-        text = human()
-    try:
-        sys.stdout.write(text)
+        chunks = (human(),)
+    try:  # the document is written as it is rendered, piece by piece
+        sys.stdout.writelines(chunks)
         sys.stdout.flush()
     except BrokenPipeError:  # the reader left early; the flush at exit goes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
@@ -137,7 +138,7 @@ def _table_result(table: WorldTable) -> dict:
     return {
         "columns": table.columns,
         "worlds": table.rows,
-        "assignments": [dict(zip(table.columns, values)) for values in table.rows],
+        "assignments": Records(table.columns, table.rows),
     }
 
 
@@ -145,8 +146,10 @@ def _table_text(table: WorldTable) -> str:
     return render_table(table.columns, table.rows)
 
 
-def _stmt_fields(stmt) -> dict:
-    return {"x": stmt.x, "y": stmt.y, "given": sorted(stmt.given)}
+def _statements(keys: tuple[str, ...], rows) -> Records:
+    """Rows of ``(statement, *verdicts)`` as records of x, y, given and ``keys``."""
+    return Records(("x", "y", "given", *keys),
+                   [(s.x, s.y, sorted(s.given), *v) for s, *v in rows])
 
 
 @_command()
@@ -186,7 +189,6 @@ def finalize(args):
     reports = implied_dependencies(f) if len(table) else []
 
     def result() -> dict:
-        fields = [_stmt_fields(r.statement) for r in reports]
         return {
             "name": f.label,
             "action": f.action,
@@ -194,12 +196,12 @@ def finalize(args):
             "goal": str(f.goal),
             "goal_reachable": bool(len(table)),
             **_table_result(table),
-            "dependence": [
-                {**s, "independent": r.dist_independent} for s, r in zip(fields, reports)
-            ],
-            "separation": [
-                {**s, "separated": r.graph_separated} for s, r in zip(fields, reports)
-            ],
+            "dependence": _statements(
+                ("independent",), [(r.statement, r.dist_independent) for r in reports]
+            ),
+            "separation": _statements(
+                ("separated",), [(r.statement, r.graph_separated) for r in reports]
+            ),
         }
 
     def human() -> str:
@@ -336,16 +338,12 @@ def identify(args):
                     "support_compatible": e.verdict.support_compatible,
                     "compatible_world_count": e.verdict.compatible_world_count,
                     "violating_rows": e.verdict.violating_rows.rows,
-                    "dependence_checks": [
-                        {
-                            **_stmt_fields(c.statement),
-                            "expected_independent": c.expected_independent,
-                            "observed_independent": c.observed_independent,
-                            "agree": c.agree,
-                            "skipped_strata": c.skipped_strata,
-                        }
-                        for c in e.verdict.dependence_checks
-                    ],
+                    "dependence_checks": _statements(
+                        ("expected_independent", "observed_independent", "agree",
+                         "skipped_strata"),
+                        [(c.statement, c.expected_independent, c.observed_independent,
+                          c.agree, c.skipped_strata) for c in e.verdict.dependence_checks],
+                    ),
                     "compatible": e.verdict.compatible,
                 }
                 for e in ranking
@@ -427,14 +425,9 @@ def reduce(args):
                 "edges_only_reduction": cmp.only_reduction,
                 "edges_shared": cmp.shared_edges,
                 "action_wiring_differs": cmp.action_wiring_differs,
-                "dsep_disagreements": [
-                    {
-                        **_stmt_fields(stmt),
-                        "final_separated": sep_f,
-                        "reduction_separated": sep_r,
-                    }
-                    for stmt, sep_f, sep_r in cmp.dsep_disagreements
-                ],
+                "dsep_disagreements": _statements(
+                    ("final_separated", "reduction_separated"), cmp.dsep_disagreements
+                ),
             },
         }
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import operator
 from functools import cached_property, partial, reduce
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -60,6 +61,7 @@ __all__ = [
     "stratify",
     "weight_layers",
     "propagate",
+    "product_columns",
     "enumerate_worlds",
     "uniform_independent",
     "conditional_distribution",
@@ -460,11 +462,14 @@ class WorldTable(Record):
         use and cached."""
         values = self._column_cache.get(name)
         if values is None:
-            if name not in self.columns:
-                raise UnknownVariableError(f"unknown variable {name!r}")
-            at = operator.itemgetter(self.columns.index(name))
+            at = operator.itemgetter(self._index(name))
             values = self._column_cache[name] = tuple(map(at, self.rows))
         return values
+
+    def _index(self, name: str) -> int:
+        if name not in self.columns:
+            raise UnknownVariableError(f"unknown variable {name!r}")
+        return self.columns.index(name)
 
     def levels(self, name: str) -> Mapping[int, int]:
         """The row bitmask of each level present in one column, in level
@@ -488,7 +493,9 @@ class WorldTable(Record):
         columns = tuple(columns)
         if not columns:
             return WorldTable(columns, [()] if self.rows else [])
-        return WorldTable(columns, zip(*map(self.column, columns)))
+        pick = operator.itemgetter(*map(self._index, columns))  # 1 column: bare values
+        rows = map(pick, self.rows) if len(columns) > 1 else zip(map(pick, self.rows))
+        return WorldTable(columns, rows)
 
     def outside(self, other: "WorldTable") -> "WorldTable":
         """The rows of this table that ``other`` lacks, under this table's
@@ -497,8 +504,8 @@ class WorldTable(Record):
             raise ModelStructureError(
                 f"cannot compare tables over {self.columns} and {other.columns}"
             )
-        lacking = set(other.rows)
-        return WorldTable(self.columns, (r for r in self.rows if r not in lacking))
+        lacking = set(other.rows).__contains__
+        return WorldTable(self.columns, itertools.filterfalse(lacking, self.rows))
 
     def distribution(self, query: str) -> dict[int, Fraction]:
         """Marginal distribution of one variable, exact Fractions."""
@@ -683,19 +690,30 @@ def propagate(
     return columns
 
 
+def product_columns(domains: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
+    """The columns of ``itertools.product(*domains)``, in closed form: a
+    domain's column repeats each of its levels once per combination of the
+    later domains, and that block once per combination of the earlier ones."""
+    total = inner = math.prod(map(len, domains))
+    for domain in domains:
+        inner //= len(domain)
+        block = itertools.chain.from_iterable((level,) * inner for level in domain)
+        yield tuple(block) * (total // inner // len(domain))
+
+
 def enumerate_worlds(scm: Scm) -> WorldTable:
     """All worlds consistent with the model.
 
     Every exogenous variable ranges over its full domain; endogenous values
     are propagated through the mechanisms in topological order.  The result
-    has exactly one world per exogenous combination.
+    has exactly one world per exogenous combination, so a model without
+    variables has the one empty world.
     """
     exogenous = scm.dag.exogenous()
-    combos = itertools.product(*(scm.domain(n) for n in exogenous))
-    columns = propagate(
-        scm, scm.dag.topological_order(), dict(zip(exogenous, zip(*combos)))
-    )
-    return WorldTable(scm.names, zip(*(columns[n] for n in scm.names)))
+    columns = dict(zip(exogenous, product_columns([scm.domain(n) for n in exogenous])))
+    propagate(scm, scm.dag.topological_order(), columns)
+    rows = zip(*(columns[n] for n in scm.names)) if scm.names else [()]
+    return WorldTable(scm.names, rows)
 
 
 def uniform_independent(table: WorldTable, stmt: IndependenceStatement) -> bool:

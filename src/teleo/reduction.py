@@ -37,6 +37,7 @@ from teleo.model import (
     grid_cells,
     level_masks,
     passing,
+    product_columns,
     propagate,
     stratify,
 )
@@ -110,27 +111,22 @@ def build_reduction(f: FinalModel, rest_level: int | None = None) -> ReductionMo
     if INTENTION_NAME in taken:
         raise ReductionError(f"cannot add {INTENTION_NAME}: the name is taken")
 
-    # survey every exogenous context, one row per context: each action level
-    # propagates all contexts in one column-wise pass, and the survey keeps
-    # context masks (bit i is context i) of where each level meets the goal
-    order = surgered.dag.topological_order()
-    combos = list(itertools.product(*(surgered.domain(n) for n in context)))
-    ctx_columns = dict(zip(context, zip(*combos)))
-    goal_tests = f.goal.level_tests.items()
+    # survey the contexts in the surgered model's one table, projected so that
+    # row i * k + j is context i at action level j, into context masks (bit i
+    # is context i) of where each level meets the goal
+    survey = surgered.worlds.project((*context, action, *goal_vars))
+    k = len(action_domain)
+    contexts = len(survey) // k
     meets: dict[int, int] = {}  # action level -> contexts it meets the goal in
-    for level in action_domain:
-        columns = propagate(
-            surgered, order, {**ctx_columns, action: (level,) * len(combos)}
-        )
-        met = (1 << len(combos)) - 1
-        for name, test in goal_tests:
-            met &= passing(level_masks(columns[name]), test)
+    for j, level in enumerate(action_domain):
+        masks = {g: level_masks(survey.column(g)[j::k]) for g in goal_vars}
+        met = (1 << contexts) - 1
+        for name, test in f.goal.level_tests.items():
+            met &= passing(masks[name], test)
         meets[level] = met
         if level == rest:
             # the pre-state strata: the contexts of each rest-level goal state
-            pre_states = dict(
-                stratify(len(combos), (level_masks(columns[g]) for g in goal_vars))
-            )
+            pre_states = dict(stratify(contexts, map(masks.__getitem__, goal_vars)))
     achievable = functools.reduce(operator.or_, meets.values())
     if not achievable:
         raise DegenerateReductionError(
@@ -147,6 +143,7 @@ def build_reduction(f: FinalModel, rest_level: int | None = None) -> ReductionMo
     # context variables outside a copy's parents sit at their domain
     # minimum, and the action at rest unless it is a parent
     at_rest = {**{n: surgered.domain(n)[0] for n in context}, action: rest}
+    order = surgered.dag.topological_order()
     variables: list[Variable] = [surgered.variable(n) for n in context]
     mechanisms: dict[str, Mechanism] = {}
 
@@ -226,10 +223,10 @@ def _tabulate(
     """The table of ``read`` over ``parents``, filled by one column-wise
     pass of ``scm`` along ``order``: each other exogenous variable the pass
     reads sits at its level in ``fixed``."""
-    combos = list(itertools.product(*(scm.domain(p) for p in parents)))
-    columns = {n: (level,) * len(combos) for n, level in fixed.items()}
-    columns.update(zip(parents, zip(*combos)))
-    return dict(zip(combos, propagate(scm, order, columns)[read]))
+    keys = [*product_columns([scm.domain(p) for p in parents])]
+    columns = {n: (level,) * len(keys[0]) for n, level in fixed.items()}
+    columns.update(zip(parents, keys))
+    return dict(zip(zip(*keys), propagate(scm, order, columns)[read]))
 
 
 def _assemble(variables: Sequence[Variable], mechanisms: dict[str, Mechanism]) -> Scm:
@@ -278,24 +275,31 @@ def project_reduction(r: ReductionModel) -> Scm:
     copies taken in ``pre_of`` order, and one column-wise pass of the
     copies, the intention and the action over those parents' levels fills
     its table, as ``build_reduction`` tabulates the copies.  Each
-    post-action copy takes back the original variable name where it stands,
-    and every other mechanism keeps its table.  World tables are preserved
-    up to projection.
+    post-action copy takes back the original variable name where it stands.
+    Every other mechanism keeps its table, and one that names no post-action
+    copy is kept as it is, as is its variable, so the model skips its
+    table's check.  World tables are preserved up to projection.
     """
     scm, action, pre = r.scm, r.action, r.pre_of.values()
+    post = set(r.post_of.values())
     # kept names map to themselves, post-action copies to their base names
     name = {n: n for n in scm.names if n != INTENTION_NAME and n not in pre}
-    name.update((post, g) for g, post in r.post_of.items())
+    name.update((copy, g) for g, copy in r.post_of.items())
     heard = list(dict.fromkeys(p for c in pre for p in scm.mechanisms[c].parents))
     # the action reads the context only through I and the pre-action copies
     table = _tabulate(scm, (*pre, INTENTION_NAME, action), heard, {}, action)
     mechanisms = {
-        name[n]: Mechanism(name[n], map(name.__getitem__, m.parents), m.table)
+        name[n]: m if post.isdisjoint((n, *m.parents))
+        else Mechanism(name[n], map(name.__getitem__, m.parents), m.table)
         for n, m in scm.mechanisms.items()
         if n in name and n != action
     }
     mechanisms[action] = Mechanism(action, heard, table)
-    variables = [Variable(name[v.name], v.domain) for v in scm.variables if v.name in name]
+    variables = [
+        Variable(name[v.name], v.domain) if v.name in post else v
+        for v in scm.variables
+        if v.name in name
+    ]
     return _assemble(variables, mechanisms)
 
 

@@ -7,7 +7,7 @@ import itertools
 import json
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 def render_table(columns: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
@@ -26,21 +26,45 @@ def render_table(columns: Sequence[str], rows: Iterable[Sequence[object]]) -> st
     return "\n".join(lines) + "\n"
 
 
+class Records:
+    """A list of dicts with the same keys, held as the keys and one row of
+    values per dict: written as that list, but no dict is built."""
+
+    def __init__(self, keys: Sequence[str], rows: Sequence[Sequence[object]]):
+        self.keys, self.rows = tuple(keys), rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
 def render_json(doc: object) -> str:
-    """Exactly ``json.dumps(doc, indent=2, sort_keys=True)``, but faster.
+    """Exactly ``json.dumps(doc, indent=2, sort_keys=True)``, with each
+    ``Records`` written as its list of dicts, but faster.
 
     CPython serves an indented ``json.dumps`` with its pure-Python encoder,
-    one call per value.  The documents here are mostly tables: lists whose
-    items share one shape, either lists of one length or dicts with the same
-    keys.  Such a list gets one ``%``-template for all its items, with ``%d``
-    for a column of plain ints, so most values cost a C-level format instead
-    of a Python call.  Its other columns are encoded column by column: one
-    ``map`` for a column of strings, bools or Nones, and each distinct value
-    once for a column of flat lists (``_column``).  Everything else recurses,
-    and a value of no type named here goes to ``json.dumps``, which also
-    raises its ``TypeError`` for a value JSON cannot hold.
+    one call per value.  The documents here are mostly tables (``Records``
+    and lists of lists of one length), whose rows go through one
+    ``%``-template (``_rows``), so most values cost a C-level format instead
+    of a Python call.  Everything else recurses, and a value of no type
+    named here goes to ``json.dumps``, which also raises its ``TypeError``
+    for a value JSON cannot hold.
     """
-    return _encode(doc, 0)
+    return "".join(json_chunks(doc))
+
+
+def json_chunks(value: object, level: int = 0) -> Iterator[str]:
+    """``render_json(value)`` in pieces, written at indent ``level``: each
+    member of a dict on its own, and any other value in one piece."""
+    if not isinstance(value, dict) or not value:
+        yield _encode(value, level)
+        return
+    inner = "\n" + "  " * (level + 1)
+    head = "{" + inner
+    for key, item in sorted(value.items()):
+        yield f"{head}{_key(key)}: "
+        yield from json_chunks(item, level + 1)
+        head = "," + inner
+    yield "\n" + "  " * level + "}"
 
 
 _SCALARS = {
@@ -57,12 +81,8 @@ def _encode(value: object, level: int) -> str:
     if scalar is not None:
         return scalar(value)
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        pairs = sorted(value.items())
-        items = [f"{_key(k)}: {_encode(v, level + 1)}" for k, v in pairs]
-        return _wrap("{}", items, level)
-    if isinstance(value, (list, tuple)):
+        return "".join(json_chunks(value, level)) if value else "{}"
+    if isinstance(value, (list, tuple, Records)):
         if not value:
             return "[]"
         rows = _table(value, level + 1)
@@ -95,40 +115,45 @@ def _key(key: object) -> str:
 
 
 def _table(items: Sequence[object], level: int) -> list[str] | None:
-    """The rendered items of a list whose items share one shape, written at
-    indent ``level`` through one template; None for any other list."""
-    kind = type(items[0])
-    if len(set(map(type, items))) != 1:
-        return None
-    if kind is dict:
-        keys = items[0].keys()
-        same = map(keys.__eq__, map(dict.keys, items))
-        if set(map(type, keys)) != {str} or not all(same):
-            return None
-        keys = sorted(keys)
+    """The rendered items of ``Records`` or of a list of lists of one
+    length, written at indent ``level``; None for any other list."""
+    if isinstance(items, Records):
+        keys = items.keys
+        if not keys:
+            return ["{}"] * len(items)
+        order = sorted(range(len(keys)), key=keys.__getitem__)
         # a key is template text, so its own % signs are escaped
-        labels = [_quote(k).replace("%", "%%") + ": " for k in keys]
-        columns = [list(map(itemgetter(k), items)) for k in keys]
-    elif kind is list or kind is tuple:
-        if len(set(map(len, items))) != 1:
-            return None
-        labels = [""] * len(items[0])
-        columns = zip(*items)
+        labels = [_quote(keys[i]).replace("%", "%%") + ": " for i in order]
+        pick = itemgetter(*order)  # one key picks a bare value, zip makes it a row
+        rows = map(pick, items.rows) if len(order) > 1 else zip(map(pick, items.rows))
+        return _rows(labels, rows, "{}", level)
+    if type(items[0]) not in (list, tuple) or len(set(map(type, items))) != 1:
+        return None
+    if len(set(map(len, items))) != 1 or not items[0]:
+        return None
+    return _rows([""] * len(items[0]), map(tuple, items), "[]", level)
+
+
+def _rows(
+    labels: list[str], rows: Iterable[tuple], brackets: str, level: int
+) -> list[str]:
+    """Each of ``rows``, a tuple of values aligned with ``labels`` (a quoted
+    key and ": ", or ""), written in ``brackets`` at indent ``level`` through
+    one template: ``%d`` for a column of plain ints (bools are not ints
+    here), else ``%s`` and the column encoded by ``_column``."""
+    rows = list(rows)
+    if set(map(type, itertools.chain.from_iterable(rows))) == {int}:
+        fields = [label + "%d" for label in labels]
     else:
-        return None
-    if not labels:
-        return None
-    fields, values = [], []
-    for label, column in zip(labels, columns):
-        kinds = set(map(type, column))
-        if kinds == {int}:  # bools are not ints here
-            fields.append(label + "%d")
-            values.append(column)
-        else:
-            fields.append(label + "%s")
-            values.append(_column(column, kinds, level + 1))
-    template = _wrap("{}" if kind is dict else "[]", fields, level)
-    return list(map(template.__mod__, zip(*values)))
+        fields, columns = [], []
+        for label, column in zip(labels, zip(*rows)):
+            kinds = set(map(type, column))
+            ints = kinds == {int}
+            fields.append(label + ("%d" if ints else "%s"))
+            columns.append(column if ints else _column(column, kinds, level + 1))
+        rows = zip(*columns)
+    template = _wrap(brackets, fields, level)
+    return list(map(template.__mod__, rows))
 
 
 # item types that equal no item of another of them, so that a tuple of them

@@ -28,6 +28,10 @@ first and building each one afterwards.
 The reduction survey oracle is the per-context survey ``build_reduction``
 ran before it moved to context masks: one world per context and action
 level, and per context a pre-state, a flag and a list of achieving levels.
+The reduction levels oracle is the survey that came after it and before
+the survey read the surgered model's one table: each action level
+propagated over every context of ``itertools.product`` in one column-wise
+pass, and each copy propagated over the product of its parents' levels.
 The effective-parents oracle is the domain scan ``compare_structures`` ran
 before it read a table's own keys: each parent varied over its domain with
 the other parents' levels held fixed.
@@ -55,6 +59,10 @@ from teleo.model import (
     Variable,
     WorldTable,
     enumerate_worlds,
+    level_masks,
+    passing,
+    propagate,
+    stratify,
 )
 from teleo.errors import (
     DegenerateReductionError,
@@ -534,6 +542,72 @@ def reduction_survey_oracle(f, rest_level: int | None = None) -> dict[str, Mecha
     return mechanisms
 
 
+def reduction_levels_oracle(f, rest_level: int | None = None) -> dict[str, Mechanism]:
+    """The pre- and post-action copy, intention and action mechanisms that
+    ``build_reduction`` makes for the final model ``f``, for a reduction it
+    builds without error.
+
+    Each action level is propagated over every exogenous context, taken in
+    ``itertools.product`` order, in one column-wise pass; context masks
+    (bit i is context i) record where each level meets the goal and which
+    contexts share each pre-state at rest.  Each copy is propagated over
+    the product of its parents' levels, the other context variables at
+    their domain minimum and the action at rest unless it is a parent."""
+    surgered, action = f.mstar.model, f.mstar.target
+    action_domain = surgered.domain(action)
+    rest = action_domain[0] if rest_level is None else rest_level
+    goal_vars = [n for n in surgered.names if n in f.goal.variables]
+    context = [n for n in surgered.dag.exogenous() if n != action]
+    order = surgered.dag.topological_order()
+    combos = list(itertools.product(*(surgered.domain(n) for n in context)))
+    ctx_columns = dict(zip(context, zip(*combos)))
+    meets = {}
+    for level in action_domain:
+        columns = propagate(
+            surgered, order, {**ctx_columns, action: (level,) * len(combos)}
+        )
+        met = (1 << len(combos)) - 1
+        for name, test in f.goal.level_tests.items():
+            met &= passing(level_masks(columns[name]), test)
+        meets[level] = met
+        if level == rest:
+            pre_states = dict(
+                stratify(len(combos), (level_masks(columns[g]) for g in goal_vars))
+            )
+    achievable = 0
+    for met in meets.values():
+        achievable |= met
+    fires = achievable & ~meets[rest]
+
+    def tabulate(parents: list[str], read: str) -> dict[tuple[int, ...], int]:
+        keys = list(itertools.product(*(surgered.domain(p) for p in parents)))
+        fixed = {**{n: surgered.domain(n)[0] for n in context}, action: rest}
+        columns = {n: (level,) * len(keys) for n, level in fixed.items()}
+        columns.update(zip(parents, zip(*keys)))
+        return dict(zip(keys, propagate(surgered, order, columns)[read]))
+
+    mechanisms = {}
+    for g in goal_vars:
+        ancestors = surgered.dag.ancestors((g,))
+        parents = [n for n in context if n in ancestors] or context[:1]
+        mechanisms[f"{g}0"] = Mechanism(f"{g}0", parents, tabulate(parents, g))
+        post = [*(n for n in context if n in ancestors), action]
+        mechanisms[f"{g}1"] = Mechanism(f"{g}1", post, tabulate(post, g))
+    i_table = {
+        combo: int(bool(pre_states.get(combo, 0) & fires))
+        for combo in itertools.product(*(surgered.domain(g) for g in goal_vars))
+    }
+    mechanisms["I"] = Mechanism("I", [f"{g}0" for g in goal_vars], i_table)
+    # each firing context's least achieving level; the reduction has one
+    act_on = rest
+    for level in action_domain:
+        if fires & meets[level]:
+            act_on = level
+            break
+    mechanisms[action] = Mechanism(action, ("I",), {(0,): rest, (1,): act_on})
+    return mechanisms
+
+
 def effective_parents_oracle(scm: Scm, node: str) -> tuple[str, ...]:
     """The parents of ``node`` whose level changes its mechanism's output:
     each parent is varied over its domain with every combination of the
@@ -625,6 +699,7 @@ __all__ = [
     "random_final",
     "candidates_oracle",
     "reduction_survey_oracle",
+    "reduction_levels_oracle",
     "post_action_worlds",
     "m1_scm",
     "chain_scm",

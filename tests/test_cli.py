@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
+import teleo.model
 from teleo import __version__
+from teleo.reduction import build_reduction, project_reduction
 from teleo.render import render_table
 from teleo.speclang import load_model, print_model
 
@@ -188,6 +190,19 @@ class TestJsonMode:
         assert len(assignments) == 4
         assert {"W": 0, "H": 0, "T": 0, "B": 0} in assignments
 
+    def test_an_empty_model_has_the_one_empty_world(self, tmp_path):
+        # the empty assignment is one world: a table of one row over no columns
+        spec = tmp_path / "empty.tele"
+        spec.write_text("")
+        result = run_cli("--json", "worlds", str(spec))
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["result"] == {
+            "columns": [], "worlds": [[]], "assignments": [{}]
+        }
+        assert '"assignments": [\n      {}\n    ],' in result.stdout
+        human = run_cli("worlds", str(spec))
+        assert (human.exit_code, human.stdout, human.stderr) == (0, "\n\n", "")
+
     def test_finalize_json_reconstructs_the_table(self):
         result = run_cli("--json", "finalize", SPEC, "--final", "warm")
         doc = json.loads(result.stdout)
@@ -320,6 +335,40 @@ class TestBenchmarkInputs:
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
             "007785d3b576ba73095341b310f8392499583797cc7afba7606d4d19c0113196"
         )
+
+    def test_reduce_on_a_19683_context_survey(self, tmp_path, monkeypatch):
+        # reduce_ternary with 9 context variables: 2 * 3^9 surgered worlds,
+        # one reduction world per context, and a 14.6 MB document
+        monkeypatch.setitem(BENCHMARK_GEN.WORKLOADS["reduce_ternary"], "context", 9)
+        args = BENCHMARK_GEN.GENERATORS["reduce_ternary"](3).write(tmp_path)
+        result = run_cli("--json", *args)
+        assert result.exit_code == 0
+        assert len(result.stdout) == 14556614
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+            "538f6cb88d62efca46aef0b4bc952570db8bfcab7d91cb6ef52d6a2353c2ef00"
+        )
+
+    def test_the_projection_checks_only_the_tables_it_makes(self, monkeypatch):
+        # the mechanisms that name no post-action copy are passed through
+        # with their check; the action's new table and the goal copy G1,
+        # renamed G, are checked (the parent checked all 11 tables)
+        spec = load_model(BENCHMARK_GEN.GENERATORS["reduce_ternary"](3).model.spec())
+        r = build_reduction(spec.finals["g"], spec.rest)
+        checked = []
+
+        def counting(mech, variables):
+            mark = mech.__dict__.get("_checked")
+            check_table(mech, variables)
+            if mech.__dict__["_checked"] is not mark:
+                checked.append(mech.child)
+
+        check_table = teleo.model.check_table
+        monkeypatch.setattr(teleo.model, "check_table", counting)
+        projected = project_reduction(r)
+        assert checked == ["A", "G"]
+        assert len(projected.mechanisms) == 11
+        assert projected.mechanisms["X1"] is r.scm.mechanisms["X1"]
+        assert projected.variable("U1") is r.scm.variable("U1")
 
 
 class TestErrorHandling:
@@ -679,9 +728,17 @@ class TestProcess:
     def test_a_reader_that_stops_early_gets_no_traceback(self, tmp_path):
         # the JSON document is far larger than a pipe buffer, so the write
         # meets the closed pipe (``teleo --json finalize ... | head -c 20``)
-        args = BENCHMARK_GEN.GENERATORS["finalize_grid"](3).write(tmp_path)
+        self.stop_early(tmp_path, "finalize_grid")
+
+    def test_a_reader_that_stops_reduce_mid_stream_gets_no_traceback(self, tmp_path):
+        # reduce's 1.4 MB document is written piece by piece, so the pipe
+        # breaks between two pieces
+        self.stop_early(tmp_path, "reduce_ternary")
+
+    def stop_early(self, tmp_path, workload: str) -> None:
+        args = BENCHMARK_GEN.GENERATORS[workload](3).write(tmp_path)
         with _python(*TELEO, "--json", *args) as proc:
-            assert proc.stdout.read(20) == b'{\n  "command": "fina'
+            assert proc.stdout.read(20) == b'{\n  "command": "' + args[0][:4].encode()
             proc.stdout.close()
             err = proc.stderr.read()
             assert proc.wait(timeout=60) == 0

@@ -132,6 +132,13 @@ class TestEnumerateWorlds:
         table = enumerate_worlds(chain_scm())
         assert value_sets(table) == {(0, 0, 0), (1, 1, 1)}
 
+    def test_an_empty_model_has_the_one_empty_world(self):
+        # the product of no domains is one combination, as a projection
+        # onto no columns keeps one () row
+        table = enumerate_worlds(Scm(CausalDag((), ()), (), {}))
+        assert (table.columns, table.rows) == ((), ((),))
+        assert table == enumerate_worlds(m1_scm()).project(())
+
     def test_world_count_is_product_of_exogenous_domains(self):
         assert len(enumerate_worlds(m1_scm())) == 2 * 2
 

@@ -6,7 +6,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from teleo.dsep import d_separated, reachable
 from teleo.identification import (
@@ -25,6 +25,7 @@ from teleo.model import (
     Variable,
     WorldTable,
     enumerate_worlds,
+    product_columns,
     statement_grid,
     uniform_independent,
 )
@@ -34,7 +35,7 @@ from teleo.reduction import (
     compare_structures,
     project_reduction,
 )
-from teleo.render import render_json
+from teleo.render import Records, json_chunks, render_json
 from teleo.speclang import CompiledSpec, load_model, print_model
 from teleo.teleology import (
     Comparison,
@@ -64,6 +65,7 @@ from support import (
     random_scm,
     reachability_oracle,
     reachable_oracle,
+    reduction_levels_oracle,
     reduction_survey_oracle,
     topological_oracle,
     uniform_oracle,
@@ -642,6 +644,58 @@ def test_the_reduction_survey_matches_the_per_context_oracle(seed):
     assert {name: r.scm.mechanisms[name] for name in expected} == expected
 
 
+def _exogenous_last(scm: Scm) -> Scm:
+    """The same model with its exogenous variables declared after its
+    endogenous ones, so that the sorted row order is not product order."""
+    order = (*scm.dag.endogenous(), *scm.dag.exogenous())
+    by_name = {v.name: v for v in scm.variables}
+    dag = CausalDag(order, scm.dag.edges)
+    return Scm(dag, tuple(map(by_name.__getitem__, order)), scm.mechanisms)
+
+
+@settings(max_examples=120, deadline=None)
+@given(seeds)
+def test_the_reduction_matches_the_per_level_oracle(seed):
+    # the survey reads the surgered model's one table; the oracle propagates
+    # each action level over the product of the contexts.  With the
+    # exogenous variables declared last, a surgered action that was
+    # endogenous comes before the context, so the projection must sort
+    rng = random.Random(seed)
+    if rng.random() < 0.3:
+        f = _context_and_action_final(rng)
+    else:
+        scm = random_scm(rng, max_levels=3)
+        f = random_final(rng, _exogenous_last(scm) if rng.random() < 0.5 else scm)
+    if f is None:
+        return
+    surgered = f.mstar.model
+    assert worlds_of(surgered.worlds) == worlds_oracle(surgered)
+    rest = rng.choice(surgered.domain(f.action))
+    try:
+        r = build_reduction(f, rest)
+    except ReductionError:
+        return
+    expected = reduction_levels_oracle(f, rest)
+    assert {name: r.scm.mechanisms[name] for name in expected} == expected
+
+
+@MODERATE
+@given(seeds)
+def test_worlds_match_the_world_oracle_with_the_exogenous_declared_last(seed):
+    scm = _exogenous_last(random_scm(random.Random(seed), max_vars=6, max_levels=3))
+    table = enumerate_worlds(scm)
+    assert worlds_of(table) == worlds_oracle(scm)
+    assert verify_mechanism_consistency(scm, table)
+
+
+@MODERATE
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=1, max_size=4, unique=True),
+                max_size=5))
+@example([])
+def test_closed_form_columns_are_the_transposed_product(domains):
+    assert list(product_columns(domains)) == list(zip(*itertools.product(*domains)))
+
+
 @MODERATE
 @given(seeds)
 def test_separation_flips_match_the_trail_oracle_in_grid_order(seed):
@@ -963,3 +1017,84 @@ def test_json_writer_encodes_columns_like_the_stdlib_encoder(doc):
 )
 def test_json_writer_column_cases(doc):
     _same_as_the_stdlib_encoder(doc)
+
+
+def _plain(doc):
+    """``doc`` with every ``Records`` written out as its list of dicts."""
+    if isinstance(doc, Records):
+        return [dict(zip(doc.keys, map(_plain, row))) for row in doc.rows]
+    if isinstance(doc, dict):
+        return {k: _plain(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_plain(v) for v in doc]
+    return doc
+
+
+# record keys: template signs and non-ASCII text, and one key or none
+_record_keys = st.lists(
+    st.text(max_size=3) | st.sampled_from(["%", "%d", "%%s", "é", "ключ", "\n"]),
+    max_size=4,
+    unique=True,
+)
+# ints beyond 64 bits either way, and bools that must not print as 1
+_big_ints = st.integers(-(2**70), 2**70) | st.booleans()
+
+
+def _records(values):
+    return _record_keys.flatmap(
+        lambda keys: st.lists(st.tuples(*[values] * len(keys)), max_size=5).map(
+            lambda rows: Records(keys, rows)
+        )
+    )
+
+
+_documents_with_records = st.recursive(
+    _json_scalars,
+    lambda values: (
+        st.lists(values, max_size=4)
+        | st.dictionaries(_json_keys, values, max_size=4)
+        | _records(values)
+        | _records(_big_ints)
+        | st.lists(st.tuples(_big_ints, _big_ints, _big_ints), max_size=5)
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents_with_records)
+def test_records_and_int_rows_write_what_the_stdlib_encoder_writes(doc):
+    expected = json.dumps(_plain(doc), indent=2, sort_keys=True)
+    assert render_json(doc) == expected
+    assert "".join(json_chunks(doc)) == expected
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [[1, True], [-(2**63) - 1, 2**64]],
+        Records(("only",), [(1,), (-(2**64),)]),
+        Records(("only",), [([1, 2],), ("a",)]),
+        Records((), [(), ()]),
+        Records(("a", "b"), []),
+        Records(("%d", "é", "b%"), [(1, 2, 3), (True, None, "%s")]),
+        Records(("b", "a"), [(2**70, False), (-1, 0)]),
+        {"z": Records(("x",), [(1,)]), "a": {"b": [Records((), [()])]}},
+    ],
+    ids=repr,
+)
+def test_records_and_int_rows_cases(doc):
+    expected = json.dumps(_plain(doc), indent=2, sort_keys=True)
+    assert render_json(doc) == expected
+    assert "".join(json_chunks(doc)) == expected
+
+
+def test_a_document_is_streamed_one_dict_member_at_a_time():
+    # each member's key is its own piece, so no piece holds two tables
+    rows = [(i, -i) for i in range(50)]
+    doc = {"a": rows, "b": {"c": Records(("x", "y"), rows)}, "d": []}
+    chunks = list(json_chunks(doc))
+    assert "".join(chunks) == json.dumps(_plain(doc), indent=2, sort_keys=True)
+    assert chunks[0] == '{\n  "a": '
+    assert sum('"x": 0' in chunk for chunk in chunks) == 1
+    assert not any('"a": [' in chunk and '"x"' in chunk for chunk in chunks)
