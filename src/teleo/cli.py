@@ -268,7 +268,7 @@ def distinguish(args):
     _arg("data", metavar="DATA"),
     _arg("--enumerate", dest="enumerate_all", action="store_true",
          help="Rank enumerated hypotheses instead of declared finals."),
-    _arg("--max-effects", type=int, default=1,
+    _arg("--max-effects", type=int,
          help="Largest intended-effect set when enumerating (default: 1)."),
 )
 def identify(args):
@@ -277,13 +277,15 @@ def identify(args):
     Exit codes: 0 a unique most-specific compatible hypothesis, 2 none
     compatible, 3 tied at the top.
     """
+    if args.max_effects is not None and not args.enumerate_all:
+        raise TeleoError("--max-effects needs --enumerate")
     compiled = _load_spec(args.spec)
     dataset = load_dataset(_read(args.data, "dataset"), compiled.scm)
     diagnostics: list[str] = []
     if args.enumerate_all:
         if compiled.mstar is None:
             raise TeleoError("spec declares no intervention to enumerate for")
-        max_effects = args.max_effects
+        max_effects = 1 if args.max_effects is None else args.max_effects
         candidates, skipped = enumerate_goal_hypotheses(compiled.mstar, max_effects)
         diagnostics = [f"skipped candidate {name}: {exc}" for name, exc in skipped]
     else:

@@ -10,20 +10,20 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 
-def render_table(columns: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
-    """Align values under a header row; two spaces between columns.
+def render_table(columns: Sequence[str], rows: Iterable[Sequence[int]]) -> str:
+    """Align world-table levels under a header row; two spaces between columns.
 
-    The output is byte-stable: same columns and rows, same text.
+    Each column is as wide as its name or its widest distinct level, and
+    every row goes through one ``%``-template.  The output is byte-stable:
+    same columns and rows, same text.
     """
-    rows = [[str(v) for v in row] for row in rows]
-    widths = [len(c) for c in columns]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = []
-    for row in [list(columns)] + rows:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+    rows = list(map(tuple, rows))
+    levels = [set(column) for column in zip(*rows)] or [()] * len(columns)
+    widths = [max([len(name), *map(len, map(str, column))])
+              for name, column in zip(columns, levels)]
+    template = "  ".join(f"%-{width}d" for width in widths)
+    head = "  ".join(map(str.ljust, columns, widths))
+    return "\n".join(map(str.rstrip, [head, *map(template.__mod__, rows)])) + "\n"
 
 
 class Records:
@@ -165,20 +165,17 @@ def _column(column: Sequence[object], kinds: set[type], level: int) -> list[str]
     """The rendered values of one table column whose values have the types
     ``kinds``, written at indent ``level``.
 
-    A column of one scalar type is written by one C-level ``map``; a column
-    of lists and tuples whose items are all strings, ints or None is written
-    one distinct value at a time.  Any other column goes value by value.
+    A column of one type among str, bool and None, or of lists and tuples
+    whose items are all strings, ints or None, is written one distinct value
+    at a time.  Any other column goes value by value.
     """
-    if kinds == {str}:
-        return list(map(_quote, column))
-    if kinds == {bool}:
-        return list(map(("false", "true").__getitem__, column))
-    if kinds == {type(None)}:
-        return ["null"] * len(column)
-    if kinds <= {list, tuple}:
-        items = set(map(type, itertools.chain.from_iterable(column)))
-        if items <= _KEYABLE:
-            keys = list(map(tuple, column))
-            written = {key: _encode(key, level) for key in set(keys)}
-            return list(map(written.__getitem__, keys))
-    return [_encode(v, level) for v in column]
+    if len(kinds) == 1 and kinds <= {str, bool, type(None)}:
+        keys = column
+    elif kinds <= {list, tuple} and (
+        set(map(type, itertools.chain.from_iterable(column))) <= _KEYABLE
+    ):
+        keys = list(map(tuple, column))
+    else:
+        return [_encode(v, level) for v in column]
+    written = {key: _encode(key, level) for key in set(keys)}
+    return list(map(written.__getitem__, keys))

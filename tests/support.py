@@ -35,6 +35,10 @@ pass, and each copy propagated over the product of its parents' levels.
 The effective-parents oracle is the domain scan ``compare_structures`` ran
 before it read a table's own keys: each parent varied over its domain with
 the other parents' levels held fixed.
+The table-text oracle is the cell-by-cell ``render_table`` the command line
+printed with before each column's width came from its distinct levels and
+each row went through one template: every cell made a string and padded on
+its own.
 
 ``run_cli`` runs the ``teleo`` command line in-process and captures what it
 writes.
@@ -45,6 +49,7 @@ from __future__ import annotations
 import contextlib
 import io
 import itertools
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -310,9 +315,17 @@ def worlds_oracle(scm: Scm) -> list[World]:
     return sorted(worlds, key=lambda w: w.values)
 
 
+# the comparison operators, read here rather than from the goal's own tests
+COMPARISONS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+               "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
 def filter_oracle(worlds: list[World], goal: GoalPredicate) -> list[World]:
     """The worlds in which every comparison of the goal holds."""
-    return [w for w in worlds if all(c.holds(w[c.variable]) for c in goal.conjuncts)]
+    return [
+        w for w in worlds
+        if all(COMPARISONS[c.op](w[c.variable], c.level) for c in goal.conjuncts)
+    ]
 
 
 def project_oracle(worlds: list[World], names: tuple[str, ...]) -> list[World]:
@@ -377,13 +390,19 @@ def random_scm(
     max_levels: int = 3,
     edge_prob: float = 0.5,
     min_levels: int = 2,
+    lowest: int = 0,
 ) -> Scm:
+    """A random model whose domains are ranges of ``min_levels`` to
+    ``max_levels`` levels, each starting at 0 or, with ``lowest`` below 0,
+    at a level drawn from ``lowest`` to 0."""
     n = rng.randint(2, max_vars)
     dag = random_dag(rng, n, edge_prob)
-    variables = tuple(
-        Variable(name, tuple(range(rng.randint(min_levels, max_levels))))
-        for name in dag.nodes
-    )
+    variables = []
+    for name in dag.nodes:
+        start = rng.randint(lowest, 0) if lowest else 0
+        width = rng.randint(min_levels, max_levels)
+        variables.append(Variable(name, tuple(range(start, start + width))))
+    variables = tuple(variables)
     domains = {v.name: v.domain for v in variables}
     mechanisms = {}
     for node in dag.nodes:
@@ -676,6 +695,21 @@ def chain_scm() -> Scm:
     return Scm(dag, (x, y, z), mechanisms)
 
 
+def render_table_oracle(columns, rows) -> str:
+    """Align values under a header row, two spaces between columns, one
+    cell at a time: each cell made a string, each column as wide as its
+    widest cell, each cell padded to its column."""
+    rows = [[str(v) for v in row] for row in rows]
+    widths = [len(c) for c in columns]
+    for row in rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines = []
+    for row in [list(columns)] + rows:
+        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+    return "\n".join(lines) + "\n"
+
+
 __all__ = [
     "World",
     "worlds_of",
@@ -688,6 +722,7 @@ __all__ = [
     "cells_oracle",
     "strata_oracle",
     "worlds_oracle",
+    "COMPARISONS",
     "filter_oracle",
     "project_oracle",
     "uniform_oracle",
@@ -705,5 +740,7 @@ __all__ = [
     "chain_scm",
     "verify_mechanism_consistency",
     "value_sets",
+    "render_table_oracle",
     "enumerate_worlds",
 ]
+

@@ -131,6 +131,17 @@ class TestIdentify:
         assert result.exit_code == 0
         assert "winner: T=1" in result.stdout
 
+    def test_effect_set_variants_of_the_winning_goal_tie(self, tmp_path):
+        # every variant of a goal has the goal's compatible worlds
+        data = tmp_path / "obs.csv"
+        data.write_text(WARM_CSV)
+        result = run_cli("identify", SPEC, str(data), "--enumerate", "--max-effects", "2")
+        assert result.exit_code == 3
+        lines = result.stdout.splitlines()
+        assert lines[1].startswith("rank 1: T=1 [class 1] support ok")
+        assert lines[2].startswith("rank 2: T=1[T,B] [class 1] support ok")
+        assert lines[-1] == "tied: T=1, T=1[T,B]"
+
     def test_ranking_is_printed_most_specific_first(self, tmp_path):
         data = tmp_path / "obs.csv"
         data.write_text(WARM_CSV)
@@ -315,6 +326,32 @@ class TestBenchmarkInputs:
         result = run_cli("--json", *args)
         digest = hashlib.sha256(result.stdout.encode()).hexdigest()
         assert [result.exit_code, digest] == BENCHMARK_DIGESTS[workload][str(seed)]
+
+    @pytest.mark.parametrize(
+        "workload, context, code, length, digest",
+        [
+            ("finalize_grid", None, 0, 200170,
+             "93dae30ba4f17dd565474501b3035f67c7e1aa4a951c3aa95305e60cc4561fa9"),
+            ("identify_enumerate", None, 3, 733,
+             "6c4f71e7f21db4ef6b230f636fcb27a38c36ded7af79d4d2318df1f542d6b548"),
+            ("reduce_ternary", None, 0, 167439,
+             "68abd56f1705ff6f68150e18ba1faccc5240f0ed0ba2f562b1de9cbdf426144a"),
+            # the input of test_reduce_on_a_19683_context_survey
+            ("reduce_ternary", 9, 0, 1654525,
+             "07d0ce4505e0b99fe841e20ab0d3ad680341bf8d932770c646a44333a9caedb7"),
+        ],
+        ids=["finalize_grid", "identify_enumerate", "reduce_ternary", "reduce_19683"],
+    )
+    def test_human_output_matches_the_recorded_digest(
+        self, tmp_path, monkeypatch, workload, context, code, length, digest
+    ):
+        # seed 3 without --json: the text tables, which the benchmark never writes
+        if context is not None:
+            monkeypatch.setitem(BENCHMARK_GEN.WORKLOADS[workload], "context", context)
+        args = BENCHMARK_GEN.GENERATORS[workload](3).write(tmp_path)
+        result = run_cli(*args)
+        assert (result.exit_code, len(result.stdout)) == (code, length)
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("workload", sorted(BENCHMARK_GEN.GENERATORS))
@@ -626,12 +663,14 @@ class TestUsageErrors:
             (("identify", SPEC, "obs.csv", "--max-effects", "abc"), "'abc'"),
             (("reduce", SPEC, "--final", "warm", "--rest", "x"), "'x'"),
             (("worlds", SPEC, "extra"), "extra"),
+            (("identify", SPEC, "obs.csv", "--max-effects", "3"),
+             "error: --max-effects needs --enumerate"),
         ],
         ids=[
             "bare", "unknown-command", "missing-spec", "missing-final",
             "seed-before-command", "abbreviated-json", "abbreviated-max-effects",
             "json-after-command", "max-effects-not-int", "rest-not-int",
-            "extra-positional",
+            "extra-positional", "max-effects-without-enumerate",
         ],
     )
     def test_one_line_and_exit_one(self, args, named):

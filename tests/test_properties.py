@@ -35,7 +35,7 @@ from teleo.reduction import (
     compare_structures,
     project_reduction,
 )
-from teleo.render import Records, json_chunks, render_json
+from teleo.render import Records, json_chunks, render_json, render_table
 from teleo.speclang import CompiledSpec, load_model, print_model
 from teleo.teleology import (
     Comparison,
@@ -67,6 +67,7 @@ from support import (
     reachable_oracle,
     reduction_levels_oracle,
     reduction_survey_oracle,
+    render_table_oracle,
     topological_oracle,
     uniform_oracle,
     verify_mechanism_consistency,
@@ -1098,3 +1099,29 @@ def test_a_document_is_streamed_one_dict_member_at_a_time():
     assert chunks[0] == '{\n  "a": '
     assert sum('"x": 0' in chunk for chunk in chunks) == 1
     assert not any('"a": [' in chunk and '"x"' in chunk for chunk in chunks)
+
+
+@st.composite
+def _world_table_text(draw):
+    """Column names and integer rows as a world table holds them (tuples),
+    or as ``json.loads`` gives them back (lists): negative and multi-digit
+    levels, and names wider and narrower than their levels."""
+    columns = draw(st.lists(st.text("ABTW_01", min_size=1, max_size=8),
+                            max_size=5, unique=True))
+    levels = st.integers(-3, 3) | st.integers(-(10**6), 10**6)
+    rows = draw(st.lists(st.tuples(*[levels] * len(columns)), max_size=8))
+    if draw(st.booleans()):
+        rows = [list(row) for row in rows]
+    return columns, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_world_table_text())
+@example(((), [()]))  # the empty model's one world
+@example(((), []))
+@example((("W", "H"), []))
+@example((("W", "LONGNAME"), [[-12, 3], [7, -100000]]))
+@example((("W",), [(-1,), (0,), (10,)]))
+def test_table_text_matches_the_cell_by_cell_oracle(table):
+    columns, rows = table
+    assert render_table(columns, rows) == render_table_oracle(columns, rows)
