@@ -1074,13 +1074,22 @@ def test_records_and_int_rows_write_what_the_stdlib_encoder_writes(doc):
     "doc",
     [
         [[1, True], [-(2**63) - 1, 2**64]],
-        Records(("only",), [(1,), (-(2**64),)]),
-        Records(("only",), [([1, 2],), ("a",)]),
-        Records((), [(), ()]),
-        Records(("a", "b"), []),
-        Records(("%d", "é", "b%"), [(1, 2, 3), (True, None, "%s")]),
-        Records(("b", "a"), [(2**70, False), (-1, 0)]),
-        {"z": Records(("x",), [(1,)]), "a": {"b": [Records((), [()])]}},
+        # Records has no repr of its own, so these cases name themselves
+        pytest.param(Records(("only",), [(1,), (-(2**64),)]), id="records-big-int"),
+        pytest.param(Records(("only",), [([1, 2],), ("a",)]), id="records-list-and-str"),
+        pytest.param(Records((), [(), ()]), id="records-no-keys"),
+        pytest.param(Records(("a", "b"), []), id="records-no-rows"),
+        pytest.param(
+            Records(("%d", "é", "b%"), [(1, 2, 3), (True, None, "%s")]),
+            id="records-format-chars-in-keys-and-cells",
+        ),
+        pytest.param(
+            Records(("b", "a"), [(2**70, False), (-1, 0)]), id="records-unsorted-keys"
+        ),
+        pytest.param(
+            {"z": Records(("x",), [(1,)]), "a": {"b": [Records((), [()])]}},
+            id="records-nested-in-dict-and-list",
+        ),
     ],
     ids=repr,
 )
