@@ -279,13 +279,15 @@ def identify(args):
     """
     if args.max_effects is not None and not args.enumerate_all:
         raise TeleoError("--max-effects needs --enumerate")
+    max_effects = 1 if args.max_effects is None else args.max_effects
+    if max_effects < 1:
+        raise TeleoError("--max-effects must be at least 1")
     compiled = _load_spec(args.spec)
     dataset = load_dataset(_read(args.data, "dataset"), compiled.scm)
     diagnostics: list[str] = []
     if args.enumerate_all:
         if compiled.mstar is None:
             raise TeleoError("spec declares no intervention to enumerate for")
-        max_effects = 1 if args.max_effects is None else args.max_effects
         candidates, skipped = enumerate_goal_hypotheses(compiled.mstar, max_effects)
         diagnostics = [f"skipped candidate {name}: {exc}" for name, exc in skipped]
     else:

@@ -28,12 +28,11 @@ this module.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import operator
 from functools import cached_property, partial, reduce
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from teleo.errors import (
     EmptyTableError,
@@ -66,9 +65,6 @@ __all__ = [
     "uniform_independent",
     "conditional_distribution",
 ]
-
-_V = TypeVar("_V")
-
 
 class Record:
     """An immutable value object: the base of every model, statement and
@@ -146,14 +142,14 @@ class CausalDag(Record):
     printed table.  Edges are kept in declaration order as well; equality,
     hashing and ``repr`` use only these two tuples.
 
-    This is the one index of the graph: construction validates it and builds
-    each node's parent and child lists (in edge-declaration order), the same
-    neighbourhoods as node bitmasks, and the topological order once.  In a
-    mask, bit i stands for ``nodes[i]``, so a mask read from bit 0 upward
-    lists its nodes in declaration order.  Every query reads this index:
-    ancestors and descendants are mask fixpoints, and the d-separation
-    kernel (``dsep``) walks the parent and child masks and keeps its walks
-    in ``_reachable``.
+    This is the one index of the graph: construction validates it in one
+    pass over the edges, which fills each node's parent and child masks,
+    and sorts it once.  In a mask, bit i stands for ``nodes[i]``, so a mask
+    read from bit 0 upward lists its nodes in declaration order.  Every
+    query reads the edge list or the masks: parents and children are the
+    edges into and out of a node, ancestors and descendants are mask
+    fixpoints, and the d-separation kernel (``dsep``) walks the parent and
+    child masks and keeps its walks in ``_reachable``.
     """
 
     nodes: tuple[str, ...]
@@ -162,63 +158,65 @@ class CausalDag(Record):
     def __init__(self, nodes: Iterable[str], edges: Iterable[tuple[str, str]]):
         nodes, edges = tuple(nodes), tuple(map(tuple, edges))
         position: dict[str, int] = {}
-        parents: dict[str, list[str]] = {}
-        children: dict[str, list[str]] = {}
         for n in nodes:
-            if n in parents:
+            if n in position:
                 raise ModelStructureError(f"duplicate node {n!r}")
             position[n] = len(position)
-            parents[n] = []
-            children[n] = []
-        edge_set = set()
+        parents, children = [0] * len(nodes), [0] * len(nodes)
         for parent, child in edges:
-            if parent not in parents:
+            if parent not in position:
                 raise ModelStructureError(f"edge endpoint {parent!r} is not a node")
-            if child not in parents:
+            if child not in position:
                 raise ModelStructureError(f"edge endpoint {child!r} is not a node")
             if parent == child:
                 raise ModelStructureError(f"self-loop on {parent!r}")
-            if (parent, child) in edge_set:
+            p, c = position[parent], position[child]
+            if parents[c] >> p & 1:
                 raise ModelStructureError(f"duplicate edge {parent!r} -> {child!r}")
-            edge_set.add((parent, child))
-            parents[child].append(parent)
-            children[parent].append(child)
+            parents[c] |= 1 << p
+            children[p] |= 1 << c
         index = self.__dict__
         index.update(nodes=nodes, edges=edges, _position=position)
-        for name, lists in (("parents", parents), ("children", children)):
-            index[f"_{name}"] = {n: tuple(v) for n, v in lists.items()}
-            index[f"_{name}_masks"] = tuple(self._mask(lists[n]) for n in nodes)
+        index.update(_parents_masks=tuple(parents), _children_masks=tuple(children))
         index["_order"] = self._kahn()
         # d-separation's walks as reached-node masks, keyed by (x, Z);
         # filled by ``dsep``
         index["_reachable"] = {}
 
     def _kahn(self) -> tuple[str, ...]:
-        """Kahn's algorithm; of the ready nodes the earliest declared goes
-        first.  Raises on cycles."""
-        position = self._position
-        indegree = {n: len(p) for n, p in self._parents.items()}
-        ready = [position[n] for n, d in indegree.items() if d == 0]  # sorted: a heap
+        """Kahn's algorithm on the masks: the ready mask's lowest bit (the
+        earliest declared ready node) is placed next, and a child joins the
+        ready mask when its last parent is placed.  Raises on cycles."""
+        nodes, parents, children = self.nodes, self._parents_masks, self._children_masks
+        ready = sum(1 << i for i, mask in enumerate(parents) if not mask)
+        unplaced = (1 << len(nodes)) - 1
         order: list[str] = []
         while ready:
-            v = self.nodes[heapq.heappop(ready)]
-            order.append(v)
-            for c in self._children[v]:
-                indegree[c] -= 1
-                if indegree[c] == 0:
-                    heapq.heappush(ready, position[c])
-        if len(order) != len(self.nodes):
-            stuck = sorted(n for n, d in indegree.items() if d > 0)
+            low = ready & -ready
+            i = low.bit_length() - 1
+            ready ^= low
+            unplaced ^= low
+            order.append(nodes[i])
+            waiting = children[i]
+            while waiting:
+                bit = waiting & -waiting
+                if not parents[bit.bit_length() - 1] & unplaced:
+                    ready |= bit
+                waiting ^= bit
+        if unplaced:
+            stuck = sorted(self._names(unplaced))
             raise ModelStructureError(f"graph has a cycle through {', '.join(stuck)}")
         return tuple(order)
 
     def parents(self, node: str) -> tuple[str, ...]:
         """Parents of ``node`` in edge-declaration order."""
-        return self._lookup(self._parents, node)
+        self._at(node)
+        return tuple(p for p, c in self.edges if c == node)
 
     def children(self, node: str) -> tuple[str, ...]:
         """Children of ``node`` in edge-declaration order."""
-        return self._lookup(self._children, node)
+        self._at(node)
+        return tuple(c for p, c in self.edges if p == node)
 
     def ancestors(self, nodes: Iterable[str]) -> set[str]:
         """Every strict ancestor of any of ``nodes``."""
@@ -229,10 +227,10 @@ class CausalDag(Record):
         return self._names(self._reach(self._children_masks, self._mask((node,))))
 
     def exogenous(self) -> tuple[str, ...]:
-        return tuple(n for n in self.nodes if not self._parents[n])
+        return tuple(n for n, mask in zip(self.nodes, self._parents_masks) if not mask)
 
     def endogenous(self) -> tuple[str, ...]:
-        return tuple(n for n in self.nodes if self._parents[n])
+        return tuple(n for n, mask in zip(self.nodes, self._parents_masks) if mask)
 
     def topological_order(self) -> tuple[str, ...]:
         """Kahn's order with declaration-order tie breaking, computed once at
@@ -243,7 +241,7 @@ class CausalDag(Record):
         """The mask of ``nodes``; raises on a name that is not a node."""
         mask = 0
         for n in nodes:
-            mask |= 1 << self._lookup(self._position, n)
+            mask |= 1 << self._at(n)
         return mask
 
     def _names(self, mask: int) -> tuple[str, ...]:
@@ -273,10 +271,10 @@ class CausalDag(Record):
             frontier = cls._hop(step, frontier) & ~reached
         return reached
 
-    @staticmethod
-    def _lookup(index: Mapping[str, _V], node: str) -> _V:
+    def _at(self, node: str) -> int:
+        """The position of ``node``; raises on a name that is not a node."""
         try:
-            return index[node]
+            return self._position[node]
         except KeyError:
             raise UnknownVariableError(f"unknown variable {node!r}") from None
 

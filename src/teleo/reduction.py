@@ -196,7 +196,7 @@ def build_reduction(f: FinalModel, rest_level: int | None = None) -> ReductionMo
         action, (INTENTION_NAME,), {(0,): rest, (1,): act_on}
     )
 
-    # post-action copies and untouched downstream mechanisms
+    # post-action copies; downstream mechanisms are renamed if they read one
     for g in goal_vars:
         parents = exo_parents(g) + [action]
         variables.append(Variable(post_of[g], surgered.domain(g)))
@@ -205,9 +205,11 @@ def build_reduction(f: FinalModel, rest_level: int | None = None) -> ReductionMo
         )
     for node in downstream:
         mech = surgered.mechanisms[node]
-        renamed = tuple(post_of.get(p, p) for p in mech.parents)
+        if not post_of.keys().isdisjoint(mech.parents):
+            renamed = [post_of.get(p, p) for p in mech.parents]
+            mech = Mechanism(node, renamed, mech.table)
         variables.append(surgered.variable(node))
-        mechanisms[node] = Mechanism(node, renamed, dict(mech.table))
+        mechanisms[node] = mech
 
     scm = _assemble(variables, mechanisms)
     return ReductionModel(f, scm, action, rest, pre_of, post_of)

@@ -98,22 +98,19 @@ class GoalPredicate(Record):
 
     @property
     def variables(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for c in self.conjuncts:
-            if c.variable not in seen:
-                seen.append(c.variable)
-        return tuple(seen)
+        """The goal variables, in order of first appearance."""
+        return tuple(self.level_tests)
 
     @cached_property
     def level_tests(self) -> dict[str, Callable[[int], bool]]:
-        """One test per goal variable: does a level meet every comparison on
-        that variable?  The goal holds where every variable passes its test,
-        which lets a world table select rows from the goal variables' level
-        masks."""
-        return {
-            var: partial(_meets, tuple(c for c in self.conjuncts if c.variable == var))
-            for var in self.variables
-        }
+        """One test per goal variable, in order of first appearance: does a
+        level meet every comparison on that variable?  The goal holds where
+        every variable passes its test, which lets a world table select rows
+        from the goal variables' level masks."""
+        groups: dict[str, list[Comparison]] = {}
+        for c in self.conjuncts:
+            groups.setdefault(c.variable, []).append(c)
+        return {var: partial(_meets, tuple(cs)) for var, cs in groups.items()}
 
     def validate(self, scm: Scm) -> None:
         """Check every referenced variable exists and the conjunction is

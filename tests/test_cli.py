@@ -385,27 +385,45 @@ class TestBenchmarkInputs:
             "538f6cb88d62efca46aef0b4bc952570db8bfcab7d91cb6ef52d6a2353c2ef00"
         )
 
+    def test_the_reduction_checks_only_the_tables_it_makes(self, monkeypatch):
+        # the pre-action copy G0, the intention, the action and the
+        # post-action copy G1 are tabulated; no downstream mechanism of this
+        # model reads G, so all nine are passed through with their check
+        spec = load_model(BENCHMARK_GEN.GENERATORS["reduce_ternary"](3).model.spec())
+        checked = _count_checks(monkeypatch)
+        r = build_reduction(spec.finals["g"], spec.rest)
+        assert checked == ["G0", "I", "A", "G1"]
+        assert len(r.scm.mechanisms) == 13
+        assert r.scm.mechanisms["X1"] is spec.mstar.model.mechanisms["X1"]
+
     def test_the_projection_checks_only_the_tables_it_makes(self, monkeypatch):
         # the mechanisms that name no post-action copy are passed through
         # with their check; the action's new table and the goal copy G1,
         # renamed G, are checked (the parent checked all 11 tables)
         spec = load_model(BENCHMARK_GEN.GENERATORS["reduce_ternary"](3).model.spec())
         r = build_reduction(spec.finals["g"], spec.rest)
-        checked = []
-
-        def counting(mech, variables):
-            mark = mech.__dict__.get("_checked")
-            check_table(mech, variables)
-            if mech.__dict__["_checked"] is not mark:
-                checked.append(mech.child)
-
-        check_table = teleo.model.check_table
-        monkeypatch.setattr(teleo.model, "check_table", counting)
+        checked = _count_checks(monkeypatch)
         projected = project_reduction(r)
         assert checked == ["A", "G"]
         assert len(projected.mechanisms) == 11
         assert projected.mechanisms["X1"] is r.scm.mechanisms["X1"]
         assert projected.variable("U1") is r.scm.variable("U1")
+
+
+def _count_checks(monkeypatch) -> list[str]:
+    """The child of each mechanism whose table ``check_table`` checks from
+    now on; a check that returns at once is not counted."""
+    checked = []
+
+    def counting(mech, variables):
+        mark = mech.__dict__.get("_checked")
+        check_table(mech, variables)
+        if mech.__dict__["_checked"] is not mark:
+            checked.append(mech.child)
+
+    check_table = teleo.model.check_table
+    monkeypatch.setattr(teleo.model, "check_table", counting)
+    return checked
 
 
 class TestErrorHandling:
@@ -586,7 +604,7 @@ class TestErrorHandling:
         result = run_cli(*args)
         assert result.exit_code == 1
         assert result.stdout == ""
-        assert result.stderr == "error: max_effects must be at least 1\n"
+        assert result.stderr == "error: --max-effects must be at least 1\n"
 
     def test_unreachable_goal_is_reported_not_crashed(self, tmp_path):
         spec = tmp_path / "far.tele"
@@ -665,12 +683,15 @@ class TestUsageErrors:
             (("worlds", SPEC, "extra"), "extra"),
             (("identify", SPEC, "obs.csv", "--max-effects", "3"),
              "error: --max-effects needs --enumerate"),
+            (("identify", SPEC, "obs.csv", "--enumerate", "--max-effects", "0"),
+             "error: --max-effects must be at least 1"),
         ],
         ids=[
             "bare", "unknown-command", "missing-spec", "missing-final",
             "seed-before-command", "abbreviated-json", "abbreviated-max-effects",
             "json-after-command", "max-effects-not-int", "rest-not-int",
             "extra-positional", "max-effects-without-enumerate",
+            "max-effects-below-one",
         ],
     )
     def test_one_line_and_exit_one(self, args, named):
@@ -754,13 +775,14 @@ class TestProcess:
         assert self.run("-c", code) == (0, "[]\n", "")
 
     def test_the_command_line_generates_no_code_and_reads_no_fractions(self):
-        # dataclasses (with inspect, ast, dis and tokenize under it) and
-        # fractions (with decimal) are start-up the package does not need;
+        # dataclasses (with inspect, ast, dis and tokenize under it),
+        # fractions (with decimal) and heapq (the graph sort works on
+        # masks) are start-up the package does not need;
         # ``before`` is what the bare interpreter has already loaded
         code = (
             "import sys; before = set(sys.modules); import teleo.cli; "
             "new = set(sys.modules) - before; "
-            "print(sorted(new & {'dataclasses', 'inspect', 'fractions'}))"
+            "print(sorted(new & {'dataclasses', 'inspect', 'fractions', 'heapq'}))"
         )
         assert self.run("-c", code) == (0, "[]\n", "")
 

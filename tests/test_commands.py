@@ -15,7 +15,11 @@ least such level; a shape the definition cannot reduce must end in one
 ``error:`` line and exit 1.  The edges, the action's parents and the
 separation flips of ``reduce`` are graded against the projected DAG that
 definition implies: each variable listens to the parents its values change
-with.
+with.  ``identify`` runs on observations drawn from one final's compatible
+worlds, sometimes with one surgered world outside them, over the declared
+finals and over the enumerated candidates (``candidates_oracle``); each
+ranking is graded against the goal filter, the dependence oracle and the
+ranking's own rules.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ from teleo.teleology import Comparison, GoalPredicate, build_final_model
 
 from support import (
     COMPARISONS,
+    candidates_oracle,
+    dependence_oracle,
     dsep_oracle,
     effective_parents_oracle,
     filter_oracle,
@@ -330,3 +336,126 @@ def test_every_command_answers_as_the_oracles_do(tmp_path, seed):
         _check_reduce(spec, path, name, passed, compatible[name], surgered)
     names = [*spec.finals, *spec.finals][:2]
     _check_distinguish(path, names, compatible)
+
+
+def _draw_observations(rng: random.Random, surgered, compatible) -> dict[tuple, int]:
+    """Rows and counts drawn from one final's compatible worlds (every
+    surgered world when no final has any), and in a third of the draws one
+    surgered world outside them: ``{values: count}``."""
+    pool = rng.choice([w for w in compatible.values() if w] or [surgered])
+    values = [rng.choice(pool).values for _ in range(rng.randint(1, 6))]
+    outside = [w.values for w in surgered if w not in pool]
+    if outside and rng.random() < 1 / 3:
+        values.append(rng.choice(outside))
+    counts: dict[tuple, int] = {}
+    for v in values:
+        counts[v] = counts.get(v, 0) + rng.randint(1, 4)
+    return counts
+
+
+def _write_observations(rng: random.Random, path, names, counts) -> None:
+    """The observations as CSV, columns shuffled, one line per row with
+    its count."""
+    header = rng.sample(list(names), len(names))
+    lines = [",".join([*header, "count"])]
+    for values, count in counts.items():
+        level = dict(zip(names, values))
+        lines.append(",".join([*(str(level[n]) for n in header), str(count)]))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _ranking_oracle(candidates, surgered, names, counts) -> dict:
+    """The ``identify`` result for ``(label, goal)`` candidates: support
+    and dependence read world by world, then the ranking's rules: the
+    support-compatible first, then the fewest compatible worlds, ties in
+    candidate order; one class per distinct compatible set, numbered in
+    rank order; a winner, a tie at the smallest count, or none (exit 2)."""
+    rows = list(counts.items())
+    entries = []
+    for label, goal in candidates:
+        worlds = filter_oracle(surgered, goal)
+        inside = {w.values for w in worlds}
+        checks = []
+        for x, y in itertools.combinations(names, 2) if worlds else ():
+            c = dependence_oracle(worlds, names, rows, _statement(x, y, ()))
+            checks.append({
+                "x": x, "y": y, "given": [],
+                "expected_independent": c.expected_independent,
+                "observed_independent": c.observed_independent,
+                "agree": c.expected_independent == c.observed_independent,
+                "skipped_strata": [list(s) for s in c.skipped_strata],
+            })
+        violating = sorted(map(list, set(counts) - inside))
+        entries.append((frozenset(inside), {
+            "name": label,
+            "support_compatible": not violating,
+            "compatible_world_count": len(worlds),
+            "violating_rows": violating,
+            "dependence_checks": checks,
+            "compatible": not violating and all(c["agree"] for c in checks),
+        }))
+    order = sorted(
+        range(len(entries)),
+        key=lambda i: (not entries[i][1]["support_compatible"],
+                       entries[i][1]["compatible_world_count"], i),
+    )
+    classes: dict[frozenset, int] = {}
+    ranking = []
+    for rank, i in enumerate(order, start=1):
+        inside, entry = entries[i]
+        cls = classes.setdefault(inside, len(classes) + 1)
+        ranking.append({"rank": rank, "equivalence_class": cls, **entry})
+    survivors = [e for e in ranking if e["support_compatible"]]
+    top = [e["name"] for e in survivors
+           if e["compatible_world_count"] == survivors[0]["compatible_world_count"]]
+    winner, tied, code = None, [], 2
+    if len(top) == 1:
+        winner, code = top[0], 0
+    elif top:
+        tied, code = top, 3
+    return {
+        "observations": sum(counts.values()),
+        "columns": list(names),
+        "ranking": ranking,
+        "winner": winner,
+        "tied": tied,
+        "exit_code": code,
+    }
+
+
+def _check_identify(args, candidates, surgered, names, counts, diagnostics=()) -> None:
+    result = run_cli("--json", *args)
+    doc = json.loads(result.stdout)
+    expected = _ranking_oracle(candidates, surgered, names, counts)
+    assert (result.exit_code, result.stderr) == (expected["exit_code"], ""), args
+    assert doc["result"] == expected, args
+    assert doc["diagnostics"] == list(diagnostics)
+
+
+@pytest.mark.parametrize("seed", range(SHAPES))
+def test_identify_ranks_as_the_oracles_do(tmp_path, seed):
+    spec, _ = _draw_spec(seed)
+    if not spec.finals:
+        return
+    rng = random.Random(f"identify {seed}")
+    path = tmp_path / "model.tele"
+    path.write_text(print_model(spec))
+    names = spec.scm.names
+    surgered = worlds_oracle(_surgered(spec.scm, spec.mstar.target))
+    compatible = {n: filter_oracle(surgered, f.goal) for n, f in spec.finals.items()}
+    counts = _draw_observations(rng, surgered, compatible)
+    data = tmp_path / "obs.csv"
+    _write_observations(rng, data, names, counts)
+    declared = [(n, f.goal) for n, f in spec.finals.items()]
+    args = ("identify", str(path), str(data))
+    _check_identify(args, declared, surgered, names, counts)
+    max_effects = rng.choice([1, 2])
+    finals, skipped = candidates_oracle(spec.mstar, max_effects)
+    _check_identify(
+        (*args, "--enumerate", "--max-effects", str(max_effects)),
+        [(f.label, f.goal) for f in finals],
+        surgered,
+        names,
+        counts,
+        [f"skipped candidate {label}: {exc}" for label, exc in skipped],
+    )
