@@ -12,11 +12,13 @@ unique most-specific compatible hypothesis / none compatible / tied.
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import os
 import sys
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from teleo import __version__
 from teleo.errors import TeleoError
@@ -61,10 +63,17 @@ class _Cli(argparse.ArgumentParser):
         if argv[-1:] == ["--"] and "--" not in argv[:-1]:
             argv.pop()
         parsed = self.parse_args(argv)
+        # a command's containers live until it exits, so the cyclic
+        # collector would only scan them (README, "The collector")
+        enabled = gc.isenabled()
+        gc.disable()
         try:
             sys.exit(parsed.run(parsed) or 0)
         except TeleoError as exc:
             self.error(str(exc))
+        finally:
+            if enabled:
+                gc.enable()
 
 
 cli = _Cli("teleo", allow_abbrev=False,
@@ -146,10 +155,19 @@ def _table_text(table: WorldTable) -> str:
     return render_table(table.columns, table.rows)
 
 
-def _statements(keys: tuple[str, ...], rows) -> Records:
-    """Rows of ``(statement, *verdicts)`` as records of x, y, given and ``keys``."""
-    return Records(("x", "y", "given", *keys),
-                   [(s.x, s.y, sorted(s.given), *v) for s, *v in rows])
+def _statements(keys: tuple[str, ...], rows: Iterable[tuple]) -> Records:
+    """Rows of ``(statement, *verdicts)`` as records of x, y, given and
+    ``keys``.  Each conditioning set is sorted once, into one list that all
+    its rows share."""
+    given: dict[frozenset[str], list[str]] = {}
+    records = []
+    for row in rows:
+        s = row[0]
+        names = given.get(s.given)
+        if names is None:
+            names = given[s.given] = sorted(s.given)
+        records.append((s.x, s.y, names) + row[1:])
+    return Records(("x", "y", "given", *keys), records)
 
 
 @_command()
@@ -196,12 +214,8 @@ def finalize(args):
             "goal": str(f.goal),
             "goal_reachable": bool(len(table)),
             **_table_result(table),
-            "dependence": _statements(
-                ("independent",), [(r.statement, r.dist_independent) for r in reports]
-            ),
-            "separation": _statements(
-                ("separated",), [(r.statement, r.graph_separated) for r in reports]
-            ),
+            "dependence": _statements(("independent",), map(itemgetter(0, 2), reports)),
+            "separation": _statements(("separated",), map(itemgetter(0, 1), reports)),
         }
 
     def human() -> str:
@@ -215,11 +229,13 @@ def finalize(args):
             "expected dependence under the hypothesis (uniform over compatible worlds):"
         ]
         sep_lines = ["separation in the final dag:"]
-        for r in sorted(reports, key=lambda r: len(r.statement.given)):
-            verdict = "independent" if r.dist_independent else "dependent"
-            dep_lines.append(f"  {r.statement}: {verdict} (expected)")
-            graph = "separated" if r.graph_separated else "connected"
-            sep_lines.append(f"  {r.statement}: {graph}")
+        by_size = sorted(reports, key=lambda r: len(r[0].given))
+        for stmt, separated, independent in by_size:
+            text = str(stmt)  # once for both lines: it sorts the conditioning set
+            verdict = "independent" if independent else "dependent"
+            dep_lines.append(f"  {text}: {verdict} (expected)")
+            graph = "separated" if separated else "connected"
+            sep_lines.append(f"  {text}: {graph}")
         body = [f"compatible worlds:\n{_table_text(table)}", *dep_lines, "", *sep_lines]
         return head + "\n".join(body) + "\n"
 
@@ -289,6 +305,13 @@ def identify(args):
         if compiled.mstar is None:
             raise TeleoError("spec declares no intervention to enumerate for")
         candidates, skipped = enumerate_goal_hypotheses(compiled.mstar, max_effects)
+        # a descendant leaves a candidate: reversing the earliest child's
+        # arrow closes no cycle, so no candidate means no descendant
+        if not candidates:
+            raise TeleoError(
+                f"do({compiled.mstar.target}) has no descendants, "
+                "so there are no goal hypotheses to enumerate"
+            )
         diagnostics = [f"skipped candidate {name}: {exc}" for name, exc in skipped]
     else:
         candidates = list(compiled.finals.values())

@@ -25,7 +25,9 @@ bit in it.  A statement grid over n variables thus walks at most once per
 (x, Z) pair instead of once per statement, and two DAGs over the same
 nodes in the same order compare every y of one (x, Z) by XOR-ing their two
 masks.  The memo lives and dies with its DAG, so two DAGs never share an
-entry, whatever their nodes.
+entry, whatever their nodes.  ``d_separated`` reads the memo itself and
+checks the names of x and Z only for a query it walks for: a walked (x, Z)
+is made of nodes, so a later query with it checks y alone.
 """
 
 from __future__ import annotations
@@ -39,10 +41,15 @@ __all__ = ["d_separated", "reachable"]
 def d_separated(dag: CausalDag, stmt: IndependenceStatement) -> bool:
     """True iff every trail between the two variables is blocked given Z."""
     position = dag._position
-    for name in (stmt.x, stmt.y, *stmt.given):
-        if name not in position:
-            raise UnknownVariableError(f"unknown variable {name!r}")
-    return not reachable(dag, stmt.x, stmt.given) >> position[stmt.y] & 1
+    reached = dag._reachable.get((stmt.x, stmt.given))
+    if reached is None:
+        for name in (stmt.x, stmt.y, *stmt.given):
+            if name not in position:
+                raise UnknownVariableError(f"unknown variable {name!r}")
+        reached = reachable(dag, stmt.x, stmt.given)
+    elif stmt.y not in position:  # x and Z are nodes: the walk was made from them
+        raise UnknownVariableError(f"unknown variable {stmt.y!r}")
+    return not reached >> position[stmt.y] & 1
 
 
 def reachable(dag: CausalDag, x: str, given: frozenset[str]) -> int:

@@ -429,8 +429,9 @@ class WorldTable(Record):
     and lets equal sets compare equal.  Rows given in strictly increasing
     order are kept as they come; any others are deduplicated and sorted.
     The kernels read whole columns (``column``), each column's level masks
-    (``levels``) and each conditioning set's strata (``strata``), each built
-    once on first use and cached outside equality, hashing and ``repr``.
+    (``levels``, and for ``factorizes`` the masks of every level but the
+    first) and each conditioning set's strata (``strata``), each built once
+    on first use and cached outside equality, hashing and ``repr``.
     """
 
     columns: tuple[str, ...]
@@ -450,7 +451,9 @@ class WorldTable(Record):
         if not all(map(operator.lt, rows, itertools.islice(rows, 1, None))):
             rows = tuple(sorted(set(rows)))
         self.__dict__.update(columns=columns, rows=rows)
-        self.__dict__.update(_column_cache={}, _level_cache={}, _strata_cache={})
+        self.__dict__.update(
+            _column_cache={}, _level_cache={}, _tail_cache={}, _strata_cache={}
+        )
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -545,13 +548,18 @@ class WorldTable(Record):
         (``weight_layers``), w(mask) = sum_k 2^k * popcount(mask & weights[k]).
         Raises ``EmptyTableError`` on a table without rows.
         """
-        strata = self.strata(stmt.given)
+        strata = self._strata_cache.get(stmt.given)  # the hit skips a call
+        if strata is None:
+            strata = self.strata(stmt.given)
         # w is additive over x's levels, so for each b the equations over
         # every a sum to n * w(s & y_b) on both sides: when all but one a
         # hold, so does the last.  The same goes for b, so the first level
         # of each variable needs no equation of its own.
-        xs = [*self.levels(stmt.x).values()][1:]
-        ys = [*self.levels(stmt.y).values()][1:]
+        tails = self._tail_cache
+        if stmt.x not in tails or stmt.y not in tails:
+            for name in (stmt.x, stmt.y):
+                tails[name] = tuple(self.levels(name).values())[1:]
+        xs, ys = tails[stmt.x], tails[stmt.y]
         if not strata:
             raise EmptyTableError("independence query on an empty world table")
         if weights is None:
@@ -560,12 +568,11 @@ class WorldTable(Record):
             weigh = partial(_layered_weight, tuple(enumerate(weights)))
         for _, rows in strata:
             n = weigh(rows)
-            at_ys = [(y_mask, weigh(rows & y_mask)) for y_mask in ys]
-            for x_mask in xs:
-                at_a = rows & x_mask
-                count = weigh(at_a)
-                for y_mask, at_b in at_ys:
-                    if n * weigh(at_a & y_mask) != count * at_b:
+            for y_mask in ys:
+                at_b = rows & y_mask
+                count = weigh(at_b)
+                for x_mask in xs:
+                    if n * weigh(at_b & x_mask) != weigh(rows & x_mask) * count:
                         return False
         return True
 
@@ -665,8 +672,17 @@ def grid_cells(
 
 
 def statement_grid(names: Sequence[str]) -> Iterator[IndependenceStatement]:
-    """The statement of each cell of the grid, in grid order (``grid_cells``)."""
-    return itertools.starmap(IndependenceStatement, grid_cells(names))
+    """The statement of each cell of the grid, in grid order (``grid_cells``).
+
+    A cell is valid by construction, two distinct variables conditioned on
+    neither, so its statement is built without the constructor's checks.
+    """
+    new = IndependenceStatement.__new__
+    for cell in grid_cells(names):
+        stmt = new(IndependenceStatement)
+        fields = stmt.__dict__
+        fields["x"], fields["y"], fields["given"] = cell
+        yield stmt
 
 
 def propagate(

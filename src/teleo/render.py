@@ -142,7 +142,10 @@ def _rows(
     one template: ``%d`` for a column of plain ints (bools are not ints
     here), else ``%s`` and the column encoded by ``_column``."""
     rows = list(rows)
-    if set(map(type, itertools.chain.from_iterable(rows))) == {int}:
+    kinds = set(map(type, rows[0]))  # a first row of other types spares the scan
+    if kinds == {int}:
+        kinds = set(map(type, itertools.chain.from_iterable(rows)))
+    if kinds == {int}:
         fields = [label + "%d" for label in labels]
     else:
         fields, columns = [], []

@@ -47,7 +47,6 @@ __all__ = [
     "build_final_model",
     "compatible_worlds",
     "implied_dependencies",
-    "ImpliedDependence",
     "distinguishable",
     "Distinguishability",
     "enumerate_goal_hypotheses",
@@ -176,10 +175,12 @@ def _reverse_toward_action(
     try:
         return CausalDag(dag.nodes, tuple(edges))
     except ModelStructureError as exc:
-        raise TeleologyError(
-            f"reversing arrows toward {action} for effects "
-            f"{{{', '.join(intended)}}} breaks the graph: {exc}"
-        ) from exc
+        reason = str(exc)
+    # raised outside the handler, so that it holds no chained traceback
+    raise TeleologyError(
+        f"reversing arrows toward {action} for effects "
+        f"{{{', '.join(intended)}}} breaks the graph: {reason}"
+    )
 
 
 def build_final_model(
@@ -233,27 +234,20 @@ def compatible_worlds(f: FinalModel) -> WorldTable:
     return f.mstar.worlds_meeting(f.goal)
 
 
-class ImpliedDependence(Record):
-    """Graphical and distributional verdicts for one independence statement.
+def implied_dependencies(
+    f: FinalModel,
+) -> list[tuple[IndependenceStatement, bool, bool]]:
+    """``(statement, graph_separated, dist_independent)`` for every variable
+    pair, unconditional and given each other variable, in grid order: the
+    verdict of the final DAG and that of the compatible worlds.
 
     The two verdicts are reported side by side and never merged: with
     deterministic mechanisms the filtered distribution can show more
     independences than the final DAG predicts.
     """
-
-    statement: IndependenceStatement
-    graph_separated: bool
-    dist_independent: bool
-
-
-def implied_dependencies(f: FinalModel) -> list[ImpliedDependence]:
-    """Verdicts for every variable pair, unconditional and one-variable
-    conditioning, on the final DAG and on the compatible worlds."""
-    table = compatible_worlds(f)
+    table, dag = compatible_worlds(f), f.final_dag
     return [
-        ImpliedDependence(
-            stmt, d_separated(f.final_dag, stmt), uniform_independent(table, stmt)
-        )
+        (stmt, d_separated(dag, stmt), uniform_independent(table, stmt))
         for stmt in statement_grid(f.mstar.model.names)
     ]
 
@@ -304,9 +298,10 @@ def enumerate_goal_hypotheses(
 
     Returns ``(finals, skipped)``: the final models in candidate order, and
     a ``(name, error)`` pair for each candidate whose arrow reversal closes
-    a cycle.  Candidates whose goal no reachable world satisfies are dropped
-    before any final model is built, so they appear in neither list.  The
-    candidate count is checked against ``cap`` before any subset is built.
+    a cycle, the error kept without its traceback.  Candidates whose goal no
+    reachable world satisfies are dropped before any final model is built,
+    so they appear in neither list.  The candidate count is checked against
+    ``cap`` before any subset is built.
     """
     if max_effects < 1:
         raise TeleologyError("max_effects must be at least 1")
@@ -333,5 +328,6 @@ def enumerate_goal_hypotheses(
                 try:
                     finals.append(build_final_model(m, effects, g, name))
                 except TeleologyError as exc:
-                    skipped.append((name, exc))
+                    # its traceback would hold this frame, and so the list
+                    skipped.append((name, exc.with_traceback(None)))
     return finals, skipped

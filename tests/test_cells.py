@@ -254,6 +254,20 @@ def test_the_grid_builds_each_conditioning_set_once():
     assert table.strata(["B", "E"]) is pair is table.strata(frozenset("BE"))
 
 
+def test_the_grid_makes_the_statements_the_constructor_makes():
+    # statement_grid skips the constructor's checks, not its result: the
+    # same statements, fields and all, in grid order
+    names = tuple("ABCDE")
+    checked = [
+        IndependenceStatement(x, y, given)
+        for x, y in itertools.combinations(names, 2)
+        for given in [(), *((w,) for w in names if w not in (x, y))]
+    ]
+    grid = list(statement_grid(names))
+    assert grid == checked
+    assert [vars(s) for s in grid] == [vars(s) for s in checked]
+
+
 def _shuffled_statements(rng: random.Random, columns):
     stmts = list(_statements(columns))
     rng.shuffle(stmts)

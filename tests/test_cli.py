@@ -1,7 +1,9 @@
 import ast
+import gc
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import teleo.model
+import teleo.teleology
 from teleo import __version__
 from teleo.reduction import build_reduction, project_reduction
 from teleo.render import render_table
@@ -29,6 +32,12 @@ VIOLATING_CSV = "W,H,T,B,count\n1,0,1,0,5\n0,1,1,1,5\n0,0,0,0,1\n"
 CHAIN_SPEC = (
     "var X in 0..1\nvar Y in 0..1\nvar Z in 0..1\nedge X -> Y\nedge Y -> Z\n"
     "mech Y = sum(X)\nmech Z = sum(Y)\ndo X\n"
+)
+# enumerating the effects of A, each goal on T alone closes the cycle A -> B -> T -> A
+SKIPPING_SPEC = (
+    "var U in 0..1\nvar A in 0..1\nvar B in 0..1\nvar T in 0..2\n"
+    "edge U -> A\nedge A -> B\nedge B -> T\nedge A -> T\n"
+    "mech A = sum(U)\nmech B = sum(A)\nmech T = sum(B, A)\ndo A\n"
 )
 
 
@@ -385,6 +394,27 @@ class TestBenchmarkInputs:
             "538f6cb88d62efca46aef0b4bc952570db8bfcab7d91cb6ef52d6a2353c2ef00"
         )
 
+    def test_finalize_runs_each_kernel_once_per_statement(self, tmp_path, monkeypatch):
+        # the identity the traced benchmark run checks: over n variables the
+        # grid has C(n,2)(n-1) statements, each with one d_separated and one
+        # uniform_independent call, as bound in teleo.teleology
+        calls = dict.fromkeys(("d_separated", "uniform_independent"), 0)
+        for name in calls:
+            kernel = getattr(teleo.teleology, name)
+
+            def counting(*args, _kernel=kernel, _name=name):
+                calls[_name] += 1
+                return _kernel(*args)
+
+            monkeypatch.setattr(teleo.teleology, name, counting)
+        args = BENCHMARK_GEN.GENERATORS["finalize_grid"](3).write(tmp_path)
+        result = run_cli("--json", *args)
+        n = len(json.loads(result.stdout)["result"]["columns"])
+        assert (result.exit_code, n) == (0, 18)
+        grid = math.comb(n, 2) * (n - 1)
+        assert calls == {"d_separated": grid, "uniform_independent": grid}
+        assert grid == 2601
+
     def test_the_reduction_checks_only_the_tables_it_makes(self, monkeypatch):
         # the pre-action copy G0, the intention, the action and the
         # post-action copy G1 are tabulated; no downstream mechanism of this
@@ -424,6 +454,61 @@ def _count_checks(monkeypatch) -> list[str]:
     check_table = teleo.model.check_table
     monkeypatch.setattr(teleo.model, "check_table", counting)
     return checked
+
+
+class TestCollector:
+    """Commands run with the cyclic collector paused (README, "The
+    collector"), which is only sound while no command leaves cyclic garbage
+    behind, and the pause must end with the command."""
+
+    @staticmethod
+    def commands(tmp_path) -> list[tuple[tuple[str, ...], int]]:
+        """Every command with its exit code: on the heating model, with and
+        without ``--json``, on the seed-3 benchmark inputs, on three errors
+        and on a spec whose enumeration skips candidates."""
+        (tmp_path / "warm.csv").write_text(WARM_CSV)
+        (tmp_path / "skipping.tele").write_text(SKIPPING_SPEC)
+        (tmp_path / "skipping.csv").write_text("U,A,B,T\n0,0,0,0\n1,1,1,2\n")
+        warm, skipping = str(tmp_path / "warm.csv"), str(tmp_path / "skipping.tele")
+        heating = [
+            (("worlds", SPEC), 0),
+            (("intervene", SPEC), 0),
+            (("finalize", SPEC, "--final", "warm"), 0),
+            (("distinguish", SPEC, "--final", "warm", "--final", "cheap"), 0),
+            (("identify", SPEC, warm), 0),
+            (("identify", SPEC, warm, "--enumerate", "--max-effects", "2"), 3),
+            (("reduce", SPEC, "--final", "warm"), 0),
+        ]
+        benchmark = [
+            (("--json", *BENCHMARK_GEN.GENERATORS[w](3).write(tmp_path / w)),
+             BENCHMARK_DIGESTS[w]["3"][0])
+            for w in sorted(BENCHMARK_GEN.GENERATORS)
+        ]
+        return [
+            *heating,
+            *((("--json", *argv), code) for argv, code in heating),
+            *benchmark,
+            (("worlds", str(tmp_path / "nowhere.tele")), 1),
+            (("finalize", SPEC, "--final", "nope"), 1),
+            # the dataset's columns are not the spec's variables
+            (("identify", skipping, warm, "--enumerate", "--max-effects", "2"), 1),
+            (("identify", skipping, str(tmp_path / "skipping.csv"), "--enumerate",
+              "--max-effects", "2"), 2),
+        ]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_no_command_leaves_cyclic_garbage(self, tmp_path, enabled):
+        commands = self.commands(tmp_path)
+        before = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for argv, code in commands:
+                gc.collect()
+                result = run_cli(*argv)
+                after = (result.exit_code, gc.collect(), gc.isenabled())
+                assert after == (code, 0, enabled), argv
+        finally:
+            (gc.enable if before else gc.disable)()
 
 
 class TestErrorHandling:
@@ -566,8 +651,10 @@ class TestErrorHandling:
             (CHAIN_SPEC.replace("do X\n", ""), ("--enumerate",),
              "spec declares no intervention to enumerate for"),
             (CHAIN_SPEC, (), "spec declares no final blocks; use --enumerate"),
+            (CHAIN_SPEC.replace("do X\n", "do Z\n"), ("--enumerate",),
+             "do(Z) has no descendants, so there are no goal hypotheses to enumerate"),
         ],
-        ids=["enumerate-without-do", "no-finals"],
+        ids=["enumerate-without-do", "no-finals", "enumerate-a-leaf"],
     )
     def test_identify_needs_candidates(self, tmp_path, spec, options, message):
         (tmp_path / "chain.tele").write_text(spec)

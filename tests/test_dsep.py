@@ -61,6 +61,17 @@ class TestBlockingRules:
         with pytest.raises(UnknownVariableError):
             d_separated(g, stmt("A", "Q"))
 
+    def test_unknown_variable_is_named_before_and_after_a_walk(self):
+        # the first unknown of x, y and Z is named, whether (x, Z) is walked
+        # for the query or was walked for an earlier one
+        g = dag("ABC", [("A", "B")])
+        for query, name in (("QR", "Q"), ("ARQ", "R"), ("AQ", "Q")):
+            with pytest.raises(UnknownVariableError, match=f"^unknown variable '{name}'$"):
+                d_separated(g, stmt(*query))
+        assert d_separated(g, stmt("A", "C"))
+        with pytest.raises(UnknownVariableError, match="^unknown variable 'Q'$"):
+            d_separated(g, stmt("A", "Q"))
+
 
 class TestOracleAgreement:
     def test_agrees_with_trail_enumeration_oracle(self):

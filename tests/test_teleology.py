@@ -214,29 +214,30 @@ class TestWorldTablesAreShared:
 
 class TestImpliedDependencies:
     def lookup(self, reports, x, y, given=frozenset()):
-        for r in reports:
-            if {r.statement.x, r.statement.y} == {x, y} and r.statement.given == given:
-                return r
+        """The (graph_separated, dist_independent) verdicts of one statement."""
+        for stmt, separated, independent in reports:
+            if {stmt.x, stmt.y} == {x, y} and stmt.given == given:
+                return separated, independent
         raise AssertionError("statement not reported")
 
     def test_temperature_goal_couples_weather_and_heating(self, finals):
         reports = implied_dependencies(finals["warm"])
-        r = self.lookup(reports, "W", "H")
-        assert not r.graph_separated  # chain W -> T -> do(H)
-        assert not r.dist_independent
+        separated, independent = self.lookup(reports, "W", "H")
+        assert not separated  # chain W -> T -> do(H)
+        assert not independent
 
     def test_bill_goal_decouples_weather_and_heating(self, finals):
         reports = implied_dependencies(finals["cheap"])
-        r = self.lookup(reports, "W", "H")
-        assert r.graph_separated  # W and H meet at the collider T
-        assert r.dist_independent
+        separated, independent = self.lookup(reports, "W", "H")
+        assert separated  # W and H meet at the collider T
+        assert independent
 
     def test_directed_chain_pair_is_dependent(self, finals):
         # W -> T -> do(H) -> B is a directed chain in the warm final dag
         reports = implied_dependencies(finals["warm"])
-        r = self.lookup(reports, "W", "B")
-        assert not r.graph_separated
-        assert not r.dist_independent
+        separated, independent = self.lookup(reports, "W", "B")
+        assert not separated
+        assert not independent
 
     def test_report_covers_all_pairs_and_singletons(self, finals):
         reports = implied_dependencies(finals["warm"])
