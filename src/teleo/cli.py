@@ -7,17 +7,26 @@ unique most-specific compatible hypothesis / none compatible / tied.
 
 ``--json`` swaps the human tables for one JSON document with stable keys
 ``command``, ``result`` and ``diagnostics``.
+
+The commands are one table: each ``@_command`` registration names its
+positionals and its ``_opt`` options, and ``_Cli.parse`` reads the command
+line from that table by hand, with argparse's grammar and ``error:`` lines.
+Global flags come before the command, and one ``--`` ends them.  After it,
+options and positionals mix, an option's value follows it or ``=``, a value
+starts with ``-`` only as a negative number, a repeated option keeps its
+last value, and ``--`` makes every later token positional.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import itertools
 import os
+import re
 import sys
 from operator import itemgetter
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Iterable
 
 from teleo import __version__
@@ -36,33 +45,155 @@ from teleo.teleology import (
 )
 
 
-class _Cli(argparse.ArgumentParser):
-    """Parser with uniform error handling: every failure is one ``error:``
-    line on standard error and exit code 1."""
+def _opt(flag: str, dest: str, help: str, kind: type = str, required: bool = False):
+    """An option: ``kind`` is ``str`` or ``int`` for a value, ``list`` for a
+    value appended at each use, ``bool`` for a flag."""
+    return flag, (dest, kind, required, help)
+
+
+_HELP = (None, bool, False, "show this help message and exit")
+# argparse's test for a token that is a negative number, so a value; re
+# compiles it on first use, which a command line of known options never is
+_NEGATIVE = r"^-\d+$|^-\d*\.\d+$"
+
+
+class _Cli:
+    """The command table and its parser."""
+
+    def __init__(self, description: str, *flags: tuple):
+        self.description = description
+        self.flags = {"-h": _HELP, "--help": _HELP, **dict(flags)}
+        self.commands: dict[str, tuple[Callable, list[str], dict[str, tuple]]] = {}
+
+    def command(self, *arguments):
+        """Register ``run(args) -> exit code`` as the command ``<run>`` taking
+        ``arguments``: its positionals' names, then its ``_opt`` options."""
+
+        def register(run: Callable[[SimpleNamespace], int | None]):
+            options = {"-h": _HELP, "--help": _HELP}
+            options.update(a for a in arguments if not isinstance(a, str))
+            positionals = [a for a in arguments if isinstance(a, str)]
+            self.commands[run.__name__] = (run, positionals, options)
+            return run
+
+        return register
 
     def error(self, message: str):
         sys.stderr.write(f"error: {message}\n")
         sys.exit(1)
 
+    def exit(self, text: str):
+        sys.stdout.write(text)
+        sys.exit(0)
+
+    def parse(self, argv: list[str], prog: str = "teleo") -> SimpleNamespace:
+        """The command of ``argv`` as its ``run`` function, with ``json`` and
+        the command's values by destination; help (naming the program
+        ``prog``), version and errors exit."""
+        head = list(itertools.takewhile(lambda t: t[:1] == "-" and t != "--", argv))
+        for token in head:
+            if token not in self.flags:
+                self.error(f"unrecognized arguments: {token}")
+        for token in head:  # the first of help and version acts
+            if token != "--json":
+                version = f"teleo, version {__version__}\n"
+                self.exit(version if token == "--version" else self.help(prog))
+        rest = argv[len(head):]
+        rest = rest[rest[:1] == ["--"]:]  # one "--" ends the flags
+        if rest[-1:] == ["--"] and "--" not in rest[:-1]:  # a final "--" ends nothing
+            rest.pop()
+        if not rest:
+            self.error("the following arguments are required: COMMAND")
+        if rest[0] not in self.commands:
+            choices = ", ".join(map(repr, self.commands))
+            self.error(f"argument COMMAND: invalid choice: {rest[0]!r} "
+                       f"(choose from {choices})")
+        run, positionals, options = self.commands[rest[0]]
+        args = {"json": "--json" in head, "run": run}
+        for dest, kind, _, _ in options.values():
+            if dest:
+                args[dest] = kind() if kind in (list, bool) else None
+        tokens = rest[1:]
+        end = tokens.index("--") if "--" in tokens else len(tokens)  # then all positional
+        shapes = [self._shape(token, options) for token in tokens[:end]]
+        free, extras, seen, beside, steps = [], [], set(), -1, enumerate(tokens)
+        for j, token in steps:
+            flag, value = shapes[j] if j < end else (None, None)
+            if j == end:  # this "--" goes with a positional right before it or to come
+                if beside != j - 1 and len(free) == len(positionals):
+                    extras.append(token)
+            elif flag is None and len(free) < len(positionals):
+                free.append(token)
+                beside = j
+            elif flag not in options:
+                extras.append(token)
+            else:
+                dest, kind, _, _ = options[flag]
+                if dest is None and flag == "-h" and value:  # "-hh" is "-h -h"
+                    value = value.lstrip("h") or None
+                if kind is bool and value is not None:
+                    name = flag if dest else "-h/--help"
+                    self.error(f"argument {name}: ignored explicit argument {value!r}")
+                if dest is None:
+                    self.exit(self.help(prog, rest[0]))
+                if kind is not bool and value is None:
+                    j, value = next(steps, (end, None))
+                    if j == end or j < end and shapes[j][0] is not None:
+                        self.error(f"argument {flag}: expected one argument")
+                try:
+                    value = True if kind is bool else int(value) if kind is int else value
+                except ValueError:
+                    self.error(f"argument {flag}: invalid int value: {value!r}")
+                args[dest] = [*args[dest], value] if kind is list else value
+                seen.add(flag)
+        missing = positionals[len(free):]
+        missing += [flag for flag, (_, _, required, _) in options.items()
+                    if required and flag not in seen]
+        if missing:
+            self.error(f"the following arguments are required: {', '.join(missing)}")
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return SimpleNamespace(**args, **dict(zip(map(str.lower, positionals), free)))
+
+    @staticmethod
+    def _shape(token: str, options: dict) -> tuple[str | None, str | None]:
+        """``(flag, value given with it)`` for a token that is an option,
+        known or not, or ``(None, None)`` for a positional.  No option is
+        abbreviated, and the short ``-h`` takes a value attached."""
+        flag, eq, value = token.partition("=")
+        if token in options or eq and flag in options:
+            return flag, value if eq else None
+        if token.startswith("-h"):
+            return "-h", token[2:]
+        if token[:1] != "-" or token == "-" or " " in token or re.match(_NEGATIVE, token):
+            return None, None
+        return token, None
+
+    def help(self, prog: str, name: str | None = None) -> str:
+        """The usage and arguments of the command ``name``, or of the program
+        ``prog``."""
+        if name is None:
+            about, positionals, options = self.description, ["COMMAND ..."], self.flags
+            rows = [(n, c[0].__doc__.splitlines()[0]) for n, c in self.commands.items()]
+        else:
+            run, positionals, options = self.commands[name]
+            about, rows = run.__doc__, [(p, "") for p in positionals]
+        labels = {flag: flag if kind is bool else f"{flag} {dest.upper()}"
+                  for flag, (dest, kind, _, _) in options.items() if dest}
+        usage = ["usage:", prog, *([name] if name else []), "[-h]"]
+        usage += [label if options[f][2] else f"[{label}]" for f, label in labels.items()]
+        rows += [("-h, --help", _HELP[3]), *((labels[f], options[f][3]) for f in labels)]
+        width = max(len(label) for label, _ in rows) + 2
+        rows = [f"  {label:{width}}{text}".rstrip() for label, text in rows]
+        about = [line.strip() for line in about.strip().splitlines()]
+        usage = " ".join(usage + positionals)
+        return "\n".join([usage, "", *about, "", "arguments:", *rows, ""])
+
     def main(self, args=None, prog_name=None):
         """Run the command line ``args`` (default ``sys.argv[1:]``) and exit
         with the command's code; ``prog_name`` names the program in help."""
-        self.prog = prog_name or self.prog
         argv = sys.argv[1:] if args is None else list(args)
-        # name an unknown option before the command, not the value after it;
-        # a "--" there ends the options (argparse would take it as the command)
-        for i, token in enumerate(argv):
-            if token == "--":
-                del argv[i]
-            if token == "--" or not token.startswith("-"):
-                break
-            if token not in self._option_string_actions:
-                self.error(f"unrecognized arguments: {token}")
-        # a final "--" ends no options, but argparse refuses it after an
-        # option's value; it is a positional only after an earlier "--"
-        if argv[-1:] == ["--"] and "--" not in argv[:-1]:
-            argv.pop()
-        parsed = self.parse_args(argv)
+        parsed = self.parse(argv, prog_name or "teleo")
         # a command's containers live until it exits, so the cyclic
         # collector would only scan them (README, "The collector")
         enabled = gc.isenabled()
@@ -76,30 +207,10 @@ class _Cli(argparse.ArgumentParser):
                 gc.enable()
 
 
-cli = _Cli("teleo", allow_abbrev=False,
-           description="Teleological analysis of discrete causal models.")
-cli.add_argument("--version", action="version", version=f"teleo, version {__version__}")
-cli.add_argument("--json", action="store_true", help="Emit one JSON document.")
-_commands = cli.add_subparsers(metavar="COMMAND", required=True)
-
-
-def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
-    return flags, options
-
-
-def _command(*arguments: tuple[tuple[str, ...], dict]):
-    """Register ``run(args) -> exit code`` as the command ``<run> SPEC arguments``."""
-
-    def register(run: Callable[[argparse.Namespace], int | None]):
-        sub = _commands.add_parser(run.__name__, description=run.__doc__,
-                                   help=run.__doc__.splitlines()[0], allow_abbrev=False)
-        sub.add_argument("spec", metavar="SPEC")
-        for flags, options in arguments:
-            sub.add_argument(*flags, **options)
-        sub.set_defaults(run=run)
-        return run
-
-    return register
+cli = _Cli("Teleological analysis of discrete causal models.",
+           _opt("--version", "version", "show program's version number and exit", bool),
+           _opt("--json", "json", "Emit one JSON document.", bool))
+_command = cli.command
 
 
 def _read(path: str, what: str) -> str:
@@ -157,20 +268,20 @@ def _table_text(table: WorldTable) -> str:
 
 def _statements(keys: tuple[str, ...], rows: Iterable[tuple]) -> Records:
     """Rows of ``(statement, *verdicts)`` as records of x, y, given and
-    ``keys``.  Each conditioning set is sorted once, into one list that all
-    its rows share."""
-    given: dict[frozenset[str], list[str]] = {}
+    ``keys``.  Each conditioning set is sorted once, into one tuple that all
+    its rows share and that is written as a JSON list."""
+    given: dict[frozenset[str], tuple[str, ...]] = {}
     records = []
     for row in rows:
         s = row[0]
         names = given.get(s.given)
         if names is None:
-            names = given[s.given] = sorted(s.given)
+            names = given[s.given] = tuple(sorted(s.given))
         records.append((s.x, s.y, names) + row[1:])
     return Records(("x", "y", "given", *keys), records)
 
 
-@_command()
+@_command("SPEC")
 def worlds(args):
     """Print every world consistent with the model."""
     compiled = _load_spec(args.spec)
@@ -178,7 +289,7 @@ def worlds(args):
     _emit(args, "worlds", lambda: _table_result(table), lambda: _table_text(table))
 
 
-@_command(_arg("--do", dest="target", help="Variable to intervene on."))
+@_command("SPEC", _opt("--do", "target", "Variable to intervene on."))
 def intervene(args):
     """Print the worlds of the model after surgery on one variable."""
     compiled = _load_spec(args.spec)
@@ -198,7 +309,7 @@ def _require_final(compiled: CompiledSpec, name: str):
     return compiled.finals[name]
 
 
-@_command(_arg("--final", dest="name", required=True, help="Final block to evaluate."))
+@_command("SPEC", _opt("--final", "name", "Final block to evaluate.", required=True))
 def finalize(args):
     """Print a goal hypothesis's compatible worlds and implied (in)dependence."""
     compiled = _load_spec(args.spec)
@@ -242,10 +353,7 @@ def finalize(args):
     _emit(args, "finalize", result, human)
 
 
-@_command(
-    _arg("--final", dest="names", action="append", default=[],
-         help="Name two final blocks."),
-)
+@_command("SPEC", _opt("--final", "names", "Name two final blocks.", list))
 def distinguish(args):
     """Can two goal hypotheses be told apart from observational data?"""
     if len(args.names) != 2:
@@ -281,11 +389,12 @@ def distinguish(args):
 
 
 @_command(
-    _arg("data", metavar="DATA"),
-    _arg("--enumerate", dest="enumerate_all", action="store_true",
-         help="Rank enumerated hypotheses instead of declared finals."),
-    _arg("--max-effects", type=int,
-         help="Largest intended-effect set when enumerating (default: 1)."),
+    "SPEC",
+    "DATA",
+    _opt("--enumerate", "enumerate_all",
+         "Rank enumerated hypotheses instead of declared finals.", bool),
+    _opt("--max-effects", "max_effects",
+         "Largest intended-effect set when enumerating (default: 1).", int),
 )
 def identify(args):
     """Rank goal hypotheses against observed data.
@@ -385,10 +494,10 @@ def identify(args):
 
 
 @_command(
-    _arg("--final", dest="name", required=True, help="Final block to reduce."),
-    _arg("--rest", dest="rest_level", type=int,
-         help="Action level of the pre-action state "
-         "(default: declared rest, else the domain minimum)."),
+    "SPEC",
+    _opt("--final", "name", "Final block to reduce.", required=True),
+    _opt("--rest", "rest_level", "Action level of the pre-action state "
+         "(default: declared rest, else the domain minimum).", int),
 )
 def reduce(args):
     """Build the purely causal counterpart of a final model and compare."""

@@ -4,8 +4,7 @@ tables and the ``--json`` document writer."""
 from __future__ import annotations
 
 import itertools
-import json
-from json.encoder import encode_basestring_ascii as _quote
+from _json import encode_basestring_ascii as _quote  # json.encoder's own
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -37,9 +36,11 @@ class Records:
         return len(self.rows)
 
 
-def render_json(doc: object) -> str:
-    """Exactly ``json.dumps(doc, indent=2, sort_keys=True)``, with each
-    ``Records`` written as its list of dicts, but faster.
+def json_chunks(value: object, level: int = 0) -> Iterator[str]:
+    """Exactly ``json.dumps(value, indent=2, sort_keys=True)``, with each
+    ``Records`` written as its list of dicts, but faster, in pieces written
+    at indent ``level``: each member of a dict on its own, and any other
+    value in one piece.
 
     CPython serves an indented ``json.dumps`` with its pure-Python encoder,
     one call per value.  The documents here are mostly tables (``Records``
@@ -49,12 +50,6 @@ def render_json(doc: object) -> str:
     named here goes to ``json.dumps``, which also raises its ``TypeError``
     for a value JSON cannot hold.
     """
-    return "".join(json_chunks(doc))
-
-
-def json_chunks(value: object, level: int = 0) -> Iterator[str]:
-    """``render_json(value)`` in pieces, written at indent ``level``: each
-    member of a dict on its own, and any other value in one piece."""
     if not isinstance(value, dict) or not value:
         yield _encode(value, level)
         return
@@ -89,6 +84,7 @@ def _encode(value: object, level: int) -> str:
         if rows is None:
             rows = [_encode(v, level + 1) for v in value]
         return _wrap("[]", rows, level)
+    import json  # only the two fallbacks need it, so start-up does without it
     return json.dumps(value)
 
 
@@ -110,6 +106,7 @@ def _key(key: object) -> str:
                 "keys must be str, int, float, bool or None, "
                 f"not {type(key).__name__}"
             )
+        import json
         key = json.dumps(key)
     return _quote(key)
 
@@ -124,32 +121,38 @@ def _table(items: Sequence[object], level: int) -> list[str] | None:
         order = sorted(range(len(keys)), key=keys.__getitem__)
         # a key is template text, so its own % signs are escaped
         labels = [_quote(keys[i]).replace("%", "%%") + ": " for i in order]
-        pick = itemgetter(*order)  # one key picks a bare value, zip makes it a row
-        rows = map(pick, items.rows) if len(order) > 1 else zip(map(pick, items.rows))
-        return _rows(labels, rows, "{}", level)
+        return _rows(labels, items.rows, "{}", level, order)
     if type(items[0]) not in (list, tuple) or len(set(map(type, items))) != 1:
         return None
     if len(set(map(len, items))) != 1 or not items[0]:
         return None
-    return _rows([""] * len(items[0]), map(tuple, items), "[]", level)
+    return _rows([""] * len(items[0]), items, "[]", level)
 
 
 def _rows(
-    labels: list[str], rows: Iterable[tuple], brackets: str, level: int
+    labels: list[str], rows: Sequence[Sequence], brackets: str, level: int,
+    order: list[int] | None = None,
 ) -> list[str]:
-    """Each of ``rows``, a tuple of values aligned with ``labels`` (a quoted
-    key and ": ", or ""), written in ``brackets`` at indent ``level`` through
-    one template: ``%d`` for a column of plain ints (bools are not ints
-    here), else ``%s`` and the column encoded by ``_column``."""
-    rows = list(rows)
+    """Each of ``rows``, whose values (those at the indices ``order``, if
+    given) align with ``labels`` (a quoted key and ": ", or ""), written in
+    ``brackets`` at indent ``level`` through one template: ``%d`` for a
+    column of plain ints (bools are not ints here), else ``%s`` and the
+    column encoded by ``_column``."""
     kinds = set(map(type, rows[0]))  # a first row of other types spares the scan
-    if kinds == {int}:
+    if kinds == {int}:  # picked first, so the scan and the template read fresh rows
+        if order is None:
+            rows = list(map(tuple, rows))
+        else:  # one index picks a bare value, zip makes it a row
+            pick = itemgetter(*order)
+            rows = list(map(pick, rows) if len(order) > 1 else zip(map(pick, rows)))
+        order = None
         kinds = set(map(type, itertools.chain.from_iterable(rows)))
     if kinds == {int}:
         fields = [label + "%d" for label in labels]
     else:
-        fields, columns = [], []
-        for label, column in zip(labels, zip(*rows)):
+        fields, columns, source = [], [], list(zip(*rows))  # one transpose
+        for label, column in zip(labels, source if order is None else
+                                 map(source.__getitem__, order)):
             kinds = set(map(type, column))
             ints = kinds == {int}
             fields.append(label + ("%d" if ints else "%s"))
@@ -177,7 +180,7 @@ def _column(column: Sequence[object], kinds: set[type], level: int) -> list[str]
     elif kinds <= {list, tuple} and (
         set(map(type, itertools.chain.from_iterable(column))) <= _KEYABLE
     ):
-        keys = list(map(tuple, column))
+        keys = list(map(tuple, column)) if list in kinds else column
     else:
         return [_encode(v, level) for v in column]
     written = {key: _encode(key, level) for key in set(keys)}

@@ -41,20 +41,34 @@ each row went through one template: every cell made a string and padded on
 its own.
 
 ``run_cli`` runs the ``teleo`` command line in-process and captures what it
-writes.
+writes.  The command-line oracle is the argparse parser ``teleo.cli`` had
+before it parsed its command table by hand: the same global flags, the same
+six commands and options, and the same scan before the command.  It departs
+from argparse in one place, on purpose: argparse strips a literal ``--``
+given as a value (``--final=--``, or a positional's own ``--`` token) into
+an empty list, on which every command crashed; the oracle keeps the ``--``,
+as the hand parser does.  ``cli_outcome`` runs either parser's parse step
+and captures its exit, output and values.
+
+``render_json`` is the writer oracle's entry point: the whole ``--json``
+document as one string, which the command line writes piece by piece
+with ``json_chunks``.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import itertools
 import operator
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+from teleo import __version__
 from teleo.cli import cli
 from teleo.model import (
     CausalDag,
@@ -77,6 +91,7 @@ from teleo.errors import (
 )
 from teleo.identification import DependenceCheck
 from teleo.intervention import do_surgery
+from teleo.render import json_chunks
 from teleo.teleology import Comparison, GoalPredicate, build_final_model
 
 NAMES = tuple("ABCDEFGH")
@@ -102,6 +117,136 @@ def run_cli(*argv: str) -> CliRun:
         except SystemExit as exc:
             return CliRun(exc.code, out.getvalue(), err.getvalue())
     raise AssertionError("teleo returned instead of exiting")
+
+
+def render_json(doc: object) -> str:
+    """Exactly ``json.dumps(doc, indent=2, sort_keys=True)``, with each
+    ``Records`` written as its list of dicts: the pieces of ``json_chunks``
+    joined."""
+    return "".join(json_chunks(doc))
+
+
+class _Cli(argparse.ArgumentParser):
+    """Parser with uniform error handling: every failure is one ``error:``
+    line on standard error and exit code 1."""
+
+    def error(self, message: str):
+        sys.stderr.write(f"error: {message}\n")
+        sys.exit(1)
+
+    def parse(self, args):
+        """The namespace of the command line ``args``: ``main`` up to the
+        command's run."""
+        argv = list(args)
+        # name an unknown option before the command, not the value after it;
+        # a "--" there ends the options (argparse would take it as the command)
+        for i, token in enumerate(argv):
+            if token == "--":
+                del argv[i]
+            if token == "--" or not token.startswith("-"):
+                break
+            if token not in self._option_string_actions:
+                self.error(f"unrecognized arguments: {token}")
+        # a final "--" ends no options, but argparse refuses it after an
+        # option's value; it is a positional only after an earlier "--"
+        if argv[-1:] == ["--"] and "--" not in argv[:-1]:
+            argv.pop()
+        return self.parse_args(argv)
+
+    def _get_values(self, action, arg_strings):
+        # a literal "--" value stays "--", not argparse's empty list
+        if action.nargs is None and arg_strings == ["--"]:
+            return self._get_value(action, "--")
+        return super()._get_values(action, arg_strings)
+
+
+def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
+    return flags, options
+
+
+def _cli_oracle() -> _Cli:
+    cli = _Cli("teleo", allow_abbrev=False,
+               description="Teleological analysis of discrete causal models.")
+    cli.add_argument("--version", action="version", version=f"teleo, version {__version__}")
+    cli.add_argument("--json", action="store_true", help="Emit one JSON document.")
+    _commands = cli.add_subparsers(metavar="COMMAND", required=True)
+
+    def _command(*arguments: tuple[tuple[str, ...], dict]):
+        """Register ``run(args) -> exit code`` as the command ``<run> SPEC arguments``."""
+
+        def register(run):
+            sub = _commands.add_parser(run.__name__, description=run.__doc__,
+                                       help=run.__doc__.splitlines()[0], allow_abbrev=False)
+            sub.add_argument("spec", metavar="SPEC")
+            for flags, options in arguments:
+                sub.add_argument(*flags, **options)
+            sub.set_defaults(run=run)
+            return run
+
+        return register
+
+    @_command()
+    def worlds(args):
+        """Print every world consistent with the model."""
+
+    @_command(_arg("--do", dest="target", help="Variable to intervene on."))
+    def intervene(args):
+        """Print the worlds of the model after surgery on one variable."""
+
+    @_command(_arg("--final", dest="name", required=True, help="Final block to evaluate."))
+    def finalize(args):
+        """Print a goal hypothesis's compatible worlds and implied (in)dependence."""
+
+    @_command(
+        _arg("--final", dest="names", action="append", default=[],
+             help="Name two final blocks."),
+    )
+    def distinguish(args):
+        """Can two goal hypotheses be told apart from observational data?"""
+
+    @_command(
+        _arg("data", metavar="DATA"),
+        _arg("--enumerate", dest="enumerate_all", action="store_true",
+             help="Rank enumerated hypotheses instead of declared finals."),
+        _arg("--max-effects", type=int,
+             help="Largest intended-effect set when enumerating (default: 1)."),
+    )
+    def identify(args):
+        """Rank goal hypotheses against observed data."""
+
+    @_command(
+        _arg("--final", dest="name", required=True, help="Final block to reduce."),
+        _arg("--rest", dest="rest_level", type=int,
+             help="Action level of the pre-action state "
+             "(default: declared rest, else the domain minimum)."),
+    )
+    def reduce(args):
+        """Build the purely causal counterpart of a final model and compare."""
+
+    return cli
+
+
+cli_oracle = _cli_oracle()
+
+
+@dataclass(frozen=True)
+class CliOutcome:
+    exit_code: int | None
+    stdout: str
+    stderr: str
+    values: dict | None  # the parsed values, the command by name; None on exit
+
+
+def cli_outcome(parse, argv) -> CliOutcome:
+    """What ``parse(argv)`` does: its exit and output, or its values."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parsed = parse(list(argv))
+        except SystemExit as exc:
+            return CliOutcome(exc.code, out.getvalue(), err.getvalue(), None)
+    values = {**vars(parsed), "run": parsed.run.__name__}
+    return CliOutcome(None, out.getvalue(), err.getvalue(), values)
 
 
 @dataclass(frozen=True)
@@ -741,6 +886,9 @@ __all__ = [
     "verify_mechanism_consistency",
     "value_sets",
     "render_table_oracle",
+    "render_json",
+    "cli_oracle",
+    "cli_outcome",
     "enumerate_worlds",
 ]
 

@@ -2,9 +2,11 @@ import ast
 import gc
 import hashlib
 import importlib.util
+import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -15,11 +17,12 @@ import pytest
 import teleo.model
 import teleo.teleology
 from teleo import __version__
+from teleo.cli import cli
 from teleo.reduction import build_reduction, project_reduction
 from teleo.render import render_table
 from teleo.speclang import load_model, print_model
 
-from support import run_cli
+from support import cli_oracle, cli_outcome, run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = str(ROOT / "models" / "heating.tele")
@@ -281,6 +284,14 @@ class TestJsonMode:
             # unconditional pair checks have one stratum, which the data
             # shows, so every skipped_strata list is present and empty
             assert checks and all(c["skipped_strata"] == [] for c in checks)
+
+    def test_no_command_imports_json(self, tmp_path, monkeypatch):
+        # the writer imports json only for a value or a key of a type that
+        # no command writes, so a blocked import fails no command
+        commands = TestCollector.commands(tmp_path)
+        monkeypatch.setitem(sys.modules, "json", None)
+        for argv, code in commands:
+            assert run_cli(*argv).exit_code == code, argv
 
     def test_json_never_builds_the_human_text(self, monkeypatch, tmp_path):
         def refuse(*args, **kwargs):
@@ -750,37 +761,37 @@ class TestGlobalFlags:
         assert result.stderr == "error: unrecognized arguments: --\n"
 
 
+USAGE_ERRORS = [
+    pytest.param((), "COMMAND", id="bare"),
+    pytest.param(("frobnicate", SPEC), "'frobnicate'", id="unknown-command"),
+    pytest.param(("worlds",), "SPEC", id="missing-spec"),
+    pytest.param(("finalize", SPEC), "--final", id="missing-final"),
+    pytest.param(("--seed", "7", "worlds", SPEC), "--seed", id="seed-before-command"),
+    pytest.param(("--js", "worlds", SPEC), "--js", id="abbreviated-json"),
+    pytest.param(("identify", SPEC, "obs.csv", "--max", "2"), "--max",
+                 id="abbreviated-max-effects"),
+    pytest.param(("worlds", SPEC, "--json"), "--json", id="json-after-command"),
+    pytest.param(("identify", SPEC, "obs.csv", "--max-effects", "abc"), "'abc'",
+                 id="max-effects-not-int"),
+    pytest.param(("reduce", SPEC, "--final", "warm", "--rest", "x"), "'x'",
+                 id="rest-not-int"),
+    pytest.param(("worlds", SPEC, "extra"), "extra", id="extra-positional"),
+    pytest.param(("identify", SPEC, "obs.csv", "--max-effects", "3"),
+                 "error: --max-effects needs --enumerate",
+                 id="max-effects-without-enumerate"),
+    pytest.param(("identify", SPEC, "obs.csv", "--enumerate", "--max-effects", "0"),
+                 "error: --max-effects must be at least 1", id="max-effects-below-one"),
+]
+HELP = [("--help",), ("-h",), ("identify", "--help")]
+# the argparse oracle's command parsers by name
+ORACLE_COMMANDS = cli_oracle._subparsers._group_actions[0].choices
+
+
 class TestUsageErrors:
     """Every usage error is one ``error:`` line on standard error, naming
     the offending token where there is one, and exit code 1."""
 
-    @pytest.mark.parametrize(
-        "args, named",
-        [
-            ((), "COMMAND"),
-            (("frobnicate", SPEC), "'frobnicate'"),
-            (("worlds",), "SPEC"),
-            (("finalize", SPEC), "--final"),
-            (("--seed", "7", "worlds", SPEC), "--seed"),
-            (("--js", "worlds", SPEC), "--js"),
-            (("identify", SPEC, "obs.csv", "--max", "2"), "--max"),
-            (("worlds", SPEC, "--json"), "--json"),
-            (("identify", SPEC, "obs.csv", "--max-effects", "abc"), "'abc'"),
-            (("reduce", SPEC, "--final", "warm", "--rest", "x"), "'x'"),
-            (("worlds", SPEC, "extra"), "extra"),
-            (("identify", SPEC, "obs.csv", "--max-effects", "3"),
-             "error: --max-effects needs --enumerate"),
-            (("identify", SPEC, "obs.csv", "--enumerate", "--max-effects", "0"),
-             "error: --max-effects must be at least 1"),
-        ],
-        ids=[
-            "bare", "unknown-command", "missing-spec", "missing-final",
-            "seed-before-command", "abbreviated-json", "abbreviated-max-effects",
-            "json-after-command", "max-effects-not-int", "rest-not-int",
-            "extra-positional", "max-effects-without-enumerate",
-            "max-effects-below-one",
-        ],
-    )
+    @pytest.mark.parametrize("args, named", USAGE_ERRORS)
     def test_one_line_and_exit_one(self, args, named):
         result = run_cli(*args)
         assert result.exit_code == 1
@@ -789,12 +800,161 @@ class TestUsageErrors:
         assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
         assert named in result.stderr
 
-    @pytest.mark.parametrize("args", [("--help",), ("-h",), ("identify", "--help")])
+    @pytest.mark.parametrize("args", HELP)
     def test_help_prints_usage_and_exits_zero(self, args):
         result = run_cli(*args)
         assert result.exit_code == 0
         assert result.stdout.startswith("usage: teleo")
         assert result.stderr == ""
+
+    def test_help_names_every_command(self):
+        result = run_cli("--help")
+        assert (result.exit_code, result.stderr) == (0, "")
+        for name, parser in ORACLE_COMMANDS.items():
+            summary = parser.description.splitlines()[0]
+            assert f"  {name}" in result.stdout and summary in result.stdout, name
+
+    def test_a_command_s_help_names_its_arguments(self):
+        for name, parser in ORACLE_COMMANDS.items():
+            result = run_cli(name, "--help")
+            assert (result.exit_code, result.stderr) == (0, ""), name
+            assert result.stdout.startswith(f"usage: teleo {name} "), name
+            for action in parser._actions:
+                if action.option_strings:
+                    assert action.option_strings[-1] in result.stdout, (name, action)
+                    assert action.help in result.stdout, (name, action)
+                else:
+                    assert f"  {action.metavar}\n" in result.stdout, (name, action)
+
+
+# the rows of TestUsageErrors and TestGlobalFlags, then the grammar's corners:
+# options before and after positionals, "=" values, negative numbers,
+# repeated options and "--" in each position
+PARSER_ROWS = [
+    *(param.values[0] for param in USAGE_ERRORS),
+    *HELP,
+    ("--version",), ("--json", "--version", "--seed"), ("--version", "-h"),
+    ("--json", "--", "worlds", SPEC),
+    *(args + ("--",) for args in [
+        ("finalize", SPEC, "--final", "warm"),
+        ("--json", "finalize", SPEC, "--final", "warm"),
+        ("distinguish", SPEC, "--final", "warm", "--final", "cheap"),
+        ("worlds", SPEC),
+    ]),
+    ("worlds", "--", SPEC), ("finalize", "--final", "warm", "--", "--"),
+    ("worlds", SPEC, "--", "--"),
+    ("finalize", "--final", "warm", SPEC), ("finalize", SPEC, "--final=warm"),
+    ("identify", "--enumerate", SPEC, "--max-effects=2", "obs.csv"),
+    ("identify", SPEC, "--max-effects", "2", "obs.csv", "--enumerate"),
+    ("reduce", SPEC, "--final", "warm", "--rest", "-1"),
+    ("reduce", SPEC, "--final", "warm", "--rest", "-1.5"),
+    ("reduce", SPEC, "--final", "warm", "--rest", "-x"),
+    ("intervene", SPEC, "--do", "-1"), ("intervene", SPEC, "--do", "-a b"),
+    ("finalize", SPEC, "--final", "warm", "--final", "cheap"),
+    ("reduce", SPEC, "--final", "a", "--rest", "1", "--rest", "2", "--final", "b"),
+    ("distinguish", SPEC, "--final", "warm", "--final=cheap", "--final", "x"),
+    ("identify", SPEC, "obs.csv", "--enumerate=x"),
+    ("identify", SPEC, "obs.csv", "--enumerate", "--enumerate"),
+    ("worlds", "-"), ("-", "worlds", SPEC), ("--", "-", SPEC), ("worlds", "-", "-"),
+    ("--",), ("--", "--"), ("--", "--", "worlds", SPEC), ("--json", "--"),
+    ("worlds", "--"), ("worlds", "--", "--"), ("worlds", "--", "--", "--"),
+    ("finalize", SPEC, "--final", "--"), ("finalize", SPEC, "--", "--final", "warm"),
+    ("finalize", SPEC, "--final=--"), ("identify", SPEC, "--", "--"),
+    ("identify", "--", SPEC, "obs.csv"), ("identify", SPEC, "--", "obs.csv", "x"),
+    ("reduce", SPEC, "--final", "warm", "--rest=--"),
+    ("finalize", SPEC, "--final="), ("finalize", SPEC, "--final=a=b"),
+    ("finalize", SPEC, "--final"), ("finalize", SPEC, "--final", "--json"),
+    ("worlds", SPEC, "--final", "warm"), ("worlds", SPEC, "-x", "a", "--y=1"),
+    ("worlds", "-hx"), ("worlds", "-hh"), ("worlds", "-h="), ("worlds", "-h=h"),
+    ("worlds", "--help=x"), ("worlds", SPEC, "extra", "-h"),
+    ("identify", SPEC, "--max-effects", "abc", "-h"), ("worlds", "", ""),
+    ("finalize", "--final", "a b", "-a b"), ("worlds", "-1\n"),
+]
+
+_BEFORE = ["--json", "--json", "--", "--version", "-h", "--seed", "-1", "-", "--json=1"]
+_COMMAND = [*ORACLE_COMMANDS] * 3 + [
+    "frobnicate", "--", "-x", "-1", "",
+]
+_AFTER = [
+    "m.tele", "obs.csv", "warm", "x", "2", "0", "-1", "-1.5", "-", "--", "--",
+    "--final", "--final", "--final=cheap", "--final=", "--final=--", "--do", "--do=H",
+    "--enumerate", "--enumerate=x", "--max-effects", "--max-effects=abc",
+    "--max-effects=2", "--rest", "--rest=-2", "--max", "--fin", "--json", "--version",
+    "-x", "-a b", "", "-h", "--help", "-hx", "-hh", "-h=", "--help=x", "-e1",
+]
+
+
+def random_argv(rng: random.Random) -> tuple[str, ...]:
+    """Global tokens, a command and its tokens, each drawn from an alphabet."""
+    argv = [rng.choice(_BEFORE) for _ in range(rng.choice([0, 0, 0, 1, 2]))]
+    if rng.random() < 0.95:
+        argv.append(rng.choice(_COMMAND))
+    argv += [rng.choice(_AFTER) for _ in range(rng.randint(0, 6))]
+    return tuple(argv)
+
+
+def _option_after_a_leading_dash_dash(argv) -> str | None:
+    """The token after a ``--`` that ends the global flags, if argparse takes
+    it for an option.  The oracle's scan deletes that ``--``, so argparse
+    read the token as a global flag (``teleo -- --version`` printed the
+    version); the hand parser takes it for the command."""
+    flags = list(itertools.takewhile(lambda t: t.startswith("-") and t != "--", argv))
+    rest = argv[len(flags):]
+    if set(flags) <= {"--json"} and rest[:1] == ("--",) and rest[1:2] != ("--",):
+        if rest[1:] and cli_oracle._parse_optional(rest[1]) is not None:
+            return rest[1]
+    return None
+
+
+def assert_parsed_as_the_oracle_parses(argv) -> None:
+    """The hand parser exits as the argparse oracle does, with the same
+    code and ``error:`` line, or gives the same values.  Help is compared by
+    its exit code, its stream and its ``usage: teleo`` prefix."""
+    new = cli_outcome(cli.parse, argv)
+    command = _option_after_a_leading_dash_dash(argv)
+    if command is not None:
+        assert (new.exit_code, new.stdout) == (1, ""), argv
+        assert new.stderr.startswith(
+            f"error: argument COMMAND: invalid choice: {command!r} (choose from "
+        ), argv
+        return
+    old = cli_outcome(cli_oracle.parse, argv)
+    if old.exit_code == 0 and old.stdout.startswith("usage: teleo"):
+        assert (new.exit_code, new.stdout[:12], new.stderr) == (0, "usage: teleo", ""), argv
+    else:
+        assert new == old, argv
+
+
+class TestParser:
+    """The hand parser against the argparse parser it replaced, kept in
+    ``tests/support.py`` as the command-line oracle.  Only the parse steps
+    run; no command does."""
+
+    @pytest.mark.parametrize(
+        "argv", PARSER_ROWS,
+        ids=lambda argv: " ".join("SPEC" if t == SPEC else t or "''" for t in argv) or "()",
+    )
+    def test_rows_parse_as_the_oracle_parses(self, argv):
+        assert_parsed_as_the_oracle_parses(argv)
+
+    def test_random_command_lines_parse_as_the_oracle_parses(self):
+        rng = random.Random(26)
+        for _ in range(500):
+            assert_parsed_as_the_oracle_parses(random_argv(rng))
+
+    @pytest.mark.parametrize("token", ["--version", "--json", "-h", "--seed", "--json=1"])
+    def test_a_leading_dash_dash_makes_the_next_token_the_command(self, token):
+        result = run_cli("--", token, "worlds", SPEC)
+        assert (result.exit_code, result.stdout) == (1, "")
+        assert result.stderr.startswith(f"error: argument COMMAND: invalid choice: '{token}'")
+
+    def test_a_literal_dash_dash_value_is_kept(self):
+        parsed = cli.parse(["identify", SPEC, "--", "--"])
+        assert (parsed.spec, parsed.data) == (SPEC, "--")
+        assert cli.parse(["distinguish", SPEC, "--final=--"]).names == ["--"]
+        result = run_cli("finalize", SPEC, "--final=--")
+        assert result.exit_code == 1
+        assert result.stderr.startswith("error: no final block '--' (warm, ")
 
 
 TELEO = ("-m", "teleo.cli")
@@ -870,6 +1030,17 @@ class TestProcess:
             "import sys; before = set(sys.modules); import teleo.cli; "
             "new = set(sys.modules) - before; "
             "print(sorted(new & {'dataclasses', 'inspect', 'fractions', 'heapq'}))"
+        )
+        assert self.run("-c", code) == (0, "[]\n", "")
+
+    def test_the_command_line_parses_without_argparse_or_json(self):
+        # the command table is parsed by hand and the writer quotes strings
+        # with the C function ``json.encoder`` binds, so start-up loads
+        # neither argparse (with gettext and locale) nor json
+        code = (
+            "import sys; before = set(sys.modules); import teleo.cli; "
+            "new = set(sys.modules) - before; "
+            "print(sorted(new & {'argparse', 'gettext', 'locale', 'json'}))"
         )
         assert self.run("-c", code) == (0, "[]\n", "")
 

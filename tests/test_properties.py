@@ -35,7 +35,7 @@ from teleo.reduction import (
     compare_structures,
     project_reduction,
 )
-from teleo.render import Records, json_chunks, render_json, render_table
+from teleo.render import Records, json_chunks, render_table
 from teleo.speclang import CompiledSpec, load_model, print_model
 from teleo.teleology import (
     Comparison,
@@ -67,6 +67,7 @@ from support import (
     reachable_oracle,
     reduction_levels_oracle,
     reduction_survey_oracle,
+    render_json,
     render_table_oracle,
     topological_oracle,
     uniform_oracle,
