@@ -218,7 +218,9 @@ def _read(path: str, what: str) -> str:
     if not p.exists() or p.is_dir():
         raise TeleoError(f"{what} {path!r} not found")
     try:
-        return p.read_text(encoding="utf-8")
+        # one leading byte-order mark is dropped after decoding, so a bad
+        # byte's offset stays an offset into the file
+        return p.read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         reason = f"is not UTF-8 text (byte {exc.start})"
         raise TeleoError(f"{what} {path!r} {reason}") from None
@@ -269,7 +271,8 @@ def _table_text(table: WorldTable) -> str:
 def _statements(keys: tuple[str, ...], rows: Iterable[tuple]) -> Records:
     """Rows of ``(statement, *verdicts)`` as records of x, y, given and
     ``keys``.  Each conditioning set is sorted once, into one tuple that all
-    its rows share and that is written as a JSON list."""
+    its rows share; the writer encodes each distinct tuple once, as a JSON
+    list."""
     given: dict[frozenset[str], tuple[str, ...]] = {}
     records = []
     for row in rows:

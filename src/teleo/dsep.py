@@ -26,8 +26,9 @@ bit in it.  A statement grid over n variables thus walks at most once per
 nodes in the same order compare every y of one (x, Z) by XOR-ing their two
 masks.  The memo lives and dies with its DAG, so two DAGs never share an
 entry, whatever their nodes.  ``d_separated`` reads the memo itself and
-checks the names of x and Z only for a query it walks for: a walked (x, Z)
-is made of nodes, so a later query with it checks y alone.
+checks names only for a query it walks for (x and y, then Z in sorted
+order, so the unknown name it reports does not hang on the hash seed): a
+walked (x, Z) is made of nodes, so a later query with it checks y alone.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def d_separated(dag: CausalDag, stmt: IndependenceStatement) -> bool:
     position = dag._position
     reached = dag._reachable.get((stmt.x, stmt.given))
     if reached is None:
-        for name in (stmt.x, stmt.y, *stmt.given):
+        for name in (stmt.x, stmt.y):  # reachable checks Z
             if name not in position:
                 raise UnknownVariableError(f"unknown variable {name!r}")
         reached = reachable(dag, stmt.x, stmt.given)
@@ -56,12 +57,13 @@ def reachable(dag: CausalDag, x: str, given: frozenset[str]) -> int:
     """The mask of every node joined to ``x`` by a trail that is active
     given ``given``, ``x`` itself included; bit i is ``dag.nodes[i]``.
 
-    Walked on the first call for its (x, given) and kept in the DAG's memo.
+    Walked on the first call for its (x, given) and kept in the DAG's memo;
+    an unknown name is looked for in x, then in ``sorted(given)``.
     """
     key = (x, given)
     reached = dag._reachable.get(key)
     if reached is None:
-        start, z = dag._mask((x,)), dag._mask(given)
+        start, z = dag._mask((x,)), dag._mask(sorted(given))
         reached = dag._reachable[key] = _walk(dag, start, z)
     return reached
 

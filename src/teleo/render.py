@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import itertools
 from _json import encode_basestring_ascii as _quote  # json.encoder's own
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 
@@ -45,7 +44,7 @@ def json_chunks(value: object, level: int = 0) -> Iterator[str]:
     CPython serves an indented ``json.dumps`` with its pure-Python encoder,
     one call per value.  The documents here are mostly tables (``Records``
     and lists of lists of one length), whose rows go through one
-    ``%``-template (``_rows``), so most values cost a C-level format instead
+    ``%``-template (``_table``), so most values cost a C-level format instead
     of a Python call.  Everything else recurses, and a value of no type
     named here goes to ``json.dumps``, which also raises its ``TypeError``
     for a value JSON cannot hold.
@@ -113,7 +112,14 @@ def _key(key: object) -> str:
 
 def _table(items: Sequence[object], level: int) -> list[str] | None:
     """The rendered items of ``Records`` or of a list of lists of one
-    length, written at indent ``level``; None for any other list."""
+    length, written at indent ``level``; None for any other list.
+
+    Either is labels and columns from one transpose: a ``Records`` table's
+    columns in sorted-key order, each labelled by its quoted key and ": ",
+    or the list's columns in their order, unlabelled.  A column of plain
+    ints (bools are not ints here) is a ``%d`` field, any other a ``%s``
+    field encoded by ``_column``, and one template writes every item.
+    """
     if isinstance(items, Records):
         keys = items.keys
         if not keys:
@@ -121,45 +127,21 @@ def _table(items: Sequence[object], level: int) -> list[str] | None:
         order = sorted(range(len(keys)), key=keys.__getitem__)
         # a key is template text, so its own % signs are escaped
         labels = [_quote(keys[i]).replace("%", "%%") + ": " for i in order]
-        return _rows(labels, items.rows, "{}", level, order)
-    if type(items[0]) not in (list, tuple) or len(set(map(type, items))) != 1:
-        return None
-    if len(set(map(len, items))) != 1 or not items[0]:
-        return None
-    return _rows([""] * len(items[0]), items, "[]", level)
-
-
-def _rows(
-    labels: list[str], rows: Sequence[Sequence], brackets: str, level: int,
-    order: list[int] | None = None,
-) -> list[str]:
-    """Each of ``rows``, whose values (those at the indices ``order``, if
-    given) align with ``labels`` (a quoted key and ": ", or ""), written in
-    ``brackets`` at indent ``level`` through one template: ``%d`` for a
-    column of plain ints (bools are not ints here), else ``%s`` and the
-    column encoded by ``_column``."""
-    kinds = set(map(type, rows[0]))  # a first row of other types spares the scan
-    if kinds == {int}:  # picked first, so the scan and the template read fresh rows
-        if order is None:
-            rows = list(map(tuple, rows))
-        else:  # one index picks a bare value, zip makes it a row
-            pick = itemgetter(*order)
-            rows = list(map(pick, rows) if len(order) > 1 else zip(map(pick, rows)))
-        order = None
-        kinds = set(map(type, itertools.chain.from_iterable(rows)))
-    if kinds == {int}:
-        fields = [label + "%d" for label in labels]
+        source = list(zip(*items.rows))
+        columns, brackets = list(map(source.__getitem__, order)), "{}"
     else:
-        fields, columns, source = [], [], list(zip(*rows))  # one transpose
-        for label, column in zip(labels, source if order is None else
-                                 map(source.__getitem__, order)):
-            kinds = set(map(type, column))
-            ints = kinds == {int}
-            fields.append(label + ("%d" if ints else "%s"))
-            columns.append(column if ints else _column(column, kinds, level + 1))
-        rows = zip(*columns)
-    template = _wrap(brackets, fields, level)
-    return list(map(template.__mod__, rows))
+        if type(items[0]) not in (list, tuple) or len(set(map(type, items))) != 1:
+            return None
+        if len(set(map(len, items))) != 1 or not items[0]:
+            return None
+        labels, columns, brackets = [""] * len(items[0]), list(zip(*items)), "[]"
+    for i, column in enumerate(columns):  # each label becomes its field
+        kinds = set(map(type, column))
+        labels[i] += "%d" if kinds == {int} else "%s"
+        if kinds != {int}:
+            columns[i] = _column(column, kinds, level + 1)
+    template = _wrap(brackets, labels, level)
+    return list(map(template.__mod__, zip(*columns)))
 
 
 # item types that equal no item of another of them, so that a tuple of them
@@ -171,17 +153,13 @@ def _column(column: Sequence[object], kinds: set[type], level: int) -> list[str]
     """The rendered values of one table column whose values have the types
     ``kinds``, written at indent ``level``.
 
-    A column of one type among str, bool and None, or of lists and tuples
-    whose items are all strings, ints or None, is written one distinct value
-    at a time.  Any other column goes value by value.
+    A column of one type among str, bool and None, or of tuples whose items
+    are all strings, ints or None (the statements' ``given`` sets), is
+    written one distinct value at a time.  Any other column, lists included,
+    goes value by value.
     """
-    if len(kinds) == 1 and kinds <= {str, bool, type(None)}:
-        keys = column
-    elif kinds <= {list, tuple} and (
-        set(map(type, itertools.chain.from_iterable(column))) <= _KEYABLE
-    ):
-        keys = list(map(tuple, column)) if list in kinds else column
-    else:
+    if not (len(kinds) == 1 and kinds <= {str, bool, type(None)} or kinds == {tuple}
+            and set(map(type, itertools.chain.from_iterable(column))) <= _KEYABLE):
         return [_encode(v, level) for v in column]
-    written = {key: _encode(key, level) for key in set(keys)}
-    return list(map(written.__getitem__, keys))
+    written = {value: _encode(value, level) for value in set(column)}
+    return list(map(written.__getitem__, column))

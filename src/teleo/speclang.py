@@ -110,6 +110,13 @@ class _Cursor:
             return self.text[start:end]
         self.error("expected an identifier")
 
+    def names(self) -> tuple[str, ...]:
+        """One or more identifiers, separated by commas."""
+        names = [self.ident()]
+        while self.match(","):
+            names.append(self.ident())
+        return tuple(names)
+
     def keyword(self, word: str) -> None:
         got = self.ident()
         if got != word:
@@ -178,20 +185,15 @@ def _parse_mech(cur: _Cursor, raw: _Raw) -> None:
     kind = cur.ident()
     if kind == "sum":
         cur.expect("(")
-        parents = [cur.ident()]
-        while cur.match(","):
-            parents.append(cur.ident())
+        parents = cur.names()
         cur.expect(")")
         cur.end()
-        raw.mechs.append((child, tuple(parents), "sum", cur.lineno))
+        raw.mechs.append((child, parents, "sum", cur.lineno))
     elif kind == "table":
         parents: tuple[str, ...] | None = None
         if cur.match("("):
-            listed = [cur.ident()]
-            while cur.match(","):
-                listed.append(cur.ident())
+            parents = cur.names()
             cur.expect(")")
-            parents = tuple(listed)
         cur.expect("{")
         rows: list[tuple[tuple[int, ...], int]] = []
         while True:
@@ -235,9 +237,7 @@ def _parse_final(cur: _Cursor, raw: _Raw) -> None:
     cur.expect("{")
     cur.keyword("effects")
     cur.expect(":")
-    effects = [cur.ident()]
-    while cur.match(","):
-        effects.append(cur.ident())
+    effects = cur.names()
     cur.expect(";")
     cur.keyword("goal")
     cur.expect(":")
@@ -245,7 +245,7 @@ def _parse_final(cur: _Cursor, raw: _Raw) -> None:
     cur.match(";")
     cur.expect("}")
     cur.end()
-    raw.finals.append((name, tuple(effects), goal, cur.lineno))
+    raw.finals.append((name, effects, goal, cur.lineno))
 
 
 _STATEMENTS = {
@@ -275,7 +275,7 @@ def _scan(text: str) -> _Raw:
             raw.rest_decls.append((var, cur.integer(), lineno))
             cur.end()
         else:
-            cur.pos = 0
+            cur.pos -= len(head)
             cur.error(f"unknown statement {head!r}")
     return raw
 

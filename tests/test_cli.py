@@ -639,6 +639,33 @@ class TestErrorHandling:
             f"error: dataset {str(data)!r} is not UTF-8 text (byte 8)\n"
         )
 
+    def test_a_byte_order_mark_is_dropped(self, tmp_path):
+        # spreadsheets save "CSV UTF-8" with one before the header
+        spec = tmp_path / "heating.tele"
+        spec.write_text("\ufeff" + Path(SPEC).read_text(encoding="utf-8"), encoding="utf-8")
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(WARM_CSV, encoding="utf-8")
+        marked.write_text("\ufeff" + WARM_CSV, encoding="utf-8")
+        for args, without in (
+            (("worlds", str(spec)), ("worlds", SPEC)),
+            (("--json", "finalize", str(spec), "--final", "warm"),
+             ("--json", "finalize", SPEC, "--final", "warm")),
+            (("identify", str(spec), str(marked)), ("identify", SPEC, str(plain))),
+        ):
+            result, expected = run_cli(*args), run_cli(*without)
+            assert expected.exit_code == 0
+            assert (result.exit_code, result.stdout, result.stderr) == (
+                expected.exit_code, expected.stdout, expected.stderr)
+
+    def test_a_bad_byte_after_a_byte_order_mark_is_placed_in_the_file(self, tmp_path):
+        data = tmp_path / "obs.csv"
+        data.write_bytes(b"\xef\xbb\xbfW,H,T,B\n\xff\xfe,0,1,0\n")
+        result = run_cli("identify", SPEC, str(data))
+        assert result.exit_code == 1
+        assert result.stderr == (
+            f"error: dataset {str(data)!r} is not UTF-8 text (byte 11)\n"
+        )
+
     def test_unreadable_spec_is_an_error_not_a_crash(self, monkeypatch):
         def refuse(path, *args, **kwargs):
             raise PermissionError(13, "Permission denied", str(path))

@@ -72,6 +72,18 @@ class TestBlockingRules:
         with pytest.raises(UnknownVariableError, match="^unknown variable 'Q'$"):
             d_separated(g, stmt("A", "Q"))
 
+    def test_unknown_conditioning_names_are_checked_in_sorted_order(self):
+        # a set whose iteration order does not start at its least name, under
+        # this process's hash seed; both entry points name the least one
+        sets = (frozenset(f"Q{c}{i}" for i in range(5)) for c in "abcdefgh")
+        names = next(s for s in sets if next(iter(s)) != min(s))
+        g = dag("XY", [("X", "Y")])
+        match = f"^unknown variable '{min(names)}'$"
+        with pytest.raises(UnknownVariableError, match=match):
+            d_separated(g, stmt("X", "Y", *names))
+        with pytest.raises(UnknownVariableError, match=match):
+            reachable(g, "X", names)
+
 
 class TestOracleAgreement:
     def test_agrees_with_trail_enumeration_oracle(self):

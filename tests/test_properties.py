@@ -960,8 +960,9 @@ def _same_as_the_stdlib_encoder(doc):
 
 # one strategy per kind of table column: scalar columns of one type, the
 # grid's ``given`` lists (few distinct values, each repeated), flat lists
-# whose items ints and bools or floats could make equal, nested lists that
-# hold lists, sets or dicts, and columns that mix all of these
+# whose items ints and bools or floats could make equal, tuples whose items
+# ints and bools could, nested lists that hold lists, sets or dicts, and
+# columns that mix all of these
 _nested_items = (
     st.lists(st.integers(0, 2), max_size=2)
     | st.sets(st.integers(0, 2), max_size=2)
@@ -975,6 +976,7 @@ _column_values = [
     st.lists(st.none() | st.integers(-2, 2) | st.text("xy", max_size=2), max_size=3)
     .flatmap(lambda v: st.sampled_from([v, tuple(v)])),
     st.lists(st.booleans() | st.integers(0, 1) | st.floats(0, 1), max_size=2),
+    st.lists(st.booleans() | st.integers(0, 1), max_size=2).map(tuple),
     st.lists(_nested_items, max_size=2),
 ]
 _mixed_values = st.one_of(*_column_values, st.integers(-2, 2))
@@ -1008,6 +1010,8 @@ def test_json_writer_encodes_columns_like_the_stdlib_encoder(doc):
         [[True, None, "a"], [False, None, "é\n"]],
         [[[1], "a"], [[True], "b"], [[1.0], "c"]],
         [[("A", "B")], [["A", "B"]], [[None, 0]]],
+        [[(1,), "a"], [(True,), "b"], [(1,), "c"]],
+        [[("A", None)], [("A", None)], [("B", 0)]],
         [[[[1]]], [[[1]]]],
         [[[{2}]], [[{3}]]],
         [[[{"a": [1]}]], [[{"a": [1]}]]],

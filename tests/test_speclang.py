@@ -254,6 +254,11 @@ SINGLE_FAULTS = [
         "line 1, column 1: unknown statement 'vra'",
     ),
     fault(
+        "indented-unknown-statement",
+        "   vra W in 0..1\n",
+        "line 1, column 4: unknown statement 'vra'",
+    ),
+    fault(
         "mechanism-form",
         MINI.replace("table(X)", "max(X)"),
         "line 6, column 13: unknown mechanism form 'max' (use sum or table)",
