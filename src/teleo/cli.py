@@ -15,19 +15,23 @@ Global flags come before the command, and one ``--`` ends them.  After it,
 options and positionals mix, an option's value follows it or ``=``, a value
 starts with ``-`` only as a negative number, a repeated option keeps its
 last value, and ``--`` makes every later token positional.
+
+Run as a program (``main()`` with no ``args``), the command freezes the
+heap as it exits, so the interpreter's shutdown collections scan none of
+the objects that ``TestCollector`` shows hold no cyclic garbage.
 """
 
 from __future__ import annotations
 
+import errno
 import gc
 import itertools
 import os
 import re
 import sys
+from collections.abc import Callable, Iterable
 from operator import itemgetter
-from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Iterable
 
 from teleo import __version__
 from teleo.errors import TeleoError
@@ -83,8 +87,20 @@ class _Cli:
         sys.exit(1)
 
     def exit(self, text: str):
-        sys.stdout.write(text)
+        self.write((text,))
         sys.exit(0)
+
+    def write(self, chunks: Iterable[str]):
+        """Write ``chunks`` to standard output and flush it.  A reader that
+        left early ends nothing; any other write error is an ``error:``
+        line.  Either way the flush at exit then goes to the null device."""
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except OSError as exc:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if not isinstance(exc, BrokenPipeError):
+                self.error(f"cannot write output: {exc.strerror or type(exc).__name__}")
 
     def parse(self, argv: list[str], prog: str = "teleo") -> SimpleNamespace:
         """The command of ``argv`` as its ``run`` function, with ``json`` and
@@ -190,21 +206,27 @@ class _Cli:
         return "\n".join([usage, "", *about, "", "arguments:", *rows, ""])
 
     def main(self, args=None, prog_name=None):
-        """Run the command line ``args`` (default ``sys.argv[1:]``) and exit
-        with the command's code; ``prog_name`` names the program in help."""
+        """Run the command line ``args`` (default ``sys.argv[1:]``, as a
+        program, which freezes the heap as it exits) and exit with the
+        command's code; ``prog_name`` names the program in help."""
         argv = sys.argv[1:] if args is None else list(args)
-        parsed = self.parse(argv, prog_name or "teleo")
-        # a command's containers live until it exits, so the cyclic
-        # collector would only scan them (README, "The collector")
-        enabled = gc.isenabled()
-        gc.disable()
         try:
-            sys.exit(parsed.run(parsed) or 0)
-        except TeleoError as exc:
-            self.error(str(exc))
-        finally:
-            if enabled:
-                gc.enable()
+            parsed = self.parse(argv, prog_name or "teleo")
+            # a command's containers live until it exits, so the cyclic
+            # collector would only scan them (README, "The collector")
+            enabled = gc.isenabled()
+            gc.disable()
+            try:
+                sys.exit(parsed.run(parsed) or 0)
+            except TeleoError as exc:
+                self.error(str(exc))
+            finally:
+                if enabled:
+                    gc.enable()
+        except SystemExit:
+            if args is None:  # the program ends: its shutdown collections skip the heap
+                gc.freeze()
+            raise
 
 
 cli = _Cli("Teleological analysis of discrete causal models.",
@@ -213,20 +235,26 @@ cli = _Cli("Teleological analysis of discrete causal models.",
 _command = cli.command
 
 
+# the errors of a path that names no file to read, a directory included
+_ABSENT = {errno.ENOENT, errno.ENOTDIR, errno.ELOOP, errno.EISDIR}
+
+
 def _read(path: str, what: str) -> str:
-    p = Path(path)
-    if not p.exists() or p.is_dir():
-        raise TeleoError(f"{what} {path!r} not found")
     try:
-        # one leading byte-order mark is dropped after decoding, so a bad
-        # byte's offset stays an offset into the file
-        return p.read_text(encoding="utf-8").removeprefix("\ufeff")
+        with open(path, encoding="utf-8") as file:
+            # one leading byte-order mark is dropped after decoding, so a
+            # bad byte's offset stays an offset into the file
+            return file.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         reason = f"is not UTF-8 text (byte {exc.start})"
-        raise TeleoError(f"{what} {path!r} {reason}") from None
+    except ValueError:  # a NUL or an unencodable character in the path
+        reason = "not found"
     except OSError as exc:
-        reason = exc.strerror or type(exc).__name__
-        raise TeleoError(f"cannot read {what} {path!r}: {reason}") from None
+        if exc.errno not in _ABSENT:
+            reason = exc.strerror or type(exc).__name__
+            raise TeleoError(f"cannot read {what} {path!r}: {reason}") from None
+        reason = "not found"
+    raise TeleoError(f"{what} {path!r} {reason}")
 
 
 def _load_spec(path: str) -> CompiledSpec:
@@ -249,11 +277,7 @@ def _emit(
         for note in diagnostics:
             print(note, file=sys.stderr)
         chunks = (human(),)
-    try:  # the document is written as it is rendered, piece by piece
-        sys.stdout.writelines(chunks)
-        sys.stdout.flush()
-    except BrokenPipeError:  # the reader left early; the flush at exit goes nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    cli.write(chunks)  # the document is written as it is rendered, piece by piece
 
 
 def _table_result(table: WorldTable) -> dict:

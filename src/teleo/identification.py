@@ -13,8 +13,8 @@ statistical testing here, deliberately.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from functools import cached_property
-from typing import Iterable
 
 from teleo.errors import BindingError, ComparisonError, DatasetError, TeleoError
 from teleo.model import (

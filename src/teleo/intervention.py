@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import operator
 from functools import cached_property, partial
-from typing import TYPE_CHECKING
 
 from teleo.errors import UnknownVariableError
 from teleo.model import CausalDag, Record, Scm, WorldTable
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from fractions import Fraction
 

@@ -31,8 +31,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import cached_property, partial, reduce
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from teleo.errors import (
     EmptyTableError,
@@ -40,6 +40,7 @@ from teleo.errors import (
     UnknownVariableError,
 )
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from fractions import Fraction
 

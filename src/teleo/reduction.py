@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import Sequence
+from collections.abc import Sequence
 
 from teleo.dsep import reachable
 from teleo.errors import (

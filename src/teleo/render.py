@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 from _json import encode_basestring_ascii as _quote  # json.encoder's own
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 
 def render_table(columns: Sequence[str], rows: Iterable[Sequence[int]]) -> str:

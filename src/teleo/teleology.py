@@ -16,8 +16,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property, partial
-from typing import Callable, Iterable, Sequence
 
 from teleo.dsep import d_separated
 from teleo.errors import (

@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 
 
 RECORDS_CASES = "tests/test_properties.py::test_records_and_int_rows_cases"
+PARSER_ROWS = "tests/test_cli.py::TestParser::test_rows_parse_as_the_oracle_parses"
 
 MUTANTS = (
     Mutant(
@@ -88,16 +89,97 @@ MUTANTS = (
     ),
     Mutant(
         "cli-byte-order-mark-kept", "cli.py",
-        'p.read_text(encoding="utf-8").removeprefix("\\ufeff")',
-        'p.read_text(encoding="utf-8")',
+        'file.read().removeprefix("\\ufeff")',
+        'file.read()',
         ("tests/test_cli.py::TestErrorHandling::test_a_byte_order_mark_is_dropped",),
     ),
     Mutant(
         "cli-byte-order-mark-decoded-away", "cli.py",
-        'p.read_text(encoding="utf-8").removeprefix("\\ufeff")',
-        'p.read_text(encoding="utf-8-sig")',
+        'open(path, encoding="utf-8")',
+        'open(path, encoding="utf-8-sig")',
         ("tests/test_cli.py::TestErrorHandling::"
          "test_a_bad_byte_after_a_byte_order_mark_is_placed_in_the_file",),
+    ),
+    Mutant(
+        "cli-freeze-on-every-call", "cli.py",
+        "if args is None:  # the program ends",
+        "if True:  # the program ends",
+        ("tests/test_cli.py::TestProgramExit::test_an_in_process_call_never_freezes",),
+    ),
+    Mutant(
+        "cli-write-error-unhandled", "cli.py",
+        "if not isinstance(exc, BrokenPipeError):",
+        "if False:",
+        ("tests/test_cli.py::TestProcess::test_a_full_disk_is_one_error_line[text]",),
+    ),
+    Mutant(
+        "cli-read-after-path-exists", "cli.py",
+        "    try:\n        with open(path, ",
+        '    if not __import__("pathlib").Path(path).exists():\n'
+        '        raise TeleoError(f"{what} {path!r} not found")\n'
+        "    try:\n        with open(path, ",
+        ("tests/test_cli.py::TestErrorHandling::"
+         "test_a_path_too_long_is_an_error_not_a_crash[spec]",),
+    ),
+    Mutant(
+        "render-imports-typing", "render.py",
+        "from collections.abc import Iterable, Iterator, Sequence",
+        "from typing import Iterable, Iterator, Sequence",
+        ("tests/test_cli.py::TestProcess::"
+         "test_the_command_line_loads_neither_typing_nor_pathlib",),
+    ),
+    Mutant(
+        "cli-no-negative-number-rule", "cli.py",
+        ' or " " in token or re.match(_NEGATIVE, token):',
+        ' or " " in token:',
+        (f"{PARSER_ROWS}[reduce SPEC --final warm --rest -1]",),
+    ),
+    Mutant(
+        "cli-abbreviated-option-accepted", "cli.py",
+        '        flag, eq, value = token.partition("=")\n',
+        '        flag, eq, value = token.partition("=")\n'
+        "        flag = next((f for f in options if f[:2] == flag[:2] == '--'\n"
+        "                     and f.startswith(flag)), flag)\n"
+        "        token = flag + eq + value\n",
+        (f"{PARSER_ROWS}[identify SPEC obs.csv --max 2]",),
+    ),
+    Mutant(
+        "cli-first-of-a-repeated-option-kept", "cli.py",
+        "if kind is list else value\n",
+        "if kind is list else args[dest] if flag in seen else value\n",
+        (f"{PARSER_ROWS}[finalize SPEC --final warm --final cheap]",),
+    ),
+    Mutant(
+        "cli-double-dash-after-the-options-dropped", "cli.py",
+        "if beside != j - 1 and len(free) == len(positionals):",
+        "if False:",
+        ("tests/test_cli.py::TestParser::"
+         "test_random_command_lines_parse_as_the_oracle_parses",),
+    ),
+    Mutant(
+        "cli-no-dash-h-chaining", "cli.py",
+        'value = value.lstrip("h") or None',
+        "value = value or None",
+        (f"{PARSER_ROWS}[worlds -hh]",),
+    ),
+    Mutant(
+        "render-imports-json-at-start-up", "render.py",
+        "import itertools\n",
+        "import itertools\nimport json\n",
+        ("tests/test_cli.py::TestProcess::"
+         "test_the_command_line_parses_without_argparse_or_json",),
+    ),
+    Mutant(
+        "render-imports-json-on-every-encode", "render.py",
+        "    scalar = _SCALARS.get(type(value))\n",
+        "    import json\n    scalar = _SCALARS.get(type(value))\n",
+        ("tests/test_cli.py::TestJsonMode::test_no_command_imports_json",),
+    ),
+    Mutant(
+        "render-record-columns-in-source-order", "render.py",
+        "columns, brackets = list(map(source.__getitem__, order)), \"{}\"",
+        "columns, brackets = source, \"{}\"",
+        ("tests/test_cli.py::TestJsonMode::test_finalize_json_reconstructs_the_table",),
     ),
 )
 

@@ -1,4 +1,5 @@
 import ast
+import errno
 import gc
 import hashlib
 import importlib.util
@@ -670,7 +671,7 @@ class TestErrorHandling:
         def refuse(path, *args, **kwargs):
             raise PermissionError(13, "Permission denied", str(path))
 
-        monkeypatch.setattr("pathlib.Path.read_text", refuse)
+        monkeypatch.setattr("teleo.cli.open", refuse, raising=False)
         result = run_cli("worlds", SPEC)
         assert result.exit_code == 1
         assert result.stdout == ""
@@ -682,6 +683,27 @@ class TestErrorHandling:
         result = run_cli("worlds", str(tmp_path))
         assert (result.exit_code, result.stdout) == (1, "")
         assert result.stderr == f"error: model spec {str(tmp_path)!r} not found\n"
+
+    def test_a_path_that_names_no_file_is_not_found(self, tmp_path):
+        # a file taken for a directory, a symlink loop, a dangling symlink,
+        # a NUL and a lone surrogate: paths that ``Path.exists()`` denies
+        (tmp_path / "loop").symlink_to(tmp_path / "loop")
+        (tmp_path / "dangling").symlink_to(tmp_path / "nowhere")
+        for path in (f"{SPEC}/x", str(tmp_path / "loop"), str(tmp_path / "dangling"),
+                     "a\0b", "\ud800"):
+            result = run_cli("worlds", path)
+            assert (result.exit_code, result.stdout) == (1, ""), path
+            assert result.stderr == f"error: model spec {path!r} not found\n", path
+
+    @pytest.mark.parametrize("args, what", [
+        (("worlds", "a" * 5000), "model spec"),
+        (("identify", SPEC, "a" * 5000), "dataset"),
+    ], ids=["spec", "dataset"])
+    def test_a_path_too_long_is_an_error_not_a_crash(self, args, what):
+        result = run_cli(*args)
+        assert (result.exit_code, result.stdout) == (1, "")
+        reason = os.strerror(errno.ENAMETOOLONG)
+        assert result.stderr == f"error: cannot read {what} {args[-1]!r}: {reason}\n"
 
     @pytest.mark.parametrize(
         "spec, options, message",
@@ -1071,6 +1093,29 @@ class TestProcess:
         )
         assert self.run("-c", code) == (0, "[]\n", "")
 
+    def test_the_command_line_loads_neither_typing_nor_pathlib(self):
+        # ``-S`` skips the site packages, whose start-up files may load
+        # either; the annotations are never evaluated, so ``typing`` is not
+        # needed, and the files are read with ``open``
+        code = "import sys, teleo.cli; print(sorted({'typing', 'pathlib'} & set(sys.modules)))"
+        assert self.run("-S", "-c", code) == (0, "[]\n", "")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("args", [
+        ("worlds", "models/heating.tele"),
+        ("--json", "worlds", "models/heating.tele"),
+        ("--help",),
+    ], ids=["text", "json", "help"])
+    def test_a_full_disk_is_one_error_line(self, args):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, *TELEO, *args], cwd=ROOT, stdout=full,
+                stderr=subprocess.PIPE, text=True, timeout=60,
+                env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            )
+        reason = os.strerror(errno.ENOSPC)
+        assert (proc.returncode, proc.stderr) == (1, f"error: cannot write output: {reason}\n")
+
     def test_a_reader_that_stops_early_gets_no_traceback(self, tmp_path):
         # the JSON document is far larger than a pipe buffer, so the write
         # meets the closed pipe (``teleo --json finalize ... | head -c 20``)
@@ -1089,3 +1134,60 @@ class TestProcess:
             err = proc.stderr.read()
             assert proc.wait(timeout=60) == 0
         assert err == b""
+
+
+# ``teleo`` as its console script starts it, with an exit handler that
+# reports whether the heap was frozen by then
+LAUNCHER = (
+    "import atexit, gc, sys; from teleo.cli import main; "
+    "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr)); "
+    "sys.argv[0] = 'teleo'; main()"
+)
+
+
+class TestProgramExit:
+    """A program that ends in ``main()`` freezes the heap, so the shutdown
+    collections scan nothing (README, "The collector"); exit handlers, the
+    final flush and the exit code are as they were."""
+
+    @pytest.mark.parametrize("args", [
+        ("worlds", SPEC),
+        ("finalize", SPEC, "--final", "nope"),
+        ("identify", SPEC, "all.csv"),
+        ("identify", "tied.tele", "warm.csv"),
+        ("--help",),
+        ("--version",),
+        ("frobnicate", SPEC),
+    ], ids=["exit-0", "exit-1", "exit-2", "exit-3", "help", "version", "usage-error"])
+    def test_exit_handlers_run_on_a_frozen_heap(self, tmp_path, args):
+        files = {
+            "all.csv": ALL_CSV,
+            "warm.csv": WARM_CSV,
+            "tied.tele": Path(SPEC).read_text() + "final warm2 { effects: T; goal: T = 1 }\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        args = [str(tmp_path / a) if a in files else a for a in args]
+        expected = run_cli(*args)
+        with _python("-c", LAUNCHER, *args, text=True) as proc:
+            out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, out, err) == (
+            expected.exit_code, expected.stdout, expected.stderr + "frozen True\n")
+
+    def test_a_large_document_is_written_whole(self, tmp_path):
+        # seed-3 ``reduce --json`` is about 1.4 MB, many pipe buffers, and
+        # the child's standard output is buffered, so a lost flush shows
+        args = ("--json", *BENCHMARK_GEN.GENERATORS["reduce_ternary"](3).write(tmp_path))
+        expected = run_cli(*args)
+        with _python(*TELEO, *args) as proc:
+            out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (expected.exit_code, b"")
+        assert out == expected.stdout.encode()
+
+    def test_an_in_process_call_never_freezes(self, tmp_path):
+        # else ``TestCollector`` would find no garbage because none is scanned
+        argvs = [argv for argv, _ in TestCollector.commands(tmp_path)]
+        for argv in [*argvs, ("--help",), ("--version",), ("frobnicate",)]:
+            before = gc.get_freeze_count()
+            run_cli(*argv)
+            assert gc.get_freeze_count() == before, argv

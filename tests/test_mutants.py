@@ -15,7 +15,8 @@ PARAM = type(pytest.param(None))
 
 def _test_ids(function) -> set[str]:
     """The parameter ids that ``function``'s parametrize marks give by name:
-    a ``pytest.param`` id or an entry of an ``ids`` list."""
+    a ``pytest.param`` id, an entry of an ``ids`` list, or what an ``ids``
+    function makes of a value."""
     found = set()
     for mark in getattr(function, "pytestmark", []):
         if mark.name != "parametrize":
@@ -26,6 +27,8 @@ def _test_ids(function) -> set[str]:
                 found.add(value.id)
             elif isinstance(ids, (list, tuple)):
                 found.add(ids[i])
+            elif callable(ids):
+                found.add(ids(value))
     return found
 
 
