@@ -92,13 +92,17 @@ class _Cli:
 
     def write(self, chunks: Iterable[str]):
         """Write ``chunks`` to standard output and flush it.  A reader that
-        left early ends nothing; any other write error is an ``error:``
-        line.  Either way the flush at exit then goes to the null device."""
+        left early ends nothing; any other write error, a standard output
+        closed before start-up included, is an ``error:`` line.  Either way
+        the flush at exit then goes to the null device."""
         try:
+            if sys.stdout is None:  # ``teleo ... >&-``
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
             sys.stdout.writelines(chunks)
             sys.stdout.flush()
         except OSError as exc:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if sys.stdout is not None:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             if not isinstance(exc, BrokenPipeError):
                 self.error(f"cannot write output: {exc.strerror or type(exc).__name__}")
 
@@ -280,11 +284,18 @@ def _emit(
     cli.write(chunks)  # the document is written as it is rendered, piece by piece
 
 
+def _worlds(table: WorldTable) -> Records:
+    """The table's worlds as lists, written from its columns, so no row is
+    built."""
+    return Records(None, columns=map(table.column, table.columns), size=len(table))
+
+
 def _table_result(table: WorldTable) -> dict:
+    worlds = _worlds(table)
     return {
         "columns": table.columns,
-        "worlds": table.rows,
-        "assignments": Records(table.columns, table.rows),
+        "worlds": worlds,
+        "assignments": Records(table.columns, columns=worlds.columns, size=len(table)),
     }
 
 
@@ -408,8 +419,8 @@ def distinguish(args):
             "second": f2.label,
             "distinguishable": verdict.distinguishable,
             "columns": f1.mstar.model.names,
-            "only_first": verdict.only_first.rows,
-            "only_second": verdict.only_second.rows,
+            "only_first": _worlds(verdict.only_first),
+            "only_second": _worlds(verdict.only_second),
         }
 
     _emit(args, "distinguish", result, human)
@@ -578,8 +589,8 @@ def reduce(args):
             "projection": {
                 "columns": r.shared_columns,
                 "relation": cmp.world_relation,
-                "worlds_only_reduction": cmp.worlds_only_reduction.rows,
-                "worlds_only_final": cmp.worlds_only_final.rows,
+                "worlds_only_reduction": _worlds(cmp.worlds_only_reduction),
+                "worlds_only_final": _worlds(cmp.worlds_only_final),
             },
             "structure": {
                 "action_listens_final": cmp.action_listens_final,

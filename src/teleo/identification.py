@@ -198,7 +198,7 @@ def check_support(f: FinalModel, d: Dataset) -> IdentificationVerdict:
     _bind(f, d)
     table = compatible_worlds(f)
     violating = d.support.outside(table)
-    return IdentificationVerdict(f, not violating.rows, violating, (), len(table))
+    return IdentificationVerdict(f, not len(violating), violating, (), len(table))
 
 
 def check_dependence(
@@ -266,11 +266,12 @@ def rank_hypotheses(
     ordered = sorted(
         verdicts, key=lambda v: (not v.support_compatible, v.compatible_world_count)
     )
-    class_ids: dict[tuple[tuple[int, ...], ...], int] = {}
+    class_ids: dict[int, int] = {}
     out: list[RankedHypothesis] = []
     for rank, verdict in enumerate(ordered, start=1):
-        # rows are sorted and distinct, so equal tuples mean equal sets
-        key = compatible_worlds(verdict.hypothesis).rows
+        # the candidates share one surgered model, whose worlds are one
+        # universe, so equal masks of kept worlds mean equal sets
+        key = compatible_worlds(verdict.hypothesis).kept
         cls = class_ids.setdefault(key, len(class_ids) + 1)
         out.append(RankedHypothesis(rank, verdict, cls))
     return out

@@ -7,13 +7,15 @@ consistent with the model is finite and enumerable: one world per combination
 of exogenous values.
 
 A world table is the one representation of a set of worlds: it stores
-them as sorted, distinct integer value tuples and builds each variable's
-column once, on first use, and from the column an index of row bitmasks,
-one Python int per level present (bit i is row i).  Enumeration fills every
-endogenous column in one pass per mechanism, goal filters select rows from
-the goal variables' level masks, independence queries count cells by
-intersecting level masks, and set comparisons take the rows one table has
-and another lacks (``WorldTable.outside``).
+them as level masks, one Python int per level of each variable (bit i is
+row i), over a root table.  A model's root is its universe: world i is the
+i-th combination of the exogenous levels in product order, so exogenous
+masks are closed-form periodic blocks, and each endogenous level's mask is
+the union of its parents' strata that the mechanism maps to it.  A goal
+filter keeps the rows whose goal levels pass, and a filtered table's masks
+are its root's compressed to the kept rows; set comparisons take one
+table's kept rows that another lacks (``WorldTable.outside``).  Columns and
+rows are built from the masks only when read.
 
 World tables carry a uniform weighting over their members.  All probability
 comparisons are exact.  Independence is decided by one count-weighted
@@ -60,8 +62,11 @@ __all__ = [
     "level_masks",
     "stratify",
     "weight_layers",
-    "propagate",
-    "product_columns",
+    "universe_levels",
+    "compressor",
+    "scatter",
+    "level_column",
+    "table_over",
     "enumerate_worlds",
     "uniform_independent",
     "conditional_distribution",
@@ -106,7 +111,7 @@ class Record:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value=None) -> None:
@@ -370,10 +375,11 @@ def check_table(mech: Mechanism, variables: Mapping[str, Variable]) -> None:
 class Scm(Record):
     """A causal DAG with one deterministic mechanism per endogenous node.
 
-    ``worlds`` is the model's world table, enumerated on first use and
-    shared by every later reader.  That is sound because the object is
-    frozen and copies its mechanisms at construction; callers must not
-    mutate ``mechanisms`` in place.
+    ``universe`` is the model's worlds as level masks over the exogenous
+    combinations in product order, and ``worlds`` its world table; both
+    are built on first use and shared by every later reader.  That is sound
+    because the object is frozen and copies its mechanisms at construction;
+    callers must not mutate ``mechanisms`` in place.
     """
 
     dag: CausalDag
@@ -418,21 +424,28 @@ class Scm(Record):
         return self.variable(name).domain
 
     @cached_property
+    def universe(self) -> tuple[int, dict[str, dict[int, int]]]:
+        domains = {n: self.domain(n) for n in self.dag.exogenous()}
+        return universe_levels(self, self.dag.topological_order(), domains)
+
+    @cached_property
     def worlds(self) -> "WorldTable":
         return enumerate_worlds(self)
 
 
 class WorldTable(Record):
-    """An ordered, deduplicated set of worlds under uniform weighting.
+    """A set of worlds under uniform weighting, stored as level masks.
 
-    ``rows`` holds one value tuple per world, aligned with ``columns`` and
-    sorted lexicographically, which makes every printed table reproducible
-    and lets equal sets compare equal.  Rows given in strictly increasing
-    order are kept as they come; any others are deduplicated and sorted.
-    The kernels read whole columns (``column``), each column's level masks
-    (``levels``, and for ``factorizes`` the masks of every level but the
-    first) and each conditioning set's strata (``strata``), each built once
-    on first use and cached outside equality, hashing and ``repr``.
+    A table keeps the rows of a root table that its mask ``kept`` has.  A
+    root is a model's universe (``table_over``) or the rows it is given,
+    deduplicated and sorted unless they strictly increase.  Every mask is in
+    sorted row order, bit i for row i, and a filtered table's masks are its
+    root's compressed to the kept rows (``compressor``), not a view.
+    ``rows`` (sorted, so equal sets compare equal) and each ``column`` are
+    built from the masks when read.  The kernels read each column's level
+    masks (``levels``, and for ``factorizes`` all but the first level's) and
+    each conditioning set's strata (``strata``).  All are built once and
+    cached outside equality, hashing and ``repr``.
     """
 
     columns: tuple[str, ...]
@@ -451,70 +464,95 @@ class WorldTable(Record):
         # rows that strictly increase are already sorted and distinct
         if not all(map(operator.lt, rows, itertools.islice(rows, 1, None))):
             rows = tuple(sorted(set(rows)))
-        self.__dict__.update(columns=columns, rows=rows)
-        self.__dict__.update(
-            _column_cache={}, _level_cache={}, _tail_cache={}, _strata_cache={}
-        )
+        at = dict(zip(columns, map(operator.itemgetter, range(len(columns)))))
+        self._start(columns, len(rows), lambda name: level_masks(tuple(map(at[name], rows))))
+        self.__dict__["rows"] = rows
+
+    def _start(self, columns, n: int, build: Callable, root=None, kept=None) -> None:
+        """A table of n rows whose masks ``build(name)`` makes: a root, or
+        ``kept`` of ``root``'s rows."""
+        self.__dict__.update(columns=columns, _n=n, _build=build, _root=root, _level_cache={},
+                             _column_cache={}, _tail_cache={}, _strata_cache={})
+        self.__dict__["kept"] = (1 << n) - 1 if kept is None else kept
+
+    def _keep(self, kept: int) -> WorldTable:
+        """The rows of this root that ``kept`` has (the root for all)."""
+        if kept == self.kept:
+            return self
+        compress, levels = compressor(kept, self._n), self.levels
+        table = WorldTable.__new__(WorldTable)
+        table._start(self.columns, kept.bit_count(), lambda name: {
+            level: packed for level, mask in levels(name).items()
+            if mask & kept and (packed := compress(mask))
+        }, self, kept)
+        return table
+
+    def _key(self) -> tuple:
+        return self.columns, self.rows
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self._n
 
-    def column(self, name: str) -> tuple[int, ...]:
-        """The values of one variable, aligned with ``rows``; built on first
-        use and cached."""
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        if not self.columns:
+            return ((),) * self._n
+        return tuple(zip(*map(self.column, self.columns)))
+
+    def column(self, name: str) -> Sequence[int]:
+        """One variable's values, aligned with ``rows`` (``level_column``)."""
         values = self._column_cache.get(name)
         if values is None:
-            at = operator.itemgetter(self._index(name))
-            values = self._column_cache[name] = tuple(map(at, self.rows))
+            values = self._column_cache[name] = level_column(self.levels(name), self._n)
         return values
-
-    def _index(self, name: str) -> int:
-        if name not in self.columns:
-            raise UnknownVariableError(f"unknown variable {name!r}")
-        return self.columns.index(name)
 
     def levels(self, name: str) -> Mapping[int, int]:
         """The row bitmask of each level present in one column, in level
-        order: bit i is set iff row i has that level.  Built on first use
-        and cached."""
+        order: bit i is set iff row i has that level."""
         masks = self._level_cache.get(name)
         if masks is None:
-            masks = self._level_cache[name] = level_masks(self.column(name))
+            if name not in self.columns:
+                raise UnknownVariableError(f"unknown variable {name!r}")
+            masks = self._level_cache[name] = self._build(name)
         return masks
 
-    def filter(self, keep: Mapping[str, Callable[[int], bool]]) -> "WorldTable":
+    def filter(self, keep: Mapping[str, Callable[[int], bool]]) -> WorldTable:
         """The worlds whose level of each named variable passes its test."""
         if not keep:
             return self
-        masks = (passing(self.levels(name), test) for name, test in keep.items())
-        # the binary digits of the rows kept, lowest first: "1" keeps a row
-        digits = map("1".__eq__, f"{reduce(operator.and_, masks):b}"[::-1])
-        return WorldTable(self.columns, itertools.compress(self.rows, digits))
+        root = self._root or self
+        masks = (passing(root.levels(name), test) for name, test in keep.items())
+        return root._keep(reduce(operator.and_, masks, self.kept))
 
-    def project(self, columns: Iterable[str]) -> "WorldTable":
+    def project(self, columns: Iterable[str]) -> WorldTable:
+        """The distinct rows on ``columns``: their strata's sorted keys."""
         columns = tuple(columns)
-        if not columns:
-            return WorldTable(columns, [()] if self.rows else [])
-        pick = operator.itemgetter(*map(self._index, columns))  # 1 column: bare values
-        rows = map(pick, self.rows) if len(columns) > 1 else zip(map(pick, self.rows))
-        return WorldTable(columns, rows)
+        strata = stratify(self._n, map(self.levels, columns))
+        return WorldTable(columns, [stratum for stratum, _ in strata])
 
-    def outside(self, other: "WorldTable") -> "WorldTable":
+    def outside(self, other: WorldTable) -> WorldTable:
         """The rows of this table that ``other`` lacks, under this table's
-        columns.  Both tables must have the same columns."""
+        columns.  Both tables must have the same columns.  Over one root that
+        is ``kept & ~other.kept``; across roots a row is in ``other`` iff
+        the masks of its levels there meet."""
         if other.columns != self.columns:
             raise ModelStructureError(
                 f"cannot compare tables over {self.columns} and {other.columns}"
             )
-        lacking = set(other.rows).__contains__
-        return WorldTable(self.columns, itertools.filterfalse(lacking, self.rows))
+        root = self._root or self
+        if root is (other._root or other):
+            return root._keep(self.kept & ~other.kept)
+        masks, every = list(map(other.levels, self.columns)), (1 << len(other)) - 1
+        absent = itertools.repeat(0)  # the mask of a level ``other`` lacks
+        return WorldTable(self.columns, [row for row in self.rows if not reduce(
+            operator.and_, map(dict.get, masks, row, absent), every)])
 
     def distribution(self, query: str) -> dict[int, Fraction]:
         """Marginal distribution of one variable, exact Fractions."""
         from fractions import Fraction  # no command reads a distribution
-        if not self.rows:
+        n = self._n
+        if not n:
             raise EmptyTableError("distribution over an empty world table")
-        n = len(self.rows)
         return {
             level: Fraction(mask.bit_count(), n)
             for level, mask in self.levels(query).items()
@@ -532,7 +570,7 @@ class WorldTable(Record):
         given = frozenset(given)
         strata = self._strata_cache.get(given)
         if strata is None:
-            strata = stratify(len(self.rows), map(self.levels, sorted(given)))
+            strata = stratify(self._n, map(self.levels, sorted(given)))
             self._strata_cache[given] = strata
         return strata
 
@@ -686,49 +724,84 @@ def statement_grid(names: Sequence[str]) -> Iterator[IndependenceStatement]:
         yield stmt
 
 
-def propagate(
-    scm: Scm, order: Sequence[str], columns: dict[str, Sequence[int]]
-) -> dict[str, Sequence[int]]:
-    """Complete ``columns`` with every endogenous column, in place.
-
-    ``columns`` holds one equal-length column per exogenous variable; row i
-    of the result is the world that row i of the exogenous values makes.
-    Each mechanism fills its child's column in one pass over its parents'
-    columns, along ``order``, the DAG's topological order, which the caller
-    computes once.
+def universe_levels(
+    scm: Scm, order: Sequence[str], domains: Mapping[str, Sequence[int]]
+) -> tuple[int, dict[str, dict[int, int]]]:
+    """``(n, levels)``: world i of n is the i-th combination of ``domains``
+    in product order, and ``levels`` holds the level masks (bit i for world
+    i) of each name of ``domains`` and of ``order``, a topological order.
+    With ``inner`` combinations of the later domains, level k of a domain is
+    a block of ``inner`` ones at offset k * inner of every period of
+    len(domain) * inner bits: the block times a geometric constant.  A level
+    of a mechanism's child is the union of the parents' strata mapped to it.
     """
+    n, inner, levels = math.prod(map(len, domains.values())), 1, {}
+    for name, domain in reversed(domains.items()):
+        ones = ((1 << n) - 1) // ((1 << inner * len(domain)) - 1)
+        levels[name] = {v: ones * ((1 << inner) - 1) << k * inner for k, v in enumerate(domain)}
+        inner *= len(domain)
     for node in order:
-        if node not in columns:
-            mech = scm.mechanisms[node]
-            parent_rows = zip(*(columns[p] for p in mech.parents))
-            columns[node] = tuple(map(mech.table.__getitem__, parent_rows))
-    return columns
+        if node not in levels:
+            mech, masks = scm.mechanisms[node], {}
+            for combo, rows in stratify(n, map(levels.__getitem__, mech.parents)):
+                masks[mech.table[combo]] = masks.get(mech.table[combo], 0) | rows
+            levels[node] = dict(sorted(masks.items()))
+    return n, levels
 
 
-def product_columns(domains: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
-    """The columns of ``itertools.product(*domains)``, in closed form: a
-    domain's column repeats each of its levels once per combination of the
-    later domains, and that block once per combination of the earlier ones."""
-    total = inner = math.prod(map(len, domains))
-    for domain in domains:
-        inner //= len(domain)
-        block = itertools.chain.from_iterable((level,) * inner for level in domain)
-        yield tuple(block) * (total // inner // len(domain))
+# a slot's binary digit raised past "1", and raised digits back down
+_RAISE, _LOWER = bytes.maketrans(b"01", b"\0\2"), bytes.maketrans(b"23", b"01")
+
+
+def compressor(slots: int, n: int) -> Callable[[int], int]:
+    """A mask over n rows packed to its bits at the set bits of ``slots``:
+    one C-level pass over binary digits, each slot's raised by 2 and every
+    other deleted."""
+    raised = int.from_bytes(f"{slots:0{n}b}".encode().translate(_RAISE), "big")
+
+    def compress(mask: int) -> int:
+        digits = (int.from_bytes(f"{mask:0{n}b}".encode(), "big") + raised).to_bytes(n, "big")
+        return int(digits.translate(_LOWER, b"01") or b"0", 2)
+
+    return compress
+
+
+def scatter(mask: int, slots: int, n: int) -> int:
+    """The inverse of ``compressor``, for non-zero ``slots``: one ``%``
+    format of the slots' binary digits."""
+    digits = f"{slots:0{n}b}".replace("1", "%c") % tuple(f"{mask:0{slots.bit_count()}b}")
+    return int(digits, 2)
+
+
+def level_column(levels: Mapping[int, int], n: int) -> Sequence[int]:
+    """Each of n rows' level, from the level masks: bytes when every level
+    is in 0..255, made by C-level byte operations (each mask's binary
+    digits translated to its level, summed as one int), else a tuple."""
+    if not levels or 0 <= min(levels) and max(levels) < 256:
+        digits = sum(int.from_bytes(f"{mask:0{n}b}".encode().translate(
+            bytes.maketrans(b"01", bytes((0, level)))), "big") for level, mask in levels.items())
+        return digits.to_bytes(n, "big")[::-1]
+    at = {i: level for level, mask in levels.items()
+          for i in itertools.compress(range(n), map("1".__eq__, f"{mask:0{n}b}"[::-1]))}
+    return tuple(map(at.__getitem__, range(n)))
+
+
+def table_over(columns: tuple[str, ...], exogenous: Sequence[str], n: int,
+               levels: Callable[[str], dict[int, int]], kept: int) -> WorldTable:
+    """The worlds of ``kept`` among n in product order over ``exogenous``,
+    whose masks ``levels`` gives, over ``columns``.  That order is sorted
+    when the exogenous variables come first, else the rows are sorted."""
+    (root := WorldTable.__new__(WorldTable))._start(columns, n, levels)
+    table = root._keep(kept)
+    return table if columns[: len(exogenous)] == tuple(exogenous) else WorldTable(columns, table.rows)
 
 
 def enumerate_worlds(scm: Scm) -> WorldTable:
-    """All worlds consistent with the model.
-
-    Every exogenous variable ranges over its full domain; endogenous values
-    are propagated through the mechanisms in topological order.  The result
-    has exactly one world per exogenous combination, so a model without
-    variables has the one empty world.
-    """
-    exogenous = scm.dag.exogenous()
-    columns = dict(zip(exogenous, product_columns([scm.domain(n) for n in exogenous])))
-    propagate(scm, scm.dag.topological_order(), columns)
-    rows = zip(*(columns[n] for n in scm.names)) if scm.names else [()]
-    return WorldTable(scm.names, rows)
+    """All worlds consistent with the model, one per exogenous combination
+    (so a model without variables has the one empty world): its universe
+    (``Scm.universe``) as a table."""
+    n, levels = scm.universe
+    return table_over(scm.names, scm.dag.exogenous(), n, levels.__getitem__, (1 << n) - 1)
 
 
 def uniform_independent(table: WorldTable, stmt: IndependenceStatement) -> bool:

@@ -34,14 +34,16 @@ from teleo.model import (
     Scm,
     Variable,
     WorldTable,
+    compressor,
     grid_cells,
-    level_masks,
+    level_column,
     passing,
-    product_columns,
-    propagate,
+    scatter,
     stratify,
+    table_over,
+    universe_levels,
 )
-from teleo.teleology import FinalModel, compatible_worlds
+from teleo.teleology import FinalModel
 
 __all__ = [
     "ReductionModel",
@@ -111,15 +113,17 @@ def build_reduction(f: FinalModel, rest_level: int | None = None) -> ReductionMo
     if INTENTION_NAME in taken:
         raise ReductionError(f"cannot add {INTENTION_NAME}: the name is taken")
 
-    # survey the contexts in the surgered model's one table, projected so that
-    # row i * k + j is context i at action level j, into context masks (bit i
-    # is context i) of where each level meets the goal
-    survey = surgered.worlds.project((*context, action, *goal_vars))
-    k = len(action_domain)
-    contexts = len(survey) // k
+    # survey the surgered universe: its worlds at one action level, packed
+    # (``compressor``), are the contexts in product order (bit i is context
+    # i), so that level's goal masks over them give the contexts it meets
+    # the goal in
+    n, levels = surgered.universe
+    contexts = n // len(action_domain)
     meets: dict[int, int] = {}  # action level -> contexts it meets the goal in
-    for j, level in enumerate(action_domain):
-        masks = {g: level_masks(survey.column(g)[j::k]) for g in goal_vars}
+    for level, slots in levels[action].items():
+        compress = compressor(slots, n)
+        masks = {g: {v: c for v, m in levels[g].items() if (c := compress(m))}
+                 for g in goal_vars}
         met = (1 << contexts) - 1
         for name, test in f.goal.level_tests.items():
             met &= passing(masks[name], test)
@@ -222,13 +226,14 @@ def _tabulate(
     fixed: dict[str, int],
     read: str,
 ) -> dict[tuple[int, ...], int]:
-    """The table of ``read`` over ``parents``, filled by one column-wise
-    pass of ``scm`` along ``order``: each other exogenous variable the pass
-    reads sits at its level in ``fixed``."""
-    keys = [*product_columns([scm.domain(p) for p in parents])]
-    columns = {n: (level,) * len(keys[0]) for n, level in fixed.items()}
-    columns.update(zip(parents, keys))
-    return dict(zip(zip(*keys), propagate(scm, order, columns)[read]))
+    """The table of ``read`` over ``parents``: its column in the universe
+    that ``parents`` make along ``order`` (``universe_levels``), where each
+    other exogenous variable the pass reads sits at its level in ``fixed``."""
+    domains = {name: (level,) for name, level in fixed.items() if name not in parents}
+    domains.update((p, scm.domain(p)) for p in parents)
+    n, levels = universe_levels(scm, order, domains)
+    keys = itertools.product(*(scm.domain(p) for p in parents))
+    return dict(zip(keys, level_column(levels[read], n)))
 
 
 def _assemble(variables: Sequence[Variable], mechanisms: dict[str, Mechanism]) -> Scm:
@@ -375,15 +380,34 @@ def compare_structures(f: FinalModel, r: ReductionModel) -> StructuralComparison
             disagreements.append((IndependenceStatement(x, y, given), sep_f, not sep_f))
 
     # the reduction's worlds read on the base variables, goal variables from
-    # their post-action copies, then relabelled to the base names
-    shared = r.shared_columns
-    post = reduction_worlds(r).project(r.post_of.get(n, n) for n in shared)
-    reduced, final = WorldTable(shared, post.rows), compatible_worlds(f)
-    only_reduction, only_final = reduced.outside(final), final.outside(reduced)
-    if only_reduction.rows:
+    # their post-action copies, against the compatible worlds, as masks:
+    # reduction world i is context i, as is the i-th surgered world at one
+    # action level, so a reduced world is the surgered world at its action
+    # level iff every endogenous column agrees there, and no other world
+    shared, surgered = r.shared_columns, f.mstar.model
+    n, levels = surgered.universe
+    contexts, reduced = r.scm.universe
+    read = {name: reduced[r.post_of.get(name, name)] for name in shared}
+    tests = f.goal.level_tests.items()
+    goal = functools.reduce(operator.and_, (passing(levels[v], t) for v, t in tests))
+    in_final = matched = 0
+    for level, slots in levels[r.action].items():
+        compress = compressor(slots, n)
+        same = read[r.action].get(level, 0)
+        for name in surgered.mechanisms:
+            same &= sum(read[name].get(v, 0) & compress(mask)
+                        for v, mask in levels[name].items() if mask & slots)
+        in_final |= same & compress(goal)
+        if same:
+            matched |= scatter(same, slots, n)
+    context = r.scm.dag.exogenous()
+    every = (1 << contexts) - 1
+    only_reduction = table_over(shared, context, contexts, read.__getitem__, every & ~in_final)
+    only_final = table_over(shared, surgered.dag.exogenous(), n, levels.__getitem__, goal & ~matched)
+    if len(only_reduction):
         relation = "diverges"
     else:
-        relation = "subset" if only_final.rows else "equal"
+        relation = "subset" if len(only_final) else "equal"
     return StructuralComparison(
         action=f.mstar.target,
         final_dag=f.final_dag,

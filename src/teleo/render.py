@@ -25,14 +25,23 @@ def render_table(columns: Sequence[str], rows: Iterable[Sequence[int]]) -> str:
 
 
 class Records:
-    """A list of dicts with the same keys, held as the keys and one row of
-    values per dict: written as that list, but no dict is built."""
+    """A list of dicts with the same keys, or with ``keys`` None a list of
+    lists, held as the keys and the values' columns: written as that list,
+    but no dict is built.  The ``rows`` are transposed once, unless their
+    ``columns`` and their number ``size`` are given instead."""
 
-    def __init__(self, keys: Sequence[str], rows: Sequence[Sequence[object]]):
-        self.keys, self.rows = tuple(keys), rows
+    def __init__(self, keys: Sequence[str] | None, rows: Sequence[Sequence[object]] = (),
+                 columns: Sequence[Sequence[object]] | None = None, size: int = 0):
+        self.keys = None if keys is None else tuple(keys)
+        self.columns = list(zip(*rows)) if columns is None else list(columns)
+        self.size = len(rows) if columns is None else size
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self.size
+
+    @property
+    def rows(self) -> list[tuple]:
+        return list(zip(*self.columns)) if self.columns else [()] * self.size
 
 
 def json_chunks(value: object, level: int = 0) -> Iterator[str]:
@@ -114,21 +123,24 @@ def _table(items: Sequence[object], level: int) -> list[str] | None:
     """The rendered items of ``Records`` or of a list of lists of one
     length, written at indent ``level``; None for any other list.
 
-    Either is labels and columns from one transpose: a ``Records`` table's
-    columns in sorted-key order, each labelled by its quoted key and ": ",
-    or the list's columns in their order, unlabelled.  A column of plain
-    ints (bools are not ints here) is a ``%d`` field, any other a ``%s``
+    Either is labels and columns: a ``Records`` table's columns, in
+    sorted-key order, each labelled by its quoted key and ": " (unlabelled
+    for a list of lists), or the list's columns from one transpose, in
+    their order, unlabelled.  A column of plain
+    ints (bools are not ints here), bytes among them, is a ``%d`` field, any other a ``%s``
     field encoded by ``_column``, and one template writes every item.
     """
     if isinstance(items, Records):
-        keys = items.keys
-        if not keys:
-            return ["{}"] * len(items)
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        # a key is template text, so its own % signs are escaped
-        labels = [_quote(keys[i]).replace("%", "%%") + ": " for i in order]
-        source = list(zip(*items.rows))
-        columns, brackets = list(map(source.__getitem__, order)), "{}"
+        keys, columns, brackets = items.keys, list(items.columns), "{}"
+        if keys is None:
+            labels, brackets = [""] * len(columns), "[]"
+        else:
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            # a key is template text, so its own % signs are escaped
+            labels = [_quote(keys[i]).replace("%", "%%") + ": " for i in order]
+            columns = list(map(columns.__getitem__, order))
+        if not columns:
+            return [brackets] * len(items)
     else:
         if type(items[0]) not in (list, tuple) or len(set(map(type, items))) != 1:
             return None
@@ -136,7 +148,7 @@ def _table(items: Sequence[object], level: int) -> list[str] | None:
             return None
         labels, columns, brackets = [""] * len(items[0]), list(zip(*items)), "[]"
     for i, column in enumerate(columns):  # each label becomes its field
-        kinds = set(map(type, column))
+        kinds = {int} if type(column) is bytes else set(map(type, column))
         labels[i] += "%d" if kinds == {int} else "%s"
         if kinds != {int}:
             columns[i] = _column(column, kinds, level + 1)

@@ -262,7 +262,7 @@ class Distinguishability(Record):
 
     @property
     def distinguishable(self) -> bool:
-        return bool(self.only_first.rows or self.only_second.rows)
+        return bool(len(self.only_first) or len(self.only_second))
 
     @property
     def witnesses(self) -> WorldTable:

@@ -177,8 +177,8 @@ MUTANTS = (
     ),
     Mutant(
         "render-record-columns-in-source-order", "render.py",
-        "columns, brackets = list(map(source.__getitem__, order)), \"{}\"",
-        "columns, brackets = source, \"{}\"",
+        "columns = list(map(columns.__getitem__, order))",
+        "columns = list(columns)",
         ("tests/test_cli.py::TestJsonMode::test_finalize_json_reconstructs_the_table",),
     ),
 )

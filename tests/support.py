@@ -16,7 +16,13 @@ row-hashing counter: one key tuple per row, counted (or summed by weight),
 then sliced into strata; the strata oracle sets each stratum's row bits one
 row at a time, against the library's intersected level bitmasks.
 
-The world oracles are the row-wise reading of the library's columnar world
+The row-path oracles are how the library built world tables before it
+stored them as level masks over one universe: closed-form exogenous
+columns (``product_columns``) propagated column by column through the
+mechanisms (``propagate``) and zipped into rows that the constructor sorted
+(``rows_worlds``), a projection by one ``itemgetter`` per row
+(``project_rows``), and a set difference of rows (``outside_oracle``).
+The world oracles are the row-wise reading of the library's world
 tables: one ``World`` per exogenous combination, each mechanism evaluated
 world by world, goals checked comparison by comparison, projections made
 world by world.  ``verify_mechanism_consistency`` re-evaluates every
@@ -61,6 +67,7 @@ import argparse
 import contextlib
 import io
 import itertools
+import math
 import operator
 import random
 import sys
@@ -80,7 +87,6 @@ from teleo.model import (
     enumerate_worlds,
     level_masks,
     passing,
-    propagate,
     stratify,
 )
 from teleo.errors import (
@@ -438,6 +444,66 @@ def strata_oracle(table: WorldTable, given) -> list[tuple[tuple[int, ...], int]]
         key = tuple(world[n] for n in names)
         masks[key] = masks.get(key, 0) | 1 << i
     return sorted(masks.items())
+
+
+def propagate(
+    scm: Scm, order, columns: dict[str, tuple[int, ...]]
+) -> dict[str, tuple[int, ...]]:
+    """Complete ``columns``, one equal-length column per exogenous variable,
+    with every endogenous column of ``order``, in place: each mechanism
+    fills its child's column in one pass over its parents' columns."""
+    for node in order:
+        if node not in columns:
+            mech = scm.mechanisms[node]
+            parent_rows = zip(*(columns[p] for p in mech.parents))
+            columns[node] = tuple(map(mech.table.__getitem__, parent_rows))
+    return columns
+
+
+def product_columns(domains):
+    """The columns of ``itertools.product(*domains)``, in closed form: a
+    domain's column repeats each of its levels once per combination of the
+    later domains, and that block once per combination of the earlier ones."""
+    total = inner = math.prod(map(len, domains))
+    for domain in domains:
+        inner //= len(domain)
+        block = itertools.chain.from_iterable((level,) * inner for level in domain)
+        yield tuple(block) * (total // inner // len(domain))
+
+
+def rows_worlds(scm: Scm) -> WorldTable:
+    """The model's worlds by the row path: closed-form exogenous columns,
+    propagated, zipped into rows that the constructor sorts."""
+    exogenous = scm.dag.exogenous()
+    columns = dict(zip(exogenous, product_columns([scm.domain(n) for n in exogenous])))
+    propagate(scm, scm.dag.topological_order(), columns)
+    return WorldTable(scm.names, zip(*(columns[n] for n in scm.names)) if scm.names else [()])
+
+
+def project_rows(table: WorldTable, names) -> WorldTable:
+    """The table's rows on ``names`` by one ``itemgetter`` per row."""
+    names = tuple(names)
+    if not names:
+        return WorldTable(names, [()] if table.rows else [])
+    pick = operator.itemgetter(*map(table.columns.index, names))
+    rows = map(pick, table.rows) if len(names) > 1 else zip(map(pick, table.rows))
+    return WorldTable(names, rows)
+
+
+def outside_oracle(table: WorldTable, other: WorldTable) -> WorldTable:
+    """The rows of ``table`` that ``other`` lacks, by a set of ``other``'s
+    rows."""
+    lacking = set(other.rows).__contains__
+    return WorldTable(table.columns, itertools.filterfalse(lacking, table.rows))
+
+
+def assert_masks_are_the_rows(table: WorldTable) -> None:
+    """Each column's level masks have bit i where row i has the level, and
+    the table has as many rows as its ``kept`` mask has bits."""
+    assert len(table) == len(table.rows) == table.kept.bit_count()
+    for name in table.columns:
+        levels = [((level,), mask) for level, mask in table.levels(name).items()]
+        assert levels == strata_oracle(table, {name}), name
 
 
 def evaluate(mech: Mechanism, assignment: dict[str, int]) -> int:
@@ -867,6 +933,12 @@ __all__ = [
     "cells_oracle",
     "strata_oracle",
     "worlds_oracle",
+    "propagate",
+    "product_columns",
+    "rows_worlds",
+    "project_rows",
+    "outside_oracle",
+    "assert_masks_are_the_rows",
     "COMPARISONS",
     "filter_oracle",
     "project_oracle",

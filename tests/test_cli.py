@@ -1116,6 +1116,23 @@ class TestProcess:
         reason = os.strerror(errno.ENOSPC)
         assert (proc.returncode, proc.stderr) == (1, f"error: cannot write output: {reason}\n")
 
+    @pytest.mark.parametrize("args", [
+        ("worlds", "models/heating.tele"),
+        ("--json", "worlds", "models/heating.tele"),
+        ("--help",),
+        ("--version",),
+    ], ids=["text", "json", "help", "version"])
+    def test_a_closed_standard_output_is_one_error_line(self, args):
+        # ``teleo ... >&-``: the program starts with no file descriptor 1,
+        # so its ``sys.stdout`` is None
+        proc = subprocess.run(
+            [sys.executable, *TELEO, *args], cwd=ROOT, stderr=subprocess.PIPE,
+            text=True, timeout=60, preexec_fn=lambda: os.close(1),
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+        reason = os.strerror(errno.EBADF)
+        assert (proc.returncode, proc.stderr) == (1, f"error: cannot write output: {reason}\n")
+
     def test_a_reader_that_stops_early_gets_no_traceback(self, tmp_path):
         # the JSON document is far larger than a pipe buffer, so the write
         # meets the closed pipe (``teleo --json finalize ... | head -c 20``)

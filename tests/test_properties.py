@@ -25,8 +25,9 @@ from teleo.model import (
     Variable,
     WorldTable,
     enumerate_worlds,
-    product_columns,
+    level_column,
     statement_grid,
+    universe_levels,
     uniform_independent,
 )
 from teleo.reduction import (
@@ -51,14 +52,18 @@ from teleo.teleology import build_final_model
 
 from support import (
     all_statements,
+    assert_masks_are_the_rows,
     candidates_oracle,
     dependence_oracle,
     dsep_oracle,
     effective_parents_oracle,
     factorization_oracle,
     filter_oracle,
+    outside_oracle,
     post_action_worlds,
+    product_columns,
     project_oracle,
+    project_rows,
     random_dag,
     random_final,
     random_goal,
@@ -68,6 +73,7 @@ from support import (
     reduction_levels_oracle,
     reduction_survey_oracle,
     render_json,
+    rows_worlds,
     render_table_oracle,
     topological_oracle,
     uniform_oracle,
@@ -288,15 +294,28 @@ def _outcome(fn, *args):
 @MODERATE
 @given(seeds)
 def test_columnar_tables_match_the_world_oracle(seed):
+    # the universe's masks, and the compressed masks of each filtered table,
+    # read back as rows; set differences between filters are mask
+    # differences, checked against the row-set oracle
     rng = random.Random(seed)
     for scm in _ternary_models(rng):
         worlds = worlds_oracle(scm)
         table = enumerate_worlds(scm)
         assert worlds_of(table) == worlds
+        assert table == rows_worlds(scm)
+        assert_masks_are_the_rows(table)
+        filtered = []
         for g in _goals(rng, scm, worlds):
-            assert worlds_of(table.filter(g.level_tests)) == filter_oracle(worlds, g)
+            kept = table.filter(g.level_tests)
+            assert worlds_of(kept) == filter_oracle(worlds, g)
+            assert_masks_are_the_rows(kept)
+            filtered.append(kept)
+        for a, b in itertools.combinations([table, *filtered], 2):
+            assert a.outside(b) == outside_oracle(a, b)
+            assert b.outside(a) == outside_oracle(b, a)
         names = tuple(rng.sample(scm.names, rng.randint(0, len(scm.names))))
         assert worlds_of(table.project(names)) == project_oracle(worlds, names)
+        assert table.project(names) == project_rows(table, names)
 
 
 @MODERATE
@@ -319,8 +338,13 @@ def test_tables_in_any_declaration_order_match_the_world_oracle(seed):
         table = enumerate_worlds(model)
         assert worlds_of(table) == worlds
         assert all(a < b for a, b in zip(table.rows, table.rows[1:]))
+        assert_masks_are_the_rows(table)
         for g in _goals(rng, model, worlds):
-            assert worlds_of(table.filter(g.level_tests)) == filter_oracle(worlds, g)
+            kept = table.filter(g.level_tests)
+            assert worlds_of(kept) == filter_oracle(worlds, g)
+            assert all(a < b for a, b in zip(kept.rows, kept.rows[1:]))
+            assert_masks_are_the_rows(kept)
+            assert table.outside(kept) == outside_oracle(table, kept)
         rows = list(table.rows) + rng.sample(table.rows, rng.randint(0, len(table)))
         rng.shuffle(rows)
         assert WorldTable(table.columns, rows) == table
@@ -695,7 +719,12 @@ def test_worlds_match_the_world_oracle_with_the_exogenous_declared_last(seed):
                 max_size=5))
 @example([])
 def test_closed_form_columns_are_the_transposed_product(domains):
-    assert list(product_columns(domains)) == list(zip(*itertools.product(*domains)))
+    # each domain's closed-form level masks, read back as a column
+    named = {f"V{i}": domain for i, domain in enumerate(domains)}
+    n, levels = universe_levels(None, (), named)
+    columns = [tuple(level_column(levels[name], n)) for name in named]
+    assert columns == list(zip(*itertools.product(*domains)))
+    assert list(product_columns(domains)) == columns
 
 
 @MODERATE
