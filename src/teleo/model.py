@@ -1,31 +1,24 @@
 """Discrete deterministic causal models and their possible-worlds semantics.
 
 A model is a DAG over named variables with finite integer domains, plus one
-deterministic mechanism (a total lookup table) per endogenous variable.
-Exogenous variables range freely over their domains, so the set of worlds
-consistent with the model is finite and enumerable: one world per combination
-of exogenous values.
+deterministic mechanism (a total lookup table) per endogenous variable, so
+it has one world per combination of exogenous values.
 
-A world table is the one representation of a set of worlds: it stores
-them as level masks, one Python int per level of each variable (bit i is
-row i), over a root table.  A model's root is its universe: world i is the
-i-th combination of the exogenous levels in product order, so exogenous
-masks are closed-form periodic blocks, and each endogenous level's mask is
-the union of its parents' strata that the mechanism maps to it.  A goal
-filter keeps the rows whose goal levels pass, and a filtered table's masks
-are its root's compressed to the kept rows; set comparisons take one
-table's kept rows that another lacks (``WorldTable.outside``).  Columns and
-rows are built from the masks only when read.
+A world table is the one representation of a set of worlds: level masks,
+one Python int per level of each variable (bit i is row i).  A model's
+worlds are its universe, world i the i-th exogenous combination in product
+order: exogenous masks are closed-form periodic blocks, and an endogenous
+level's mask is the union of the parents' strata its mechanism maps to it.
+A goal filter compresses every mask to the kept rows, set comparisons are
+mask differences (``WorldTable.outside``), and rows and columns are built
+from the masks only when read.
 
-World tables carry a uniform weighting over their members.  All probability
-comparisons are exact.  Independence is decided by one count-weighted
+Independence under a table's uniform weighting is decided by one exact
 kernel, ``WorldTable.factorizes``, which cross-multiplies integer counts in
-every stratum of the conditioning set.  A table builds the strata of each
-conditioning set once (``WorldTable.strata``) as row masks, and a count is
-the popcount of a mask for a world table, and for a dataset the sum over
-binary weight layers of 2^k times the popcount of the mask within layer k.
-Distributions are returned as Fractions.  There is no tolerance anywhere in
-this module.
+every stratum of the conditioning set (``WorldTable.strata``, row masks): a
+count is a mask's popcount, and for a dataset the sum over binary weight
+layers of 2^k times the popcount within layer k.  Distributions are
+Fractions.  There is no tolerance anywhere in this module.
 """
 
 from __future__ import annotations
@@ -73,14 +66,12 @@ __all__ = [
 ]
 
 class Record:
-    """An immutable value object: the base of every model, statement and
-    verdict type.
-
-    Its fields are the subclass's annotated names, in order, and a class
-    attribute is a field's default.  Equality and hashing read every field
-    but those named in ``uncompared``; ``repr`` reads every field.  A class
-    that normalises its arguments writes its own ``__init__`` and stores
-    each field once in ``__dict__``, where caches live too.
+    """An immutable value object, the base of every model, statement and
+    verdict type: its fields are the subclass's annotated names, in order,
+    and a class attribute is a field's default.  Equality and hashing read
+    every field but those named in ``uncompared``; ``repr`` reads every
+    field.  A class that normalises its arguments writes its own
+    ``__init__`` and stores each field once in ``__dict__``, with caches.
     """
 
     def __init_subclass__(cls, uncompared: Iterable[str] = ()):
@@ -142,20 +133,15 @@ class Variable(Record):
 
 
 class CausalDag(Record):
-    """Directed acyclic graph over variable names.
+    """Directed acyclic graph over variable names, its nodes and edges in
+    declaration order (which fixes every printed table's column order);
+    equality, hashing and ``repr`` use only these two tuples.
 
-    ``nodes`` keeps declaration order, which fixes column order in every
-    printed table.  Edges are kept in declaration order as well; equality,
-    hashing and ``repr`` use only these two tuples.
-
-    This is the one index of the graph: construction validates it in one
-    pass over the edges, which fills each node's parent and child masks,
-    and sorts it once.  In a mask, bit i stands for ``nodes[i]``, so a mask
-    read from bit 0 upward lists its nodes in declaration order.  Every
-    query reads the edge list or the masks: parents and children are the
-    edges into and out of a node, ancestors and descendants are mask
-    fixpoints, and the d-separation kernel (``dsep``) walks the parent and
-    child masks and keeps its walks in ``_reachable``.
+    This is the one index of the graph: one pass over the edges validates
+    it and fills each node's parent and child masks (bit i is ``nodes[i]``),
+    and it is sorted once.  Parents and children are edges into and out of
+    a node, ancestors and descendants are mask fixpoints, and d-separation
+    (``dsep``) walks the masks and keeps its walks in ``_reachable``.
     """
 
     nodes: tuple[str, ...]
@@ -343,12 +329,9 @@ def check_parents(dag: CausalDag, child: str, parents: Sequence[str]) -> None:
 
 def check_table(mech: Mechanism, variables: Mapping[str, Variable]) -> None:
     """A mechanism's table maps every combination of its parents' levels,
-    and nothing else, into its child's domain.  Rows are checked in table
-    order, then totality.
-
-    A mechanism that passes keeps the variables it was checked against, so
-    a later check against the same variables (a model built from a checked
-    statement, or a surgered model) returns at once."""
+    and nothing else, into its child's domain: rows in table order, then
+    totality.  A mechanism that passes keeps the variables it was checked
+    against, so a later check against them (a surgered model) returns at once."""
     reads = tuple(variables[n] for n in (mech.child, *mech.parents))
     if mech.__dict__.get("_checked") == reads:
         return
@@ -375,11 +358,10 @@ def check_table(mech: Mechanism, variables: Mapping[str, Variable]) -> None:
 class Scm(Record):
     """A causal DAG with one deterministic mechanism per endogenous node.
 
-    ``universe`` is the model's worlds as level masks over the exogenous
-    combinations in product order, and ``worlds`` its world table; both
-    are built on first use and shared by every later reader.  That is sound
-    because the object is frozen and copies its mechanisms at construction;
-    callers must not mutate ``mechanisms`` in place.
+    ``universe`` (``universe_levels`` over the exogenous variables) and its
+    table ``worlds`` are built on first use and shared by every later
+    reader, which is sound because the object is frozen and copies its
+    mechanisms; callers must not mutate ``mechanisms`` in place.
     """
 
     dag: CausalDag
@@ -439,13 +421,10 @@ class WorldTable(Record):
     A table keeps the rows of a root table that its mask ``kept`` has.  A
     root is a model's universe (``table_over``) or the rows it is given,
     deduplicated and sorted unless they strictly increase.  Every mask is in
-    sorted row order, bit i for row i, and a filtered table's masks are its
-    root's compressed to the kept rows (``compressor``), not a view.
-    ``rows`` (sorted, so equal sets compare equal) and each ``column`` are
-    built from the masks when read.  The kernels read each column's level
-    masks (``levels``, and for ``factorizes`` all but the first level's) and
-    each conditioning set's strata (``strata``).  All are built once and
-    cached outside equality, hashing and ``repr``.
+    sorted row order, bit i for row i; a filtered table's masks are its
+    root's compressed to the kept rows (``compressor``), not a view.  Rows
+    (sorted, so equal sets compare equal), columns, level masks and strata
+    are built once, when read, and cached outside equality, hash and repr.
     """
 
     columns: tuple[str, ...]
@@ -465,27 +444,29 @@ class WorldTable(Record):
         if not all(map(operator.lt, rows, itertools.islice(rows, 1, None))):
             rows = tuple(sorted(set(rows)))
         at = dict(zip(columns, map(operator.itemgetter, range(len(columns)))))
-        self._start(columns, len(rows), lambda name: level_masks(tuple(map(at[name], rows))))
-        self.__dict__["rows"] = rows
+        table = WorldTable._of(columns, len(rows), lambda name: level_masks(
+            tuple(map(at[name], rows))))
+        self.__dict__.update(vars(table), rows=rows)
 
-    def _start(self, columns, n: int, build: Callable, root=None, kept=None) -> None:
+    @classmethod
+    def _of(cls, columns, n: int, build: Callable, root=None, kept=None) -> WorldTable:
         """A table of n rows whose masks ``build(name)`` makes: a root, or
         ``kept`` of ``root``'s rows."""
-        self.__dict__.update(columns=columns, _n=n, _build=build, _root=root, _level_cache={},
-                             _column_cache={}, _tail_cache={}, _strata_cache={})
-        self.__dict__["kept"] = (1 << n) - 1 if kept is None else kept
+        table = cls.__new__(cls)
+        table.__dict__.update(columns=columns, _n=n, _build=build, _root=root, _level_cache={},
+                              _column_cache={}, _tail_cache={}, _strata_cache={})
+        table.__dict__["kept"] = (1 << n) - 1 if kept is None else kept
+        return table
 
     def _keep(self, kept: int) -> WorldTable:
         """The rows of this root that ``kept`` has (the root for all)."""
         if kept == self.kept:
             return self
         compress, levels = compressor(kept, self._n), self.levels
-        table = WorldTable.__new__(WorldTable)
-        table._start(self.columns, kept.bit_count(), lambda name: {
+        return WorldTable._of(self.columns, kept.bit_count(), lambda name: {
             level: packed for level, mask in levels(name).items()
             if mask & kept and (packed := compress(mask))
         }, self, kept)
-        return table
 
     def _key(self) -> tuple:
         return self.columns, self.rows
@@ -531,10 +512,9 @@ class WorldTable(Record):
         return WorldTable(columns, [stratum for stratum, _ in strata])
 
     def outside(self, other: WorldTable) -> WorldTable:
-        """The rows of this table that ``other`` lacks, under this table's
-        columns.  Both tables must have the same columns.  Over one root that
-        is ``kept & ~other.kept``; across roots a row is in ``other`` iff
-        the masks of its levels there meet."""
+        """The rows of this table that ``other``, over the same columns,
+        lacks: ``kept & ~other.kept`` over one root; across roots a row is
+        in ``other`` iff the masks of its levels there meet."""
         if other.columns != self.columns:
             raise ModelStructureError(
                 f"cannot compare tables over {self.columns} and {other.columns}"
@@ -560,13 +540,8 @@ class WorldTable(Record):
 
     def strata(self, given: Iterable[str]) -> list[tuple[tuple[int, ...], int]]:
         """The ``(stratum, row mask)`` of every stratum of the conditioning
-        set ``given`` that has rows, in sorted order.
-
-        A stratum holds the levels of ``sorted(given)``, and its rows are the
-        intersection of those levels' masks.  An empty ``given`` has the one
-        stratum ``()`` of every row, and an empty table has none.  Built once
-        per conditioning set and cached.
-        """
+        set ``given`` that has rows, in sorted order (``stratify`` over the
+        columns of ``sorted(given)``); built once per set and cached."""
         given = frozenset(given)
         strata = self._strata_cache.get(given)
         if strata is None:
@@ -637,10 +612,9 @@ def stratify(
     n_rows: int, levels: Iterable[Mapping[int, int]]
 ) -> list[tuple[tuple[int, ...], int]]:
     """The ``(stratum, row mask)`` of every combination of levels that has
-    rows, in sorted order, from one ``level_masks`` map per column over
-    ``n_rows`` rows.  A stratum holds one level per column, and its rows are
-    the intersection of those levels' masks.  No columns give the one
-    stratum ``()`` of every row, and no rows give no strata."""
+    rows, in sorted order, from one level-mask map per column over ``n_rows``
+    rows: a stratum's rows are its levels' masks intersected.  No columns
+    give the one stratum ``()`` of every row, and no rows give none."""
     strata = [((), (1 << n_rows) - 1)] if n_rows else []
     for masks in levels:
         # level order within each sorted stratum keeps the list sorted
@@ -666,9 +640,8 @@ def _layered_weight(layers: Iterable[tuple[int, int]], cell: int) -> int:
 
 
 def passing(levels: Mapping[int, int], test: Callable[[int], bool]) -> int:
-    """The rows whose level passes ``test``: the union of the row masks in
-    ``levels`` (a ``level_masks`` map) of the levels that pass.  The test
-    runs once per level, not once per row."""
+    """The rows whose level passes ``test``, which runs once per level: the
+    union of the masks in ``levels`` of the levels that pass."""
     return sum(mask for level, mask in levels.items() if test(level))
 
 
@@ -791,8 +764,7 @@ def table_over(columns: tuple[str, ...], exogenous: Sequence[str], n: int,
     """The worlds of ``kept`` among n in product order over ``exogenous``,
     whose masks ``levels`` gives, over ``columns``.  That order is sorted
     when the exogenous variables come first, else the rows are sorted."""
-    (root := WorldTable.__new__(WorldTable))._start(columns, n, levels)
-    table = root._keep(kept)
+    table = WorldTable._of(columns, n, levels)._keep(kept)
     return table if columns[: len(exogenous)] == tuple(exogenous) else WorldTable(columns, table.rows)
 
 

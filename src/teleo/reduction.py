@@ -5,12 +5,9 @@ would accept: an intention variable I, a pre-action measurement of each goal
 variable (suffix 0), the action driven by I, and the post-action measurement
 (suffix 1).  I fires exactly when the goal is unmet with the action at its
 rest level and some action level would meet it; the action then takes the
-least such level.
-
-The point of the module is comparison, not adjudication: it reports where
-the reduction and the final model agree (the worlds they allow) and where
-they do not (who the action listens to, and which separation statements
-flip).
+least such level.  The module compares, it does not adjudicate: it reports
+where the two readings agree (the worlds they allow) and where they do not
+(who the action listens to, and which separation statements flip).
 """
 
 from __future__ import annotations
@@ -78,11 +75,10 @@ class ReductionModel(Record):
 def build_reduction(f: FinalModel, rest_level: int | None = None) -> ReductionModel:
     """Unroll a final model into one purely causal model.
 
-    The pre-action state is the surgered model evaluated with the action at
-    its rest level (the domain minimum unless overridden).  Intermediate
-    endogenous ancestors of the goal variables are collapsed away: every
-    pre- and post-copy mechanism is tabulated directly over the exogenous
-    context (plus the action, for post-copies).
+    The pre-action state is the surgered model with the action at its rest
+    level (the domain minimum unless overridden).  Every pre- and post-copy
+    mechanism is tabulated directly over the exogenous context (and the
+    action, for post-copies), so intermediate ancestors are collapsed away.
     """
     surgered = f.mstar.model
     action = f.mstar.target
@@ -113,10 +109,8 @@ def build_reduction(f: FinalModel, rest_level: int | None = None) -> ReductionMo
     if INTENTION_NAME in taken:
         raise ReductionError(f"cannot add {INTENTION_NAME}: the name is taken")
 
-    # survey the surgered universe: its worlds at one action level, packed
-    # (``compressor``), are the contexts in product order (bit i is context
-    # i), so that level's goal masks over them give the contexts it meets
-    # the goal in
+    # the surgered worlds at one action level, packed, are the contexts in
+    # product order (bit i is context i), as are the reduction's worlds
     n, levels = surgered.universe
     contexts = n // len(action_domain)
     meets: dict[int, int] = {}  # action level -> contexts it meets the goal in
@@ -256,12 +250,9 @@ def reduction_worlds(r: ReductionModel) -> WorldTable:
 
 
 def _effective_parents(scm: Scm, node: str) -> tuple[str, ...]:
-    """Parents whose value actually changes the mechanism's output.
-
-    The table is total, so a parent matters iff dropping it from every key
-    merges keys that map to different values: fewer distinct keys remain
-    than distinct (key, value) pairs.
-    """
+    """Parents whose value changes the mechanism's output: as the table is
+    total, those whose dropping from every key merges keys that map to
+    different values (fewer distinct keys than (key, value) pairs)."""
     mech = scm.mechanisms.get(node)
     if mech is None:
         return ()
@@ -278,14 +269,12 @@ def project_reduction(r: ReductionModel) -> Scm:
     """Collapse the reduction onto the base variables.
 
     The intention and the pre-action copies are spliced away: the action
-    listens to the pre-action copies' parents, their ordered union with the
-    copies taken in ``pre_of`` order, and one column-wise pass of the
-    copies, the intention and the action over those parents' levels fills
-    its table, as ``build_reduction`` tabulates the copies.  Each
-    post-action copy takes back the original variable name where it stands.
-    Every other mechanism keeps its table, and one that names no post-action
-    copy is kept as it is, as is its variable, so the model skips its
-    table's check.  World tables are preserved up to projection.
+    listens to the copies' parents (their ordered union, in ``pre_of``
+    order), its table tabulated through the copies, the intention and the
+    action as ``build_reduction`` tabulates the copies.  Each post-action
+    copy takes back its base name; a mechanism that names no post-action
+    copy is kept as it is, so the model skips its table's check.  World
+    tables are preserved up to projection.
     """
     scm, action, pre = r.scm, r.action, r.pre_of.values()
     post = set(r.post_of.values())
@@ -379,11 +368,10 @@ def compare_structures(f: FinalModel, r: ReductionModel) -> StructuralComparison
             sep_f = not reachable(f.final_dag, x, given) >> position[y] & 1
             disagreements.append((IndependenceStatement(x, y, given), sep_f, not sep_f))
 
-    # the reduction's worlds read on the base variables, goal variables from
-    # their post-action copies, against the compatible worlds, as masks:
-    # reduction world i is context i, as is the i-th surgered world at one
-    # action level, so a reduced world is the surgered world at its action
-    # level iff every endogenous column agrees there, and no other world
+    # the reduction's worlds on the base variables (goal variables from their
+    # post-action copies) against the compatible worlds: reduced world i is
+    # the surgered world of context i at its action level iff every
+    # endogenous column agrees there, and no other world
     shared, surgered = r.shared_columns, f.mstar.model
     n, levels = surgered.universe
     contexts, reduced = r.scm.universe
@@ -400,8 +388,7 @@ def compare_structures(f: FinalModel, r: ReductionModel) -> StructuralComparison
         in_final |= same & compress(goal)
         if same:
             matched |= scatter(same, slots, n)
-    context = r.scm.dag.exogenous()
-    every = (1 << contexts) - 1
+    context, every = r.scm.dag.exogenous(), (1 << contexts) - 1
     only_reduction = table_over(shared, context, contexts, read.__getitem__, every & ~in_final)
     only_final = table_over(shared, surgered.dag.exogenous(), n, levels.__getitem__, goal & ~matched)
     if len(only_reduction):

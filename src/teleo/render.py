@@ -9,12 +9,9 @@ from collections.abc import Iterable, Iterator, Sequence
 
 
 def render_table(columns: Sequence[str], rows: Iterable[Sequence[int]]) -> str:
-    """Align world-table levels under a header row; two spaces between columns.
-
-    Each column is as wide as its name or its widest distinct level, and
-    every row goes through one ``%``-template.  The output is byte-stable:
-    same columns and rows, same text.
-    """
+    """Align world-table levels under a header row; two spaces between
+    columns, each as wide as its name or its widest distinct level, and
+    every row through one ``%``-template."""
     rows = list(map(tuple, rows))
     levels = [set(column) for column in zip(*rows)] or [()] * len(columns)
     widths = [max([len(name), *map(len, map(str, column))])
@@ -25,10 +22,9 @@ def render_table(columns: Sequence[str], rows: Iterable[Sequence[int]]) -> str:
 
 
 class Records:
-    """A list of dicts with the same keys, or with ``keys`` None a list of
-    lists, held as the keys and the values' columns: written as that list,
-    but no dict is built.  The ``rows`` are transposed once, unless their
-    ``columns`` and their number ``size`` are given instead."""
+    """A list of dicts with the same keys (with ``keys`` None, of lists), held
+    as its columns, so no dict is built: ``rows`` transposed once, or the
+    ``columns`` and their length ``size``."""
 
     def __init__(self, keys: Sequence[str] | None, rows: Sequence[Sequence[object]] = (),
                  columns: Sequence[Sequence[object]] | None = None, size: int = 0):
@@ -46,17 +42,14 @@ class Records:
 
 def json_chunks(value: object, level: int = 0) -> Iterator[str]:
     """Exactly ``json.dumps(value, indent=2, sort_keys=True)``, with each
-    ``Records`` written as its list of dicts, but faster, in pieces written
-    at indent ``level``: each member of a dict on its own, and any other
-    value in one piece.
+    ``Records`` written as its list, but faster, in pieces written at indent
+    ``level``: each member of a dict on its own, any other value in one.
 
     CPython serves an indented ``json.dumps`` with its pure-Python encoder,
-    one call per value.  The documents here are mostly tables (``Records``
-    and lists of lists of one length), whose rows go through one
-    ``%``-template (``_table``), so most values cost a C-level format instead
-    of a Python call.  Everything else recurses, and a value of no type
-    named here goes to ``json.dumps``, which also raises its ``TypeError``
-    for a value JSON cannot hold.
+    one call per value.  The documents here are mostly tables, whose rows
+    go through one ``%``-template (``_table``), a C-level format.  Anything
+    else recurses, and a value of no type named here goes to ``json.dumps``,
+    which raises its ``TypeError`` for a value JSON cannot hold.
     """
     if not isinstance(value, dict) or not value:
         yield _encode(value, level)
@@ -123,12 +116,12 @@ def _table(items: Sequence[object], level: int) -> list[str] | None:
     """The rendered items of ``Records`` or of a list of lists of one
     length, written at indent ``level``; None for any other list.
 
-    Either is labels and columns: a ``Records`` table's columns, in
-    sorted-key order, each labelled by its quoted key and ": " (unlabelled
-    for a list of lists), or the list's columns from one transpose, in
-    their order, unlabelled.  A column of plain
-    ints (bools are not ints here), bytes among them, is a ``%d`` field, any other a ``%s``
-    field encoded by ``_column``, and one template writes every item.
+    Either is labels and columns: a ``Records`` table's columns, labelled
+    in sorted-key order by their quoted keys and ": " (unless it holds
+    lists), or the list's columns from one transpose, unlabelled.  A column
+    of plain ints (bools are not ints here; bytes are) is a ``%d`` field,
+    any other a ``%s`` field encoded by ``_column``, and one template
+    writes every item.
     """
     if isinstance(items, Records):
         keys, columns, brackets = items.keys, list(items.columns), "{}"
@@ -163,13 +156,9 @@ _KEYABLE = {str, int, type(None)}
 
 def _column(column: Sequence[object], kinds: set[type], level: int) -> list[str]:
     """The rendered values of one table column whose values have the types
-    ``kinds``, written at indent ``level``.
-
-    A column of one type among str, bool and None, or of tuples whose items
-    are all strings, ints or None (the statements' ``given`` sets), is
-    written one distinct value at a time.  Any other column, lists included,
-    goes value by value.
-    """
+    ``kinds``, written at indent ``level``: one distinct value at a time for
+    a column of one type among str, bool and None, or of tuples of strings,
+    ints or None (the ``given`` sets), and value by value otherwise."""
     if not (len(kinds) == 1 and kinds <= {str, bool, type(None)} or kinds == {tuple}
             and set(map(type, itertools.chain.from_iterable(column))) <= _KEYABLE):
         return [_encode(v, level) for v in column]

@@ -44,6 +44,9 @@ class Mutant(NamedTuple):
 
 
 RECORDS_CASES = "tests/test_properties.py::test_records_and_int_rows_cases"
+COLUMNAR = "tests/test_properties.py::test_columnar_tables_match_the_world_oracle"
+ANY_ORDER = "tests/test_properties.py::test_tables_in_any_declaration_order_match_the_world_oracle"
+UNIVERSE = "tests/test_universe.py"
 PARSER_ROWS = "tests/test_cli.py::TestParser::test_rows_parse_as_the_oracle_parses"
 
 MUTANTS = (
@@ -180,6 +183,140 @@ MUTANTS = (
         "columns = list(map(columns.__getitem__, order))",
         "columns = list(columns)",
         ("tests/test_cli.py::TestJsonMode::test_finalize_json_reconstructs_the_table",),
+    ),
+    Mutant(
+        "cli-closed-stdout-unchecked", "cli.py",
+        "if sys.stdout is None:  # ``teleo ... >&-``",
+        "if False:",
+        ("tests/test_cli.py::TestProcess::"
+         "test_a_closed_standard_output_is_one_error_line[text]",),
+    ),
+    # the universe of level masks (world tables over one universe)
+    Mutant(
+        "model-exogenous-block-shifted-by-one", "model.py",
+        "<< k * inner for k, v in enumerate(domain)}",
+        "<< k * inner + 1 for k, v in enumerate(domain)}",
+        (COLUMNAR,),
+    ),
+    Mutant(
+        "model-geometric-constant-of-a-wrong-period", "model.py",
+        "// ((1 << inner * len(domain)) - 1)",
+        "// ((1 << inner * (len(domain) + 1)) - 1)",
+        (f"{UNIVERSE}::test_single_level_domains_hold_every_world", COLUMNAR),
+    ),
+    Mutant(
+        "model-filter-keeps-an-uncompressed-view", "model.py",
+        "if mask & kept and (packed := compress(mask))",
+        "if (packed := mask & kept)",
+        (f"{UNIVERSE}::test_filtered_tables_are_compressed_to_their_rows",),
+    ),
+    Mutant(
+        "model-rows-unsorted-with-an-exogenous-variable-late", "model.py",
+        "return table if columns[: len(exogenous)] == tuple(exogenous) else",
+        "return table if True else",
+        (ANY_ORDER,),
+    ),
+    Mutant(
+        "model-outside-as-and", "model.py",
+        "return root._keep(self.kept & ~other.kept)",
+        "return root._keep(self.kept & other.kept)",
+        ("tests/test_model_core.py::TestWorldTable::"
+         "test_outside_keeps_the_rows_the_other_table_lacks",
+         f"{UNIVERSE}::test_mask_set_operations_match_the_row_set_oracle"),
+    ),
+    Mutant(
+        "model-outside-across-roots-by-any-level", "model.py",
+        "operator.and_, map(dict.get, masks, row, absent), every)])",
+        "operator.or_, map(dict.get, masks, row, absent), 0)])",
+        (f"{UNIVERSE}::test_mask_set_operations_match_the_row_set_oracle",),
+    ),
+    Mutant(
+        "identification-rank-class-keyed-on-the-goal", "identification.py",
+        "key = compatible_worlds(verdict.hypothesis).kept",
+        "key = verdict.hypothesis.goal",
+        ("tests/test_commands.py::test_identify_ranks_as_the_oracles_do",),
+    ),
+    Mutant(
+        "identification-rank-class-keyed-on-rows", "identification.py",
+        "key = compatible_worlds(verdict.hypothesis).kept",
+        "key = compatible_worlds(verdict.hypothesis).rows",
+        (f"{UNIVERSE}::test_ranking_builds_no_rows_of_the_compatible_worlds",),
+    ),
+    Mutant(
+        "model-column-bytes-unreversed", "model.py",
+        'return digits.to_bytes(n, "big")[::-1]',
+        'return digits.to_bytes(n, "big")',
+        (COLUMNAR,),
+    ),
+    Mutant(
+        "model-compressor-keeps-every-digit", "model.py",
+        'digits.translate(_LOWER, b"01")',
+        "digits.translate(_LOWER)",
+        (f"{UNIVERSE}::test_the_compressor_packs_and_scatter_unpacks",),
+    ),
+    Mutant(
+        "reduction-survey-reads-the-uncompressed-masks", "reduction.py",
+        "masks = {g: {v: c for v, m in levels[g].items() if (c := compress(m))}",
+        "masks = {g: {v: c for v, m in levels[g].items() if (c := m)}",
+        ("tests/test_properties.py::test_the_reduction_matches_the_per_level_oracle",),
+    ),
+    Mutant(
+        "reduction-compare-scatters-nothing", "reduction.py",
+        "matched |= scatter(same, slots, n)",
+        "matched |= 0",
+        ("tests/test_properties.py::test_world_set_differences_match_the_world_oracle",),
+    ),
+    # the columnar change's kernel mutants, rewritten against the masks
+    Mutant(
+        "model-given-rows-unsorted", "model.py",
+        "rows = tuple(sorted(set(rows)))",
+        "rows = tuple(dict.fromkeys(rows))",
+        ("tests/test_model_core.py::TestWorldTable::"
+         "test_unsorted_and_repeated_rows_are_sorted_and_deduplicated",),
+    ),
+    Mutant(
+        "model-filter-any-for-all", "model.py",
+        "return root._keep(reduce(operator.and_, masks, self.kept))",
+        "return root._keep(reduce(operator.or_, masks, 0) & self.kept)",
+        (COLUMNAR,),
+    ),
+    Mutant(
+        "model-dropped-stratum", "model.py",
+        "        for _, rows in strata:\n",
+        "        for _, rows in strata[1:]:\n",
+        ("tests/test_cells.py::test_one_table_answers_many_statements_like_the_uniform_oracle",),
+    ),
+    Mutant(
+        "model-no-empty-table-error", "model.py",
+        "        if not strata:\n            raise EmptyTableError",
+        "        if False:\n            raise EmptyTableError",
+        ("tests/test_model_core.py::TestUniformIndependence::test_empty_table_is_degenerate",),
+    ),
+    Mutant(
+        "model-dataset-weights-ignored", "model.py",
+        "        if weights is None:\n",
+        "        if True:\n",
+        ("tests/test_properties.py::"
+         "test_factorization_matches_the_fraction_oracle_on_weighted_rows",),
+    ),
+    Mutant(
+        "model-parents-read-in-sorted-order", "model.py",
+        "stratify(n, map(levels.__getitem__, mech.parents))",
+        "stratify(n, map(levels.__getitem__, sorted(mech.parents)))",
+        (COLUMNAR,),
+    ),
+    Mutant(
+        "model-empty-projection-loses-its-row", "model.py",
+        "return WorldTable(columns, [stratum for stratum, _ in strata])",
+        "return WorldTable(columns, [stratum for stratum, _ in strata if stratum])",
+        ("tests/test_model_core.py::TestEnumerateWorlds::"
+         "test_an_empty_model_has_the_one_empty_world",),
+    ),
+    Mutant(
+        "model-level-test-skips-the-first-level", "model.py",
+        "return sum(mask for level, mask in levels.items() if test(level))",
+        "return sum(mask for level, mask in list(levels.items())[1:] if test(level))",
+        (COLUMNAR,),
     ),
 )
 
