@@ -497,6 +497,15 @@ def outside_oracle(table: WorldTable, other: WorldTable) -> WorldTable:
     return WorldTable(table.columns, itertools.filterfalse(lacking, table.rows))
 
 
+def exogenous_last(scm: Scm) -> Scm:
+    """The same model with its exogenous variables declared after its
+    endogenous ones, so that the sorted row order is not product order."""
+    order = (*scm.dag.endogenous(), *scm.dag.exogenous())
+    by_name = {v.name: v for v in scm.variables}
+    dag = CausalDag(order, scm.dag.edges)
+    return Scm(dag, tuple(map(by_name.__getitem__, order)), scm.mechanisms)
+
+
 def assert_masks_are_the_rows(table: WorldTable) -> None:
     """Each column's level masks have bit i where row i has the level, and
     the table has as many rows as its ``kept`` mask has bits."""
@@ -939,6 +948,7 @@ __all__ = [
     "project_rows",
     "outside_oracle",
     "assert_masks_are_the_rows",
+    "exogenous_last",
     "COMPARISONS",
     "filter_oracle",
     "project_oracle",

@@ -57,6 +57,7 @@ from support import (
     dependence_oracle,
     dsep_oracle,
     effective_parents_oracle,
+    exogenous_last,
     factorization_oracle,
     filter_oracle,
     outside_oracle,
@@ -670,15 +671,6 @@ def test_the_reduction_survey_matches_the_per_context_oracle(seed):
     assert {name: r.scm.mechanisms[name] for name in expected} == expected
 
 
-def _exogenous_last(scm: Scm) -> Scm:
-    """The same model with its exogenous variables declared after its
-    endogenous ones, so that the sorted row order is not product order."""
-    order = (*scm.dag.endogenous(), *scm.dag.exogenous())
-    by_name = {v.name: v for v in scm.variables}
-    dag = CausalDag(order, scm.dag.edges)
-    return Scm(dag, tuple(map(by_name.__getitem__, order)), scm.mechanisms)
-
-
 @settings(max_examples=120, deadline=None)
 @given(seeds)
 def test_the_reduction_matches_the_per_level_oracle(seed):
@@ -691,7 +683,7 @@ def test_the_reduction_matches_the_per_level_oracle(seed):
         f = _context_and_action_final(rng)
     else:
         scm = random_scm(rng, max_levels=3)
-        f = random_final(rng, _exogenous_last(scm) if rng.random() < 0.5 else scm)
+        f = random_final(rng, exogenous_last(scm) if rng.random() < 0.5 else scm)
     if f is None:
         return
     surgered = f.mstar.model
@@ -708,7 +700,7 @@ def test_the_reduction_matches_the_per_level_oracle(seed):
 @MODERATE
 @given(seeds)
 def test_worlds_match_the_world_oracle_with_the_exogenous_declared_last(seed):
-    scm = _exogenous_last(random_scm(random.Random(seed), max_vars=6, max_levels=3))
+    scm = exogenous_last(random_scm(random.Random(seed), max_vars=6, max_levels=3))
     table = enumerate_worlds(scm)
     assert worlds_of(table) == worlds_oracle(scm)
     assert verify_mechanism_consistency(scm, table)

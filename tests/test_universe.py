@@ -35,6 +35,7 @@ from teleo.teleology import build_final_model, compatible_worlds, distinguishabl
 
 from support import (
     assert_masks_are_the_rows,
+    exogenous_last,
     filter_oracle,
     m1_scm,
     outside_oracle,
@@ -48,14 +49,6 @@ from support import (
 
 seeds = st.integers(min_value=0, max_value=2**31)
 MODERATE = settings(max_examples=60, deadline=None)
-
-
-def _exogenous_last(scm: Scm) -> Scm:
-    """The model with its exogenous variables declared after the others."""
-    order = (*scm.dag.endogenous(), *scm.dag.exogenous())
-    by_name = {v.name: v for v in scm.variables}
-    return Scm(CausalDag(order, scm.dag.edges), tuple(map(by_name.__getitem__, order)),
-               scm.mechanisms)
 
 
 def test_the_empty_model_has_one_world():
@@ -145,7 +138,7 @@ def test_mask_set_operations_match_the_row_set_oracle(seed):
     rng = random.Random(seed)
     scm = random_scm(rng, lowest=-2)
     if rng.random() < 0.5:
-        scm = _exogenous_last(scm)
+        scm = exogenous_last(scm)
     f1 = random_final(rng, scm)
     if f1 is None:
         return
@@ -174,7 +167,7 @@ def test_filtered_tables_are_compressed_to_their_rows(seed):
     rng = random.Random(seed)
     scm = random_scm(rng, max_levels=4, lowest=-1)
     if rng.random() < 0.5:
-        scm = _exogenous_last(scm)
+        scm = exogenous_last(scm)
     table, worlds = enumerate_worlds(scm), worlds_oracle(scm)
     assert table == rows_worlds(scm)
     assert_masks_are_the_rows(table)
