@@ -6,7 +6,9 @@ error.  Exit codes: 0 success, 1 any usage, model or data error.  The
 unique most-specific compatible hypothesis / none compatible / tied.
 
 ``--json`` swaps the human tables for one JSON document with stable keys
-``command``, ``result`` and ``diagnostics``.  The commands are one table: each ``@_command`` registration names its
+``command``, ``result`` and ``diagnostics``.
+
+The commands are one table: each ``@_command`` registration names its
 positionals and its ``_opt`` options, and ``_Cli.parse`` reads the command
 line from that table by hand, with argparse's grammar and ``error:`` lines.
 Global flags come before the command, and one ``--`` ends them.  After it,
@@ -14,9 +16,9 @@ options and positionals mix, an option's value follows it or ``=``, a value
 starts with ``-`` only as a negative number, a repeated option keeps its
 last value, and ``--`` makes every later token positional.
 
-Run as a program (``main()`` with no ``args``), a command freezes the heap
-as it exits, so the shutdown collections scan none of its objects, which
-hold no cyclic garbage (``TestCollector``).
+Run as a program (``main()`` with no ``args``), the command freezes the
+heap as it exits, so the interpreter's shutdown collections scan none of
+the objects that ``TestCollector`` shows hold no cyclic garbage.
 """
 
 from __future__ import annotations

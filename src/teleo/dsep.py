@@ -1,25 +1,34 @@
 """Graphical separation queries (d-separation) on causal DAGs.
 
-Chains and forks are blocked by conditioning on the middle node; colliders
-are open only when the collider or one of its descendants is conditioned
-on.  Every query runs through one kernel, the "Reachable" algorithm of
-Koller & Friedman (Probabilistic Graphical Models, Algorithm 3.1), walking
-(node, direction) states outward from x along active trails, as node
-bitmasks in the DAG's bit order (bit i is ``dag.nodes[i]``): two frontier
-masks, the nodes entered from a child (going up) and those entered from a
-parent (going down), advance one hop at a time until neither grows.
+The blocking rules are the standard ones: chains and forks are blocked by
+conditioning on the middle node, colliders are open only when the collider
+or one of its descendants is conditioned on.  Every query runs through one
+pure-Python kernel, the "Reachable" algorithm of Koller & Friedman
+(Probabilistic Graphical Models, Algorithm 3.1): walk (node, direction)
+states outward from x along active trails.  The kernel keeps its states as
+node bitmasks in the DAG's bit order (bit i is ``dag.nodes[i]``, see
+``CausalDag``): the walk advances two frontier masks, the nodes entered
+from a child (going up) and those entered from a parent (going down), one
+hop at a time until neither has a node it has not had before.
 
-Unlike Reachable, the walk does not first mark Z's ancestors as open
-colliders, only Z's own nodes: a node entered going down goes on down to
-the first Z node of each directed path into Z, which steps up and climbs
-back to it in the up state, with the same successors.
+One deviation from Reachable: it first marks the ancestors of Z, which
+pass up from the down state as open colliders; here only Z's own nodes do.
+The walk reaches the same nodes, because a node entered going down goes on
+down to the first Z node of each directed path into Z, which steps up and
+climbs back to it in the up state, with the same successors.
 
-One walk from x given Z answers every y at once, so ``reachable`` walks
-only on the first query for its (x, Z) and keeps the reached mask in the
-DAG's own memo (``CausalDag._reachable``); two DAGs over the same nodes
-compare every y of one (x, Z) by XOR-ing their masks.  ``d_separated``
+One walk from x given Z reaches every node d-connected to x given Z, so it
+answers the query for every y at once.  ``reachable`` walks only on the
+first query for its (x, Z): the reached mask is kept in the DAG's own memo
+(``CausalDag._reachable``), keyed by (x, Z), and ``d_separated`` tests y's
+bit in it.  A statement grid over n variables thus walks at most once per
+(x, Z) pair instead of once per statement, and two DAGs over the same
+nodes in the same order compare every y of one (x, Z) by XOR-ing their two
+masks.  The memo lives and dies with its DAG, so two DAGs never share an
+entry, whatever their nodes.  ``d_separated`` reads the memo itself and
 checks names only for a query it walks for (x and y, then Z in sorted
-order, so the name it reports does not hang on the hash seed).
+order, so the unknown name it reports does not hang on the hash seed): a
+walked (x, Z) is made of nodes, so a later query with it checks y alone.
 """
 
 from __future__ import annotations

@@ -3,9 +3,11 @@
 A dataset is a bag of fully observed rows with positive counts.  A
 hypothesis is compatible on support when every observed row lies inside its
 compatible-world set; dependence checks compare the independence pattern the
-hypothesis predicts with the empirical one.  Both sides run through the one
-exact kernel, ``WorldTable.factorizes`` (compatible worlds weigh 1, dataset
-rows their counts), so there is no statistical testing here, deliberately.
+hypothesis predicts with the one the empirical frequencies show.  Both sides
+run through the one exact kernel, ``WorldTable.factorizes``: the compatible
+worlds with weight 1 each, the dataset rows with their observed counts.
+Frequencies factorize or they do not, by integer arithmetic.  There is no
+statistical testing here, deliberately.
 """
 
 from __future__ import annotations
@@ -202,9 +204,13 @@ def check_support(f: FinalModel, d: Dataset) -> IdentificationVerdict:
 def check_dependence(
     f: FinalModel, d: Dataset, stmt: IndependenceStatement
 ) -> DependenceCheck:
-    """Compare the hypothesis' predicted (in)dependence (uniform over the
-    compatible worlds) with the data's (empirical frequencies), reporting
-    the strata the hypothesis allows but the data never shows."""
+    """Compare the hypothesis' predicted (in)dependence with the data's.
+
+    The expected side is the exact uniform verdict on the compatible worlds;
+    the observed side is the exact factorization of empirical frequencies.
+    Conditioning strata the hypothesis allows but the data never shows are
+    skipped on the observed side and reported.
+    """
     _bind(f, d)
     table = compatible_worlds(f)
     expected = table.factorizes(stmt)
@@ -227,10 +233,14 @@ def rank_hypotheses(
 
     Support-compatible candidates come first, the most specific (smallest
     compatible-world set) leading; ties keep the order of ``candidates``.
-    Candidates with identical compatible-world sets (equal masks of kept
-    worlds) share an observational equivalence class.  Each verdict carries
-    the dependence checks of every variable pair, which are unconditional,
-    so their ``skipped_strata`` are always empty.
+    Candidates with identical compatible-world sets form one observational
+    equivalence class and share a class number.  Each verdict also carries
+    the expected-vs-observed dependence checks for every variable pair.
+
+    The checks are unconditional, so each has the one stratum ``()``, which
+    every dataset shows: their ``skipped_strata`` are always empty.  A
+    stratum is skipped only when ``check_dependence`` is given a statement
+    with a conditioning set.
     """
     if not candidates:
         raise TeleoError("rank_hypotheses needs at least one candidate")
@@ -268,9 +278,13 @@ def rank_hypotheses(
 
 
 class RankingSummary(Record):
-    """Winner selection over a ranked list, with the CLI's exit code: 0 for
-    a unique most-specific support-compatible hypothesis, 2 when none is
-    compatible, 3 when several share the smallest compatible-world size."""
+    """Winner selection over a ranked list.
+
+    exit_code follows the CLI contract: 0 when a unique most-specific
+    support-compatible hypothesis exists, 2 when none is compatible, 3 when
+    the top spot is tied (several candidates with the same smallest
+    compatible-world size, or one shared equivalence class).
+    """
 
     winner: str | None
     exit_code: int

@@ -2,8 +2,10 @@
 
 Surgery removes every inbound arrow of the target and drops its mechanism,
 so the target ranges freely over its domain while every other mechanism
-keeps working; nodes are never removed.  ``MStarModel`` keeps the base
-model, the target's name and the surgered model.
+keeps working.  Nodes are never removed.  The derived model,
+``MStarModel``, keeps the base model, the target's name and the surgered
+model; intervening on a second variable means building a second derived
+model from the base.
 """
 
 from __future__ import annotations
@@ -29,8 +31,13 @@ __all__ = [
 
 
 class MStarModel(Record):
-    """A base model after surgery on one variable: ``model`` is the
-    surgered Scm, whose world table ``worlds_meeting`` filters once per goal."""
+    """A base model after surgery on one variable.
+
+    ``model`` is the surgered Scm: same nodes and variables as the base,
+    inbound edges of the target removed, target mechanism dropped.  Its
+    world table (``Scm.worlds``) is enumerated once, and ``worlds_meeting``
+    keeps one filtered table per goal the same way.
+    """
 
     base: Scm
     target: str
@@ -45,8 +52,11 @@ class MStarModel(Record):
         return {}
 
     def worlds_meeting(self, goal: GoalPredicate) -> WorldTable:
-        """The surgered worlds in which ``goal`` holds: one table object per
-        distinct goal."""
+        """The surgered worlds in which ``goal`` holds.
+
+        Filtered once per distinct goal; every later call with an equal goal
+        returns the same table object.
+        """
         table = self._worlds_by_goal.get(goal)
         if table is None:
             table = self.model.worlds.filter(goal.level_tests)
@@ -69,16 +79,25 @@ def do_surgery(scm: Scm, target: str) -> MStarModel:
 
 
 def enumerate_worlds_star(m: MStarModel) -> WorldTable:
-    """Worlds of the surgered model (``Scm.worlds``), in which the freed
-    target ranges over its whole domain."""
+    """Worlds of the surgered model.
+
+    The freed target ranges over its whole domain alongside the base
+    exogenous variables; fixing the target to one value is a query-time
+    restriction, not part of the table.  The table is the surgered model's
+    ``Scm.worlds``: computed once, and the same object on every call.
+    """
     return m.model.worlds
 
 
 def interventional_distribution(
     m: MStarModel, target_value: int, query: str
 ) -> dict[int, Fraction]:
-    """Distribution of ``query`` in the surgered worlds where the target is
-    set: its post-intervention probability."""
+    """Distribution of ``query`` in the worlds where the target is set.
+
+    This is the post-intervention probability of the query variable: filter
+    the surgered model's worlds to the chosen target value and read off the
+    uniform distribution.
+    """
     domain = m.model.domain(m.target)
     if target_value not in domain:
         raise UnknownVariableError(

@@ -1,8 +1,10 @@
 """Discrete deterministic causal models and their possible-worlds semantics.
 
 A model is a DAG over named variables with finite integer domains, plus one
-deterministic mechanism (a total lookup table) per endogenous variable, so
-it has one world per combination of exogenous values.
+deterministic mechanism (a total lookup table) per endogenous variable.
+Exogenous variables range freely over their domains, so the set of worlds
+consistent with the model is finite and enumerable: one world per combination
+of exogenous values.
 
 A world table is the one representation of a set of worlds: level masks,
 one Python int per level of each variable (bit i is row i).  A model's
@@ -13,12 +15,15 @@ A goal filter compresses every mask to the kept rows, set comparisons are
 mask differences (``WorldTable.outside``), and rows and columns are built
 from the masks only when read.
 
-Independence under a table's uniform weighting is decided by one exact
+World tables carry a uniform weighting over their members.  All probability
+comparisons are exact.  Independence is decided by one count-weighted
 kernel, ``WorldTable.factorizes``, which cross-multiplies integer counts in
-every stratum of the conditioning set (``WorldTable.strata``, row masks): a
-count is a mask's popcount, and for a dataset the sum over binary weight
-layers of 2^k times the popcount within layer k.  Distributions are
-Fractions.  There is no tolerance anywhere in this module.
+every stratum of the conditioning set.  A table builds the strata of each
+conditioning set once (``WorldTable.strata``) as row masks, and a count is
+the popcount of a mask for a world table, and for a dataset the sum over
+binary weight layers of 2^k times the popcount of the mask within layer k.
+Distributions are returned as Fractions.  There is no tolerance anywhere in
+this module.
 """
 
 from __future__ import annotations
@@ -66,12 +71,14 @@ __all__ = [
 ]
 
 class Record:
-    """An immutable value object, the base of every model, statement and
-    verdict type: its fields are the subclass's annotated names, in order,
-    and a class attribute is a field's default.  Equality and hashing read
-    every field but those named in ``uncompared``; ``repr`` reads every
-    field.  A class that normalises its arguments writes its own
-    ``__init__`` and stores each field once in ``__dict__``, with caches.
+    """An immutable value object: the base of every model, statement and
+    verdict type.
+
+    Its fields are the subclass's annotated names, in order, and a class
+    attribute is a field's default.  Equality and hashing read every field
+    but those named in ``uncompared``; ``repr`` reads every field.  A class
+    that normalises its arguments writes its own ``__init__`` and stores
+    each field once in ``__dict__``, where caches live too.
     """
 
     def __init_subclass__(cls, uncompared: Iterable[str] = ()):
@@ -133,15 +140,20 @@ class Variable(Record):
 
 
 class CausalDag(Record):
-    """Directed acyclic graph over variable names, its nodes and edges in
-    declaration order (which fixes every printed table's column order);
-    equality, hashing and ``repr`` use only these two tuples.
+    """Directed acyclic graph over variable names.
 
-    This is the one index of the graph: one pass over the edges validates
-    it and fills each node's parent and child masks (bit i is ``nodes[i]``),
-    and it is sorted once.  Parents and children are edges into and out of
-    a node, ancestors and descendants are mask fixpoints, and d-separation
-    (``dsep``) walks the masks and keeps its walks in ``_reachable``.
+    ``nodes`` keeps declaration order, which fixes column order in every
+    printed table.  Edges are kept in declaration order as well; equality,
+    hashing and ``repr`` use only these two tuples.
+
+    This is the one index of the graph: construction validates it in one
+    pass over the edges, which fills each node's parent and child masks,
+    and sorts it once.  In a mask, bit i stands for ``nodes[i]``, so a mask
+    read from bit 0 upward lists its nodes in declaration order.  Every
+    query reads the edge list or the masks: parents and children are the
+    edges into and out of a node, ancestors and descendants are mask
+    fixpoints, and the d-separation kernel (``dsep``) walks the parent and
+    child masks and keeps its walks in ``_reachable``.
     """
 
     nodes: tuple[str, ...]
@@ -329,9 +341,12 @@ def check_parents(dag: CausalDag, child: str, parents: Sequence[str]) -> None:
 
 def check_table(mech: Mechanism, variables: Mapping[str, Variable]) -> None:
     """A mechanism's table maps every combination of its parents' levels,
-    and nothing else, into its child's domain: rows in table order, then
-    totality.  A mechanism that passes keeps the variables it was checked
-    against, so a later check against them (a surgered model) returns at once."""
+    and nothing else, into its child's domain.  Rows are checked in table
+    order, then totality.
+
+    A mechanism that passes keeps the variables it was checked against, so
+    a later check against the same variables (a model built from a checked
+    statement, or a surgered model) returns at once."""
     reads = tuple(variables[n] for n in (mech.child, *mech.parents))
     if mech.__dict__.get("_checked") == reads:
         return
@@ -443,9 +458,8 @@ class WorldTable(Record):
         # rows that strictly increase are already sorted and distinct
         if not all(map(operator.lt, rows, itertools.islice(rows, 1, None))):
             rows = tuple(sorted(set(rows)))
-        at = dict(zip(columns, map(operator.itemgetter, range(len(columns)))))
         table = WorldTable._of(columns, len(rows), lambda name: level_masks(
-            tuple(map(at[name], rows))))
+            tuple(map(operator.itemgetter(columns.index(name)), rows))))
         self.__dict__.update(vars(table), rows=rows)
 
     @classmethod
@@ -454,7 +468,8 @@ class WorldTable(Record):
         ``kept`` of ``root``'s rows."""
         table = cls.__new__(cls)
         table.__dict__.update(columns=columns, _n=n, _build=build, _root=root, _level_cache={},
-                              _column_cache={}, _tail_cache={}, _strata_cache={})
+                              _column_cache={}, _tail_cache={}, _strata_cache={},
+                              _matched={})
         table.__dict__["kept"] = (1 << n) - 1 if kept is None else kept
         return table
 
@@ -513,19 +528,32 @@ class WorldTable(Record):
 
     def outside(self, other: WorldTable) -> WorldTable:
         """The rows of this table that ``other``, over the same columns,
-        lacks: ``kept & ~other.kept`` over one root; across roots a row is
-        in ``other`` iff the masks of its levels there meet."""
+        lacks: ``kept & ~placed`` over this table's root, where ``placed``
+        is the mask of ``other``'s rows there (``_placed``)."""
         if other.columns != self.columns:
             raise ModelStructureError(
                 f"cannot compare tables over {self.columns} and {other.columns}"
             )
         root = self._root or self
-        if root is (other._root or other):
-            return root._keep(self.kept & ~other.kept)
-        masks, every = list(map(other.levels, self.columns)), (1 << len(other)) - 1
-        absent = itertools.repeat(0)  # the mask of a level ``other`` lacks
-        return WorldTable(self.columns, [row for row in self.rows if not reduce(
-            operator.and_, map(dict.get, masks, row, absent), every)])
+        return root._keep(self.kept & ~root._placed(other))
+
+    def _placed(self, other: WorldTable) -> int:
+        """The mask, over this root, of the rows ``other`` has: its ``kept``
+        when this is its root.  Otherwise the rows the two roots share are
+        matched once per pair of roots, each row of this root at the meet of
+        its levels' masks there; both roots are sorted, so the matched rows
+        keep their order, and ``other.kept`` is compressed to them and
+        scattered to their places here."""
+        root = other._root or other
+        if root is self:
+            return other.kept
+        if id(root) not in self._matched:  # the root is kept, so its id is too
+            masks, absent = list(map(root.levels, self.columns)), itertools.repeat(0)
+            found = [reduce(operator.and_, map(dict.get, masks, row, absent), root.kept)
+                     for row in self.rows]
+            self._matched[id(root)] = root, _bitmask(map(bool, found)), sum(found)
+        _, mine, theirs = self._matched[id(root)]
+        return mine and scatter(compressor(theirs, root._n)(other.kept), mine, self._n)
 
     def distribution(self, query: str) -> dict[int, Fraction]:
         """Marginal distribution of one variable, exact Fractions."""
@@ -540,8 +568,13 @@ class WorldTable(Record):
 
     def strata(self, given: Iterable[str]) -> list[tuple[tuple[int, ...], int]]:
         """The ``(stratum, row mask)`` of every stratum of the conditioning
-        set ``given`` that has rows, in sorted order (``stratify`` over the
-        columns of ``sorted(given)``); built once per set and cached."""
+        set ``given`` that has rows, in sorted order.
+
+        A stratum holds the levels of ``sorted(given)``, and its rows are the
+        intersection of those levels' masks.  An empty ``given`` has the one
+        stratum ``()`` of every row, and an empty table has none.  Built once
+        per conditioning set and cached.
+        """
         given = frozenset(given)
         strata = self._strata_cache.get(given)
         if strata is None:
@@ -612,9 +645,10 @@ def stratify(
     n_rows: int, levels: Iterable[Mapping[int, int]]
 ) -> list[tuple[tuple[int, ...], int]]:
     """The ``(stratum, row mask)`` of every combination of levels that has
-    rows, in sorted order, from one level-mask map per column over ``n_rows``
-    rows: a stratum's rows are its levels' masks intersected.  No columns
-    give the one stratum ``()`` of every row, and no rows give none."""
+    rows, in sorted order, from one ``level_masks`` map per column over
+    ``n_rows`` rows.  A stratum holds one level per column, and its rows are
+    the intersection of those levels' masks.  No columns give the one
+    stratum ``()`` of every row, and no rows give no strata."""
     strata = [((), (1 << n_rows) - 1)] if n_rows else []
     for masks in levels:
         # level order within each sorted stratum keeps the list sorted
@@ -640,8 +674,9 @@ def _layered_weight(layers: Iterable[tuple[int, int]], cell: int) -> int:
 
 
 def passing(levels: Mapping[int, int], test: Callable[[int], bool]) -> int:
-    """The rows whose level passes ``test``, which runs once per level: the
-    union of the masks in ``levels`` of the levels that pass."""
+    """The rows whose level passes ``test``: the union of the row masks in
+    ``levels`` (a ``level_masks`` map) of the levels that pass.  The test
+    runs once per level, not once per row."""
     return sum(mask for level, mask in levels.items() if test(level))
 
 

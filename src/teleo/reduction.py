@@ -5,9 +5,12 @@ would accept: an intention variable I, a pre-action measurement of each goal
 variable (suffix 0), the action driven by I, and the post-action measurement
 (suffix 1).  I fires exactly when the goal is unmet with the action at its
 rest level and some action level would meet it; the action then takes the
-least such level.  The module compares, it does not adjudicate: it reports
-where the two readings agree (the worlds they allow) and where they do not
-(who the action listens to, and which separation statements flip).
+least such level.
+
+The point of the module is comparison, not adjudication: it reports where
+the reduction and the final model agree (the worlds they allow) and where
+they do not (who the action listens to, and which separation statements
+flip).
 """
 
 from __future__ import annotations
@@ -75,10 +78,11 @@ class ReductionModel(Record):
 def build_reduction(f: FinalModel, rest_level: int | None = None) -> ReductionModel:
     """Unroll a final model into one purely causal model.
 
-    The pre-action state is the surgered model with the action at its rest
-    level (the domain minimum unless overridden).  Every pre- and post-copy
-    mechanism is tabulated directly over the exogenous context (and the
-    action, for post-copies), so intermediate ancestors are collapsed away.
+    The pre-action state is the surgered model evaluated with the action at
+    its rest level (the domain minimum unless overridden).  Intermediate
+    endogenous ancestors of the goal variables are collapsed away: every
+    pre- and post-copy mechanism is tabulated directly over the exogenous
+    context (plus the action, for post-copies).
     """
     surgered = f.mstar.model
     action = f.mstar.target
@@ -250,9 +254,12 @@ def reduction_worlds(r: ReductionModel) -> WorldTable:
 
 
 def _effective_parents(scm: Scm, node: str) -> tuple[str, ...]:
-    """Parents whose value changes the mechanism's output: as the table is
-    total, those whose dropping from every key merges keys that map to
-    different values (fewer distinct keys than (key, value) pairs)."""
+    """Parents whose value actually changes the mechanism's output.
+
+    The table is total, so a parent matters iff dropping it from every key
+    merges keys that map to different values: fewer distinct keys remain
+    than distinct (key, value) pairs.
+    """
     mech = scm.mechanisms.get(node)
     if mech is None:
         return ()
@@ -269,12 +276,14 @@ def project_reduction(r: ReductionModel) -> Scm:
     """Collapse the reduction onto the base variables.
 
     The intention and the pre-action copies are spliced away: the action
-    listens to the copies' parents (their ordered union, in ``pre_of``
-    order), its table tabulated through the copies, the intention and the
-    action as ``build_reduction`` tabulates the copies.  Each post-action
-    copy takes back its base name; a mechanism that names no post-action
-    copy is kept as it is, so the model skips its table's check.  World
-    tables are preserved up to projection.
+    listens to the pre-action copies' parents, their ordered union with the
+    copies taken in ``pre_of`` order, and one column-wise pass of the
+    copies, the intention and the action over those parents' levels fills
+    its table, as ``build_reduction`` tabulates the copies.  Each
+    post-action copy takes back the original variable name where it stands.
+    Every other mechanism keeps its table, and one that names no post-action
+    copy is kept as it is, as is its variable, so the model skips its
+    table's check.  World tables are preserved up to projection.
     """
     scm, action, pre = r.scm, r.action, r.pre_of.values()
     post = set(r.post_of.values())

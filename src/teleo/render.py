@@ -9,9 +9,12 @@ from collections.abc import Iterable, Iterator, Sequence
 
 
 def render_table(columns: Sequence[str], rows: Iterable[Sequence[int]]) -> str:
-    """Align world-table levels under a header row; two spaces between
-    columns, each as wide as its name or its widest distinct level, and
-    every row through one ``%``-template."""
+    """Align world-table levels under a header row; two spaces between columns.
+
+    Each column is as wide as its name or its widest distinct level, and
+    every row goes through one ``%``-template.  The output is byte-stable:
+    same columns and rows, same text.
+    """
     rows = list(map(tuple, rows))
     levels = [set(column) for column in zip(*rows)] or [()] * len(columns)
     widths = [max([len(name), *map(len, map(str, column))])
@@ -35,21 +38,20 @@ class Records:
     def __len__(self) -> int:
         return self.size
 
-    @property
-    def rows(self) -> list[tuple]:
-        return list(zip(*self.columns)) if self.columns else [()] * self.size
-
 
 def json_chunks(value: object, level: int = 0) -> Iterator[str]:
     """Exactly ``json.dumps(value, indent=2, sort_keys=True)``, with each
-    ``Records`` written as its list, but faster, in pieces written at indent
-    ``level``: each member of a dict on its own, any other value in one.
+    ``Records`` written as its list of dicts (or of lists), but faster, in
+    pieces written at indent ``level``: each member of a dict on its own,
+    and any other value in one piece.
 
     CPython serves an indented ``json.dumps`` with its pure-Python encoder,
-    one call per value.  The documents here are mostly tables, whose rows
-    go through one ``%``-template (``_table``), a C-level format.  Anything
-    else recurses, and a value of no type named here goes to ``json.dumps``,
-    which raises its ``TypeError`` for a value JSON cannot hold.
+    one call per value.  The documents here are mostly tables (``Records``
+    and lists of lists of one length), whose rows go through one
+    ``%``-template (``_table``), so most values cost a C-level format instead
+    of a Python call.  Everything else recurses, and a value of no type
+    named here goes to ``json.dumps``, which also raises its ``TypeError``
+    for a value JSON cannot hold.
     """
     if not isinstance(value, dict) or not value:
         yield _encode(value, level)
@@ -156,9 +158,13 @@ _KEYABLE = {str, int, type(None)}
 
 def _column(column: Sequence[object], kinds: set[type], level: int) -> list[str]:
     """The rendered values of one table column whose values have the types
-    ``kinds``, written at indent ``level``: one distinct value at a time for
-    a column of one type among str, bool and None, or of tuples of strings,
-    ints or None (the ``given`` sets), and value by value otherwise."""
+    ``kinds``, written at indent ``level``.
+
+    A column of one type among str, bool and None, or of tuples whose items
+    are all strings, ints or None (the statements' ``given`` sets), is
+    written one distinct value at a time.  Any other column, lists included,
+    goes value by value.
+    """
     if not (len(kinds) == 1 and kinds <= {str, bool, type(None)} or kinds == {tuple}
             and set(map(type, itertools.chain.from_iterable(column))) <= _KEYABLE):
         return [_encode(v, level) for v in column]

@@ -12,10 +12,12 @@ The grammar is line oriented; ``#`` starts a comment anywhere.
 
 A ``table`` without an explicit parent list reads its keys in the order the
 inbound edges were declared.  ``load_model`` checks the rules of the
-document itself and builds each model object once, in statement order; a
-model object's rules are checked by its constructor alone (``sum`` is
-``Mechanism.sum_of``), its error reported at the line of the statement that
-built it.  ``print_model`` writes the model objects back as canonical text.
+document itself and builds each model object once, in statement order; the
+rules of a model object are checked by its constructor alone, and its error
+is reported at the line of the statement that built it.  ``sum`` is
+``Mechanism.sum_of``, so a sum that leaves the child's domain is that
+constructor's error.  The model objects are the only form of a spec:
+``print_model`` writes them back as canonical text.
 """
 
 from __future__ import annotations
@@ -316,8 +318,10 @@ def load_model(text: str) -> CompiledSpec:
     declarations and table rows, table-row width, edges (endpoints,
     self-loops, repeats, the edge that closes a cycle), one ``do`` and one
     ``rest``, a ``final`` needs a ``do``, repeated effects, and an edge into
-    a variable without a mechanism; every other rule is its model object's
-    (see the module docstring).
+    a variable without a mechanism.  Every other rule belongs to the model
+    object a statement builds (``Mechanism``, ``check_parents``,
+    ``check_table``, ``do_surgery``, ``build_final_model``), which is built
+    once, in statement order, and whose error is reported at that line.
     """
     raw = _scan(text)
 
@@ -421,8 +425,10 @@ def print_model(spec: CompiledSpec) -> str:
     """Canonical text for a compiled spec; ``load_model`` of the text builds
     an equal spec.
 
-    Statements come in model order, each table's rows sorted and each
-    final's effects in variable order; a table of sums prints as ``sum``.
+    Statements come in model order: variables and edges as declared,
+    mechanisms as their statements were, each table's rows sorted, and each
+    final's effects in variable order.  A table whose every value is the sum
+    of its key prints as ``sum``.
     """
     scm = spec.scm
     out: list[str] = []

@@ -3,9 +3,12 @@
 A final model wraps a surgered model with a non-empty set of intended
 effects and a goal predicate over them.  In the final DAG the arrows from
 the action to its intended effects run the other way: the action 'listens'
-to its ends.  Its compatible worlds are the surgered worlds in which the
-goal holds, so a goal hypothesis only ever removes worlds; the mechanisms,
-the causal story, stay intact.
+to its ends.  Worlds compatible with the hypothesis are the surgered
+model's worlds in which the goal holds, so adopting a goal hypothesis only
+ever removes worlds.
+
+Nothing here touches the underlying mechanisms: the causal story stays
+intact, the teleological reading is a second constraint layered on top.
 """
 
 from __future__ import annotations
@@ -220,9 +223,14 @@ def build_final_model(
 
 
 def compatible_worlds(f: FinalModel) -> WorldTable:
-    """Surgered-model worlds in which the goal holds: empty when the goal
-    is unreachable under this action, a verdict and not an error.  One
-    table per surgered model and goal (``MStarModel.worlds_meeting``)."""
+    """Surgered-model worlds in which the goal holds.
+
+    Always a subset of the intervention's world table; an empty result means
+    the goal is unreachable under this action, which is a verdict for the
+    caller to report, not an error.  The table is computed once per
+    surgered model and goal, and the same object is returned on every call,
+    for every final model over that surgered model and an equal goal.
+    """
     return f.mstar.worlds_meeting(f.goal)
 
 
@@ -231,8 +239,12 @@ def implied_dependencies(
 ) -> list[tuple[IndependenceStatement, bool, bool]]:
     """``(statement, graph_separated, dist_independent)`` for every variable
     pair, unconditional and given each other variable, in grid order: the
-    verdicts of the final DAG and of the compatible worlds, never merged, as
-    with deterministic mechanisms the worlds can show more independences."""
+    verdict of the final DAG and that of the compatible worlds.
+
+    The two verdicts are reported side by side and never merged: with
+    deterministic mechanisms the filtered distribution can show more
+    independences than the final DAG predicts.
+    """
     table, dag = compatible_worlds(f), f.final_dag
     return [
         (stmt, d_separated(dag, stmt), uniform_independent(table, stmt))
@@ -259,8 +271,11 @@ class Distinguishability(Record):
 
 
 def distinguishable(f1: FinalModel, f2: FinalModel) -> Distinguishability:
-    """Compare the compatible-world sets of two hypotheses: they are
-    observationally distinguishable exactly when the sets differ."""
+    """Compare the compatible-world sets of two hypotheses.
+
+    Hypotheses are observationally distinguishable exactly when the sets
+    differ; the symmetric difference is returned as witness worlds.
+    """
     if f1.mstar.base != f2.mstar.base or f1.mstar.target != f2.mstar.target:
         raise ComparisonError(
             "hypotheses must be built over the same base model and intervention"
@@ -276,13 +291,16 @@ def enumerate_goal_hypotheses(
 
     Candidates are non-empty subsets of the action's descendants up to
     ``max_effects`` members, crossed with every atomic equality goal over a
-    member variable, named by the goal and, when the set holds more than
-    the goal's variable, the set: ``T=1``, ``T=1[T,B]``.
+    member variable.  Deeper subsets probe how far along a chain the
+    intention reaches; wider ones probe which branch of co-effects is meant.
+    A candidate is named by its goal, with its effect set appended when that
+    holds more than the goal's variable: ``T=1``, ``T=1[T,B]``.
 
     Returns ``(finals, skipped)``: the final models in candidate order, and
-    a ``(name, error)`` pair, without its traceback, for each candidate
-    whose arrow reversal closes a cycle.  A candidate whose goal no world
-    meets is in neither list.  The candidate count is checked against
+    a ``(name, error)`` pair for each candidate whose arrow reversal closes
+    a cycle, the error kept without its traceback.  Candidates whose goal no
+    reachable world satisfies are dropped before any final model is built,
+    so they appear in neither list.  The candidate count is checked against
     ``cap`` before any subset is built.
     """
     if max_effects < 1:

@@ -71,6 +71,12 @@ MUTANTS = (
         (f"{RECORDS_CASES}[records-format-chars-in-keys-and-cells]",),
     ),
     Mutant(
+        "render-records-of-lists-in-braces", "render.py",
+        'labels, brackets = [""] * len(columns), "[]"',
+        'labels, brackets = [""] * len(columns), "{}"',
+        (f"{RECORDS_CASES}[records-of-lists-no-columns]",),
+    ),
+    Mutant(
         "render-bool-keyable", "render.py",
         "_KEYABLE = {str, int, type(None)}",
         "_KEYABLE = {str, int, bool, type(None)}",
@@ -218,16 +224,22 @@ MUTANTS = (
     ),
     Mutant(
         "model-outside-as-and", "model.py",
-        "return root._keep(self.kept & ~other.kept)",
-        "return root._keep(self.kept & other.kept)",
+        "return root._keep(self.kept & ~root._placed(other))",
+        "return root._keep(self.kept & root._placed(other))",
         ("tests/test_model_core.py::TestWorldTable::"
          "test_outside_keeps_the_rows_the_other_table_lacks",
          f"{UNIVERSE}::test_mask_set_operations_match_the_row_set_oracle"),
     ),
     Mutant(
-        "model-outside-across-roots-by-any-level", "model.py",
-        "operator.and_, map(dict.get, masks, row, absent), every)])",
-        "operator.or_, map(dict.get, masks, row, absent), 0)])",
+        "model-rows-placed-across-roots-by-any-level", "model.py",
+        "reduce(operator.and_, map(dict.get, masks, row, absent), root.kept)",
+        "reduce(operator.or_, map(dict.get, masks, row, absent), 0)",
+        (f"{UNIVERSE}::test_mask_set_operations_match_the_row_set_oracle",),
+    ),
+    Mutant(
+        "model-rows-placed-across-roots-ignore-the-kept-mask", "model.py",
+        "compressor(theirs, root._n)(other.kept)",
+        "compressor(theirs, root._n)(theirs)",
         (f"{UNIVERSE}::test_mask_set_operations_match_the_row_set_oracle",),
     ),
     Mutant(

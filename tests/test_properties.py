@@ -1047,9 +1047,12 @@ def test_json_writer_column_cases(doc):
 
 
 def _plain(doc):
-    """``doc`` with every ``Records`` written out as its list of dicts."""
+    """``doc`` with every ``Records`` written out as its list of dicts, or of
+    lists when its ``keys`` are None."""
     if isinstance(doc, Records):
-        return [dict(zip(doc.keys, map(_plain, row))) for row in doc.rows]
+        rows = zip(*doc.columns) if doc.columns else [()] * len(doc)
+        rows = [list(map(_plain, row)) for row in rows]
+        return rows if doc.keys is None else [dict(zip(doc.keys, row)) for row in rows]
     if isinstance(doc, dict):
         return {k: _plain(v) for k, v in doc.items()}
     if isinstance(doc, (list, tuple)):
@@ -1075,6 +1078,17 @@ def _records(values):
     )
 
 
+@st.composite
+def _column_records(draw, values):
+    """``Records`` of lists held as columns, as a world table's worlds are
+    written: any values, ints, or bytes (levels 0..255), and no columns."""
+    size = draw(st.integers(0, 5))
+    kinds = [st.tuples(*[values] * size), st.tuples(*[_big_ints] * size),
+             st.binary(min_size=size, max_size=size)]
+    columns = draw(st.lists(st.one_of(kinds), max_size=3))
+    return Records(None, columns=columns, size=size)
+
+
 _documents_with_records = st.recursive(
     _json_scalars,
     lambda values: (
@@ -1082,6 +1096,7 @@ _documents_with_records = st.recursive(
         | st.dictionaries(_json_keys, values, max_size=4)
         | _records(values)
         | _records(_big_ints)
+        | _column_records(values)
         | st.lists(st.tuples(_big_ints, _big_ints, _big_ints), max_size=5)
     ),
     max_leaves=40,
@@ -1115,6 +1130,16 @@ def test_records_and_int_rows_write_what_the_stdlib_encoder_writes(doc):
         pytest.param(
             {"z": Records(("x",), [(1,)]), "a": {"b": [Records((), [()])]}},
             id="records-nested-in-dict-and-list",
+        ),
+        pytest.param(
+            Records(None, columns=[b"\x00\xff\x07", (1, -2, 2**70)], size=3),
+            id="records-of-lists-bytes-and-int-columns",
+        ),
+        pytest.param(Records(None, columns=[], size=2), id="records-of-lists-no-columns"),
+        pytest.param(Records(None, columns=[b""], size=0), id="records-of-lists-no-rows"),
+        pytest.param(
+            Records(("b", "a"), columns=[b"\xff\x00", (0, 255)], size=2),
+            id="records-bytes-column-beside-an-int-column",
         ),
     ],
     ids=repr,

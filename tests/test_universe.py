@@ -134,7 +134,7 @@ def test_level_column_reads_any_levels_back(seed):
 def test_mask_set_operations_match_the_row_set_oracle(seed):
     # two goals over one surgered model share its universe, so their
     # difference is a mask difference; a dataset is a table of given rows,
-    # so a difference with it is read row by row from the masks
+    # so a difference with it first places the rows both roots have
     rng = random.Random(seed)
     scm = random_scm(rng, lowest=-2)
     if rng.random() < 0.5:
@@ -184,7 +184,7 @@ def test_filtered_tables_are_compressed_to_their_rows(seed):
 
 def test_ranking_builds_no_rows_of_the_compatible_worlds():
     # the equivalence classes key on the masks of kept worlds, so ranking
-    # reads no candidate's rows
+    # reads no candidate's rows (a violating table's rows are the dataset's)
     scm = m1_scm()
     m = do_surgery(scm, "H")
     finals = [build_final_model(m, ("T",), goal("T", "=", level)) for level in (0, 1, 2)]
@@ -192,6 +192,9 @@ def test_ranking_builds_no_rows_of_the_compatible_worlds():
     data = Dataset(scm.names, ((scm.worlds.rows[0], 2), (scm.worlds.rows[-1], 1)))
     ranking = rank_hypotheses(finals, data)
     assert not any("rows" in vars(compatible_worlds(f)) for f in finals)
+    # each support check places the dataset's rows in the surgered universe,
+    # once for every candidate, and builds no row of the universe
+    assert "rows" not in vars(m.model.worlds) and len(data.support._matched) == 1
     classes = [next(r.equivalence_class for r in ranking if r.verdict.hypothesis is f)
                for f in finals]
     # the two finals with goal T = 1 keep the same worlds, so share a class
