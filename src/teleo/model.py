@@ -437,9 +437,11 @@ class WorldTable(Record):
     root is a model's universe (``table_over``) or the rows it is given,
     deduplicated and sorted unless they strictly increase.  Every mask is in
     sorted row order, bit i for row i; a filtered table's masks are its
-    root's compressed to the kept rows (``compressor``), not a view.  Rows
-    (sorted, so equal sets compare equal), columns, level masks and strata
-    are built once, when read, and cached outside equality, hash and repr.
+    root's compressed to the kept rows (``compressor``), not a view.  Set
+    operations are mask operations over one root; another root's rows are
+    placed in it first (``outside``).  Rows (sorted, so equal sets compare
+    equal), columns, level masks and strata are built once, when read, and
+    cached outside equality, hash and repr.
     """
 
     columns: tuple[str, ...]
