@@ -194,11 +194,13 @@ class IdentificationVerdict(Record):
 
 def check_support(f: FinalModel, d: Dataset) -> IdentificationVerdict:
     """Support part of the verdict: observed rows outside the hypothesis'
-    compatible-world set are violations."""
+    compatible-world set are violations.  The rows inside it are the
+    observed worlds of the surgered model (``WorldTable.consistent_with``)
+    that meet the goal, decided over the support's own masks."""
     _bind(f, d)
-    table = compatible_worlds(f)
-    violating = d.support.outside(table)
-    return IdentificationVerdict(f, not len(violating), violating, (), len(table))
+    inside = d.support.consistent_with(f.mstar.model).filter(f.goal.level_tests)
+    violating = d.support.outside(inside)
+    return IdentificationVerdict(f, not len(violating), violating, (), len(compatible_worlds(f)))
 
 
 def check_dependence(

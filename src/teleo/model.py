@@ -12,8 +12,10 @@ worlds are its universe, world i the i-th exogenous combination in product
 order: exogenous masks are closed-form periodic blocks, and an endogenous
 level's mask is the union of the parents' strata its mechanism maps to it.
 A goal filter compresses every mask to the kept rows, set comparisons are
-mask differences (``WorldTable.outside``), and rows and columns are built
-from the masks only when read.
+mask differences over one root (``WorldTable.outside``), and rows and
+columns are built from the masks only when read.  Whether given rows are
+worlds of a model is read off the model's own equations
+(``WorldTable.consistent_with``), not matched against its universe.
 
 World tables carry a uniform weighting over their members.  All probability
 comparisons are exact.  Independence is decided by one count-weighted
@@ -438,10 +440,10 @@ class WorldTable(Record):
     deduplicated and sorted unless they strictly increase.  Every mask is in
     sorted row order, bit i for row i; a filtered table's masks are its
     root's compressed to the kept rows (``compressor``), not a view.  Set
-    operations are mask operations over one root; another root's rows are
-    placed in it first (``outside``).  Rows (sorted, so equal sets compare
-    equal), columns, level masks and strata are built once, when read, and
-    cached outside equality, hash and repr.
+    operations are mask operations over one root (``outside``), and a table
+    of another root is refused, not matched row by row.  Rows (sorted, so
+    equal sets compare equal), columns, level masks and strata are built
+    once, when read, and cached outside equality, hash and repr.
     """
 
     columns: tuple[str, ...]
@@ -470,8 +472,7 @@ class WorldTable(Record):
         ``kept`` of ``root``'s rows."""
         table = cls.__new__(cls)
         table.__dict__.update(columns=columns, _n=n, _build=build, _root=root, _level_cache={},
-                              _column_cache={}, _tail_cache={}, _strata_cache={},
-                              _matched={})
+                              _column_cache={}, _tail_cache={}, _strata_cache={})
         table.__dict__["kept"] = (1 << n) - 1 if kept is None else kept
         return table
 
@@ -529,33 +530,29 @@ class WorldTable(Record):
         return WorldTable(columns, [stratum for stratum, _ in strata])
 
     def outside(self, other: WorldTable) -> WorldTable:
-        """The rows of this table that ``other``, over the same columns,
-        lacks: ``kept & ~placed`` over this table's root, where ``placed``
-        is the mask of ``other``'s rows there (``_placed``)."""
-        if other.columns != self.columns:
-            raise ModelStructureError(
-                f"cannot compare tables over {self.columns} and {other.columns}"
-            )
+        """The rows of this table that ``other``, a table of the same root,
+        lacks: ``kept & ~other.kept`` over that root.  Raises on a table of
+        another root, whose bits stand for other rows."""
         root = self._root or self
-        return root._keep(self.kept & ~root._placed(other))
+        if (other._root or other) is not root:
+            raise ModelStructureError("cannot compare tables of two roots")
+        return root._keep(self.kept & ~other.kept)
 
-    def _placed(self, other: WorldTable) -> int:
-        """The mask, over this root, of the rows ``other`` has: its ``kept``
-        when this is its root.  Otherwise the rows the two roots share are
-        matched once per pair of roots, each row of this root at the meet of
-        its levels' masks there; both roots are sorted, so the matched rows
-        keep their order, and ``other.kept`` is compressed to them and
-        scattered to their places here."""
-        root = other._root or other
-        if root is self:
-            return other.kept
-        if id(root) not in self._matched:  # the root is kept, so its id is too
-            masks, absent = list(map(root.levels, self.columns)), itertools.repeat(0)
-            found = [reduce(operator.and_, map(dict.get, masks, row, absent), root.kept)
-                     for row in self.rows]
-            self._matched[id(root)] = root, _bitmask(map(bool, found)), sum(found)
-        _, mine, theirs = self._matched[id(root)]
-        return mine and scatter(compressor(theirs, root._n)(other.kept), mine, self._n)
+    def consistent_with(self, scm: Scm) -> WorldTable:
+        """The rows that are worlds of ``scm``, over its variables: each
+        exogenous level in its domain, and every mechanism holding, its
+        child at the level its table maps the row's parent levels to.  A
+        mechanism holds on the union of its parents' strata, each met with
+        the child's mask at that stratum's level."""
+        root, kept = self._root or self, self.kept
+        for v in scm.variables:
+            at, mech = root.levels(v.name), scm.mechanisms.get(v.name)
+            if mech is None:
+                kept &= passing(at, v.domain.__contains__)
+            else:
+                strata = stratify(root._n, map(root.levels, mech.parents))
+                kept &= sum(rows & at.get(mech.table.get(combo), 0) for combo, rows in strata)
+        return root._keep(kept)
 
     def distribution(self, query: str) -> dict[int, Fraction]:
         """Marginal distribution of one variable, exact Fractions."""

@@ -335,7 +335,15 @@ class StructuralComparison(Record):
 
 
 def compare_structures(f: FinalModel, r: ReductionModel) -> StructuralComparison:
-    """Structural and semantic diff between the two readings of one action."""
+    """Structural and semantic diff between the two readings of one action.
+
+    The worlds are diffed as masks of the surgered universe.  On the base
+    variables (goal variables from their post-action copies), the
+    reduction's world of a context is the surgered world of that context at
+    the action level the reduction takes there, since its copies and
+    downstream mechanisms are the surgered model's read at that level; so
+    the reduction keeps a mask of surgered worlds, and only its action's
+    column is read."""
     if (
         r.source.mstar.base != f.mstar.base
         or r.source.mstar.target != f.mstar.target
@@ -377,29 +385,17 @@ def compare_structures(f: FinalModel, r: ReductionModel) -> StructuralComparison
             sep_f = not reachable(f.final_dag, x, given) >> position[y] & 1
             disagreements.append((IndependenceStatement(x, y, given), sep_f, not sep_f))
 
-    # the reduction's worlds on the base variables (goal variables from their
-    # post-action copies) against the compatible worlds: reduced world i is
-    # the surgered world of context i at its action level iff every
-    # endogenous column agrees there, and no other world
+    # the reduction's worlds: at each action level, the contexts the reduced
+    # action takes it in, scattered to that level's place in the universe
     shared, surgered = r.shared_columns, f.mstar.model
     n, levels = surgered.universe
-    contexts, reduced = r.scm.universe
-    read = {name: reduced[r.post_of.get(name, name)] for name in shared}
+    acts = r.scm.universe[1][r.action]
+    chosen = sum(scatter(acts[v], slots, n) for v, slots in levels[r.action].items() if v in acts)
     tests = f.goal.level_tests.items()
     goal = functools.reduce(operator.and_, (passing(levels[v], t) for v, t in tests))
-    in_final = matched = 0
-    for level, slots in levels[r.action].items():
-        compress = compressor(slots, n)
-        same = read[r.action].get(level, 0)
-        for name in surgered.mechanisms:
-            same &= sum(read[name].get(v, 0) & compress(mask)
-                        for v, mask in levels[name].items() if mask & slots)
-        in_final |= same & compress(goal)
-        if same:
-            matched |= scatter(same, slots, n)
-    context, every = r.scm.dag.exogenous(), (1 << contexts) - 1
-    only_reduction = table_over(shared, context, contexts, read.__getitem__, every & ~in_final)
-    only_final = table_over(shared, surgered.dag.exogenous(), n, levels.__getitem__, goal & ~matched)
+    exogenous, read = surgered.dag.exogenous(), levels.__getitem__
+    only_reduction = table_over(shared, exogenous, n, read, chosen & ~goal)
+    only_final = table_over(shared, exogenous, n, read, goal & ~chosen)
     if len(only_reduction):
         relation = "diverges"
     else:

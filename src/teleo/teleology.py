@@ -274,13 +274,16 @@ def distinguishable(f1: FinalModel, f2: FinalModel) -> Distinguishability:
     """Compare the compatible-world sets of two hypotheses.
 
     Hypotheses are observationally distinguishable exactly when the sets
-    differ; the symmetric difference is returned as witness worlds.
+    differ; the symmetric difference is returned as witness worlds.  Equal
+    bases and targets make equal surgered models, so both sets are filtered
+    from the first hypothesis' surgered worlds and differ as masks of one
+    universe, even when the two surgered models are separate objects.
     """
     if f1.mstar.base != f2.mstar.base or f1.mstar.target != f2.mstar.target:
         raise ComparisonError(
             "hypotheses must be built over the same base model and intervention"
         )
-    t1, t2 = compatible_worlds(f1), compatible_worlds(f2)
+    t1, t2 = compatible_worlds(f1), f1.mstar.worlds_meeting(f2.goal)
     return Distinguishability(t1.outside(t2), t2.outside(t1))
 
 

@@ -48,6 +48,7 @@ COLUMNAR = "tests/test_properties.py::test_columnar_tables_match_the_world_oracl
 ANY_ORDER = "tests/test_properties.py::test_tables_in_any_declaration_order_match_the_world_oracle"
 UNIVERSE = "tests/test_universe.py"
 PARSER_ROWS = "tests/test_cli.py::TestParser::test_rows_parse_as_the_oracle_parses"
+COLLECTOR = "tests/test_cli.py::TestCollector::test_no_command_leaves_cyclic_garbage"
 
 MUTANTS = (
     Mutant(
@@ -197,6 +198,63 @@ MUTANTS = (
         ("tests/test_cli.py::TestProcess::"
          "test_a_closed_standard_output_is_one_error_line[text]",),
     ),
+    # the statement grid as triples, with the collector paused
+    Mutant(
+        "teleology-verdict-columns-swapped", "teleology.py",
+        "(stmt, d_separated(dag, stmt), uniform_independent(table, stmt))",
+        "(stmt, uniform_independent(table, stmt), d_separated(dag, stmt))",
+        ("tests/test_cli.py::TestGoldenOutput::test_finalize_warm",),
+    ),
+    Mutant(
+        "cli-collector-restore-dropped", "cli.py",
+        "                if enabled:\n                    gc.enable()",
+        "                if False:\n                    gc.enable()",
+        (f"{COLLECTOR}[on]",),
+    ),
+    Mutant(
+        "teleology-skipped-error-keeps-its-traceback", "teleology.py",
+        "skipped.append((name, exc.with_traceback(None)))",
+        "skipped.append((name, exc))",
+        (f"{COLLECTOR}[off]",),
+    ),
+    Mutant(
+        "teleology-reversal-error-raised-in-its-handler", "teleology.py",
+        "        reason = str(exc)\n    # raised outside the handler, so that it holds no chained"
+        " traceback\n    raise TeleologyError(",
+        "        reason = str(exc)\n        raise TeleologyError(",
+        (f"{COLLECTOR}[off]",),
+    ),
+    Mutant(
+        "dsep-no-y-check-on-a-memo-hit", "dsep.py",
+        "    elif stmt.y not in position:",
+        "    elif False:",
+        ("tests/test_dsep.py::TestBlockingRules::"
+         "test_unknown_variable_is_named_before_and_after_a_walk",),
+    ),
+    Mutant(
+        "model-x-weighed-outside-the-stratum", "model.py",
+        "!= weigh(rows & x_mask) * count:",
+        "!= weigh(x_mask) * count:",
+        ("tests/test_cells.py::test_one_table_answers_many_statements_like_the_uniform_oracle",),
+    ),
+    Mutant(
+        "model-grid-swaps-x-and-y", "model.py",
+        "        yield x, y, frozenset()\n",
+        "        yield y, x, frozenset()\n",
+        ("tests/test_cli.py::TestGoldenOutput::test_finalize_warm",),
+    ),
+    Mutant(
+        "cli-no-leaf-message", "cli.py",
+        "        if not candidates:\n            raise TeleoError(\n                f\"do(",
+        "        if False:\n            raise TeleoError(\n                f\"do(",
+        ("tests/test_cli.py::TestErrorHandling::test_identify_needs_candidates[enumerate-a-leaf]",),
+    ),
+    Mutant(
+        "render-type-scan-stops-after-the-first-row", "render.py",
+        "set(map(type, column))",
+        "set(map(type, column[:1]))",
+        (f"{RECORDS_CASES}[records-format-chars-in-keys-and-cells]",),
+    ),
     # the universe of level masks (world tables over one universe)
     Mutant(
         "model-exogenous-block-shifted-by-one", "model.py",
@@ -224,23 +282,42 @@ MUTANTS = (
     ),
     Mutant(
         "model-outside-as-and", "model.py",
-        "return root._keep(self.kept & ~root._placed(other))",
-        "return root._keep(self.kept & root._placed(other))",
+        "return root._keep(self.kept & ~other.kept)",
+        "return root._keep(self.kept & other.kept)",
         ("tests/test_model_core.py::TestWorldTable::"
          "test_outside_keeps_the_rows_the_other_table_lacks",
          f"{UNIVERSE}::test_mask_set_operations_match_the_row_set_oracle"),
     ),
+    # observed rows checked by the model's own equations
     Mutant(
-        "model-rows-placed-across-roots-by-any-level", "model.py",
-        "reduce(operator.and_, map(dict.get, masks, row, absent), root.kept)",
-        "reduce(operator.or_, map(dict.get, masks, row, absent), 0)",
-        (f"{UNIVERSE}::test_mask_set_operations_match_the_row_set_oracle",),
+        "model-consistent-ignores-the-child-level", "model.py",
+        "kept &= sum(rows & at.get(mech.table.get(combo), 0) for combo, rows in strata)",
+        "kept &= sum(rows for combo, rows in strata)",
+        (f"{UNIVERSE}::test_consistent_rows_are_the_worlds_of_the_model",),
     ),
     Mutant(
-        "model-rows-placed-across-roots-ignore-the-kept-mask", "model.py",
-        "compressor(theirs, root._n)(other.kept)",
-        "compressor(theirs, root._n)(theirs)",
-        (f"{UNIVERSE}::test_mask_set_operations_match_the_row_set_oracle",),
+        "model-consistent-mechanisms-or-ed", "model.py",
+        "kept &= sum(rows & at.get(mech.table.get(combo), 0) for combo, rows in strata)",
+        "kept |= sum(rows & at.get(mech.table.get(combo), 0) for combo, rows in strata)",
+        (f"{UNIVERSE}::test_consistent_rows_are_the_worlds_of_the_model",),
+    ),
+    Mutant(
+        "model-consistent-exogenous-domain-unchecked", "model.py",
+        "kept &= passing(at, v.domain.__contains__)",
+        "kept &= passing(at, lambda level: True)",
+        (f"{UNIVERSE}::test_consistent_rows_are_the_worlds_of_the_model",),
+    ),
+    Mutant(
+        "model-consistent-drops-the-kept-mask", "model.py",
+        "root, kept = self._root or self, self.kept",
+        "root, kept = self._root or self, (self._root or self).kept",
+        (f"{UNIVERSE}::test_consistent_rows_are_the_worlds_of_the_model",),
+    ),
+    Mutant(
+        "teleology-distinguish-filters-from-the-second-root", "teleology.py",
+        "t1, t2 = compatible_worlds(f1), f1.mstar.worlds_meeting(f2.goal)",
+        "t1, t2 = compatible_worlds(f1), compatible_worlds(f2)",
+        ("tests/test_properties.py::test_world_set_differences_match_the_world_oracle",),
     ),
     Mutant(
         "identification-rank-class-keyed-on-the-goal", "identification.py",
@@ -274,8 +351,14 @@ MUTANTS = (
     ),
     Mutant(
         "reduction-compare-scatters-nothing", "reduction.py",
-        "matched |= scatter(same, slots, n)",
-        "matched |= 0",
+        "chosen = sum(scatter(acts[v], slots, n)",
+        "chosen = sum(0 * scatter(acts[v], slots, n)",
+        ("tests/test_properties.py::test_world_set_differences_match_the_world_oracle",),
+    ),
+    Mutant(
+        "reduction-compare-chosen-and-goal-swapped", "reduction.py",
+        "only_reduction = table_over(shared, exogenous, n, read, chosen & ~goal)",
+        "only_reduction = table_over(shared, exogenous, n, read, goal & ~chosen)",
         ("tests/test_properties.py::test_world_set_differences_match_the_world_oracle",),
     ),
     # the columnar change's kernel mutants, rewritten against the masks

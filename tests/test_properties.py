@@ -542,9 +542,20 @@ def test_world_set_differences_match_the_world_oracle(seed):
     assert worlds_of(v.only_first) == [w for w in c1 if w not in c2]
     assert worlds_of(v.only_second) == [w for w in c2 if w not in c1]
     assert v.distinguishable == (c1 != c2)
+    # a second surgery of the same model is a separate object, whose
+    # worlds are another root: the verdict is the same
+    f3 = build_final_model(do_surgery(scm, f1.mstar.target), effects, f2.goal)
+    assert f3.mstar is not f1.mstar and f3.mstar.model.worlds is not f1.mstar.model.worlds
+    assert distinguishable(f1, f3) == v
+    assert (distinguishable(f3, f1).only_first, distinguishable(f3, f1).only_second) == (
+        v.only_second, v.only_first)
 
+    # random rows, surgered worlds that miss the goal, and compatible ones
     domains = [scm.domain(n) for n in scm.names]
     rows = [tuple(rng.choice(d) for d in domains) for _ in range(rng.randint(1, 6))]
+    missing = [w.values for w in star if w not in c1]
+    rows += rng.sample(missing, min(len(missing), 3))
+    rows += [w.values for w in rng.sample(c1, min(len(c1), 2))]
     verdict = check_support(f1, Dataset(scm.names, tuple((r, 1) for r in rows)))
     observed = [World(scm.names, r) for r in sorted(set(rows))]
     assert worlds_of(verdict.violating_rows) == [w for w in observed if w not in c1]
@@ -556,6 +567,9 @@ def test_world_set_differences_match_the_world_oracle(seed):
     cmp = compare_structures(f1, r)
     post = tuple(r.post_of.get(n, n) for n in scm.names)
     reduced = [World(scm.names, w.values) for w in project_oracle(worlds_oracle(r.scm), post)]
+    # every reduction world, read on the shared columns, is a surgered
+    # world: the reduction of a context is its surgered world at one level
+    assert all(w in star for w in reduced)
     only_reduction = [w for w in reduced if w not in c1]
     only_final = [w for w in c1 if w not in reduced]
     assert worlds_of(cmp.worlds_only_reduction) == only_reduction

@@ -9,15 +9,22 @@ mask set operations with the row-set oracle ``support.outside_oracle``, on
 the degenerate cases (the empty model, single-level domains, constant
 mechanisms) and on models whose exogenous variables are declared after
 endogenous ones, where product order is not sorted row order.
+
+A set difference is taken over one root, and a table of another root is
+refused.  Whether given rows (a dataset's) are worlds is decided by the
+model's own equations over those rows' masks (``consistent_with``), which
+is checked against the worlds the oracle enumerates.
 """
 
 import itertools
 import math
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from teleo.identification import Dataset, rank_hypotheses
+from teleo.errors import ModelStructureError
+from teleo.identification import Dataset, check_support, rank_hypotheses
 from teleo.intervention import do_surgery
 from teleo.model import (
     CausalDag,
@@ -60,7 +67,12 @@ def test_the_empty_model_has_one_world():
     assert table.filter({}) is table and table.project(()) == table
     assert table.outside(table).rows == () and not len(table.outside(table))
     empty = WorldTable((), [])
-    assert table.outside(empty) == table and empty.outside(table) == empty
+    for a, b in ((table, empty), (empty, table)):
+        with pytest.raises(ModelStructureError, match="two roots"):
+            a.outside(b)
+    # the one empty world is a world of the model; no row is no world
+    assert table.consistent_with(scm) is table and empty.consistent_with(scm) is empty
+    assert WorldTable((), [()]).consistent_with(scm).rows == ((),)
     assert table == rows_worlds(scm)
 
 
@@ -134,7 +146,7 @@ def test_level_column_reads_any_levels_back(seed):
 def test_mask_set_operations_match_the_row_set_oracle(seed):
     # two goals over one surgered model share its universe, so their
     # difference is a mask difference; a dataset is a table of given rows,
-    # so a difference with it first places the rows both roots have
+    # another root, so it is compared only with tables of its own rows
     rng = random.Random(seed)
     scm = random_scm(rng, lowest=-2)
     if rng.random() < 0.5:
@@ -152,11 +164,40 @@ def test_mask_set_operations_match_the_row_set_oracle(seed):
     v = distinguishable(f1, f2)
     assert (v.only_first, v.only_second) == (outside_oracle(t1, t2), outside_oracle(t2, t1))
     domains = [scm.domain(n) for n in scm.names]
-    rows = [tuple(rng.choice(d) for d in domains) for _ in range(rng.randint(0, 8))]
+    rows = [tuple(rng.choice(d) for d in domains) for _ in range(rng.randint(1, 8))]
     rows += rng.sample(t1.rows, min(len(t1), 3))
-    data = WorldTable(scm.names, rows)
-    for a, b in ((data, t1), (t1, data), (data, t2)):
-        assert a.outside(b) == outside_oracle(a, b)
+    data = Dataset(scm.names, ((values, 1) for values in rows))
+    for a, b in ((data.support, t1), (t1, data.support), (data.support, root)):
+        with pytest.raises(ModelStructureError, match="two roots"):
+            a.outside(b)
+    violating = check_support(f1, data).violating_rows
+    assert violating == outside_oracle(data.support, t1)
+    assert_masks_are_the_rows(violating)
+
+
+@MODERATE
+@given(seeds)
+def test_consistent_rows_are_the_worlds_of_the_model(seed):
+    # a row is a world when its exogenous levels are in their domains and
+    # every mechanism maps its parents' levels to its child's level; the
+    # oracle enumerates the worlds instead.  The level 9 is in no domain.
+    rng = random.Random(seed)
+    scm = random_scm(rng, lowest=-2)
+    if rng.random() < 0.5:
+        scm = exogenous_last(scm)
+    worlds = [w.values for w in worlds_oracle(scm)]
+    domains = [(*scm.domain(n), 9) for n in scm.names]
+    rows = [tuple(rng.choice(d) for d in domains) for _ in range(rng.randint(0, 12))]
+    rows += rng.sample(worlds, rng.randint(0, min(len(worlds), 6)))
+    table = WorldTable(scm.names, rows)
+    kept = table.consistent_with(scm)
+    assert kept.rows == tuple(r for r in table.rows if r in worlds)
+    assert_masks_are_the_rows(kept)
+    # on a filtered table, only its own rows are candidates
+    name = rng.choice(scm.names)
+    level = rng.choice(scm.domain(name))
+    some = table.filter(goal(name, "!=", level).level_tests)
+    assert some.consistent_with(scm).rows == tuple(r for r in kept.rows if r in some.rows)
 
 
 @MODERATE
@@ -192,9 +233,9 @@ def test_ranking_builds_no_rows_of_the_compatible_worlds():
     data = Dataset(scm.names, ((scm.worlds.rows[0], 2), (scm.worlds.rows[-1], 1)))
     ranking = rank_hypotheses(finals, data)
     assert not any("rows" in vars(compatible_worlds(f)) for f in finals)
-    # each support check places the dataset's rows in the surgered universe,
-    # once for every candidate, and builds no row of the universe
-    assert "rows" not in vars(m.model.worlds) and len(data.support._matched) == 1
+    # each support check reads the dataset's own masks, and builds no row
+    # of the universe
+    assert "rows" not in vars(m.model.worlds)
     classes = [next(r.equivalence_class for r in ranking if r.verdict.hypothesis is f)
                for f in finals]
     # the two finals with goal T = 1 keep the same worlds, so share a class
