@@ -8,19 +8,26 @@ from _json import encode_basestring_ascii as _quote  # json.encoder's own
 from collections.abc import Iterable, Iterator, Sequence
 
 
-def render_table(columns: Sequence[str], rows: Iterable[Sequence[int]]) -> str:
+def render_table(columns: Sequence[str], rows: Iterable[Sequence[int]] | Records) -> str:
     """Align world-table levels under a header row; two spaces between columns.
 
-    Each column is as wide as its name or its widest distinct level, and
-    every row goes through one ``%``-template.  The output is byte-stable:
-    same columns and rows, same text.
+    ``rows`` may be a ``Records`` of lists.  Each column is as wide as its
+    name or its widest distinct level.  Rows of one-digit bytes columns are
+    one ``_fill`` (the unpadded last field gives each line one width), any
+    other row one ``%``-template.  Same columns and rows, same text.
     """
-    rows = list(map(tuple, rows))
-    levels = [set(column) for column in zip(*rows)] or [()] * len(columns)
+    rows = rows if isinstance(rows, Records) else Records(None, list(map(tuple, rows)))
+    values = rows.columns
+    fill = values and _one_digit(values)
+    levels = [(0,) if fill else set(column) for column in values]  # (0,): one digit wide
     widths = [max([len(name), *map(len, map(str, column))])
-              for name, column in zip(columns, levels)]
-    template = "  ".join(f"%-{width}d" for width in widths)
+              for name, column in zip(columns, levels or [()] * len(columns))]
     head = "  ".join(map(str.ljust, columns, widths))
+    if fill:
+        pads = [" " * (width + 1) for width in widths[:-1]]
+        return _fill(head.rstrip() + "\n", ["\n", *pads, ""], values, "\n")
+    template = "  ".join(f"%-{width}d" for width in widths)
+    rows = zip(*values) if values else [()] * len(rows)
     return "\n".join(map(str.rstrip, [head, *map(template.__mod__, rows)])) + "\n"
 
 
@@ -47,9 +54,9 @@ def json_chunks(value: object, level: int = 0) -> Iterator[str]:
 
     CPython serves an indented ``json.dumps`` with its pure-Python encoder,
     one call per value.  The documents here are mostly tables (``Records``
-    and lists of lists of one length), whose rows go through one
-    ``%``-template (``_table``), so most values cost a C-level format instead
-    of a Python call.  Everything else recurses, and a value of no type
+    and lists of lists of one length), written by ``_table``: one strided
+    fill per column or one ``%``-template per row, so most values cost no
+    Python call.  Everything else recurses, and a value of no type
     named here goes to ``json.dumps``, which also raises its ``TypeError``
     for a value JSON cannot hold.
     """
@@ -83,10 +90,7 @@ def _encode(value: object, level: int) -> str:
     if isinstance(value, (list, tuple, Records)):
         if not value:
             return "[]"
-        rows = _table(value, level + 1)
-        if rows is None:
-            rows = [_encode(v, level + 1) for v in value]
-        return _wrap("[]", rows, level)
+        return _table(value, level) or _wrap("[]", [_encode(v, level + 1) for v in value], level)
     import json  # only the two fallbacks need it, so start-up does without it
     return json.dumps(value)
 
@@ -114,16 +118,17 @@ def _key(key: object) -> str:
     return _quote(key)
 
 
-def _table(items: Sequence[object], level: int) -> list[str] | None:
-    """The rendered items of ``Records`` or of a list of lists of one
-    length, written at indent ``level``; None for any other list.
+def _table(items: Sequence[object], level: int) -> str | None:
+    """``Records`` or a list of lists of one length, written at indent
+    ``level``; None for any other list.
 
     Either is labels and columns: a ``Records`` table's columns, labelled
     in sorted-key order by their quoted keys and ": " (unless it holds
-    lists), or the list's columns from one transpose, unlabelled.  A column
-    of plain ints (bools are not ints here; bytes are) is a ``%d`` field,
-    any other a ``%s`` field encoded by ``_column``, and one template
-    writes every item.
+    lists), or the list's columns from one transpose, unlabelled.  Bytes
+    columns of one-digit levels (a world table's) are one ``_fill``; else a
+    column of plain ints (bools are not ints here; bytes are) is a ``%d``
+    field, any other a ``%s`` field (``_column``), and one template writes
+    every item.
     """
     if isinstance(items, Records):
         keys, columns, brackets = items.keys, list(items.columns), "{}"
@@ -131,24 +136,51 @@ def _table(items: Sequence[object], level: int) -> list[str] | None:
             labels, brackets = [""] * len(columns), "[]"
         else:
             order = sorted(range(len(keys)), key=keys.__getitem__)
-            # a key is template text, so its own % signs are escaped
-            labels = [_quote(keys[i]).replace("%", "%%") + ": " for i in order]
+            labels = [_quote(keys[i]) + ": " for i in order]
             columns = list(map(columns.__getitem__, order))
         if not columns:
-            return [brackets] * len(items)
+            return _wrap("[]", [brackets] * len(items), level)
+        if _one_digit(columns):  # no template, so the keys are not escaped
+            item = _wrap(brackets, [label + "\0" for label in labels], level + 1)
+            pieces = f",\n{'  ' * (level + 1)}{item}".split("\0")
+            return _fill("[", pieces, columns, "\n" + "  " * level + "]")
     else:
         if type(items[0]) not in (list, tuple) or len(set(map(type, items))) != 1:
             return None
         if len(set(map(len, items))) != 1 or not items[0]:
             return None
         labels, columns, brackets = [""] * len(items[0]), list(zip(*items)), "[]"
-    for i, column in enumerate(columns):  # each label becomes its field
+    for i, column in enumerate(columns):  # each label becomes template text and its field
         kinds = {int} if type(column) is bytes else set(map(type, column))
-        labels[i] += "%d" if kinds == {int} else "%s"
+        labels[i] = labels[i].replace("%", "%%") + ("%d" if kinds == {int} else "%s")
         if kinds != {int}:
-            columns[i] = _column(column, kinds, level + 1)
-    template = _wrap(brackets, labels, level)
-    return list(map(template.__mod__, zip(*columns)))
+            columns[i] = _column(column, kinds, level + 2)
+    template = _wrap(brackets, labels, level + 1)
+    return _wrap("[]", list(map(template.__mod__, zip(*columns))), level)
+
+
+_ASCII_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
+def _one_digit(columns: Sequence[object]) -> bool:
+    """Whether every column is bytes of levels 0..9, which ``_fill`` writes."""
+    return all(type(c) is bytes and not c.translate(None, bytes(range(10))) for c in columns)
+
+
+def _fill(head: str, pieces: Sequence[str], columns: Sequence[bytes], tail: str) -> str:
+    """One item per row, each the ASCII ``pieces`` with the row's level of
+    each column between two of them, repeated in one buffer; each column
+    goes into its slots by one strided assignment, so no row is formatted.
+    ``head`` replaces the first character (a separator); ``tail`` ends it."""
+    unit = "0".join(pieces).encode()
+    buf = bytearray(unit) * len(columns[0])
+    slot = -1
+    for piece, column in zip(pieces, columns):
+        slot += len(piece) + 1
+        buf[slot::len(unit)] = column.translate(_ASCII_DIGITS)
+    buf[:1] = head.encode()
+    buf += tail.encode()
+    return buf.decode()
 
 
 # item types that equal no item of another of them, so that a tuple of them

@@ -49,13 +49,14 @@ ANY_ORDER = "tests/test_properties.py::test_tables_in_any_declaration_order_matc
 UNIVERSE = "tests/test_universe.py"
 PARSER_ROWS = "tests/test_cli.py::TestParser::test_rows_parse_as_the_oracle_parses"
 COLLECTOR = "tests/test_cli.py::TestCollector::test_no_command_leaves_cyclic_garbage"
+FILL_CASES = "tests/test_render.py::test_one_digit_cases"
 
 MUTANTS = (
     Mutant(
         "render-bool-column-as-int", "render.py",
-        '        labels[i] += "%d" if kinds == {int} else "%s"\n'
+        '("%d" if kinds == {int} else "%s")\n'
         "        if kinds != {int}:",
-        '        labels[i] += "%d" if kinds <= {int, bool} else "%s"\n'
+        '("%d" if kinds <= {int, bool} else "%s")\n'
         "        if not kinds <= {int, bool}:",
         (f"{RECORDS_CASES}[records-format-chars-in-keys-and-cells]",),
     ),
@@ -67,8 +68,8 @@ MUTANTS = (
     ),
     Mutant(
         "render-unescaped-percent-in-key", "render.py",
-        '_quote(keys[i]).replace("%", "%%") + ": "',
-        '_quote(keys[i]) + ": "',
+        'labels[i] = labels[i].replace("%", "%%") + (',
+        "labels[i] = labels[i] + (",
         (f"{RECORDS_CASES}[records-format-chars-in-keys-and-cells]",),
     ),
     Mutant(
@@ -412,6 +413,43 @@ MUTANTS = (
         "return sum(mask for level, mask in levels.items() if test(level))",
         "return sum(mask for level, mask in list(levels.items())[1:] if test(level))",
         (COLUMNAR,),
+    ),
+    # one-digit world tables written by strided fills
+    Mutant(
+        "render-fill-stride-off-by-one", "render.py",
+        "buf[slot::len(unit)] = column.translate(_ASCII_DIGITS)",
+        "buf[slot::len(unit) + 1] = column.translate(_ASCII_DIGITS)",
+        (f"{FILL_CASES}[two-keyed-columns-257-rows]",),
+    ),
+    Mutant(
+        "render-fill-keys-percent-escaped", "render.py",
+        '[label + "\\0" for label in labels]',
+        '[label.replace("%", "%%") + "\\0" for label in labels]',
+        (f"{FILL_CASES}[keys-with-percent-quote-and-non-ascii]",),
+    ),
+    Mutant(
+        "render-fill-takes-a-two-digit-level", "render.py",
+        "c.translate(None, bytes(range(10)))",
+        "c.translate(None, bytes(range(11)))",
+        ("tests/test_render.py::test_tables_beyond_one_digit_take_the_template[keyed-level-10]",),
+    ),
+    Mutant(
+        "render-fill-separator-after-the-last-item", "render.py",
+        'columns, "\\n" + "  " * level + "]")',
+        'columns, ",\\n" + "  " * level + "]")',
+        (f"{FILL_CASES}[objects-three-levels-down]",),
+    ),
+    Mutant(
+        "render-fill-closing-bracket-at-the-wrong-indent", "render.py",
+        'columns, "\\n" + "  " * level + "]")',
+        'columns, "\\n" + "  " * (level + 1) + "]")',
+        (f"{FILL_CASES}[objects-three-levels-down]",),
+    ),
+    Mutant(
+        "render-text-fill-pads-the-last-field", "render.py",
+        "for width in widths[:-1]]",
+        "for width in widths]",
+        ("tests/test_render.py::test_text_tables_take_the_fill_only_for_one_digit_bytes",),
     ),
 )
 

@@ -97,7 +97,7 @@ from teleo.errors import (
 )
 from teleo.identification import DependenceCheck
 from teleo.intervention import do_surgery
-from teleo.render import json_chunks
+from teleo.render import Records, json_chunks
 from teleo.teleology import Comparison, GoalPredicate, build_final_model
 
 NAMES = tuple("ABCDEFGH")
@@ -123,6 +123,20 @@ def run_cli(*argv: str) -> CliRun:
         except SystemExit as exc:
             return CliRun(exc.code, out.getvalue(), err.getvalue())
     raise AssertionError("teleo returned instead of exiting")
+
+
+def plain_document(doc):
+    """``doc`` with every ``Records`` written out as its list of dicts, or of
+    lists when its ``keys`` are None."""
+    if isinstance(doc, Records):
+        rows = zip(*doc.columns) if doc.columns else [()] * len(doc)
+        rows = [list(map(plain_document, row)) for row in rows]
+        return rows if doc.keys is None else [dict(zip(doc.keys, row)) for row in rows]
+    if isinstance(doc, dict):
+        return {k: plain_document(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [plain_document(v) for v in doc]
+    return doc
 
 
 def render_json(doc: object) -> str:
@@ -968,6 +982,7 @@ __all__ = [
     "verify_mechanism_consistency",
     "value_sets",
     "render_table_oracle",
+    "plain_document",
     "render_json",
     "cli_oracle",
     "cli_outcome",

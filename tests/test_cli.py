@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import teleo.model
+import teleo.render
 import teleo.teleology
 from teleo import __version__
 from teleo.cli import cli
@@ -393,6 +394,24 @@ class TestBenchmarkInputs:
         assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
             "007785d3b576ba73095341b310f8392499583797cc7afba7606d4d19c0113196"
         )
+
+    def test_reduce_world_tables_take_the_fill(self, tmp_path, monkeypatch):
+        # every world table of seed-3 reduce_ternary has one-digit levels, so
+        # each non-empty one is written by one strided fill, in JSON (worlds,
+        # assignments and the projection's two lists) as in text
+        calls = []
+        fill = teleo.render._fill
+        monkeypatch.setattr(teleo.render, "_fill", lambda *a: calls.append(1) or fill(*a))
+        args = BENCHMARK_GEN.GENERATORS["reduce_ternary"](3).write(tmp_path)
+        result = run_cli("--json", *args)
+        assert result.exit_code == 0
+        doc = json.loads(result.stdout)["result"]
+        tables = [doc["worlds"], doc["assignments"], doc["projection"]["worlds_only_reduction"],
+                  doc["projection"]["worlds_only_final"]]
+        assert len(calls) == sum(map(bool, tables)) >= 2
+        calls.clear()
+        assert run_cli(*args).exit_code == 0
+        assert len(calls) == 1
 
     def test_reduce_on_a_19683_context_survey(self, tmp_path, monkeypatch):
         # reduce_ternary with 9 context variables: 2 * 3^9 surgered worlds,

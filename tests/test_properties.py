@@ -61,6 +61,7 @@ from support import (
     factorization_oracle,
     filter_oracle,
     outside_oracle,
+    plain_document,
     post_action_worlds,
     product_columns,
     project_oracle,
@@ -1060,20 +1061,6 @@ def test_json_writer_column_cases(doc):
     _same_as_the_stdlib_encoder(doc)
 
 
-def _plain(doc):
-    """``doc`` with every ``Records`` written out as its list of dicts, or of
-    lists when its ``keys`` are None."""
-    if isinstance(doc, Records):
-        rows = zip(*doc.columns) if doc.columns else [()] * len(doc)
-        rows = [list(map(_plain, row)) for row in rows]
-        return rows if doc.keys is None else [dict(zip(doc.keys, row)) for row in rows]
-    if isinstance(doc, dict):
-        return {k: _plain(v) for k, v in doc.items()}
-    if isinstance(doc, (list, tuple)):
-        return [_plain(v) for v in doc]
-    return doc
-
-
 # record keys: template signs and non-ASCII text, and one key or none
 _record_keys = st.lists(
     st.text(max_size=3) | st.sampled_from(["%", "%d", "%%s", "é", "ключ", "\n"]),
@@ -1120,7 +1107,7 @@ _documents_with_records = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_documents_with_records)
 def test_records_and_int_rows_write_what_the_stdlib_encoder_writes(doc):
-    expected = json.dumps(_plain(doc), indent=2, sort_keys=True)
+    expected = json.dumps(plain_document(doc), indent=2, sort_keys=True)
     assert render_json(doc) == expected
     assert "".join(json_chunks(doc)) == expected
 
@@ -1159,7 +1146,7 @@ def test_records_and_int_rows_write_what_the_stdlib_encoder_writes(doc):
     ids=repr,
 )
 def test_records_and_int_rows_cases(doc):
-    expected = json.dumps(_plain(doc), indent=2, sort_keys=True)
+    expected = json.dumps(plain_document(doc), indent=2, sort_keys=True)
     assert render_json(doc) == expected
     assert "".join(json_chunks(doc)) == expected
 
@@ -1169,7 +1156,7 @@ def test_a_document_is_streamed_one_dict_member_at_a_time():
     rows = [(i, -i) for i in range(50)]
     doc = {"a": rows, "b": {"c": Records(("x", "y"), rows)}, "d": []}
     chunks = list(json_chunks(doc))
-    assert "".join(chunks) == json.dumps(_plain(doc), indent=2, sort_keys=True)
+    assert "".join(chunks) == json.dumps(plain_document(doc), indent=2, sort_keys=True)
     assert chunks[0] == '{\n  "a": '
     assert sum('"x": 0' in chunk for chunk in chunks) == 1
     assert not any('"a": [' in chunk and '"x"' in chunk for chunk in chunks)
