@@ -299,7 +299,7 @@ def _table_result(table: WorldTable) -> dict:
 
 
 def _table_text(table: WorldTable) -> str:
-    return render_table(table.columns, _worlds(table))
+    return render_table(table.columns, table.rows)
 
 
 def _statements(keys: tuple[str, ...], rows: Iterable[tuple]) -> Records:
@@ -409,7 +409,7 @@ def distinguish(args):
             (f2.label, verdict.only_second),
         ):
             lines.append(f"worlds compatible only with {label}:")
-            lines.append(_table_text(worlds).rstrip("\n") if len(worlds) else "(none)")
+            lines.append(_table_text(worlds).rstrip("\n") if worlds.rows else "(none)")
         return "\n".join(lines) + "\n"
 
     def result() -> dict:

@@ -80,12 +80,6 @@ class Dataset(Record):
         (``model.weight_layers``)."""
         return weight_layers([count for _, count in self.rows])
 
-    def consistent_with(self, scm: Scm) -> WorldTable:
-        """``support.consistent_with(scm)``, kept for the last ``scm`` (a ranking's one)."""
-        if self.__dict__.get("_consistent", (None,))[0] is not scm:
-            self.__dict__["_consistent"] = scm, self.support.consistent_with(scm)
-        return self._consistent[1]
-
 
 def load_dataset(text: str, scm: Scm) -> Dataset:
     """Parse the CSV dialect and bind it to a model.
@@ -201,10 +195,10 @@ class IdentificationVerdict(Record):
 def check_support(f: FinalModel, d: Dataset) -> IdentificationVerdict:
     """Support part of the verdict: observed rows outside the hypothesis'
     compatible-world set are violations.  The rows inside it are the
-    observed worlds of the surgered model (``Dataset.consistent_with``)
+    observed worlds of the surgered model (``WorldTable.consistent_with``)
     that meet the goal, decided over the support's own masks."""
     _bind(f, d)
-    inside = d.consistent_with(f.mstar.model).filter(f.goal.level_tests)
+    inside = d.support.consistent_with(f.mstar.model).filter(f.goal.level_tests)
     violating = d.support.outside(inside)
     return IdentificationVerdict(f, not len(violating), violating, (), len(compatible_worlds(f)))
 

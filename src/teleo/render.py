@@ -8,26 +8,19 @@ from _json import encode_basestring_ascii as _quote  # json.encoder's own
 from collections.abc import Iterable, Iterator, Sequence
 
 
-def render_table(columns: Sequence[str], rows: Iterable[Sequence[int]] | Records) -> str:
+def render_table(columns: Sequence[str], rows: Iterable[Sequence[int]]) -> str:
     """Align world-table levels under a header row; two spaces between columns.
 
-    ``rows`` may be a ``Records`` of lists.  Each column is as wide as its
-    name or its widest distinct level.  Rows of one-digit bytes columns are
-    one ``_fill`` (the unpadded last field gives each line one width), any
-    other row one ``%``-template.  Same columns and rows, same text.
+    Each column is as wide as its name or its widest distinct level, and
+    every row goes through one ``%``-template.  The output is byte-stable:
+    same columns and rows, same text.
     """
-    rows = rows if isinstance(rows, Records) else Records(None, list(map(tuple, rows)))
-    values = rows.columns
-    fill = values and _one_digit(values)
-    levels = [(0,) if fill else set(column) for column in values]  # (0,): one digit wide
+    rows = list(map(tuple, rows))
+    levels = [set(column) for column in zip(*rows)] or [()] * len(columns)
     widths = [max([len(name), *map(len, map(str, column))])
-              for name, column in zip(columns, levels or [()] * len(columns))]
-    head = "  ".join(map(str.ljust, columns, widths))
-    if fill:
-        pads = [" " * (width + 1) for width in widths[:-1]]
-        return _fill(head.rstrip() + "\n", ["\n", *pads, ""], values, "\n")
+              for name, column in zip(columns, levels)]
     template = "  ".join(f"%-{width}d" for width in widths)
-    rows = zip(*values) if values else [()] * len(rows)
+    head = "  ".join(map(str.ljust, columns, widths))
     return "\n".join(map(str.rstrip, [head, *map(template.__mod__, rows)])) + "\n"
 
 
@@ -143,7 +136,7 @@ def _table(items: Sequence[object], level: int) -> str | None:
         if _one_digit(columns):  # no template, so the keys are not escaped
             item = _wrap(brackets, [label + "\0" for label in labels], level + 1)
             pieces = f",\n{'  ' * (level + 1)}{item}".split("\0")
-            return _fill("[", pieces, columns, "\n" + "  " * level + "]")
+            return _fill(pieces, columns, "\n" + "  " * level + "]")
     else:
         if type(items[0]) not in (list, tuple) or len(set(map(type, items))) != 1:
             return None
@@ -167,18 +160,18 @@ def _one_digit(columns: Sequence[object]) -> bool:
     return all(type(c) is bytes and not c.translate(None, bytes(range(10))) for c in columns)
 
 
-def _fill(head: str, pieces: Sequence[str], columns: Sequence[bytes], tail: str) -> str:
-    """One item per row, each the ASCII ``pieces`` with the row's level of
-    each column between two of them, repeated in one buffer; each column
-    goes into its slots by one strided assignment, so no row is formatted.
-    ``head`` replaces the first character (a separator); ``tail`` ends it."""
+def _fill(pieces: Sequence[str], columns: Sequence[bytes], tail: str) -> str:
+    """A JSON list of one item per row, each the ASCII ``pieces`` with the
+    row's level of each column between two of them, repeated in one buffer;
+    each column goes into its slots by one strided assignment, so no row is
+    formatted.  ``[`` replaces the first item's separator; ``tail`` ends it."""
     unit = "0".join(pieces).encode()
     buf = bytearray(unit) * len(columns[0])
     slot = -1
     for piece, column in zip(pieces, columns):
         slot += len(piece) + 1
         buf[slot::len(unit)] = column.translate(_ASCII_DIGITS)
-    buf[:1] = head.encode()
+    buf[:1] = b"["
     buf += tail.encode()
     return buf.decode()
 

@@ -431,7 +431,7 @@ MUTANTS = (
         "render-fill-takes-a-two-digit-level", "render.py",
         "c.translate(None, bytes(range(10)))",
         "c.translate(None, bytes(range(11)))",
-        ("tests/test_render.py::test_tables_beyond_one_digit_take_the_template[keyed-level-10]",),
+        ("tests/test_render.py::test_tables_beyond_one_digit_or_without_rows_take_no_fill[keyed-level-10]",),
     ),
     Mutant(
         "render-fill-separator-after-the-last-item", "render.py",
@@ -444,12 +444,6 @@ MUTANTS = (
         'columns, "\\n" + "  " * level + "]")',
         'columns, "\\n" + "  " * (level + 1) + "]")',
         (f"{FILL_CASES}[objects-three-levels-down]",),
-    ),
-    Mutant(
-        "render-text-fill-pads-the-last-field", "render.py",
-        "for width in widths[:-1]]",
-        "for width in widths]",
-        ("tests/test_render.py::test_text_tables_take_the_fill_only_for_one_digit_bytes",),
     ),
 )
 

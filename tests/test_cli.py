@@ -397,8 +397,8 @@ class TestBenchmarkInputs:
 
     def test_reduce_world_tables_take_the_fill(self, tmp_path, monkeypatch):
         # every world table of seed-3 reduce_ternary has one-digit levels, so
-        # each non-empty one is written by one strided fill, in JSON (worlds,
-        # assignments and the projection's two lists) as in text
+        # each non-empty one is written by one strided fill (worlds,
+        # assignments and the projection's two lists)
         calls = []
         fill = teleo.render._fill
         monkeypatch.setattr(teleo.render, "_fill", lambda *a: calls.append(1) or fill(*a))
@@ -409,9 +409,6 @@ class TestBenchmarkInputs:
         tables = [doc["worlds"], doc["assignments"], doc["projection"]["worlds_only_reduction"],
                   doc["projection"]["worlds_only_final"]]
         assert len(calls) == sum(map(bool, tables)) >= 2
-        calls.clear()
-        assert run_cli(*args).exit_code == 0
-        assert len(calls) == 1
 
     def test_reduce_on_a_19683_context_survey(self, tmp_path, monkeypatch):
         # reduce_ternary with 9 context variables: 2 * 3^9 surgered worlds,

@@ -12,7 +12,7 @@ from teleo.identification import (
     summarize_ranking,
 )
 from teleo.intervention import do_surgery
-from teleo.model import IndependenceStatement, WorldTable
+from teleo.model import IndependenceStatement
 from teleo.speclang import load_model
 from teleo.teleology import build_final_model, goal
 
@@ -145,28 +145,6 @@ class TestCheckSupport:
         d = Dataset(("W", "H"), (((0, 0), 1),))
         with pytest.raises(BindingError):
             check_support(finals[0], d)
-
-    def test_a_ranking_finds_the_observed_worlds_once(self, scm, finals, monkeypatch):
-        # the candidates share one surgered model, so the dataset keeps the
-        # rows consistent with it; that cache is not part of the value
-        d, fresh = load_dataset(WARM_DATA, scm), load_dataset(WARM_DATA, scm)
-        expected = [check_support(f, load_dataset(WARM_DATA, scm)) for f in finals]
-        calls = []
-        consistent_with = WorldTable.consistent_with
-        monkeypatch.setattr(WorldTable, "consistent_with",
-                            lambda table, model: calls.append(model) or consistent_with(table, model))
-        before = (repr(d), hash(d))
-        ranking = rank_hypotheses(finals, d)
-        assert len(calls) == 1 and calls[0] is finals[0].mstar.model
-        assert sorted((r.verdict.hypothesis.label, r.verdict.support_compatible,
-                       r.verdict.violating_rows) for r in ranking) == sorted(
-            (v.hypothesis.label, v.support_compatible, v.violating_rows) for v in expected)
-        assert "_consistent" in d.__dict__ and "_consistent" not in fresh.__dict__
-        assert (repr(d), hash(d)) == before == (repr(fresh), hash(fresh)) and d == fresh
-        assert "_consistent" not in repr(d)
-        other = do_surgery(scm, "H").model  # equal, but another model: found again
-        assert d.consistent_with(other) is d.consistent_with(other)
-        assert len(calls) == 2 and calls[1] is other
 
 
 class TestCheckDependence:
