@@ -265,13 +265,8 @@ def _load_spec(path: str) -> CompiledSpec:
     return load_model(_read(path, "model spec"))
 
 
-def _emit(
-    args,
-    command: str,
-    result: Callable[[], dict],
-    human: Callable[[], str],
-    diagnostics=(),
-):
+def _emit(args, command: str, result: Callable[[], dict], human: Callable[[], str],
+          diagnostics=()):
     """Print the JSON document or the human text; only that one is built."""
     diagnostics = list(diagnostics)
     if args.json:
@@ -286,7 +281,7 @@ def _emit(
 
 def _worlds(table: WorldTable) -> Records:
     """The table's worlds as lists, written from its columns: no row built."""
-    return Records(None, columns=map(table.column, table.columns), size=len(table))
+    return Records(None, map(table.column, table.columns), len(table))
 
 
 def _table_result(table: WorldTable) -> dict:
@@ -294,7 +289,7 @@ def _table_result(table: WorldTable) -> dict:
     return {
         "columns": table.columns,
         "worlds": worlds,
-        "assignments": Records(table.columns, columns=worlds.columns, size=len(table)),
+        "assignments": Records(table.columns, worlds.columns, len(table)),
     }
 
 
@@ -303,19 +298,15 @@ def _table_text(table: WorldTable) -> str:
 
 
 def _statements(keys: tuple[str, ...], rows: Iterable[tuple]) -> Records:
-    """Rows of ``(statement, *verdicts)`` as records of x, y, given and
-    ``keys``.  Each conditioning set is sorted once, into one tuple that all
-    its rows share; the writer encodes each distinct tuple once, as a JSON
-    list."""
-    given: dict[frozenset[str], tuple[str, ...]] = {}
-    records = []
-    for row in rows:
-        s = row[0]
-        names = given.get(s.given)
-        if names is None:
-            names = given[s.given] = tuple(sorted(s.given))
-        records.append((s.x, s.y, names) + row[1:])
-    return Records(("x", "y", "given", *keys), records)
+    """Rows of ``(statement, *verdicts)`` as records of x, y, given and ``keys``,
+    transposed once into columns.  Each conditioning set is sorted once, into
+    one tuple its rows share, which the writer encodes once as a JSON list."""
+    rows = list(rows)
+    statements, *verdicts = list(zip(*rows)) or [()] * (len(keys) + 1)
+    given = {g: tuple(sorted(g)) for g in {s.given for s in statements}}
+    x, y = [s.x for s in statements], [s.y for s in statements]
+    names = [given[s.given] for s in statements]
+    return Records(("x", "y", "given", *keys), [x, y, names, *verdicts], len(rows))
 
 
 @_command("SPEC")
@@ -510,7 +501,7 @@ def identify(args):
                     "equivalence_class": e.equivalence_class,
                     "support_compatible": e.verdict.support_compatible,
                     "compatible_world_count": e.verdict.compatible_world_count,
-                    "violating_rows": e.verdict.violating_rows.rows,
+                    "violating_rows": _worlds(e.verdict.violating_rows),
                     "dependence_checks": _statements(
                         ("expected_independent", "observed_independent", "agree",
                          "skipped_strata"),

@@ -45,15 +45,22 @@ class BindingError(TeleoError):
     """A dataset's columns do not match the model it is confronted with."""
 
 
-class EnumerationBudgetError(TeleoError):
+class BudgetError(TeleoError):
+    """A size known before any work starts (worlds, domain levels, parent
+    combinations, candidates) is over its cap, so nothing that big is built."""
+
+    def __init__(self, message: str, size: int, cap: int):
+        self.size, self.cap = size, cap
+        super().__init__(message)
+
+
+class EnumerationBudgetError(BudgetError):
     """Hypothesis enumeration would exceed the configured candidate cap."""
 
     def __init__(self, required: int, cap: int):
         self.required = required
-        self.cap = cap
-        super().__init__(
-            f"hypothesis enumeration needs {required} candidates, cap is {cap}"
-        )
+        message = f"hypothesis enumeration needs {required} candidates, cap is {cap}"
+        super().__init__(message, required, cap)
 
 
 class ComparisonError(TeleoError):

@@ -37,6 +37,7 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import cached_property, partial, reduce
 
 from teleo.errors import (
+    BudgetError,
     EmptyTableError,
     ModelStructureError,
     UnknownVariableError,
@@ -71,6 +72,16 @@ __all__ = [
     "uniform_independent",
     "conditional_distribution",
 ]
+
+MAX_WORLDS = 1 << 24  # the cap on a count of domain levels, worlds or parent combinations
+
+
+def check_size(size: int, what: str) -> int:
+    """``size``, the count of ``what``; a BudgetError if over ``MAX_WORLDS``."""
+    if size > MAX_WORLDS:
+        raise BudgetError(f"{what} is {size}, over the cap of {MAX_WORLDS}", size, MAX_WORLDS)
+    return size
+
 
 class Record:
     """An immutable value object: the base of every model, statement and
@@ -314,6 +325,8 @@ class Mechanism(Record):
         no clamping is applied.
         """
         parents = tuple(parents)
+        check_size(math.prod(len(p.domain) for p in parents),
+                   f"the parent combination count of {child.name}")
         combos = itertools.product(*(p.domain for p in parents))
         table = {combo: sum(combo) for combo in combos}
         mech = cls(child.name, tuple(p.name for p in parents), table)
@@ -352,7 +365,9 @@ def check_table(mech: Mechanism, variables: Mapping[str, Variable]) -> None:
     reads = tuple(variables[n] for n in (mech.child, *mech.parents))
     if mech.__dict__.get("_checked") == reads:
         return
-    expected = set(itertools.product(*(variables[p].domain for p in mech.parents)))
+    domains = [variables[p].domain for p in mech.parents]
+    check_size(math.prod(map(len, domains)), f"the parent combination count of {mech.child}")
+    expected = set(itertools.product(*domains))
     domain = variables[mech.child].domain
     for key, value in mech.table.items():
         if key not in expected:
@@ -742,7 +757,8 @@ def universe_levels(
     len(domain) * inner bits: the block times a geometric constant.  A level
     of a mechanism's child is the union of the parents' strata mapped to it.
     """
-    n, inner, levels = math.prod(map(len, domains.values())), 1, {}
+    n = check_size(math.prod(map(len, domains.values())), "the world count")
+    inner, levels = 1, {}
     for name, domain in reversed(domains.items()):
         ones = ((1 << n) - 1) // ((1 << inner * len(domain)) - 1)
         levels[name] = {v: ones * ((1 << inner) - 1) << k * inner for k, v in enumerate(domain)}

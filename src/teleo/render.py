@@ -1,11 +1,12 @@
 """Text rendering shared by the CLI and the golden tests: aligned plain-text
-tables and the ``--json`` document writer."""
+tables and the ``--json`` document writer.  The writer takes tables only as
+``Records`` of columns, and lays out every item of one from one skeleton."""
 
 from __future__ import annotations
 
-import itertools
 from _json import encode_basestring_ascii as _quote  # json.encoder's own
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain, repeat
 
 
 def render_table(columns: Sequence[str], rows: Iterable[Sequence[int]]) -> str:
@@ -26,17 +27,12 @@ def render_table(columns: Sequence[str], rows: Iterable[Sequence[int]]) -> str:
 
 class Records:
     """A list of dicts with the same keys (with ``keys`` None, of lists), held
-    as its columns, so no dict is built: ``rows`` transposed once, or the
-    ``columns`` and their length ``size``."""
+    as its ``columns``, each of length ``size``, so no dict is built."""
 
-    def __init__(self, keys: Sequence[str] | None, rows: Sequence[Sequence[object]] = (),
-                 columns: Sequence[Sequence[object]] | None = None, size: int = 0):
+    def __init__(self, keys: Sequence[str] | None, columns: Iterable[Sequence], size: int):
         self.keys = None if keys is None else tuple(keys)
-        self.columns = list(zip(*rows)) if columns is None else list(columns)
-        self.size = len(rows) if columns is None else size
-
-    def __len__(self) -> int:
-        return self.size
+        self.columns = list(columns)
+        self.size = size
 
 
 def json_chunks(value: object, level: int = 0) -> Iterator[str]:
@@ -46,12 +42,12 @@ def json_chunks(value: object, level: int = 0) -> Iterator[str]:
     and any other value in one piece.
 
     CPython serves an indented ``json.dumps`` with its pure-Python encoder,
-    one call per value.  The documents here are mostly tables (``Records``
-    and lists of lists of one length), written by ``_table``: one strided
-    fill per column or one ``%``-template per row, so most values cost no
-    Python call.  Everything else recurses, and a value of no type
-    named here goes to ``json.dumps``, which also raises its ``TypeError``
-    for a value JSON cannot hold.
+    one call per value.  The documents here are mostly ``Records`` tables,
+    written by ``_table`` from one item skeleton: one strided fill per
+    column, or one join of the skeleton with the rendered columns, so most
+    values cost no Python call.  Everything else recurses, and a value of no
+    type named here goes to ``json.dumps``, which also raises its
+    ``TypeError`` for a value JSON cannot hold.
     """
     if not isinstance(value, dict) or not value:
         yield _encode(value, level)
@@ -80,10 +76,10 @@ def _encode(value: object, level: int) -> str:
         return scalar(value)
     if isinstance(value, dict):
         return "".join(json_chunks(value, level)) if value else "{}"
-    if isinstance(value, (list, tuple, Records)):
-        if not value:
-            return "[]"
-        return _table(value, level) or _wrap("[]", [_encode(v, level + 1) for v in value], level)
+    if isinstance(value, Records):
+        return _table(value, level) if value.size else "[]"
+    if isinstance(value, (list, tuple)):
+        return _wrap("[]", [_encode(v, level + 1) for v in value], level) if value else "[]"
     import json  # only the two fallbacks need it, so start-up does without it
     return json.dumps(value)
 
@@ -111,53 +107,37 @@ def _key(key: object) -> str:
     return _quote(key)
 
 
-def _table(items: Sequence[object], level: int) -> str | None:
-    """``Records`` or a list of lists of one length, written at indent
-    ``level``; None for any other list.
+def _table(items: Records, level: int) -> str:
+    """A non-empty ``Records`` table written at indent ``level``.
 
-    Either is labels and columns: a ``Records`` table's columns, labelled
-    in sorted-key order by their quoted keys and ": " (unless it holds
-    lists), or the list's columns from one transpose, unlabelled.  Bytes
-    columns of one-digit levels (a world table's) are one ``_fill``; else a
-    column of plain ints (bools are not ints here; bytes are) is a ``%d``
-    field, any other a ``%s`` field (``_column``), and one template writes
-    every item.
+    Its columns are labelled in sorted-key order by their quoted keys and
+    ": " (unless it holds lists).  One item's text, split at each column's
+    slot, is the skeleton ``pieces``: the separator before the item and the
+    first label, each later label, and the item's end.  Bytes columns of
+    one-digit levels (a world table's) are one ``_fill``; any other table
+    is the pieces interleaved with its rendered columns (``_column``) by
+    one join.  Either way ``[`` replaces the first item's separator.
     """
-    if isinstance(items, Records):
-        keys, columns, brackets = items.keys, list(items.columns), "{}"
-        if keys is None:
-            labels, brackets = [""] * len(columns), "[]"
-        else:
-            order = sorted(range(len(keys)), key=keys.__getitem__)
-            labels = [_quote(keys[i]) + ": " for i in order]
-            columns = list(map(columns.__getitem__, order))
-        if not columns:
-            return _wrap("[]", [brackets] * len(items), level)
-        if _one_digit(columns):  # no template, so the keys are not escaped
-            item = _wrap(brackets, [label + "\0" for label in labels], level + 1)
-            pieces = f",\n{'  ' * (level + 1)}{item}".split("\0")
-            return _fill(pieces, columns, "\n" + "  " * level + "]")
+    keys, columns, brackets = items.keys, items.columns, "{}"
+    if keys is None:
+        labels, brackets = [""] * len(columns), "[]"
     else:
-        if type(items[0]) not in (list, tuple) or len(set(map(type, items))) != 1:
-            return None
-        if len(set(map(len, items))) != 1 or not items[0]:
-            return None
-        labels, columns, brackets = [""] * len(items[0]), list(zip(*items)), "[]"
-    for i, column in enumerate(columns):  # each label becomes template text and its field
-        kinds = {int} if type(column) is bytes else set(map(type, column))
-        labels[i] = labels[i].replace("%", "%%") + ("%d" if kinds == {int} else "%s")
-        if kinds != {int}:
-            columns[i] = _column(column, kinds, level + 2)
-    template = _wrap(brackets, labels, level + 1)
-    return _wrap("[]", list(map(template.__mod__, zip(*columns))), level)
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        labels = [_quote(keys[i]) + ": " for i in order]
+        columns = list(map(columns.__getitem__, order))
+    if not columns:
+        return _wrap("[]", [brackets] * items.size, level)
+    item = _wrap(brackets, [label + "\0" for label in labels], level + 1)
+    pieces = f",\n{'  ' * (level + 1)}{item}".split("\0")
+    tail = "\n" + "  " * level + "]"
+    if all(type(c) is bytes and not c.translate(None, bytes(range(10))) for c in columns):
+        return _fill(pieces, columns, tail)
+    rendered = (_column(column, level + 2) for column in columns)
+    slots = [*chain.from_iterable(zip(map(repeat, pieces), rendered)), repeat(pieces[-1])]
+    return "[" + "".join(chain.from_iterable(zip(*slots)))[1:] + tail
 
 
 _ASCII_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
-
-
-def _one_digit(columns: Sequence[object]) -> bool:
-    """Whether every column is bytes of levels 0..9, which ``_fill`` writes."""
-    return all(type(c) is bytes and not c.translate(None, bytes(range(10))) for c in columns)
 
 
 def _fill(pieces: Sequence[str], columns: Sequence[bytes], tail: str) -> str:
@@ -181,17 +161,20 @@ def _fill(pieces: Sequence[str], columns: Sequence[bytes], tail: str) -> str:
 _KEYABLE = {str, int, type(None)}
 
 
-def _column(column: Sequence[object], kinds: set[type], level: int) -> list[str]:
-    """The rendered values of one table column whose values have the types
-    ``kinds``, written at indent ``level``.
+def _column(column: Sequence[object], level: int) -> Iterable[str]:
+    """The rendered values of one table column, written at indent ``level``.
 
-    A column of one type among str, bool and None, or of tuples whose items
-    are all strings, ints or None (the statements' ``given`` sets), is
-    written one distinct value at a time.  Any other column, lists included,
-    goes value by value.
+    Bytes and plain ints (bools are not ints here) are written by
+    ``int.__repr__``.  A column of one type among str, bool and None, or of
+    tuples whose items are all strings, ints or None (the statements'
+    ``given`` sets), is written one distinct value at a time.  Any other
+    column, lists included, goes value by value.
     """
-    if not (len(kinds) == 1 and kinds <= {str, bool, type(None)} or kinds == {tuple}
-            and set(map(type, itertools.chain.from_iterable(column))) <= _KEYABLE):
-        return [_encode(v, level) for v in column]
-    written = {value: _encode(value, level) for value in set(column)}
-    return list(map(written.__getitem__, column))
+    kinds = {int} if type(column) is bytes else set(map(type, column))
+    if kinds == {int}:
+        return map(int.__repr__, column)
+    if len(kinds) == 1 and kinds <= {str, bool, type(None)} or kinds == {tuple} and set(
+            map(type, chain.from_iterable(column))) <= _KEYABLE:
+        written = {value: _encode(value, level) for value in set(column)}
+        return map(written.__getitem__, column)
+    return map(_encode, column, repeat(level))

@@ -34,6 +34,7 @@ from teleo.model import (
     Scm,
     Variable,
     check_parents,
+    check_size,
     check_table,
 )
 from teleo.teleology import Comparison, FinalModel, GoalPredicate, build_final_model
@@ -151,7 +152,7 @@ class _Raw:
     """Parsed statements plus the lines they came from, for diagnostics."""
 
     def __init__(self):
-        self.variables: list[tuple[str, tuple[int, ...], int]] = []
+        self.variables: list[tuple[str, int, int, int]] = []
         self.edges: list[tuple[tuple[str, str], int]] = []
         self.mechs: list[tuple[str, tuple[str, ...] | None, object, int]] = []
         self.do_decls: list[tuple[str, int]] = []
@@ -168,7 +169,7 @@ def _parse_var(cur: _Cursor, raw: _Raw) -> None:
     cur.end()
     if hi <= lo:
         cur.error(f"domain {lo}..{hi} needs at least two increasing levels")
-    raw.variables.append((name, tuple(range(lo, hi + 1)), cur.lineno))
+    raw.variables.append((name, lo, hi, cur.lineno))
 
 
 def _parse_edge(cur: _Cursor, raw: _Raw) -> None:
@@ -326,11 +327,12 @@ def load_model(text: str) -> CompiledSpec:
     raw = _scan(text)
 
     variables: dict[str, Variable] = {}
-    for name, domain, lineno in raw.variables:
+    for name, lo, hi, lineno in raw.variables:
         if name in variables:
             raise SpecSyntaxError(f"duplicate variable {name!r}", lineno)
         with _statement(lineno):
-            variables[name] = Variable(name, domain)
+            check_size(hi - lo + 1, f"the level count of {name}")
+            variables[name] = Variable(name, range(lo, hi + 1))
 
     seen_edges: set[tuple[str, str]] = set()
     for (parent, child), lineno in raw.edges:

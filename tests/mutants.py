@@ -50,14 +50,13 @@ UNIVERSE = "tests/test_universe.py"
 PARSER_ROWS = "tests/test_cli.py::TestParser::test_rows_parse_as_the_oracle_parses"
 COLLECTOR = "tests/test_cli.py::TestCollector::test_no_command_leaves_cyclic_garbage"
 FILL_CASES = "tests/test_render.py::test_one_digit_cases"
+JOIN_CASES = "tests/test_render.py::test_every_column_kind_joins_like_the_stdlib_encoder"
 
 MUTANTS = (
     Mutant(
         "render-bool-column-as-int", "render.py",
-        '("%d" if kinds == {int} else "%s")\n'
-        "        if kinds != {int}:",
-        '("%d" if kinds <= {int, bool} else "%s")\n'
-        "        if not kinds <= {int, bool}:",
+        "    if kinds == {int}:\n",
+        "    if kinds <= {int, bool}:\n",
         (f"{RECORDS_CASES}[records-format-chars-in-keys-and-cells]",),
     ),
     Mutant(
@@ -65,12 +64,6 @@ MUTANTS = (
         "order = sorted(range(len(keys)), key=keys.__getitem__)",
         "order = range(len(keys))",
         (f"{RECORDS_CASES}[records-unsorted-keys]",),
-    ),
-    Mutant(
-        "render-unescaped-percent-in-key", "render.py",
-        'labels[i] = labels[i].replace("%", "%%") + (',
-        "labels[i] = labels[i] + (",
-        (f"{RECORDS_CASES}[records-format-chars-in-keys-and-cells]",),
     ),
     Mutant(
         "render-records-of-lists-in-braces", "render.py",
@@ -175,8 +168,8 @@ MUTANTS = (
     ),
     Mutant(
         "render-imports-json-at-start-up", "render.py",
-        "import itertools\n",
-        "import itertools\nimport json\n",
+        "from itertools import chain, repeat\n",
+        "from itertools import chain, repeat\nimport json\n",
         ("tests/test_cli.py::TestProcess::"
          "test_the_command_line_parses_without_argparse_or_json",),
     ),
@@ -435,15 +428,49 @@ MUTANTS = (
     ),
     Mutant(
         "render-fill-separator-after-the-last-item", "render.py",
-        'columns, "\\n" + "  " * level + "]")',
-        'columns, ",\\n" + "  " * level + "]")',
+        'tail = "\\n" + "  " * level + "]"',
+        'tail = ",\\n" + "  " * level + "]"',
         (f"{FILL_CASES}[objects-three-levels-down]",),
     ),
     Mutant(
         "render-fill-closing-bracket-at-the-wrong-indent", "render.py",
-        'columns, "\\n" + "  " * level + "]")',
-        'columns, "\\n" + "  " * (level + 1) + "]")',
+        'tail = "\\n" + "  " * level + "]"',
+        'tail = "\\n" + "  " * (level + 1) + "]"',
         (f"{FILL_CASES}[objects-three-levels-down]",),
+    ),
+    # every other table joined with the fill's skeleton
+    Mutant(
+        "render-join-pieces-shifted-by-one-column", "render.py",
+        "zip(map(repeat, pieces), rendered)",
+        "zip(map(repeat, pieces[1:] + pieces[:1]), rendered)",
+        (f"{JOIN_CASES}[keyed-strings]",),
+    ),
+    Mutant(
+        "render-join-first-separator-kept", "render.py",
+        '"".join(chain.from_iterable(zip(*slots)))[1:]',
+        '"".join(chain.from_iterable(zip(*slots)))',
+        (f"{JOIN_CASES}[lists-ints-past-64-bits]",),
+    ),
+    Mutant(
+        "render-bytes-column-through-the-distinct-value-path", "render.py",
+        "kinds = {int} if type(column) is bytes else",
+        "kinds = {bool} if type(column) is bytes else",
+        ("tests/test_render.py::test_int_and_bytes_columns_cost_no_call_per_value[keyed]",),
+    ),
+    Mutant(
+        "render-column-values-one-level-too-shallow", "render.py",
+        "_column(column, level + 2)",
+        "_column(column, level + 1)",
+        (f"{JOIN_CASES}[keyed-lists]",),
+    ),
+    Mutant(
+        "render-list-of-equal-length-rows-to-the-table", "render.py",
+        "    if isinstance(value, Records):\n",
+        "    if (type(value) is list and value and {type(v) for v in value} == {list}\n"
+        "            and len(set(map(len, value))) == 1):\n"
+        "        value = Records(None, zip(*value), len(value))\n"
+        "    if isinstance(value, Records):\n",
+        ("tests/test_render.py::test_plain_lists_are_written_item_by_item[equal-length-int-rows]",),
     ),
 )
 

@@ -129,7 +129,7 @@ def plain_document(doc):
     """``doc`` with every ``Records`` written out as its list of dicts, or of
     lists when its ``keys`` are None."""
     if isinstance(doc, Records):
-        rows = zip(*doc.columns) if doc.columns else [()] * len(doc)
+        rows = zip(*doc.columns) if doc.columns else [()] * doc.size
         rows = [list(map(plain_document, row)) for row in rows]
         return rows if doc.keys is None else [dict(zip(doc.keys, row)) for row in rows]
     if isinstance(doc, dict):
@@ -137,6 +137,13 @@ def plain_document(doc):
     if isinstance(doc, (list, tuple)):
         return [plain_document(v) for v in doc]
     return doc
+
+
+def records(keys, rows) -> Records:
+    """``Records`` of ``rows``, each with one value per key (or per column,
+    with ``keys`` None): the rows transposed into columns once."""
+    rows = list(rows)
+    return Records(keys, zip(*rows), len(rows))
 
 
 def render_json(doc: object) -> str:
@@ -983,6 +990,7 @@ __all__ = [
     "value_sets",
     "render_table_oracle",
     "plain_document",
+    "records",
     "render_json",
     "cli_oracle",
     "cli_outcome",

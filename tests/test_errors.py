@@ -1,24 +1,31 @@
 """Each library error that no other test raises, pinned by type and by its
-whole message."""
+whole message, and the size budgets that refuse a model before it is
+built."""
 
+import time
 from pathlib import Path
 
 import pytest
 
 from teleo.errors import (
+    BudgetError,
     ComparisonError,
     DatasetError,
     EmptyTableError,
+    EnumerationBudgetError,
     GoalError,
     ModelStructureError,
     ReductionError,
+    TeleoError,
     UnknownVariableError,
 )
 from teleo.identification import Dataset, load_dataset
-from teleo.model import CausalDag, Mechanism, Scm, Variable, WorldTable
+from teleo.model import MAX_WORLDS, CausalDag, Mechanism, Scm, Variable, WorldTable
 from teleo.reduction import build_reduction, compare_structures
 from teleo.speclang import load_model
 from teleo.teleology import Comparison, GoalPredicate
+
+from support import run_cli
 
 ROOM = (Path(__file__).resolve().parents[1] / "models" / "heating.tele").read_text()
 X, Y = Variable("X", (0, 1)), Variable("Y", (0, 1))
@@ -131,3 +138,58 @@ def test_the_error_and_its_message(build, error, message):
         build()
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+def _binaries(names) -> str:
+    return "".join(f"var {n} in 0..1\n" for n in names)
+
+
+_XS = [f"X{i}" for i in range(40)]
+# each spec names a size past the cap, which is known from its domain widths
+# alone; the cap is checked before anything of that size is built, so no
+# spec here allocates more than a few million levels
+BUDGETS = {
+    "wide-domain": ("var X in 0..1000000000000\n", 10**12 + 1,
+                    "line 1: the level count of X is 1000000000001"),
+    "sixty-binary-exogenous": (_binaries(f"U{i}" for i in range(60)), 2**60,
+                               "the world count is 1152921504606846976"),
+    "sum-over-forty-parents": (
+        _binaries(_XS) + "var Y in 0..40\n" + "".join(f"edge {x} -> Y\n" for x in _XS)
+        + f"mech Y = sum({', '.join(_XS)})\n", 2**40,
+        "line 82: the parent combination count of Y is 1099511627776",
+    ),
+    "two-row-table-over-wide-parents": (
+        "var A in 0..999999\nvar B in 0..999999\nvar Y in 0..1\nedge A -> Y\n"
+        "edge B -> Y\nmech Y = table(A, B) { (0,0)->0; (1,1)->1 }\n", 10**12,
+        "line 6: the parent combination count of Y is 1000000000000",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec, size, message", BUDGETS.values(), ids=BUDGETS)
+def test_a_size_past_the_cap_is_refused_before_it_is_built(spec, size, message):
+    start = time.perf_counter()
+    with pytest.raises(TeleoError) as exc:
+        load_model(spec).scm.worlds
+    assert str(exc.value) == f"{message}, over the cap of {MAX_WORLDS}"
+    budget = exc.value if exc.value.__cause__ is None else exc.value.__cause__
+    assert isinstance(budget, BudgetError) and (budget.size, budget.cap) == (size, MAX_WORLDS)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("spec, size, message", BUDGETS.values(), ids=BUDGETS)
+def test_a_size_past_the_cap_is_one_error_line(spec, size, message, tmp_path):
+    path = tmp_path / "wide.tele"
+    path.write_text(spec, encoding="utf-8")
+    start = time.perf_counter()
+    run = run_cli("worlds", str(path))
+    assert (run.exit_code, run.stdout) == (1, "")
+    assert run.stderr == f"error: {message}, over the cap of {MAX_WORLDS}\n"
+    assert time.perf_counter() - start < 1
+
+
+def test_the_candidate_budget_is_a_budget_error():
+    assert issubclass(EnumerationBudgetError, BudgetError)
+    exc = EnumerationBudgetError(12, 3)
+    message = "hypothesis enumeration needs 12 candidates, cap is 3"
+    assert (str(exc), exc.size, exc.cap) == (message, 12, 3)

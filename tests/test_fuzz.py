@@ -10,14 +10,22 @@ ASCII syntax with characters that ``str`` methods treat as digits or
 whitespace but ``int`` does not read as ASCII: a superscript two, an
 Arabic-Indic three, a no-break space, a byte-order mark and a carriage
 return.  It also holds a digit run longer than ``int`` reads from text.
+
+Wide ranges are drawn apart from the mutations: domains and counts of
+binary parents either small or past the size cap.  Each such spec loads, or
+fails at once with an error that names the size, which is known from the
+domain widths alone.
 """
 
+import math
+import time
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from teleo.errors import SpecSyntaxError, TeleoError
+from teleo.errors import BudgetError, SpecSyntaxError, TeleoError
 from teleo.identification import load_dataset
+from teleo.model import MAX_WORLDS
 from teleo.speclang import load_model
 
 SPEC = (Path(__file__).resolve().parents[1] / "models" / "heating.tele").read_text()
@@ -66,3 +74,49 @@ def test_mutated_csv_loads_or_raises_teleo_error(text):
         load_dataset(text, SCM)
     except TeleoError:
         pass
+
+
+# a size under the cap stays small, so no example builds much
+WIDTHS = st.integers(2, 4) | st.integers(MAX_WORLDS + 1, 10**40)
+BINARY_PARENTS = st.integers(1, 6) | st.integers(25, 64)
+
+
+@FUZZ
+@given(st.lists(st.tuples(st.integers(-(10**40), 10**40), WIDTHS), min_size=1, max_size=4))
+def test_wide_ranges_load_or_name_their_level_count(ranges):
+    spec = "".join(f"var V{i} in {lo}..{lo + w - 1}\n" for i, (lo, w) in enumerate(ranges))
+    wide = [(i, w) for i, (_, w) in enumerate(ranges) if w > MAX_WORLDS]
+    start = time.perf_counter()
+    try:
+        worlds = load_model(spec).scm.worlds
+    except SpecSyntaxError as exc:
+        (i, w), *_ = wide
+        assert str(exc) == (
+            f"line {i + 1}: the level count of V{i} is {w}, over the cap of {MAX_WORLDS}"
+        )
+        assert isinstance(exc.__cause__, BudgetError) and exc.__cause__.size == w
+    else:
+        assert not wide and len(worlds) == math.prod(w for _, w in ranges)
+    assert time.perf_counter() - start < 1
+
+
+@FUZZ
+@given(BINARY_PARENTS, st.booleans())
+def test_many_binary_variables_load_or_name_their_size(k, summed):
+    names = [f"X{i}" for i in range(k)]
+    spec = "".join(f"var {n} in 0..1\n" for n in names)
+    if summed:
+        spec += f"var Y in 0..{k}\n" + "".join(f"edge {n} -> Y\n" for n in names)
+        spec += f"mech Y = sum({', '.join(names)})\n"
+    start = time.perf_counter()
+    try:
+        worlds = load_model(spec).scm.worlds
+    except SpecSyntaxError as exc:
+        assert summed and exc.line == 2 * k + 2 and exc.__cause__.size == 2**k
+    except BudgetError as exc:
+        assert not summed and str(exc) == (
+            f"the world count is {2**k}, over the cap of {MAX_WORLDS}"
+        )
+    else:
+        assert k <= 24 and len(worlds) == 2**k
+    assert time.perf_counter() - start < 1

@@ -72,6 +72,7 @@ from support import (
     random_scm,
     reachability_oracle,
     reachable_oracle,
+    records,
     reduction_levels_oracle,
     reduction_survey_oracle,
     render_json,
@@ -982,10 +983,11 @@ def test_json_writer_refuses_what_the_stdlib_encoder_refuses(doc):
 
 
 def _same_as_the_stdlib_encoder(doc):
-    """``render_json`` writes what ``json.dumps`` writes, or raises the
-    ``TypeError`` it raises, message and all."""
+    """``render_json`` writes what ``json.dumps`` writes of ``doc`` with its
+    ``Records`` written out, or raises the ``TypeError`` it raises, message
+    and all."""
     try:
-        expected = json.dumps(doc, indent=2, sort_keys=True)
+        expected = json.dumps(plain_document(doc), indent=2, sort_keys=True)
     except TypeError as exc:
         with pytest.raises(TypeError) as raised:
             render_json(doc)
@@ -1019,18 +1021,27 @@ _mixed_values = st.one_of(*_column_values, st.integers(-2, 2))
 _columns = st.sampled_from(_column_values) | st.just(_mixed_values)
 
 
+def _as_records(rows):
+    """A non-empty list of dicts with the same keys, or of lists of one
+    length, as ``Records``."""
+    if isinstance(rows[0], dict):
+        keys = list(rows[0])
+        return records(keys, [[row[k] for k in keys] for row in rows])
+    return records(None, rows)
+
+
 @st.composite
 def _column_tables(draw):
     """A list of records, or of rows, whose columns each come from one
-    column strategy."""
+    column strategy, held as ``Records`` or as plain lists."""
     keys = draw(st.lists(st.text("gixy", min_size=1, max_size=2), min_size=1,
                          max_size=4, unique=True))
     kinds = [draw(_columns) for _ in keys]
     size = draw(st.integers(1, 12))
     rows = [[draw(kind) for kind in kinds] for _ in range(size)]
     if draw(st.booleans()):
-        return {"rows": [dict(zip(keys, row)) for row in rows]}
-    return {"rows": rows}
+        rows = [dict(zip(keys, row)) for row in rows]
+    return {"rows": _as_records(rows) if draw(st.booleans()) else rows}
 
 
 @settings(max_examples=300, deadline=None)
@@ -1059,6 +1070,7 @@ def test_json_writer_encodes_columns_like_the_stdlib_encoder(doc):
 )
 def test_json_writer_column_cases(doc):
     _same_as_the_stdlib_encoder(doc)
+    _same_as_the_stdlib_encoder(_as_records(doc))
 
 
 # record keys: template signs and non-ASCII text, and one key or none
@@ -1074,7 +1086,7 @@ _big_ints = st.integers(-(2**70), 2**70) | st.booleans()
 def _records(values):
     return _record_keys.flatmap(
         lambda keys: st.lists(st.tuples(*[values] * len(keys)), max_size=5).map(
-            lambda rows: Records(keys, rows)
+            lambda rows: records(keys, rows)
         )
     )
 
@@ -1087,7 +1099,7 @@ def _column_records(draw, values):
     kinds = [st.tuples(*[values] * size), st.tuples(*[_big_ints] * size),
              st.binary(min_size=size, max_size=size)]
     columns = draw(st.lists(st.one_of(kinds), max_size=3))
-    return Records(None, columns=columns, size=size)
+    return Records(None, columns, size)
 
 
 _documents_with_records = st.recursive(
@@ -1117,29 +1129,29 @@ def test_records_and_int_rows_write_what_the_stdlib_encoder_writes(doc):
     [
         [[1, True], [-(2**63) - 1, 2**64]],
         # Records has no repr of its own, so these cases name themselves
-        pytest.param(Records(("only",), [(1,), (-(2**64),)]), id="records-big-int"),
-        pytest.param(Records(("only",), [([1, 2],), ("a",)]), id="records-list-and-str"),
-        pytest.param(Records((), [(), ()]), id="records-no-keys"),
-        pytest.param(Records(("a", "b"), []), id="records-no-rows"),
+        pytest.param(records(("only",), [(1,), (-(2**64),)]), id="records-big-int"),
+        pytest.param(records(("only",), [([1, 2],), ("a",)]), id="records-list-and-str"),
+        pytest.param(records((), [(), ()]), id="records-no-keys"),
+        pytest.param(records(("a", "b"), []), id="records-no-rows"),
         pytest.param(
-            Records(("%d", "é", "b%"), [(1, 2, 3), (True, None, "%s")]),
+            records(("%d", "é", "b%"), [(1, 2, 3), (True, None, "%s")]),
             id="records-format-chars-in-keys-and-cells",
         ),
         pytest.param(
-            Records(("b", "a"), [(2**70, False), (-1, 0)]), id="records-unsorted-keys"
+            records(("b", "a"), [(2**70, False), (-1, 0)]), id="records-unsorted-keys"
         ),
         pytest.param(
-            {"z": Records(("x",), [(1,)]), "a": {"b": [Records((), [()])]}},
+            {"z": records(("x",), [(1,)]), "a": {"b": [records((), [()])]}},
             id="records-nested-in-dict-and-list",
         ),
         pytest.param(
-            Records(None, columns=[b"\x00\xff\x07", (1, -2, 2**70)], size=3),
+            Records(None, [b"\x00\xff\x07", (1, -2, 2**70)], 3),
             id="records-of-lists-bytes-and-int-columns",
         ),
-        pytest.param(Records(None, columns=[], size=2), id="records-of-lists-no-columns"),
-        pytest.param(Records(None, columns=[b""], size=0), id="records-of-lists-no-rows"),
+        pytest.param(Records(None, [], 2), id="records-of-lists-no-columns"),
+        pytest.param(Records(None, [b""], 0), id="records-of-lists-no-rows"),
         pytest.param(
-            Records(("b", "a"), columns=[b"\xff\x00", (0, 255)], size=2),
+            Records(("b", "a"), [b"\xff\x00", (0, 255)], 2),
             id="records-bytes-column-beside-an-int-column",
         ),
     ],
@@ -1154,7 +1166,7 @@ def test_records_and_int_rows_cases(doc):
 def test_a_document_is_streamed_one_dict_member_at_a_time():
     # each member's key is its own piece, so no piece holds two tables
     rows = [(i, -i) for i in range(50)]
-    doc = {"a": rows, "b": {"c": Records(("x", "y"), rows)}, "d": []}
+    doc = {"a": rows, "b": {"c": records(("x", "y"), rows)}, "d": []}
     chunks = list(json_chunks(doc))
     assert "".join(chunks) == json.dumps(plain_document(doc), indent=2, sort_keys=True)
     assert chunks[0] == '{\n  "a": '

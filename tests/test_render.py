@@ -1,10 +1,12 @@
-"""The strided fill of one-digit world tables (``teleo.render._fill``).
+"""The JSON writer's tables (``teleo.render._table``) and its plain lists.
 
-A table whose columns are all bytes of levels 0-9 is written without a
-template: one item per row in one buffer, each column written into its
-slots by one strided slice assignment.  These tests check that path
+Only ``Records`` reach ``_table``, and every item of one is laid out from
+one skeleton.  A table whose columns are all bytes of levels 0-9 is one
+buffer, each column written into its slots by one strided slice assignment
+(``_fill``); any other is the skeleton joined with its rendered columns.
+Any other list is written item by item.  These tests check every path
 against ``json.dumps(..., indent=2, sort_keys=True)``, and check which
-tables take it.
+values take which path.
 """
 
 import json
@@ -22,18 +24,23 @@ def _expected(doc) -> str:
     return json.dumps(plain_document(doc), indent=2, sort_keys=True)
 
 
-@pytest.fixture
-def fills(monkeypatch):
-    """The number of ``_fill`` calls made so far, as a one-item list."""
+def _counted(monkeypatch, name):
+    """The number of calls to ``teleo.render``'s ``name`` made so far, as a
+    one-item list."""
     count = [0]
-    fill = teleo.render._fill
+    function = getattr(teleo.render, name)
 
     def counting(*args):
         count[0] += 1
-        return fill(*args)
+        return function(*args)
 
-    monkeypatch.setattr(teleo.render, "_fill", counting)
+    monkeypatch.setattr(teleo.render, name, counting)
     return count
+
+
+@pytest.fixture
+def fills(monkeypatch):
+    return _counted(monkeypatch, "_fill")
 
 
 _keys = st.text(st.sampled_from('ab%"é\\\x00 d'), min_size=1, max_size=4)
@@ -101,3 +108,57 @@ def test_one_digit_cases(doc, fills):
 def test_tables_beyond_one_digit_or_without_rows_take_no_fill(doc, fills):
     assert render_json(doc) == _expected(doc)
     assert fills[0] == 0
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        pytest.param([[1, 2], [3, -(2**70)], [0, 2**64]], id="equal-length-int-rows"),
+        pytest.param([("A", "B"), ("A", "é"), ("%d", "%")], id="string-pairs"),
+        pytest.param([[[1, [2]], [3, []]], [[True, None], [{"a": [1]}, "x"]]], id="nested"),
+        pytest.param([[], [[]], [[], []], {}], id="empty"),
+        pytest.param([(), ()], id="empty-tuples"),
+    ],
+)
+def test_plain_lists_are_written_item_by_item(doc, monkeypatch):
+    tables = _counted(monkeypatch, "_table")
+    assert render_json({"k": doc}) == _expected({"k": doc})
+    assert tables[0] == 0
+
+
+def _column_cases():
+    """One ``Records`` per kind of column that ``_column`` renders, keyed
+    and as lists."""
+    columns = {
+        "bytes-levels-10-255": b"\x0a\xff\x00\x80",
+        "ints-past-64-bits": (2**64, -(2**64) - 1, 0, 2**70),
+        "bools": (True, False, False, True),
+        "nulls": (None,) * 4,
+        "strings": ("%d", "é", "%%s", "ключ\n"),
+        "keyable-tuples": (("A", "B"), (), ("A", "B"), (None, 0, "%s")),
+        "lists": ([1, [2]], [], ["é"], [True, None]),
+        "floats": (0.5, -1.0, 1e300, 0.1),
+        "mixed": (1, True, None, "1"),
+    }
+    for name, column in columns.items():
+        yield pytest.param(Records(("%k", "a"), [column, b"\x01" * 4], 4), id=f"keyed-{name}")
+        yield pytest.param(Records(None, [b"\x02" * 4, column], 4), id=f"lists-{name}")
+
+
+@pytest.mark.parametrize("doc", list(_column_cases()))
+def test_every_column_kind_joins_like_the_stdlib_encoder(doc, fills):
+    assert render_json({"a": [doc]}) == _expected({"a": [doc]})
+    assert fills[0] == 0
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        pytest.param(Records(("a", "b"), [b"\x0a\xff", (1, -(2**64))], 2), id="keyed"),
+        pytest.param(Records(None, [(0, 2**70, 3), b"\x00\x0c\x01"], 3), id="lists"),
+    ],
+)
+def test_int_and_bytes_columns_cost_no_call_per_value(doc, monkeypatch):
+    encodes = _counted(monkeypatch, "_encode")
+    assert render_json({"k": doc}) == _expected({"k": doc})
+    assert encodes[0] == 1  # the table itself
