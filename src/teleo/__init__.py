@@ -22,7 +22,6 @@ from teleo.model import (
     WorldTable,
     conditional_distribution,
     enumerate_worlds,
-    uniform_independent,
 )
 from teleo.dsep import d_separated
 from teleo.teleology import (
@@ -64,7 +63,6 @@ __all__ = [
     "WorldTable",
     "IndependenceStatement",
     "enumerate_worlds",
-    "uniform_independent",
     "conditional_distribution",
     "d_separated",
     "MStarModel",

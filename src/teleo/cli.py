@@ -30,7 +30,6 @@ import os
 import re
 import sys
 from collections.abc import Callable, Iterable
-from operator import itemgetter
 from types import SimpleNamespace
 
 from teleo import __version__
@@ -45,7 +44,7 @@ from teleo.teleology import (
     compatible_worlds,
     distinguishable,
     enumerate_goal_hypotheses,
-    implied_dependencies,
+    implied_grid,
 )
 
 
@@ -343,7 +342,10 @@ def finalize(args):
     compiled = _load_spec(args.spec)
     f = _require_final(compiled, args.name)
     table = compatible_worlds(f)
-    reports = implied_dependencies(f) if len(table) else []
+    xs, ys, givens, separated, independent = grid = implied_grid(f) if len(table) else ([],) * 5
+
+    def records(key: str, verdicts: list[bool]) -> Records:
+        return Records(("x", "y", "given", key), [xs, ys, givens, verdicts], len(xs))
 
     def result() -> dict:
         return {
@@ -353,8 +355,8 @@ def finalize(args):
             "goal": str(f.goal),
             "goal_reachable": bool(len(table)),
             **_table_result(table),
-            "dependence": _statements(("independent",), map(itemgetter(0, 2), reports)),
-            "separation": _statements(("separated",), map(itemgetter(0, 1), reports)),
+            "dependence": records("independent", independent),
+            "separation": records("separated", separated),
         }
 
     def human() -> str:
@@ -368,12 +370,13 @@ def finalize(args):
             "expected dependence under the hypothesis (uniform over compatible worlds):"
         ]
         sep_lines = ["separation in the final dag:"]
-        by_size = sorted(reports, key=lambda r: len(r[0].given))
-        for stmt, separated, independent in by_size:
-            text = str(stmt)  # once for both lines: it sorts the conditioning set
-            verdict = "independent" if independent else "dependent"
+        for x, y, given, is_separated, is_independent in sorted(
+            zip(*grid), key=lambda cell: len(cell[2])
+        ):
+            text = f"{x} and {y} given {', '.join(given)}" if given else f"{x} and {y}"
+            verdict = "independent" if is_independent else "dependent"
             dep_lines.append(f"  {text}: {verdict} (expected)")
-            graph = "separated" if separated else "connected"
+            graph = "separated" if is_separated else "connected"
             sep_lines.append(f"  {text}: {graph}")
         body = [f"compatible worlds:\n{_table_text(table)}", *dep_lines, "", *sep_lines]
         return head + "\n".join(body) + "\n"

@@ -20,20 +20,19 @@ climbs back to it in the up state, with the same successors.
 One walk from x given Z reaches every node d-connected to x given Z, so it
 answers the query for every y at once.  ``reachable`` walks only on the
 first query for its (x, Z): the reached mask is kept in the DAG's own memo
-(``CausalDag._reachable``), keyed by (x, Z), and ``d_separated`` tests y's
-bit in it.  A statement grid over n variables thus walks at most once per
-(x, Z) pair instead of once per statement, and two DAGs over the same
-nodes in the same order compare every y of one (x, Z) by XOR-ing their two
-masks.  The memo lives and dies with its DAG, so two DAGs never share an
-entry, whatever their nodes.  ``d_separated`` reads the memo itself and
-checks names only for a query it walks for (x and y, then Z in sorted
-order, so the unknown name it reports does not hang on the hash seed): a
-walked (x, Z) is made of nodes, so a later query with it checks y alone.
+(``CausalDag._reachable``), keyed by (x, Z).  So the statement grid
+(``teleology.implied_grid``) reads one mask per (x, Z) and tests each y's
+bit, and two DAGs over the same nodes in the same order compare every y of
+one (x, Z) by XOR-ing their two masks (``reduction.compare_structures``).
+The memo lives and dies with its DAG, so two DAGs never share an entry,
+whatever their nodes.  ``d_separated`` answers one statement from the same
+memo.  It checks x and y itself, and ``reachable`` checks Z, in sorted
+order, when it walks (so the unknown name reported does not hang on the
+hash seed): a walked (x, Z) is made of nodes.
 """
 
 from __future__ import annotations
 
-from teleo.errors import UnknownVariableError
 from teleo.model import CausalDag, IndependenceStatement
 
 __all__ = ["d_separated", "reachable"]
@@ -41,16 +40,9 @@ __all__ = ["d_separated", "reachable"]
 
 def d_separated(dag: CausalDag, stmt: IndependenceStatement) -> bool:
     """True iff every trail between the two variables is blocked given Z."""
-    position = dag._position
-    reached = dag._reachable.get((stmt.x, stmt.given))
-    if reached is None:
-        for name in (stmt.x, stmt.y):  # reachable checks Z
-            if name not in position:
-                raise UnknownVariableError(f"unknown variable {name!r}")
-        reached = reachable(dag, stmt.x, stmt.given)
-    elif stmt.y not in position:  # x and Z are nodes: the walk was made from them
-        raise UnknownVariableError(f"unknown variable {stmt.y!r}")
-    return not reached >> position[stmt.y] & 1
+    dag._at(stmt.x)  # x and y are checked here: a memo hit checks no name
+    y = dag._at(stmt.y)
+    return not reachable(dag, stmt.x, stmt.given) >> y & 1
 
 
 def reachable(dag: CausalDag, x: str, given: frozenset[str]) -> int:

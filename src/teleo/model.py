@@ -19,11 +19,12 @@ worlds of a model is read off the model's own equations
 
 World tables carry a uniform weighting over their members.  All probability
 comparisons are exact.  Independence is decided by one count-weighted
-kernel, ``WorldTable.factorizes``, which cross-multiplies integer counts in
-every stratum of the conditioning set.  A table builds the strata of each
-conditioning set once (``WorldTable.strata``) as row masks, and a count is
-the popcount of a mask for a world table, and for a dataset the sum over
-binary weight layers of 2^k times the popcount of the mask within layer k.
+kernel, ``WorldTable.independent``, which cross-multiplies integer counts of
+many pairs in every stratum of a conditioning set (``factorizes`` is its
+one-pair case).  A table builds the strata of each conditioning set once
+(``WorldTable.strata``) as row masks, and a count is the popcount of a mask
+for a world table, and for a dataset the sum over binary weight layers of
+2^k times the popcount of the mask within layer k.
 Distributions are returned as Fractions.  There is no tolerance anywhere in
 this module.
 """
@@ -57,8 +58,8 @@ __all__ = [
     "Scm",
     "WorldTable",
     "IndependenceStatement",
+    "grid_pairs",
     "grid_cells",
-    "statement_grid",
     "passing",
     "level_masks",
     "stratify",
@@ -69,7 +70,6 @@ __all__ = [
     "level_column",
     "table_over",
     "enumerate_worlds",
-    "uniform_independent",
     "conditional_distribution",
 ]
 
@@ -487,7 +487,7 @@ class WorldTable(Record):
         ``kept`` of ``root``'s rows."""
         table = cls.__new__(cls)
         table.__dict__.update(columns=columns, _n=n, _build=build, _root=root, _level_cache={},
-                              _column_cache={}, _tail_cache={}, _strata_cache={})
+                              _column_cache={}, _strata_cache={}, _cell_cache={})
         table.__dict__["kept"] = (1 << n) - 1 if kept is None else kept
         return table
 
@@ -596,46 +596,70 @@ class WorldTable(Record):
             self._strata_cache[given] = strata
         return strata
 
-    def factorizes(
-        self, stmt: "IndependenceStatement", weights: Sequence[int] | None = None
-    ) -> bool:
-        """Whether x and y of ``stmt`` factorize exactly in every stratum of
-        its conditioning set: the one independence kernel.
+    def independent(
+        self, given: frozenset[str], pairs: Sequence[tuple[str, str]],
+        weights: Sequence[int] | None = None,
+    ) -> list[bool]:
+        """Whether x and y of each ``(x, y)`` of ``pairs`` factorize exactly
+        in every stratum of the conditioning set ``given``: the one
+        independence kernel.
 
-        In a stratum of rows s and total weight n, the joint factorizes iff
+        In a stratum of rows s and total weight n, x and y factorize iff
         n * w(s & x_a & y_b) == w(s & x_a) * w(s & y_b) for every pair of
         levels a of x and b of y.  A row weighs 1 (the popcount of a mask),
         or with ``weights``, binary weight layers over the rows
         (``weight_layers``), w(mask) = sum_k 2^k * popcount(mask & weights[k]).
-        Raises ``EmptyTableError`` on a table without rows.
+        A pair is dropped at its first failing stratum.  Each named
+        variable's level masks, met with each stratum and weighed, are built
+        once per conditioning set and weights, and kept for later calls with
+        both: the same ``weights`` object, as a dataset passes its one tuple
+        of layers.  Raises ``EmptyTableError`` on a table without rows.
         """
-        strata = self._strata_cache.get(stmt.given)  # the hit skips a call
+        strata = self._strata_cache.get(given)  # the hit skips a call
         if strata is None:
-            strata = self.strata(stmt.given)
+            strata = self.strata(given)
+        entry = self._cell_cache.get(given)
+        if entry is None or entry[0] is not weights:
+            layers = None if weights is None else tuple(enumerate(weights))
+            weigh = int.bit_count if layers is None else partial(_layered_weight, layers)
+            entry = self._cell_cache[given] = weights, weigh, [weigh(s) for _, s in strata], {}
+        _, weigh, totals, cells = entry
         # w is additive over x's levels, so for each b the equations over
         # every a sum to n * w(s & y_b) on both sides: when all but one a
         # hold, so does the last.  The same goes for b, so the first level
         # of each variable needs no equation of its own.
-        tails = self._tail_cache
-        if stmt.x not in tails or stmt.y not in tails:
-            for name in (stmt.x, stmt.y):
-                tails[name] = tuple(self.levels(name).values())[1:]
-        xs, ys = tails[stmt.x], tails[stmt.y]
+        for pair in pairs:
+            for name in pair:
+                if name not in cells:
+                    tails = tuple(self.levels(name).values())[1:]
+                    cells[name] = [[(at := s & mask, weigh(at)) for mask in tails]
+                                   for _, s in strata]
         if not strata:
             raise EmptyTableError("independence query on an empty world table")
-        if weights is None:
-            weigh = int.bit_count
-        else:
-            weigh = partial(_layered_weight, tuple(enumerate(weights)))
-        for _, rows in strata:
-            n = weigh(rows)
-            for y_mask in ys:
-                at_b = rows & y_mask
-                count = weigh(at_b)
-                for x_mask in xs:
-                    if n * weigh(at_b & x_mask) != weigh(rows & x_mask) * count:
-                        return False
-        return True
+        live = range(len(pairs))
+        for k, n in enumerate(totals):
+            held = []
+            for i in live:
+                x, y = pairs[i]
+                x_cells = cells[x][k]
+                for y_mask, count in cells[y][k]:
+                    for x_mask, x_count in x_cells:
+                        if n * weigh(y_mask & x_mask) != x_count * count:
+                            break
+                    else:
+                        continue
+                    break
+                else:
+                    held.append(i)
+            live = held
+        verdicts = [False] * len(pairs)
+        for i in live:
+            verdicts[i] = True
+        return verdicts
+
+    def factorizes(self, stmt: IndependenceStatement, weights: Sequence[int] | None = None) -> bool:
+        """``independent`` for the one pair of ``stmt``."""
+        return self.independent(stmt.given, ((stmt.x, stmt.y),), weights)[0]
 
 
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -718,32 +742,22 @@ class IndependenceStatement(Record):
         return base
 
 
-def grid_cells(
-    names: Sequence[str],
-) -> Iterator[tuple[str, str, frozenset[str]]]:
-    """The ``(x, y, given)`` cells of the statement grid, in its one order:
-    every pair of variables in declaration order, first unconditioned and
-    then given each other single variable."""
-    singles = [(w, frozenset((w,))) for w in names]
-    for x, y in itertools.combinations(names, 2):
-        yield x, y, frozenset()
-        for w, given in singles:
-            if w != x and w != y:
-                yield x, y, given
+def grid_pairs(names: Sequence[str]) -> Iterator[tuple[str, str, list[tuple[str, ...]]]]:
+    """Each pair of variables in declaration order, with its conditioning
+    sets in the statement grid's one order: none, then each other single
+    variable, a set written as the tuple of its names."""
+    singles = list(zip(names))
+    for (i, x), (j, y) in itertools.combinations(enumerate(names), 2):
+        yield x, y, [(), *singles[:i], *singles[i + 1 : j], *singles[j + 1 :]]
 
 
-def statement_grid(names: Sequence[str]) -> Iterator[IndependenceStatement]:
-    """The statement of each cell of the grid, in grid order (``grid_cells``).
-
-    A cell is valid by construction, two distinct variables conditioned on
-    neither, so its statement is built without the constructor's checks.
-    """
-    new = IndependenceStatement.__new__
-    for cell in grid_cells(names):
-        stmt = new(IndependenceStatement)
-        fields = stmt.__dict__
-        fields["x"], fields["y"], fields["given"] = cell
-        yield stmt
+def grid_cells(names: Sequence[str]) -> Iterator[tuple[str, str, frozenset[str]]]:
+    """The ``(x, y, given)`` cells of the statement grid (``grid_pairs``),
+    each conditioning set one frozenset that its cells share."""
+    sets = {given: frozenset(given) for given in [(), *zip(names)]}
+    for x, y, givens in grid_pairs(names):
+        for given in givens:
+            yield x, y, sets[given]
 
 
 def universe_levels(
@@ -824,16 +838,6 @@ def enumerate_worlds(scm: Scm) -> WorldTable:
     (``Scm.universe``) as a table."""
     n, levels = scm.universe
     return table_over(scm.names, scm.dag.exogenous(), n, levels.__getitem__, (1 << n) - 1)
-
-
-def uniform_independent(table: WorldTable, stmt: IndependenceStatement) -> bool:
-    """Exact independence verdict under the uniform distribution.
-
-    True iff, in every conditioning stratum present in the table, the joint
-    distribution of the two tested variables factorizes into its marginals.
-    Decided with integer arithmetic; there is no tolerance.
-    """
-    return table.factorizes(stmt)
 
 
 def conditional_distribution(

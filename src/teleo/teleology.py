@@ -19,7 +19,7 @@ import operator
 from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property, partial
 
-from teleo.dsep import d_separated
+from teleo.dsep import reachable
 from teleo.errors import (
     ComparisonError,
     EnumerationBudgetError,
@@ -35,8 +35,7 @@ from teleo.model import (
     Record,
     Scm,
     WorldTable,
-    statement_grid,
-    uniform_independent,
+    grid_pairs,
 )
 
 __all__ = [
@@ -46,6 +45,7 @@ __all__ = [
     "FinalModel",
     "build_final_model",
     "compatible_worlds",
+    "implied_grid",
     "implied_dependencies",
     "distinguishable",
     "Distinguishability",
@@ -234,22 +234,45 @@ def compatible_worlds(f: FinalModel) -> WorldTable:
     return f.mstar.worlds_meeting(f.goal)
 
 
-def implied_dependencies(
-    f: FinalModel,
-) -> list[tuple[IndependenceStatement, bool, bool]]:
+def implied_grid(f: FinalModel) -> tuple[list, list, list, list[bool], list[bool]]:
+    """The statement grid as columns in grid order (``grid_pairs``): x, y,
+    the conditioning set as a sorted tuple, and whether the final DAG
+    d-separates x and y given it and the compatible worlds make them
+    independent.  Each conditioning set is decided once for all its pairs:
+    one ``WorldTable.independent`` call, and one ``reachable`` walk per x,
+    whose mask has the bit of every y d-connected to it.  Raises
+    ``EmptyTableError`` when no world is compatible."""
+    names, table, dag = f.mstar.model.names, compatible_worlds(f), f.final_dag
+    xs, ys, givens, pairs, position = [], [], [], [], dag._position
+    for x, y, sets in grid_pairs(names):
+        xs += [x] * len(sets)
+        ys += [y] * len(sets)
+        givens += sets
+        pairs.append((x, y))
+    separated, independent = {}, {}  # each set's verdicts, read in grid order
+    for given in [(), *zip(names)]:
+        z = frozenset(given)
+        among = list(filter(z.isdisjoint, pairs))
+        firsts = dict.fromkeys(map(operator.itemgetter(0), among))
+        reached = {x: reachable(dag, x, z) for x in firsts}
+        separated[given] = iter([not reached[x] >> position[y] & 1 for x, y in among])
+        independent[given] = iter(table.independent(z, among))
+    verdicts = [list(map(next, map(d.__getitem__, givens))) for d in (separated, independent)]
+    return xs, ys, givens, *verdicts
+
+
+def implied_dependencies(f: FinalModel) -> list[tuple[IndependenceStatement, bool, bool]]:
     """``(statement, graph_separated, dist_independent)`` for every variable
     pair, unconditional and given each other variable, in grid order: the
-    verdict of the final DAG and that of the compatible worlds.
+    verdict of the final DAG and that of the compatible worlds
+    (``implied_grid``, row by row).
 
     The two verdicts are reported side by side and never merged: with
     deterministic mechanisms the filtered distribution can show more
     independences than the final DAG predicts.
     """
-    table, dag = compatible_worlds(f), f.final_dag
-    return [
-        (stmt, d_separated(dag, stmt), uniform_independent(table, stmt))
-        for stmt in statement_grid(f.mstar.model.names)
-    ]
+    xs, ys, givens, separated, independent = implied_grid(f)
+    return list(zip(map(IndependenceStatement, xs, ys, givens), separated, independent))
 
 
 class Distinguishability(Record):

@@ -51,6 +51,9 @@ PARSER_ROWS = "tests/test_cli.py::TestParser::test_rows_parse_as_the_oracle_pars
 COLLECTOR = "tests/test_cli.py::TestCollector::test_no_command_leaves_cyclic_garbage"
 FILL_CASES = "tests/test_render.py::test_one_digit_cases"
 JOIN_CASES = "tests/test_render.py::test_every_column_kind_joins_like_the_stdlib_encoder"
+ONE_TABLE = "tests/test_cells.py::test_one_table_answers_many_statements_like_the_uniform_oracle"
+BATCH = "tests/test_cells.py::test_the_batch_kernel_decides_pairs_in_any_order_like_the_oracles"
+GRID = "tests/test_properties.py::test_the_grid_columns_match_the_trail_and_uniform_oracles"
 
 MUTANTS = (
     Mutant(
@@ -192,12 +195,18 @@ MUTANTS = (
         ("tests/test_cli.py::TestProcess::"
          "test_a_closed_standard_output_is_one_error_line[text]",),
     ),
-    # the statement grid as triples, with the collector paused
+    # the statement grid as columns, with the collector paused
     Mutant(
         "teleology-verdict-columns-swapped", "teleology.py",
-        "(stmt, d_separated(dag, stmt), uniform_independent(table, stmt))",
-        "(stmt, uniform_independent(table, stmt), d_separated(dag, stmt))",
+        "for d in (separated, independent)]",
+        "for d in (independent, separated)]",
         ("tests/test_cli.py::TestGoldenOutput::test_finalize_warm",),
+    ),
+    Mutant(
+        "teleology-grid-tests-the-bit-of-x", "teleology.py",
+        "not reached[x] >> position[y] & 1",
+        "not reached[x] >> position[x] & 1",
+        ("tests/test_cli.py::TestGoldenOutput::test_finalize_warm", GRID),
     ),
     Mutant(
         "cli-collector-restore-dropped", "cli.py",
@@ -220,21 +229,21 @@ MUTANTS = (
     ),
     Mutant(
         "dsep-no-y-check-on-a-memo-hit", "dsep.py",
-        "    elif stmt.y not in position:",
-        "    elif False:",
+        "    y = dag._at(stmt.y)\n",
+        "    y = dag._position.get(stmt.y, 0)\n",
         ("tests/test_dsep.py::TestBlockingRules::"
          "test_unknown_variable_is_named_before_and_after_a_walk",),
     ),
     Mutant(
         "model-x-weighed-outside-the-stratum", "model.py",
-        "!= weigh(rows & x_mask) * count:",
-        "!= weigh(x_mask) * count:",
-        ("tests/test_cells.py::test_one_table_answers_many_statements_like_the_uniform_oracle",),
+        "(at := s & mask, weigh(at))",
+        "(at := s & mask, weigh(mask))",
+        (ONE_TABLE, BATCH),
     ),
     Mutant(
         "model-grid-swaps-x-and-y", "model.py",
-        "        yield x, y, frozenset()\n",
-        "        yield y, x, frozenset()\n",
+        "        yield x, y, [(), *singles[:i],",
+        "        yield y, x, [(), *singles[:i],",
         ("tests/test_cli.py::TestGoldenOutput::test_finalize_warm",),
     ),
     Mutant(
@@ -371,9 +380,27 @@ MUTANTS = (
     ),
     Mutant(
         "model-dropped-stratum", "model.py",
-        "        for _, rows in strata:\n",
-        "        for _, rows in strata[1:]:\n",
-        ("tests/test_cells.py::test_one_table_answers_many_statements_like_the_uniform_oracle",),
+        "        for k, n in enumerate(totals):\n",
+        "        for k, n in list(enumerate(totals))[1:]:\n",
+        (ONE_TABLE,),
+    ),
+    Mutant(
+        "model-failed-pair-revived-by-a-later-stratum", "model.py",
+        "            for i in live:\n",
+        "            for i in range(len(pairs)):\n",
+        (ONE_TABLE, BATCH),
+    ),
+    Mutant(
+        "model-counts-from-the-first-stratum", "model.py",
+        "x_cells = cells[x][k]",
+        "x_cells = cells[x][0]",
+        (ONE_TABLE, BATCH),
+    ),
+    Mutant(
+        "model-cells-kept-across-weights", "model.py",
+        "if entry is None or entry[0] is not weights:",
+        "if entry is None:",
+        (BATCH,),
     ),
     Mutant(
         "model-no-empty-table-error", "model.py",
@@ -383,8 +410,8 @@ MUTANTS = (
     ),
     Mutant(
         "model-dataset-weights-ignored", "model.py",
-        "        if weights is None:\n",
-        "        if True:\n",
+        "weigh = int.bit_count if layers is None else",
+        "weigh = int.bit_count if True else",
         ("tests/test_properties.py::"
          "test_factorization_matches_the_fraction_oracle_on_weighted_rows",),
     ),

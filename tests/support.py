@@ -72,6 +72,7 @@ import operator
 import random
 import sys
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -85,6 +86,7 @@ from teleo.model import (
     Variable,
     WorldTable,
     enumerate_worlds,
+    grid_cells,
     level_masks,
     passing,
     stratify,
@@ -405,6 +407,11 @@ def reachable_oracle(dag: CausalDag, x: str, z: frozenset[str]) -> frozenset[str
                 seen.add(state)
                 states.append(state)
     return frozenset(v for v, _ in seen)
+
+
+def statement_grid(names) -> Iterator[IndependenceStatement]:
+    """The statement of each cell of the statement grid, in grid order."""
+    return (IndependenceStatement(*cell) for cell in grid_cells(names))
 
 
 def factorization_oracle(
@@ -959,6 +966,7 @@ __all__ = [
     "topological_oracle",
     "dsep_oracle",
     "reachable_oracle",
+    "statement_grid",
     "factorization_oracle",
     "cells_oracle",
     "strata_oracle",

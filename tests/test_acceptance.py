@@ -14,7 +14,7 @@ import pytest
 from teleo.dsep import d_separated
 from teleo.identification import Dataset, check_support, load_dataset
 from teleo.intervention import do_surgery, enumerate_worlds_star
-from teleo.model import IndependenceStatement, enumerate_worlds, uniform_independent
+from teleo.model import IndependenceStatement, enumerate_worlds
 from teleo.reduction import build_reduction, compare_structures, reduction_worlds
 from teleo.speclang import load_model
 from teleo.teleology import (
@@ -116,11 +116,11 @@ def test_c03_bill_goals(finals):
 @criterion(4, "weather-heating dependence flips exactly as claimed")
 def test_c04_dependence_flip(room, finals):
     stmt = IndependenceStatement("W", "H")
-    assert uniform_independent(enumerate_worlds(room.scm), stmt)
+    assert enumerate_worlds(room.scm).factorizes(stmt)
     for name in ("warm", "mild", "notcold"):
-        assert not uniform_independent(compatible_worlds(finals[name]), stmt)
+        assert not compatible_worlds(finals[name]).factorizes(stmt)
     for name in ("cheap", "costly"):
-        assert uniform_independent(compatible_worlds(finals[name]), stmt)
+        assert compatible_worlds(finals[name]).factorizes(stmt)
 
 
 @criterion(5, "graphical verdicts concord with the distributional ones")
@@ -129,8 +129,8 @@ def test_c05_graphical_concordance(finals):
     # chain W -> T -> do(H): connected; collider W -> T <- do(H): separated
     assert not d_separated(finals["warm"].final_dag, stmt)
     assert d_separated(finals["cheap"].final_dag, stmt)
-    assert not uniform_independent(compatible_worlds(finals["warm"]), stmt)
-    assert uniform_independent(compatible_worlds(finals["cheap"]), stmt)
+    assert not compatible_worlds(finals["warm"]).factorizes(stmt)
+    assert compatible_worlds(finals["cheap"]).factorizes(stmt)
 
 
 @criterion(6, "causal reduction reproduces the unrolled table and projects back")

@@ -1,10 +1,11 @@
 """The bitmask kernel against the row-hashing oracles.
 
 ``WorldTable.strata`` intersects level masks into the row mask of each
-stratum of a conditioning set, once per set, and ``WorldTable.factorizes``
-weighs cells as popcounts of those masks (times the binary weight layers,
-for datasets).  These tests compare the strata with ``support.strata_oracle``
-and ``support.cells_oracle``, and the verdicts with
+stratum of a conditioning set, once per set, and ``WorldTable.independent``
+(one pair at a time, ``WorldTable.factorizes``) weighs cells as popcounts
+of those masks (times the binary weight layers, for datasets).  These
+tests compare the strata with ``support.strata_oracle`` and
+``support.cells_oracle``, and the verdicts with
 ``support.factorization_oracle``, where masks cross machine-word boundaries,
 where counts need many layers and where a goal filter leaves strata empty;
 and they pin the per-column and per-conditioning-set memos.
@@ -23,8 +24,6 @@ from teleo.intervention import do_surgery
 from teleo.model import (
     IndependenceStatement,
     WorldTable,
-    statement_grid,
-    uniform_independent,
     weight_layers,
 )
 from teleo.teleology import build_final_model, compatible_worlds, goal
@@ -36,6 +35,7 @@ from support import (
     m1_scm,
     random_final,
     random_scm,
+    statement_grid,
     strata_oracle,
     uniform_oracle,
     worlds_of,
@@ -107,7 +107,7 @@ def test_full_binary_products_are_independent_across_word_boundaries(size):
     verdicts = set()
     for stmt in _statements(table.columns):
         _assert_kernel_matches_the_oracles(table, stmt)
-        verdicts.add(uniform_independent(table, stmt))
+        verdicts.add(table.factorizes(stmt))
     assert verdicts == ({True} if size == 64 else {True, False})
 
 
@@ -201,7 +201,7 @@ def test_the_grid_builds_each_column_index_once(monkeypatch):
     table = _sampled_table(random.Random(7), 100)
     for _ in range(2):
         for stmt in statement_grid(table.columns):
-            uniform_independent(table, stmt)
+            table.factorizes(stmt)
         for name in table.columns:
             table.distribution(name)
     assert counting.calls == len(table.columns)
@@ -243,11 +243,11 @@ def test_the_index_stays_out_of_equality_hash_and_repr():
 def test_the_grid_builds_each_conditioning_set_once():
     table = _sampled_table(random.Random(10), 90)
     for stmt in statement_grid(table.columns):
-        uniform_independent(table, stmt)
+        table.factorizes(stmt)
     built = dict(table._strata_cache)
     assert set(built) == {frozenset(), *(frozenset({n}) for n in table.columns)}
     for stmt in statement_grid(table.columns):
-        uniform_independent(table, stmt)
+        table.factorizes(stmt)
         assert table.strata(stmt.given) is built[stmt.given]
     assert table._strata_cache == built
     pair = table.strata(("E", "B"))
@@ -255,8 +255,8 @@ def test_the_grid_builds_each_conditioning_set_once():
 
 
 def test_the_grid_makes_the_statements_the_constructor_makes():
-    # statement_grid skips the constructor's checks, not its result: the
-    # same statements, fields and all, in grid order
+    # grid_cells, read from grid_pairs, in its one order: the
+    # statements the constructor makes, fields and all
     names = tuple("ABCDE")
     checked = [
         IndependenceStatement(x, y, given)
@@ -284,12 +284,46 @@ def test_one_table_answers_many_statements_like_the_uniform_oracle(seed):
     table = WorldTable(columns, rng.sample(space, rng.randint(1, len(space))))
     worlds = worlds_of(table)
     for stmt in _shuffled_statements(rng, columns):
-        assert uniform_independent(table, stmt) == uniform_oracle(worlds, stmt)
+        assert table.factorizes(stmt) == uniform_oracle(worlds, stmt)
         assert table.strata(stmt.given) == strata_oracle(table, stmt.given)
     empty = WorldTable(columns, [])
     for stmt in _statements(columns):
         with pytest.raises(EmptyTableError):
-            uniform_independent(empty, stmt)
+            empty.factorizes(stmt)
+
+
+@MODERATE
+@given(seeds)
+def test_the_batch_kernel_decides_pairs_in_any_order_like_the_oracles(seed):
+    # one call per conditioning set over shuffled pairs, either way round
+    # and repeated, on one table unweighted, weighted and unweighted again:
+    # each verdict is the uniform oracle's, or the weighted factorization
+    # oracle's.  Columns of one level and strata a sample leaves out occur.
+    rng = random.Random(seed)
+    columns = tuple("ABCD")
+    domains = [range(rng.randint(1, 3)) for _ in columns]
+    space = list(itertools.product(*domains))
+    table = WorldTable(columns, rng.sample(space, rng.randint(1, len(space))))
+    worlds = worlds_of(table)
+    counts = [rng.randint(1, 9) for _ in range(len(table))]
+    weighted = list(zip(table.rows, counts))
+    sets = [(), *zip(columns), tuple(rng.sample(columns, 2))]
+    for z in map(frozenset, sets):
+        pairs = [p for p in itertools.permutations(sorted(set(columns) - z), 2)
+                 if rng.random() < 0.6]
+        pairs += rng.sample(pairs, min(2, len(pairs)))
+        rng.shuffle(pairs)
+        stmts = [IndependenceStatement(x, y, z) for x, y in pairs]
+        uniform = [uniform_oracle(worlds, s) for s in stmts]
+        weighed = [factorization_oracle(columns, weighted, s)[0] for s in stmts]
+        for weights, expected in ((None, uniform), (weight_layers(counts), weighed),
+                                  (None, uniform)):
+            assert table.independent(z, pairs, weights) == expected
+    empty = WorldTable(columns, [])
+    for weights in (None, weight_layers([])):
+        for pairs in ([], [("A", "B")], [("B", "A"), ("C", "D")]):
+            with pytest.raises(EmptyTableError):
+                empty.independent(frozenset("C"), pairs, weights)
 
 
 @MODERATE

@@ -15,9 +15,9 @@ from pathlib import Path
 
 import pytest
 
+import teleo.dsep
 import teleo.model
 import teleo.render
-import teleo.teleology
 from teleo import __version__
 from teleo.cli import cli
 from teleo.reduction import build_reduction, project_reduction
@@ -381,6 +381,41 @@ class TestBenchmarkInputs:
         spec = load_model(BENCHMARK_GEN.GENERATORS[workload](seed).model.spec())
         assert load_model(print_model(spec)) == spec
 
+    @pytest.mark.parametrize(
+        "flags, length, digest",
+        [
+            (("--json",), None,
+             "d5c52d0646e2a8b0b29d4410dd7baa56b8a222fb2c8857316426ae78df50d7e0"),
+            ((), 392419,
+             "a4a6a9294cf55f37b8c6ff4c44e270da375fe3b301a6d646f2345db9f2d003bc"),
+        ],
+        ids=["json", "text"],
+    )
+    def test_finalize_of_the_ternary_reduction_input(self, tmp_path, flags, length, digest):
+        # seed-3 reduce_ternary read by finalize: ternary tails and three
+        # strata per single conditioning variable, which no workload decides
+        args = BENCHMARK_GEN.GENERATORS["reduce_ternary"](3).write(tmp_path)
+        assert args[0] == "reduce"
+        result = run_cli(*flags, "finalize", *args[1:])
+        assert result.exit_code == 0
+        assert length in (None, len(result.stdout))
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == digest
+
+    def test_finalize_with_the_exogenous_variables_declared_last(self, tmp_path):
+        # seed-3 finalize_grid with its ``var U*`` lines moved after ``var X7``
+        args = BENCHMARK_GEN.GENERATORS["finalize_grid"](3).write(tmp_path)
+        spec = Path(args[1])
+        lines = spec.read_text().splitlines(keepends=True)
+        late = [line for line in lines if line.startswith("var U")]
+        rest = [line for line in lines if line not in late]
+        at = rest.index("var X7 in 0..1\n") + 1
+        spec.write_text("".join(rest[:at] + late + rest[at:]))
+        result = run_cli("--json", *args)
+        assert result.exit_code == 0
+        assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
+            "a9acf05828efcb3e9d7a4291e20be1dbfe943050c5e53c8fbcb0358a1b44b654"
+        )
+
     def test_finalize_on_a_256_row_compatible_table(
         self, tmp_path, monkeypatch
     ):
@@ -422,26 +457,39 @@ class TestBenchmarkInputs:
             "538f6cb88d62efca46aef0b4bc952570db8bfcab7d91cb6ef52d6a2353c2ef00"
         )
 
-    def test_finalize_runs_each_kernel_once_per_statement(self, tmp_path, monkeypatch):
-        # the identity the traced benchmark run checks: over n variables the
-        # grid has C(n,2)(n-1) statements, each with one d_separated and one
-        # uniform_independent call, as bound in teleo.teleology
-        calls = dict.fromkeys(("d_separated", "uniform_independent"), 0)
-        for name in calls:
-            kernel = getattr(teleo.teleology, name)
+    def test_finalize_decides_the_grid_once_per_conditioning_set(self, tmp_path, monkeypatch):
+        # over n variables the grid has C(n,2)(n-1) statements under 1 + n
+        # conditioning sets: one batch kernel call and at most one walk per
+        # (x, Z) each, and no kernel call per statement
+        decided, walks, per_statement = [], [], []
+        independent, walk = teleo.model.WorldTable.independent, teleo.dsep._walk
 
-            def counting(*args, _kernel=kernel, _name=name):
-                calls[_name] += 1
-                return _kernel(*args)
+        def batch(table, given, pairs, weights=None):
+            decided.append((table, given, len(pairs)))
+            return independent(table, given, pairs, weights)
 
-            monkeypatch.setattr(teleo.teleology, name, counting)
+        def walking(dag, start, z):
+            walks.append((dag, start, z))
+            return walk(dag, start, z)
+
+        monkeypatch.setattr(teleo.model.WorldTable, "independent", batch)
+        monkeypatch.setattr(teleo.dsep, "_walk", walking)
+        for owner, name in ((teleo.dsep, "d_separated"), (teleo.model.WorldTable, "factorizes")):
+            monkeypatch.setattr(owner, name, lambda *args, _name=name: per_statement.append(_name))
         args = BENCHMARK_GEN.GENERATORS["finalize_grid"](3).write(tmp_path)
         result = run_cli("--json", *args)
-        n = len(json.loads(result.stdout)["result"]["columns"])
+        doc = json.loads(result.stdout)["result"]
+        n = len(doc["columns"])
         assert (result.exit_code, n) == (0, 18)
         grid = math.comb(n, 2) * (n - 1)
-        assert calls == {"d_separated": grid, "uniform_independent": grid}
-        assert grid == 2601
+        assert sum(size for _, _, size in decided) == len(doc["dependence"]) == grid == 2601
+        sets = [given for _, given, _ in decided]
+        assert len(sets) == len(set(sets)) == n + 1 == 19
+        (table,) = {table for table, _, _ in decided}
+        assert table._strata_cache.keys() == set(sets)
+        (dag,) = {dag for dag, _, _ in walks}
+        assert len(walks) == len({(start, z) for _, start, z in walks}) == len(dag._reachable)
+        assert per_statement == []
 
     def test_the_reduction_checks_only_the_tables_it_makes(self, monkeypatch):
         # the pre-action copy G0, the intention, the action and the

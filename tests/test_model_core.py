@@ -14,7 +14,6 @@ from teleo.model import (
     WorldTable,
     conditional_distribution,
     enumerate_worlds,
-    uniform_independent,
 )
 
 from teleo.reduction import build_reduction
@@ -210,34 +209,34 @@ class TestWorldTable:
 class TestUniformIndependence:
     def test_weather_and_heating_independent_in_base_model(self):
         table = enumerate_worlds(m1_scm())
-        assert uniform_independent(table, IndependenceStatement("W", "H"))
+        assert table.factorizes(IndependenceStatement("W", "H"))
 
     def test_goal_filter_makes_them_dependent(self):
         table = enumerate_worlds(m1_scm()).filter({"T": lambda t: t == 1})
         assert value_sets(table) == {(1, 0, 1, 0), (0, 1, 1, 1)}
-        assert not uniform_independent(table, IndependenceStatement("W", "H"))
+        assert not table.factorizes(IndependenceStatement("W", "H"))
 
     def test_point_mass_factorizes(self):
         table = enumerate_worlds(m1_scm()).filter({n: (lambda v: v == 0) for n in "WHTB"})
         assert value_sets(table) == {(0, 0, 0, 0)}
-        assert uniform_independent(table, IndependenceStatement("W", "H"))
-        assert uniform_independent(table, IndependenceStatement("T", "B"))
+        assert table.factorizes(IndependenceStatement("W", "H"))
+        assert table.factorizes(IndependenceStatement("T", "B"))
 
     def test_empty_table_is_degenerate(self):
         table = enumerate_worlds(m1_scm()).filter({"W": lambda w: False})
         with pytest.raises(EmptyTableError):
-            uniform_independent(table, IndependenceStatement("W", "H"))
+            table.factorizes(IndependenceStatement("W", "H"))
 
     def test_conditional_strata(self):
         # given T, the two T=1 worlds anti-correlate W and H
         table = enumerate_worlds(m1_scm())
         stmt = IndependenceStatement("W", "H", frozenset({"T"}))
-        assert not uniform_independent(table, stmt)
+        assert not table.factorizes(stmt)
 
     def test_unknown_variable(self):
         table = enumerate_worlds(m1_scm())
         with pytest.raises(UnknownVariableError):
-            uniform_independent(table, IndependenceStatement("W", "Q"))
+            table.factorizes(IndependenceStatement("W", "Q"))
 
     def test_statement_invariants(self):
         with pytest.raises(ModelStructureError):

@@ -26,9 +26,7 @@ from teleo.model import (
     WorldTable,
     enumerate_worlds,
     level_column,
-    statement_grid,
     universe_levels,
-    uniform_independent,
 )
 from teleo.reduction import (
     _effective_parents,
@@ -45,6 +43,8 @@ from teleo.teleology import (
     distinguishable,
     enumerate_goal_hypotheses,
     goal,
+    implied_dependencies,
+    implied_grid,
 )
 
 from teleo.errors import TeleologyError
@@ -78,6 +78,7 @@ from support import (
     render_json,
     rows_worlds,
     render_table_oracle,
+    statement_grid,
     topological_oracle,
     uniform_oracle,
     verify_mechanism_consistency,
@@ -219,7 +220,7 @@ def test_dsep_is_sound_for_deterministic_worlds(seed):
     table = enumerate_worlds(scm)
     for stmt in all_statements(scm.dag, max_given=2):
         if d_separated(scm.dag, stmt):
-            assert uniform_independent(table, stmt)
+            assert table.factorizes(stmt)
 
 
 @MODERATE
@@ -235,7 +236,6 @@ def test_factorization_matches_the_fraction_oracle_on_world_tables(seed):
             independent, strata = factorization_oracle(table.columns, rows, stmt)
             assert table.factorizes(stmt) == independent
             assert [s for s, _ in table.strata(stmt.given)] == sorted(strata)
-            assert uniform_independent(table, stmt) == independent
 
 
 @MODERATE
@@ -363,7 +363,7 @@ def test_columnar_independence_matches_the_world_oracle(seed):
         for g in _goals(rng, scm, worlds):
             sub, sub_worlds = table.filter(g.level_tests), filter_oracle(worlds, g)
             for stmt in statement_grid(scm.names):
-                assert _outcome(uniform_independent, sub, stmt) == _outcome(
+                assert _outcome(sub.factorizes, stmt) == _outcome(
                     uniform_oracle, sub_worlds, stmt
                 )
 
@@ -733,6 +733,32 @@ def test_closed_form_columns_are_the_transposed_product(domains):
     columns = [tuple(level_column(levels[name], n)) for name in named]
     assert columns == list(zip(*itertools.product(*domains)))
     assert list(product_columns(domains)) == columns
+
+
+@MODERATE
+@given(seeds)
+def test_the_grid_columns_match_the_trail_and_uniform_oracles(seed):
+    # finalize's grid, decided once per conditioning set, on random models
+    # declared in either order: the cells in grid order, the separation
+    # column of the final DAG's trails and the dependence column of the
+    # uniform oracle over the compatible worlds
+    rng = random.Random(seed)
+    scm = random_scm(rng, max_vars=6)
+    f = random_final(rng, exogenous_last(scm) if rng.random() < 0.5 else scm)
+    if f is None:
+        return
+    table = compatible_worlds(f)
+    if not len(table):
+        with pytest.raises(EmptyTableError):
+            implied_grid(f)
+        return
+    xs, ys, givens, separated, independent = implied_grid(f)
+    stmts = list(statement_grid(f.mstar.model.names))
+    assert list(zip(xs, ys, givens)) == [(s.x, s.y, tuple(sorted(s.given))) for s in stmts]
+    assert separated == [dsep_oracle(f.final_dag, s) for s in stmts]
+    worlds = worlds_of(table)
+    assert independent == [uniform_oracle(worlds, s) for s in stmts]
+    assert implied_dependencies(f) == list(zip(stmts, separated, independent))
 
 
 @MODERATE
